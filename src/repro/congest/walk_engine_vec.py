@@ -12,8 +12,8 @@ execution from flat numpy arrays, in two stages:
    :class:`~repro.congest.walk_state.WalkTape` at index
    ``(length - ttl, walk_id)``, a walk's node sequence is independent of
    message timing.  All trajectories are therefore computed up front as
-   a batched CSR gather per step — the same loop shape as
-   :func:`repro.walks.engine.run_lazy_walks` — and compressed into a
+   one :func:`repro.walks.engine.keyed_step` per step — the step
+   :func:`repro.walks.engine.run_lazy_walks` takes — and compressed into a
    per-walk *move list* (stays dropped).
 
 2. **Timing simulation** (:func:`simulate_walk_timing`).  What remains
@@ -70,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..walks.engine import advance_lazy_step
+from ..walks.engine import StepTable, keyed_step
 from .detector import CrashView
 from .walk_state import WalkTape
 
@@ -145,26 +145,24 @@ def sample_trajectories(
         dead_mask = np.zeros(n, dtype=bool)
         dead_mask[np.fromiter(dead, dtype=np.int64, count=len(dead))] = True
         keep = ~dead_mask[graph.indices]
-        live_indices = graph.indices[keep]
-        live_deg = np.bincount(
-            graph.arc_tails[keep], minlength=n
-        ).astype(np.int64)
+        live_tails = graph.arc_tails[keep]
+        live_deg = np.bincount(live_tails, minlength=n).astype(np.int64)
         live_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(live_deg, out=live_indptr[1:])
+        table = StepTable.build(
+            live_indptr, graph.indices[keep], live_deg, live_tails
+        )
     else:
-        live_indices = graph.indices
-        live_deg = graph.degrees
-        live_indptr = graph.indptr
-    num_live_arcs = int(live_indices.shape[0])
+        table = StepTable.of(graph)
+    live_deg = table.degrees
     positions = np.where(active, starts, 0).astype(np.int64)
     # targets[s, w]: node walk w crossed to at step s, or -1 for a stay.
     targets = np.full((tape.length, num_walks), -1, dtype=np.int64)
     for step in range(tape.length):
         move = active & (live_deg[positions] > 0)
         move &= tape.stay_u[step] >= 0.5
-        positions, _ = advance_lazy_step(
-            positions, move, tape.choice_u[step],
-            live_indptr, live_indices, live_deg, num_live_arcs,
+        positions, _ = keyed_step(
+            table, positions, move, tape.choice_u[step]
         )
         targets[step] = np.where(move, positions, -1)
     endpoints = np.where(active, positions, -1)

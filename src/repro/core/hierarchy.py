@@ -262,7 +262,7 @@ def _walk_overlay_edges(
     walk_length: int,
     params: Params,
     rng: np.random.Generator,
-) -> tuple[list[tuple[int, int]], float]:
+) -> tuple[np.ndarray, float]:
     """Faithful walk-based neighbour sampling for one level.
 
     Starts ``~level_walks_factor * beta * degree / level_degree_factor``
@@ -286,20 +286,22 @@ def _walk_overlay_edges(
     return edges, build_cost
 
 
-def _clique_edges(parts: np.ndarray) -> list[tuple[int, int]]:
-    """Complete graph inside every part (the bottom level)."""
+def _clique_edges(parts: np.ndarray) -> np.ndarray:
+    """Complete graph inside every part (the bottom level).
+
+    Returns an ``(m, 2)`` array: by part, then pairs ``i < j`` of member
+    positions in row-major order.
+    """
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
     boundaries = np.flatnonzero(
         np.diff(np.concatenate(([-1], sorted_parts, [-1])))
     )
-    edges: list[tuple[int, int]] = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for start, end in zip(boundaries[:-1], boundaries[1:]):
-        members = order[start:end]
-        for i in range(members.shape[0]):
-            for j in range(i + 1, members.shape[0]):
-                edges.append((int(members[i]), int(members[j])))
-    return edges
+        first, second = np.triu_indices(int(end - start), 1)
+        blocks.append(np.stack((first, second), axis=1) + start)
+    return order[np.concatenate(blocks)]
 
 
 def _gossip_cost(sizes: np.ndarray, walk_length: int) -> float:

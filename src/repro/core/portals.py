@@ -224,22 +224,37 @@ def _boundary_nodes(
     edges = previous_overlay.edge_array
     if edges.size == 0:
         return {}
-    result: dict[tuple[int, int], set] = {}
     tail_parts = parts[edges[:, 0]]
     head_parts = parts[edges[:, 1]]
     crossing = (tail_parts != head_parts) & (
         tail_parts // beta == head_parts // beta
     )
-    for u, v, a, b in zip(
-        edges[crossing, 0], edges[crossing, 1],
-        tail_parts[crossing], head_parts[crossing],
-    ):
-        result.setdefault((int(a), int(b % beta)), set()).add(int(u))
-        result.setdefault((int(b), int(a % beta)), set()).add(int(v))
-    return {
-        key: np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-        for key, nodes in result.items()
-    }
+    if not crossing.any():
+        return {}
+    a = tail_parts[crossing]
+    b = head_parts[crossing]
+    # Each crossing edge (u, v) files u under (a, b % beta), then v under
+    # (b, a % beta): one interleaved sequence of (key, node) insertions.
+    keys = np.stack((a * beta + b % beta, b * beta + a % beta), axis=1)
+    keys = keys.reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    nodes = edges[crossing].reshape(-1)[order].tolist()
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
+    ends = np.append(starts[1:], keys.shape[0])
+    result: dict[tuple[int, int], np.ndarray] = {}
+    # Keys in order of first insertion; each set built from its nodes in
+    # insertion order, so set iteration order matches incremental adds.
+    for group in np.argsort(order[starts], kind="stable").tolist():
+        start, end = int(starts[group]), int(ends[group])
+        part, sibling = divmod(int(sorted_keys[start]), beta)
+        members = set(nodes[start:end])
+        result[(part, sibling)] = np.fromiter(
+            members, dtype=np.int64, count=len(members)
+        )
+    return result
 
 
 def _sampled_portals(

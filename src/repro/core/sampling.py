@@ -13,45 +13,58 @@ def group_select(
     num_owners: int,
     cap: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Per owner, keep up to ``cap`` distinct non-self targets as edges.
 
     This is the "node keeps ``Theta(log n)`` of its successful walk
     endpoints" selection step used for ``G0`` and every level overlay.
 
     Args:
-        owners: owner id per sample.
-        targets: target id per sample (same length).
+        owners: owner id per sample, in ``[0, num_owners)``.
+        targets: target id per sample (same length, non-negative).
         num_owners: id range of owners.
         cap: max edges kept per owner.
         rng: used to subsample when an owner has more than ``cap``.
 
     Returns:
-        Edge list ``(owner, target)``.
+        Edges ``(owner, target)`` as an ``(m, 2)`` array, by owner; each
+        owner's targets ascending, or in ``rng.choice`` order when
+        subsampled.
     """
-    order = np.argsort(owners, kind="stable")
-    owners_sorted = owners[order]
-    targets_sorted = targets[order]
-    boundaries = np.searchsorted(
-        owners_sorted, np.arange(num_owners + 1), side="left"
-    )
-    edges: list[tuple[int, int]] = []
-    for owner in range(num_owners):
-        chunk = targets_sorted[boundaries[owner]: boundaries[owner + 1]]
-        chunk = np.unique(chunk)
-        chunk = chunk[chunk != owner]
-        if chunk.shape[0] > cap:
-            chunk = rng.choice(chunk, size=cap, replace=False)
-        for target in chunk:
-            edges.append((owner, int(target)))
-    return edges
+    owners = np.asarray(owners, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    width = int(targets.max()) + 1 if targets.size else 1
+    pairs = _sorted_unique(owners * width + targets)
+    pair_owners, pair_targets = np.divmod(pairs, width)
+    keep = pair_owners != pair_targets
+    pair_owners, pair_targets = pair_owners[keep], pair_targets[keep]
+    counts = np.bincount(pair_owners, minlength=num_owners)
+    over = np.flatnonzero(counts > cap)
+    if over.size:
+        # Subsample each crowded owner from its ascending targets, in
+        # owner order; a stable sort by owner puts the picks in place.
+        starts = np.zeros(num_owners + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        picks = [
+            rng.choice(pair_targets[starts[owner]: starts[owner + 1]],
+                       size=cap, replace=False)
+            for owner in over.tolist()
+        ]
+        within = counts[pair_owners] <= cap
+        pair_owners = np.concatenate(
+            (pair_owners[within], np.repeat(over, cap))
+        )
+        pair_targets = np.concatenate((pair_targets[within], *picks))
+        order = np.argsort(pair_owners, kind="stable")
+        pair_owners, pair_targets = pair_owners[order], pair_targets[order]
+    return np.stack((pair_owners, pair_targets), axis=1)
 
 
 def sample_within_parts(
     parts: np.ndarray,
     degree: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Sample ``degree`` uniform same-part neighbours for every node.
 
     The fast-path equivalent of the walk-based selection: a mixed regular
@@ -65,7 +78,8 @@ def sample_within_parts(
         rng: randomness source.
 
     Returns:
-        Edge list ``(node, sampled neighbour)``.
+        Edges ``(node, sampled neighbour)`` as an ``(m, 2)`` array, by
+        part, then node, then neighbour.
     """
     num_nodes = parts.shape[0]
     order = np.argsort(parts, kind="stable")
@@ -73,7 +87,8 @@ def sample_within_parts(
     boundaries = np.flatnonzero(
         np.diff(np.concatenate(([-1], sorted_parts, [-1])))
     )
-    edges: list[tuple[int, int]] = []
+    rank_blocks: list[np.ndarray] = []
+    draw_blocks: list[np.ndarray] = []
     for start, end in zip(boundaries[:-1], boundaries[1:]):
         members = order[start:end]
         if members.shape[0] < 2:
@@ -81,8 +96,23 @@ def sample_within_parts(
         draws = members[
             rng.integers(0, members.shape[0], size=(members.shape[0], degree))
         ]
-        for node, row in zip(members, draws):
-            for target in np.unique(row):
-                if target != node:
-                    edges.append((int(node), int(target)))
-    return edges
+        rank_blocks.append(np.repeat(np.arange(start, end), degree))
+        draw_blocks.append(draws.reshape(-1))
+    if not rank_blocks:
+        return np.empty((0, 2), dtype=np.int64)
+    # Rank in `order` sorts by (part, node); the draw breaks ties.
+    keys = _sorted_unique(
+        np.concatenate(rank_blocks) * num_nodes + np.concatenate(draw_blocks)
+    )
+    ranks, neighbours = np.divmod(keys, num_nodes)
+    nodes = order[ranks]
+    keep = nodes != neighbours
+    return np.stack((nodes[keep], neighbours[keep]), axis=1)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` for int keys via one sort (numpy's is hash-based)."""
+    keys = np.sort(keys)
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]

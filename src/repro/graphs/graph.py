@@ -33,50 +33,56 @@ class Graph:
         arc_edge: for each arc, the undirected edge id in ``0..m-1``.
     """
 
-    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]):
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        for u, v in edge_list:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+    def __init__(
+        self,
+        num_nodes: int,
+        edges: Iterable[tuple[int, int]] | np.ndarray,
+    ):
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.array(edges, dtype=np.int64)
+        if edge_array.size == 0:
+            edge_array = edge_array.reshape(0, 2)
+        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+            raise ValueError(
+                f"edges must be (u, v) pairs, got shape {edge_array.shape}"
+            )
+        u, v = edge_array[:, 0], edge_array[:, 1]
+        out_of_range = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
+        bad = out_of_range | (u == v)
+        if bad.any():
+            first = int(np.argmax(bad))
+            a, b = int(u[first]), int(v[first])
+            if out_of_range[first]:
                 raise ValueError(
-                    f"edge ({u}, {v}) out of range for {num_nodes} nodes"
+                    f"edge ({a}, {b}) out of range for {num_nodes} nodes"
                 )
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not supported")
+            raise ValueError(f"self-loop at node {a} is not supported")
         self._num_nodes = int(num_nodes)
-        self._num_edges = len(edge_list)
-        self._build_csr(edge_list)
-        self._edge_array = np.array(
-            edge_list if edge_list else np.empty((0, 2)), dtype=np.int64
-        ).reshape(-1, 2)
+        self._num_edges = int(edge_array.shape[0])
+        self._build_csr(edge_array)
+        self._edge_array = edge_array
 
-    def _build_csr(self, edge_list: Sequence[tuple[int, int]]) -> None:
+    def _build_csr(self, edge_array: np.ndarray) -> None:
+        """CSR arrays, each node's arcs in edge-id order.
+
+        In the interleaved tail list ``u0 v0 u1 v1 ...``, entry ``2 * eid``
+        is the arc leaving ``u`` and ``2 * eid + 1`` the one leaving ``v``:
+        a stable sort by tail gives the CSR order, and the twin of
+        interleaved arc ``i`` is ``i ^ 1``.
+        """
         n = self._num_nodes
-        m = len(edge_list)
-        degree = np.zeros(n, dtype=np.int64)
-        for u, v in edge_list:
-            degree[u] += 1
-            degree[v] += 1
+        tails = edge_array.reshape(-1)
+        order = np.argsort(tails, kind="stable")
+        degree = np.bincount(tails, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=np.int64)
-        arc_twin = np.empty(2 * m, dtype=np.int64)
-        arc_edge = np.empty(2 * m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for eid, (u, v) in enumerate(edge_list):
-            a = cursor[u]
-            cursor[u] += 1
-            b = cursor[v]
-            cursor[v] += 1
-            indices[a] = v
-            indices[b] = u
-            arc_twin[a] = b
-            arc_twin[b] = a
-            arc_edge[a] = eid
-            arc_edge[b] = eid
+        position = np.empty_like(order)
+        position[order] = np.arange(order.shape[0])
         self.indptr = indptr
-        self.indices = indices
-        self.arc_twin = arc_twin
-        self.arc_edge = arc_edge
+        self.indices = edge_array[:, ::-1].reshape(-1)[order]
+        self.arc_twin = position[order ^ 1]
+        self.arc_edge = order // 2
         self._degree = degree
 
     # -- basic accessors ----------------------------------------------------
@@ -124,11 +130,13 @@ class Graph:
 
     @property
     def arc_tails(self) -> np.ndarray:
-        """Tail node of every arc, shape ``(2m,)``."""
-        tails = np.empty(self.num_arcs, dtype=np.int64)
-        for v in range(self._num_nodes):
-            tails[self.indptr[v]: self.indptr[v + 1]] = v
-        return tails
+        """Tail node of every arc, shape ``(2m,)``.
+
+        Rebuilt per access (one ``np.repeat``) rather than stored: a
+        session keeps several hierarchies' overlays alive, and an extra
+        ``2m`` array on each costs more memory than the repeat costs time.
+        """
+        return np.repeat(np.arange(self._num_nodes), self._degree)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over undirected edges as ``(u, v)`` pairs."""

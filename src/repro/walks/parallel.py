@@ -86,7 +86,7 @@ def run_parallel_walks(
     degrees = np.maximum(graph.degrees, 1)
     k = float(np.max(counts / degrees)) if starts.size else 0.0
     runner = run_regular_walks if regular else run_lazy_walks
-    run = runner(graph, starts, steps, rng)
+    run = runner(graph, starts, steps, rng, node_loads=True)
     log_n = math.log2(max(2, graph.num_nodes))
     return ParallelWalkReport(
         run=run,

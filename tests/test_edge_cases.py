@@ -44,7 +44,7 @@ class TestWalkEdgeCases:
     def test_walk_from_isolated_node_stays(self):
         g = Graph(3, [(0, 1)])
         rng = np.random.default_rng(0)
-        run = run_lazy_walks(g, np.array([2]), 5, rng)
+        run = run_lazy_walks(g, np.array([2]), 5, rng, node_loads=True)
         assert run.positions[0] == 2
         assert run.peak_node_load() == 1
 

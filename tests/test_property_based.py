@@ -139,9 +139,9 @@ class TestGroupSelectProperties:
     def test_cap_and_distinctness(self, pairs, cap):
         owners = np.array([p[0] for p in pairs], dtype=np.int64)
         targets = np.array([p[1] for p in pairs], dtype=np.int64)
-        edges = group_select(
+        edges = list(map(tuple, group_select(
             owners, targets, 10, cap, np.random.default_rng(0)
-        )
+        ).tolist()))
         from collections import Counter
 
         per_owner = Counter(u for u, __ in edges)
@@ -155,7 +155,9 @@ class TestGroupSelectProperties:
         rng = np.random.default_rng(size)
         owners = rng.integers(0, 5, size=size)
         targets = rng.integers(0, 20, size=size)
-        edges = group_select(owners, targets, 5, 10, rng)
+        edges = list(map(tuple, group_select(
+            owners, targets, 5, 10, rng
+        ).tolist()))
         allowed = set(zip(owners.tolist(), targets.tolist()))
         assert all((u, v) in allowed for u, v in edges)
 

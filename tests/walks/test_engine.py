@@ -28,7 +28,7 @@ class TestLazyWalks:
 
     def test_steps_recorded(self, rng):
         g = ring_graph(8)
-        run = run_lazy_walks(g, np.arange(8), 7, rng)
+        run = run_lazy_walks(g, np.arange(8), 7, rng, node_loads=True)
         assert run.steps == 7
         assert len(run.edge_congestion) == 7
         assert len(run.max_node_load) == 7
@@ -114,7 +114,9 @@ class TestRegularWalks:
 
     def test_peak_node_load(self, rng):
         g = complete_graph(6)
-        run = run_regular_walks(g, np.zeros(30, dtype=np.int64), 5, rng)
+        run = run_regular_walks(
+            g, np.zeros(30, dtype=np.int64), 5, rng, node_loads=True
+        )
         assert run.peak_node_load() >= 5  # 30 walks over 6 nodes
 
     def test_stays_within_component(self, rng):
