@@ -24,10 +24,7 @@ from .fits import is_subpolynomial_consistent, power_law_exponent
 from .perf import (
     BenchRow,
     circulation_paths,
-    load_bench,
     run_bench_suite,
-    validate_bench,
-    write_bench,
 )
 from .tables import format_number, format_table
 from .workloads import (
@@ -59,10 +56,7 @@ __all__ = [
     "virtual_tree_trace",
     "BenchRow",
     "circulation_paths",
-    "load_bench",
     "run_bench_suite",
-    "validate_bench",
-    "write_bench",
     "format_number",
     "format_table",
     "rows_to_csv",

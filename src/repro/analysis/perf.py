@@ -21,9 +21,8 @@ Two deliberate design points:
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,23 +46,15 @@ from ..rng import derive_rng
 from ..walks import degree_proportional_starts, run_lazy_walks
 
 __all__ = [
-    "BENCH_KEYS",
     "BenchRow",
     "circulation_paths",
     "delivery_curve",
-    "load_bench",
     "run_bench_suite",
     "run_fault_suite",
     "run_pr7_suite",
     "run_recovery_suite",
     "run_serve_suite",
-    "validate_bench",
-    "write_bench",
 ]
-
-#: Exactly the keys of one serialized row, in column order.
-BENCH_KEYS = ("kernel", "n", "seed", "wall_s", "rounds")
-
 
 @dataclass
 class BenchRow:
@@ -757,44 +748,3 @@ def run_bench_suite(seed: int = 0, quick: bool = False) -> list[BenchRow]:
     rows += _bench_native_build(seed, quick)
     rows += _bench_end_to_end(seed, quick)
     return rows
-
-
-def validate_bench(payload: object) -> None:
-    """Assert ``payload`` is a well-formed list of serialized bench rows.
-
-    Raises ``ValueError`` describing the first violation.
-    """
-    if not isinstance(payload, list) or not payload:
-        raise ValueError("bench payload must be a non-empty list of rows")
-    for index, row in enumerate(payload):
-        if not isinstance(row, dict) or tuple(row.keys()) != BENCH_KEYS:
-            raise ValueError(
-                f"row {index} must have exactly the keys {BENCH_KEYS}, "
-                f"got {row!r}"
-            )
-        if not isinstance(row["kernel"], str) or not row["kernel"]:
-            raise ValueError(f"row {index}: kernel must be a non-empty str")
-        for key in ("n", "seed", "rounds"):
-            if not isinstance(row[key], int) or isinstance(row[key], bool):
-                raise ValueError(f"row {index}: {key} must be an int")
-        if not isinstance(row["wall_s"], (int, float)) or row["wall_s"] < 0:
-            raise ValueError(f"row {index}: wall_s must be a number >= 0")
-        if row["n"] <= 0 or row["rounds"] < 0:
-            raise ValueError(f"row {index}: n must be > 0 and rounds >= 0")
-
-
-def write_bench(rows: Sequence[BenchRow], path: str) -> None:
-    """Serialize bench rows to ``path`` as validated, diffable JSON."""
-    payload = [asdict(row) for row in rows]
-    validate_bench(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_bench(path: str) -> list[BenchRow]:
-    """Read and validate a bench file written by :func:`write_bench`."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    validate_bench(payload)
-    return [BenchRow(**row) for row in payload]

@@ -1,9 +1,6 @@
 """The uniform regression gate: one comparison policy for every suite.
 
-Before PR 9 each committed baseline grew its own ad-hoc check —
-``bench_baseline.py --check`` validated schema only, and
-``perf_tripwire.py`` hard-coded one wall budget.  The gate replaces all
-of them with a single rule set, applied identically to every suite:
+Every suite is compared under the same rules:
 
 * **exact columns** — seed-deterministic values (``rounds`` and any
   listed deterministic metrics) must match the committed baseline

@@ -5,18 +5,17 @@ score extractors), the :class:`~repro.bench.gate.GatePolicy` its
 committed baseline is compared under, and where that baseline lives —
 ``benchmarks/results/<suite>.json`` for the full tier and
 ``benchmarks/results/<suite>.quick.json`` for the quick tier CI gates
-against.  ``repro bench`` (and the ``scripts/bench_baseline.py`` /
-``scripts/perf_tripwire.py`` deprecation shims) dispatch purely through
-this table, so adding a benchmark means adding a registry entry — not a
-new script, flag, or tripwire.
+against.  ``repro bench`` dispatches purely through this table, so
+adding a benchmark means adding a registry entry — not a new script,
+flag, or tripwire.
 
 Suites:
 
 * the five historical kernel suites (``kernels``, ``faults``,
   ``recovery``, ``engine``, ``serve``) wrapping
   :mod:`repro.analysis.perf`;
-* ``tripwire`` — the native-build wall-budget canary (the old
-  ``perf_tripwire.py``), same workload in both tiers;
+* ``tripwire`` — the native-build wall-budget canary, same workload
+  in both tiers;
 * ``serve-soak`` — the PR 9 workload engine: a sustained multi-epoch
   open-loop run with concurrent churn + wire faults against one warm
   session, in both serving modes, plus the throughput-vs-fault-rate
@@ -275,9 +274,11 @@ def _chaos_runner(seed: int, quick: bool) -> list[dict]:
 
     * ``chaos_lifecycle`` — churn traffic over a journaled session
       while a seeded campaign kills the process, corrupts the store
-      entry, and truncates the journal tail; recovery must keep every
-      served round bit-identical (gated via ``rounds``/``total_rounds``
-      equality with the committed baseline, which matches a clean run).
+      entry, and truncates the journal tail; recovery (plus re-applying
+      the fed updates the tear destroyed) must keep every served round
+      bit-identical (gated via ``rounds``/``total_rounds`` equality
+      with the committed baseline, which equals a clean run's: 0
+      errors, every update applied).
     * ``chaos_burst_governed`` — the burst scenario under deadlines +
       admission control; shed/deadline-miss/goodput counts are exact.
     * ``chaos_fault_windows`` — mid-stream drop windows against a

@@ -264,7 +264,10 @@ def truncate_journal_tail(path: str, nbytes: int) -> bool:
 
     Returns whether anything was removed.  The journal reader tolerates
     the resulting torn last line by design; at-least-once semantics
-    cover any acknowledged-but-truncated marks.
+    cover any acknowledged-but-truncated marks.  The tear can also
+    destroy acknowledged *update* lines, which recovery then never
+    replays: a caller that resumes the stream must re-apply the updates
+    it fed past the journal's surviving prefix (``run_workload`` does).
     """
     if not os.path.exists(path):
         return False

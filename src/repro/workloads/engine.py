@@ -14,18 +14,19 @@ cares about:
 * **sojourn latency** — open-loop queueing delay: the stream's arrival
   schedule does not wait for the server, so a request's latency is
   ``completion - arrival`` with ``completion = max(arrival,
-  previous_completion) + service``.
+  previous_completion) + service`` (a governor reports its own).
 
-Two serving modes exercise the two public surfaces: ``"session"`` calls
-:meth:`Session.submit` / :meth:`Session.route_batch` directly;
-``"jsonl"`` replays the stream through :func:`~repro.runtime.serve_jsonl`
-(the wire path, error records and all).  Both tolerate per-request
-failures — a :class:`~repro.congest.faults.DeliveryTimeout` under an
-injected fault plan becomes an error record, never a dead serving loop.
+:func:`run_workload` feeds the records to the one request loop,
+:func:`~repro.runtime.serve_jsonl`, and folds the summaries it yields.
+``mode="session"`` feeds the generated dicts; ``mode="jsonl"`` feeds
+each through a JSON round trip, as ``repro serve`` decodes them.  A
+failed request becomes an error record, never a dead loop.  A chaos
+campaign is a hook on the feed (see :class:`_ChaosFeed`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import time
@@ -39,6 +40,7 @@ from ..congest.faults import DeliveryTimeout
 from ..graphs.graph import Graph
 from ..rng import derive_rng, stream_entropy
 from ..runtime.chaos import (
+    ChaosAction,
     ChaosPlan,
     ChaosSpec,
     corrupt_store_entry,
@@ -46,11 +48,10 @@ from ..runtime.chaos import (
     truncate_journal_tail,
 )
 from ..runtime.config import RunConfig
-from ..runtime.journal import Journal
-from ..runtime.resilience import ResiliencePolicy
-from ..runtime.session import Request, Session, serve_jsonl
+from ..runtime.resilience import Governor, ResiliencePolicy
+from ..runtime.session import Session, serve_jsonl
 from ..runtime.store import HierarchyStore
-from .generator import Workload, WorkloadSpec, generate_workload
+from .generator import WorkloadSpec, generate_workload
 from .scenarios import Scenario, get_scenario
 
 __all__ = [
@@ -66,8 +67,14 @@ __all__ = [
 #: The reported latency/round percentiles.
 PERCENTILES = (50, 95, 99)
 
-#: Serving modes: direct session API, or the serve_jsonl wire path.
+#: How records reach serve_jsonl: as generated, or JSON round-tripped.
 MODES = ("session", "jsonl")
+
+#: Governor counters a governed report carries.
+_COUNTERS = (
+    "goodput", "deadline_miss", "shed", "circuit_open", "timeouts",
+    "retries", "breaker_trips",
+)
 
 
 def percentile_summary(values: Sequence[float]) -> dict[str, float]:
@@ -232,66 +239,152 @@ def _as_scenario(
     )
 
 
-def _drive(
-    session: Session,
-    workload: Workload,
-    *,
-    batch: int,
-    mode: str,
-) -> Iterator[dict[str, Any]]:
-    """Serve the stream; yield response/update/error summary dicts."""
-    if mode == "jsonl":
-        yield from serve_jsonl(session, workload.records, batch=batch)
-        return
+class _ChaosFeed:
+    """Feeds records to :func:`serve_jsonl` under a chaos campaign.
 
-    pending: list[Request] = []
+    A null :class:`ChaosSpec` never acts, so plain runs feed the
+    records straight through.  :func:`serve_jsonl` pulls record k+1
+    only after it has yielded record k's response and journaled its
+    served mark, so :meth:`_records` acts between requests: it opens a
+    fault window before the request that starts it, closes it right
+    after the request that ends it, and ends the feed at a kill.
+    :meth:`serve` then kills the session, recovers it, and starts a new
+    loop at the feed's own record position.  A killing campaign runs over a
+    temporary store + journal.  The governor is carried across
+    recoveries: the SLO timeline belongs to the *service*, not to one
+    process incarnation.
+    """
 
-    def flush() -> Iterator[dict[str, Any]]:
-        if pending:
-            group = list(pending)
-            pending.clear()
-            try:
-                responses = session.route_batch(group)
-            except DeliveryTimeout as error:
-                yield {
-                    "error": str(error),
-                    "ids": [request.id for request in group],
-                }
-                return
-            for response in responses:
-                yield response.summary()
-
-    for record in workload.records:
-        if "update" in record:
-            yield from flush()
-            update = dict(record["update"])
-            try:
-                report = session.apply_update(
-                    edges_added=update.get("edges_added", ()),
-                    edges_removed=update.get("edges_removed", ()),
-                    nodes_down=update.get("nodes_down", ()),
-                )
-            except (ValueError, TypeError, DeliveryTimeout) as error:
-                yield {"error": str(error), "record": dict(record)}
-                continue
-            yield report.summary()
-            continue
-        request = Request(
-            op=record["op"],
-            args=dict(record["args"]),
-            id=record.get("id"),
+    def __init__(
+        self,
+        graph: Graph,
+        config: RunConfig,
+        policy: Optional[ResiliencePolicy],
+        spec: ChaosSpec,
+        records: Sequence[Mapping[str, Any]],
+    ) -> None:
+        self.graph = graph
+        self.config = config
+        self.policy = policy
+        self.spec = spec
+        self.records = records
+        self.plan = ChaosPlan(
+            spec, rng=derive_rng(int(config.seed), stream_entropy("chaos"))
         )
-        if batch > 0 and request.op == "route":
-            pending.append(request)
-            if len(pending) >= batch:
-                yield from flush()
-            continue
-        yield from flush()
-        try:
-            yield session.submit(request).summary()
-        except DeliveryTimeout as error:
-            yield {"error": str(error), "id": request.id}
-    yield from flush()
+        self.position = self.requests = self.window_left = 0
+        self.window = ExitStack()
+        self.fed_updates: list[Mapping[str, Any]] = []
+        # The killed request's action, with the kill spent.
+        self.pending: Optional[ChaosAction] = None
+        self.governor: Optional[Governor] = None
+        self.tally = {
+            "kills": 0, "recoveries": 0, "corruptions": 0,
+            "truncations": 0, "fault_windows": 0,
+        }
+        self.recover_s: list[float] = []
+
+    def serve(self, batch: int) -> Iterator[dict[str, Any]]:
+        """Every summary of the run, across kills and recoveries."""
+        with ExitStack() as stack:
+            store: Optional[HierarchyStore] = None
+            journal: Optional[str] = None
+            if self.spec.kill_rate > 0:
+                tmp = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-chaos-")
+                )
+                store = HierarchyStore(os.path.join(tmp, "store"))
+                journal = os.path.join(tmp, "journal.jsonl")
+            session = Session.open(
+                self.graph, self.config, store=store, journal=journal,
+                policy=self.policy,
+            )
+            self.governor = session.governor
+            try:
+                while True:
+                    yield from serve_jsonl(
+                        session, self._records(session), batch=batch
+                    )
+                    if self.pending is None:
+                        break
+                    assert journal is not None  # only a journal run kills
+                    self._kill(session, store, journal)
+                    began = time.perf_counter()  # reprolint: disable=R003
+                    session = Session.recover(
+                        self.graph, self.config, journal=journal,
+                        store=store, policy=self.policy,
+                    )
+                    session.governor = self.governor
+                    self._reapply_lost_updates(session)
+                    self.recover_s.append(
+                        time.perf_counter() - began  # reprolint: disable=R003
+                    )
+                    self.tally["recoveries"] += 1
+            finally:
+                self.window.close()
+                session.close()
+
+    def _records(self, session: Session) -> Iterator[Mapping[str, Any]]:
+        """Records from the feed's position up to a kill or the end."""
+        spec = self.spec
+        while self.position < len(self.records):
+            record = self.records[self.position]
+            is_update = "update" in record
+            if is_update:
+                self.fed_updates.append(record["update"])
+            else:
+                action = self.pending or self.plan.action(self.requests)
+                self.pending = None
+                if action.kill:
+                    self.window.close()
+                    self.window_left = 0
+                    self.pending = replace(action, kill=False)
+                    return
+                self.requests += 1
+                if action.open_window and spec.fault_spec is not None:
+                    self.window.close()
+                    self.window.enter_context(
+                        session.fault_window(
+                            spec.fault_spec, entropy=action.entropy
+                        )
+                    )
+                    self.window_left = spec.fault_window
+                    self.tally["fault_windows"] += 1
+            self.position += 1
+            yield record
+            if not is_update and self.window_left > 0:
+                self.window_left -= 1
+                if self.window_left == 0:
+                    self.window.close()
+
+    def _kill(
+        self, session: Session, store: Optional[HierarchyStore], journal: str
+    ) -> None:
+        """Kill ``session`` and damage what it left behind, as planned."""
+        action = self.pending
+        assert action is not None
+        key = session.cache_key
+        kill_session(session)
+        self.tally["kills"] += 1
+        if action.corrupt and store is not None and key:
+            self.tally["corruptions"] += corrupt_store_entry(store, key)
+        if action.truncate:
+            self.tally["truncations"] += truncate_journal_tail(
+                journal, self.spec.truncate_bytes
+            )
+
+    def _reapply_lost_updates(self, session: Session) -> None:
+        """Re-apply the fed updates a torn journal tail destroyed.
+
+        Recovery replays only the journal lines that survived, and a
+        tear can take acknowledged update lines with it; every fed
+        update past the surviving prefix is applied again.
+        """
+        assert session.journal is not None
+        for update in self.fed_updates[len(session.journal.updates):]:
+            try:
+                session.apply_update(**update)
+            except (ValueError, TypeError, DeliveryTimeout):
+                pass  # the live session failed it the same way
 
 
 def run_workload(
@@ -309,20 +402,20 @@ def run_workload(
     """One sustained multi-epoch run of ``scenario`` over ``graph``.
 
     Builds the hierarchy once (``Session.open``), then serves the
-    scenario's full deterministic stream against the warm structure.
-    The scenario's ``faults`` / ``recovery`` / ``batch`` knobs configure
-    the serving side unless an explicit ``config`` overrides them.
+    scenario's full deterministic stream against the warm structure
+    through :func:`~repro.runtime.serve_jsonl`, each request record
+    stamped with its ``arrival_s``.  The scenario's ``faults`` /
+    ``recovery`` / ``batch`` knobs configure the serving side unless an
+    explicit ``config`` overrides them.
 
     With a ``policy``
     (:class:`~repro.runtime.resilience.ResiliencePolicy`, or
     ``config.resilience``) and/or a ``chaos``
-    (:class:`~repro.runtime.chaos.ChaosSpec`) campaign, serving runs
-    through the governed loop: requests pass the breaker / admission /
-    retry / deadline pipeline individually, chaos kills sever and
-    recover the session through its write-ahead journal, and the
+    (:class:`~repro.runtime.chaos.ChaosSpec`) campaign, the run is
+    *governed*: requests are served one at a time, chaos kills sever
+    and recover the session through its write-ahead journal, and the
     report grows goodput, shed, deadline-miss, and time-to-recover
-    columns.  Without either knob the classic ungoverned loop runs —
-    bit-identical reports to before the resilience layer existed.
+    columns.
     """
     if mode not in MODES:
         raise ValueError(
@@ -339,63 +432,60 @@ def run_workload(
         )
     if policy is None:
         policy = config.resilience
+    chaos = chaos or ChaosSpec()
+    governed = policy is not None or not chaos.is_null
     workload = generate_workload(graph, resolved, seed=seed)
-    if policy is not None or (chaos is not None and not chaos.is_null):
-        if mode != "session":
-            raise ValueError(
-                "governed/chaos runs serve requests individually; "
-                f"use mode='session', got {mode!r}"
-            )
-        return _run_governed(
-            graph,
-            resolved,
-            workload,
-            config=config,
-            policy=policy,
-            chaos=chaos,
-            seed=seed,
-        )
-
-    arrivals: dict[Optional[str], float] = {}
-    for record, second in zip(workload.records, workload.arrivals):
-        if "op" in record:
-            arrivals[record.get("id")] = float(second)
+    records: list[Mapping[str, Any]] = [
+        dict(record, arrival_s=float(second)) if "op" in record else record
+        for record, second in zip(workload.records, workload.arrivals)
+    ]
+    if mode == "jsonl":
+        records = [json.loads(json.dumps(record)) for record in records]
+    arrivals = {r.get("id"): r["arrival_s"] for r in records if "op" in r}
 
     rounds_values: list[float] = []
     wall_values: list[float] = []
     sojourn_values: list[float] = []
-    served = errors = updates = rebuilds = 0
-    total_rounds = 0.0
-    total_wall = 0.0
-    clock = 0.0
+    served = errors = timeouts = updates = rebuilds = 0
+    total_rounds = total_wall = clock = 0.0
+    feed = _ChaosFeed(graph, config, policy, chaos, records)
+    for summary in feed.serve(batch=0 if governed else resolved.batch):
+        if "error" in summary:
+            errors += 1
+            # A failed update's error record carries no ``id``.
+            if summary.get("kind") == "delivery_timeout" and "id" in summary:
+                timeouts += 1
+            continue
+        if "update" in summary:
+            updates += 1
+            rebuilds += int(bool(summary["update"]["rebuilt"]))
+            continue
+        served += 1
+        rounds = float(summary.get("rounds_amortized", summary["rounds"]))
+        service = float(
+            summary.get("service_s", summary["wall_s"])
+        ) / int(summary.get("batch_size", 1))
+        rounds_values.append(rounds)
+        wall_values.append(service)
+        total_rounds += rounds
+        total_wall += service
+        if "sojourn_s" in summary:  # the governor's own sojourn clock
+            sojourn_values.append(float(summary["sojourn_s"]))
+            continue
+        arrival = arrivals.get(summary.get("id"), clock)
+        clock = max(clock, arrival) + service
+        sojourn_values.append(clock - arrival)
 
-    with Session.open(graph, config) as session:
-        summaries = _drive(
-            session, workload, batch=resolved.batch, mode=mode
-        )
-        for summary in summaries:
-            if "error" in summary:
-                errors += 1
-                continue
-            if "update" in summary:
-                updates += 1
-                rebuilds += int(bool(summary["update"]["rebuilt"]))
-                continue
-            served += 1
-            size = int(summary.get("batch_size", 1))
-            rounds = float(
-                summary.get("rounds_amortized", summary["rounds"])
-            )
-            service = float(summary["wall_s"]) / size
-            rounds_values.append(rounds)
-            wall_values.append(service)
-            total_rounds += rounds
-            total_wall += service
-            arrival = arrivals.get(summary.get("id"), clock)
-            clock = max(clock, arrival) + service
-            sojourn_values.append(clock - arrival)
-
-    makespan = max(clock, 1e-9)
+    extra: dict[str, Any] = {}
+    if governed:
+        counters = {"goodput": served, "timeouts": timeouts}
+        if feed.governor is not None:
+            counters = feed.governor.counters
+            clock = max(clock, feed.governor.clock)
+        extra = {name: int(counters.get(name, 0)) for name in _COUNTERS}
+        extra.update(feed.tally, governed=True)
+        if feed.recover_s:
+            extra["recover_s"] = percentile_summary(feed.recover_s)
     return WorkloadReport(
         scenario=resolved.name,
         mode=mode,
@@ -412,255 +502,11 @@ def run_workload(
         total_wall_s=total_wall,
         makespan_s=clock,
         offered_rps=workload.offered_rps,
-        achieved_rps=served / makespan,
+        achieved_rps=served / max(clock, 1e-9),
         rounds=percentile_summary(rounds_values),
         wall_s=percentile_summary(wall_values),
         sojourn_s=percentile_summary(sojourn_values),
-    )
-
-
-def _error_summary(
-    error: Exception, request_id: Optional[str]
-) -> dict[str, Any]:
-    """A structured error record for an ungoverned serve failure."""
-    payload: dict[str, Any] = {"error": str(error), "id": request_id}
-    if isinstance(error, DeliveryTimeout):
-        payload["kind"] = "delivery_timeout"
-        payload["culprits"] = [list(c) for c in error.culprits]
-    return payload
-
-
-def _run_governed(
-    graph: Graph,
-    resolved: Scenario,
-    workload: Workload,
-    *,
-    config: RunConfig,
-    policy: Optional[ResiliencePolicy],
-    chaos: Optional[ChaosSpec],
-    seed: int,
-) -> WorkloadReport:
-    """The governed serving loop: per-request SLO pipeline + chaos.
-
-    Requests are served individually through :meth:`Session.serve`
-    (batched admission would blur per-request deadlines and arrival
-    accounting).  When the chaos campaign can kill, the session runs
-    over a temporary store + write-ahead journal so each kill can be
-    recovered from durable state; the governor object is carried
-    across recoveries, because the SLO timeline (virtual clock,
-    in-flight completions, breaker state) belongs to the *service*,
-    not to any single process incarnation.
-    """
-    plan: Optional[ChaosPlan] = None
-    if chaos is not None and not chaos.is_null:
-        plan = ChaosPlan(
-            chaos,
-            rng=derive_rng(int(config.seed), stream_entropy("chaos")),
-        )
-
-    arrivals: dict[Optional[str], float] = {}
-    for record, second in zip(workload.records, workload.arrivals):
-        if "op" in record:
-            arrivals[record.get("id")] = float(second)
-
-    rounds_values: list[float] = []
-    wall_values: list[float] = []
-    sojourn_values: list[float] = []
-    recover_samples: list[float] = []
-    served = errors = updates = rebuilds = 0
-    kills = recoveries = corruptions = truncations = windows = 0
-    timeouts_seen = 0
-    total_rounds = 0.0
-    total_wall = 0.0
-    clock = 0.0
-
-    recoverable = (ValueError, TypeError, DeliveryTimeout)
-    with ExitStack() as stack:
-        store: Optional[HierarchyStore] = None
-        journal_path: Optional[str] = None
-        if plan is not None and chaos is not None and chaos.kill_rate > 0:
-            tmp = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-chaos-")
-            )
-            store = HierarchyStore(os.path.join(tmp, "store"))
-            journal_path = os.path.join(tmp, "journal.jsonl")
-        session = Session.open(
-            graph,
-            config,
-            store=store,
-            journal=journal_path,
-            policy=policy,
-        )
-        governor = session.governor
-        window_left = 0
-        window_stack = stack.enter_context(ExitStack())
-        request_index = 0
-        try:
-            for record in workload.records:
-                if "update" in record:
-                    update = dict(record["update"])
-                    try:
-                        report = session.apply_update(
-                            edges_added=update.get("edges_added", ()),
-                            edges_removed=update.get("edges_removed", ()),
-                            nodes_down=update.get("nodes_down", ()),
-                        )
-                    except recoverable:
-                        errors += 1
-                        continue
-                    updates += 1
-                    rebuilds += int(bool(report.rebuilt))
-                    continue
-
-                index = request_index
-                request_index += 1
-                action = plan.action(index) if plan is not None else None
-                if (
-                    action is not None
-                    and action.kill
-                    and journal_path is not None
-                    and chaos is not None
-                ):
-                    window_stack.close()
-                    window_left = 0
-                    cache_key = session.cache_key
-                    kill_session(session)
-                    kills += 1
-                    if action.corrupt and store is not None and cache_key:
-                        corruptions += int(
-                            corrupt_store_entry(store, cache_key)
-                        )
-                    if action.truncate:
-                        truncations += int(
-                            truncate_journal_tail(
-                                journal_path, chaos.truncate_bytes
-                            )
-                        )
-                    began = time.perf_counter()  # reprolint: disable=R003
-                    session = Session.recover(
-                        graph,
-                        config,
-                        journal=journal_path,
-                        store=store,
-                        policy=policy,
-                    )
-                    recover_samples.append(
-                        time.perf_counter() - began  # reprolint: disable=R003
-                    )
-                    recoveries += 1
-                    if governor is not None:
-                        # The SLO timeline survives the crash.
-                        session.governor = governor
-                if (
-                    action is not None
-                    and action.open_window
-                    and chaos is not None
-                    and chaos.fault_spec is not None
-                ):
-                    window_stack.close()
-                    window_stack = stack.enter_context(ExitStack())
-                    window_stack.enter_context(
-                        session.fault_window(
-                            chaos.fault_spec, entropy=action.entropy
-                        )
-                    )
-                    window_left = chaos.fault_window
-                    windows += 1
-
-                request = Request(
-                    op=record["op"],
-                    args=dict(record["args"]),
-                    id=record.get("id"),
-                )
-                arrival = arrivals.get(request.id)
-                try:
-                    summary = session.serve(request, arrival_s=arrival)
-                except recoverable as error:
-                    summary = _error_summary(error, request.id)
-
-                if "error" in summary:
-                    errors += 1
-                    if summary.get("kind") == "delivery_timeout":
-                        timeouts_seen += 1
-                else:
-                    served += 1
-                    rounds = float(summary["rounds"])
-                    service = float(
-                        summary.get("service_s", summary["wall_s"])
-                    )
-                    rounds_values.append(rounds)
-                    wall_values.append(service)
-                    total_rounds += rounds
-                    total_wall += service
-                    if "sojourn_s" in summary:
-                        sojourn_values.append(float(summary["sojourn_s"]))
-                    else:
-                        start = arrival if arrival is not None else clock
-                        clock = max(clock, start) + service
-                        sojourn_values.append(clock - start)
-
-                if window_left > 0:
-                    window_left -= 1
-                    if window_left == 0:
-                        window_stack.close()
-                        window_stack = stack.enter_context(ExitStack())
-        finally:
-            window_stack.close()
-            session.close()
-
-    if governor is not None:
-        counts = governor.counters
-        goodput = counts["goodput"]
-        shed = counts["shed"]
-        deadline_miss = counts["deadline_miss"]
-        circuit_open = counts["circuit_open"]
-        timeouts = counts["timeouts"]
-        retries = counts["retries"]
-        breaker_trips = counts["breaker_trips"]
-        clock = max(clock, governor.clock)
-    else:
-        goodput = served
-        shed = deadline_miss = circuit_open = 0
-        retries = breaker_trips = 0
-        timeouts = timeouts_seen
-
-    makespan = max(clock, 1e-9)
-    return WorkloadReport(
-        scenario=resolved.name,
-        mode="session",
-        n=graph.num_nodes,
-        seed=seed,
-        epochs=resolved.epochs,
-        batch=resolved.batch,
-        requests=workload.requests,
-        served=served,
-        errors=errors,
-        updates=updates,
-        rebuilds=rebuilds,
-        total_rounds=total_rounds,
-        total_wall_s=total_wall,
-        makespan_s=clock,
-        offered_rps=workload.offered_rps,
-        achieved_rps=served / makespan,
-        rounds=percentile_summary(rounds_values),
-        wall_s=percentile_summary(wall_values),
-        sojourn_s=percentile_summary(sojourn_values),
-        governed=True,
-        goodput=int(goodput),
-        deadline_miss=int(deadline_miss),
-        shed=int(shed),
-        circuit_open=int(circuit_open),
-        timeouts=int(timeouts),
-        retries=int(retries),
-        breaker_trips=int(breaker_trips),
-        kills=kills,
-        recoveries=recoveries,
-        corruptions=corruptions,
-        truncations=truncations,
-        fault_windows=windows,
-        recover_s=(
-            percentile_summary(recover_samples) if recover_samples else {}
-        ),
+        **extra,
     )
 
 

@@ -1,22 +1,26 @@
 """Tests for the perf-baseline harness (`repro.analysis.perf`)."""
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.analysis.perf import (
-    BENCH_KEYS,
     BenchRow,
     circulation_paths,
     delivery_curve,
-    load_bench,
     run_bench_suite,
     run_fault_suite,
-    validate_bench,
-    write_bench,
 )
 from repro.bench import load_record
+from repro.bench.schema import (
+    ROW_KEYS,
+    SCHEMA_VERSION,
+    make_record,
+    validate_record,
+    write_record,
+)
 from repro.graphs import Graph, random_regular
 
 _RESULTS_DIR = os.path.join(
@@ -77,9 +81,8 @@ class TestBenchSuite:
         }
 
     def test_quick_rows_validate(self, quick_rows):
-        from dataclasses import asdict
-
-        validate_bench([asdict(row) for row in quick_rows])
+        record = make_record("kernels", [asdict(row) for row in quick_rows])
+        validate_record(record)
 
     def test_rounds_deterministic_in_seed(self, quick_rows):
         """Re-running the suite reproduces every round count exactly."""
@@ -90,52 +93,67 @@ class TestBenchSuite:
 
     def test_roundtrip(self, quick_rows, tmp_path):
         path = str(tmp_path / "bench.json")
-        write_bench(quick_rows, path)
-        assert load_bench(path) == quick_rows
+        record = make_record("kernels", [asdict(row) for row in quick_rows])
+        write_record(record, path)
+        loaded = load_record(path, suite="kernels")
+        assert [BenchRow(**row) for row in loaded["rows"]] == quick_rows
 
 
 class TestValidateBench:
+    """Bench rows are shaped by :mod:`repro.bench.schema`."""
+
     def _row(self, **overrides):
         row = {"kernel": "k", "n": 8, "seed": 0, "wall_s": 0.1, "rounds": 3}
         row.update(overrides)
         return row
 
+    def _record(self, rows):
+        return {
+            "schema": SCHEMA_VERSION,
+            "suite": "kernels",
+            "seed": 0,
+            "quick": False,
+            "rows": rows,
+            "meta": {},
+        }
+
     def test_accepts_well_formed(self):
-        validate_bench([self._row()])
+        validate_record(self._record([self._row()]))
 
     def test_rejects_non_list_and_empty(self):
         with pytest.raises(ValueError):
-            validate_bench({"rows": []})
+            validate_record(self._record({"rows": []}))
         with pytest.raises(ValueError):
-            validate_bench([])
+            validate_record(self._record([]))
 
     def test_rejects_wrong_keys(self):
         bad = self._row()
         del bad["rounds"]
-        with pytest.raises(ValueError, match="keys"):
-            validate_bench([bad])
-        with pytest.raises(ValueError, match="keys"):
-            validate_bench([{**self._row(), "extra": 1}])
+        with pytest.raises(ValueError, match="columns"):
+            validate_record(self._record([bad]))
+        with pytest.raises(ValueError, match="columns"):
+            validate_record(self._record([{**self._row(), "extra": 1}]))
 
     def test_rejects_wrong_types(self):
         with pytest.raises(ValueError, match="int"):
-            validate_bench([self._row(n="8")])
-        with pytest.raises(ValueError, match="int"):
-            validate_bench([self._row(rounds=1.5)])
-        with pytest.raises(ValueError, match="kernel"):
-            validate_bench([self._row(kernel="")])
-        with pytest.raises(ValueError, match="wall_s"):
-            validate_bench([self._row(wall_s=-0.1)])
+            validate_record(self._record([self._row(n="8")]))
         with pytest.raises(ValueError, match="rounds"):
-            validate_bench([self._row(rounds=-1)])
+            validate_record(self._record([self._row(rounds="3")]))
+        with pytest.raises(ValueError, match="kernel"):
+            validate_record(self._record([self._row(kernel="")]))
+        with pytest.raises(ValueError, match="wall_s"):
+            validate_record(self._record([self._row(wall_s=-0.1)]))
+        with pytest.raises(ValueError, match="rounds"):
+            validate_record(self._record([self._row(rounds=-1)]))
 
     def test_key_order_is_canonical(self):
         scrambled = {
             "rounds": 3, "kernel": "k", "wall_s": 0.1, "seed": 0, "n": 8
         }
-        with pytest.raises(ValueError, match="keys"):
-            validate_bench([scrambled])
-        assert tuple(self._row().keys()) == BENCH_KEYS
+        with pytest.raises(ValueError, match="columns"):
+            validate_record(self._record([scrambled]))
+        record = make_record("kernels", [scrambled])
+        assert tuple(record["rows"][0]) == ROW_KEYS
 
 
 class TestFaultSuite:
@@ -150,9 +168,8 @@ class TestFaultSuite:
         }
 
     def test_rows_validate(self, fault_rows):
-        from dataclasses import asdict
-
-        validate_bench([asdict(row) for row in fault_rows])
+        record = make_record("faults", [asdict(row) for row in fault_rows])
+        validate_record(record)
 
     def test_drop_rounds_never_below_clean(self, fault_rows):
         """Retries can only add rounds, never remove them."""

@@ -57,16 +57,6 @@ class TestGovernedEquivalence:
         assert "goodput" not in report.summary()
         assert "kills" not in report.summary()
 
-    def test_governed_requires_session_mode(self, graph):
-        with pytest.raises(ValueError, match="session"):
-            run_workload(
-                graph,
-                _quick("steady"),
-                seed=0,
-                mode="jsonl",
-                policy=ResiliencePolicy(round_time_s=ROUND_TIME_S),
-            )
-
     def test_policy_defaults_from_config(self, graph):
         config = RunConfig(
             seed=0,
@@ -157,15 +147,40 @@ class TestChaosCampaign:
         assert report.fault_windows > 0
         assert report.served + report.errors == report.requests
 
-    def test_chaos_requires_session_mode(self, graph):
-        with pytest.raises(ValueError, match="session"):
-            run_workload(
-                graph,
-                _quick("steady"),
-                seed=0,
-                mode="jsonl",
-                chaos=ChaosSpec(kill_rate=0.5),
-            )
+    @pytest.mark.parametrize(
+        ("seed", "truncate_bytes"), [(0, 64), (0, 160), (3, 100)]
+    )
+    def test_torn_journal_tail_loses_no_update(self, seed, truncate_bytes):
+        """A tear that destroys acknowledged update lines is still
+        invisible: run_workload re-applies the updates it fed past the
+        journal's surviving prefix before serving resumes."""
+        graph = random_regular(32, 6, derive_rng(seed, 32))
+        policy = ResiliencePolicy(
+            retry_budget=2, max_inflight=16, round_time_s=ROUND_TIME_S
+        )
+        clean = run_workload(
+            graph, _quick("churn"), seed=seed, policy=policy
+        )
+        chaotic = run_workload(
+            graph,
+            _quick("churn"),
+            seed=seed,
+            policy=policy,
+            chaos=ChaosSpec(
+                kill_rate=0.15,
+                max_kills=2,
+                corrupt_store=1.0,
+                truncate_journal=1.0,
+                truncate_bytes=truncate_bytes,
+            ),
+        )
+        assert chaotic.kills > 0
+        assert chaotic.truncations == chaotic.kills
+        assert chaotic.served == clean.served
+        assert chaotic.errors == clean.errors
+        assert chaotic.updates == clean.updates
+        assert chaotic.total_rounds == clean.total_rounds
+        assert chaotic.rounds == clean.rounds
 
 
 class TestSojournTailBound:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.graphs import random_regular
 from repro.rng import derive_rng
-from repro.runtime import RunConfig, Session
+from repro.runtime import ChaosSpec, ResiliencePolicy, RunConfig, Session
 from repro.runtime.session import serve_jsonl
 from repro.workloads import (
     Scenario,
@@ -63,16 +63,30 @@ class TestRunWorkload:
         assert again.total_rounds == steady_report.total_rounds
 
     def test_modes_agree_on_deterministic_fields(self, graph):
+        """Plain, governed and chaos runs: both modes feed the same
+        serve loop, so every deterministic column matches."""
         scenario = _quick("churn")
-        session_run = run_workload(
-            graph, scenario, seed=0, mode="session"
+        policy = ResiliencePolicy(retry_budget=2, round_time_s=1e-6)
+        chaos = ChaosSpec(
+            kill_rate=0.2,
+            max_kills=2,
+            corrupt_store=1.0,
+            truncate_journal=1.0,
         )
-        jsonl_run = run_workload(graph, scenario, seed=0, mode="jsonl")
-        assert session_run.rounds == jsonl_run.rounds
-        assert session_run.served == jsonl_run.served
-        assert session_run.errors == jsonl_run.errors
-        assert session_run.updates == jsonl_run.updates
-        assert session_run.total_rounds == jsonl_run.total_rounds
+        for knobs in ({}, {"policy": policy}, {"chaos": chaos}):
+            session_run = run_workload(
+                graph, scenario, seed=0, mode="session", **knobs
+            )
+            jsonl_run = run_workload(
+                graph, scenario, seed=0, mode="jsonl", **knobs
+            )
+            assert session_run.rounds == jsonl_run.rounds
+            assert session_run.served == jsonl_run.served
+            assert session_run.errors == jsonl_run.errors
+            assert session_run.updates == jsonl_run.updates
+            assert session_run.total_rounds == jsonl_run.total_rounds
+            assert session_run.kills == jsonl_run.kills
+            assert session_run.governed == bool(knobs)
 
     def test_summary_is_json_safe_and_flat(self, steady_report):
         summary = steady_report.summary()
