@@ -52,4 +52,7 @@ python scripts/chaos_smoke.py
 echo "== pytest"
 python -m pytest -x -q
 
+echo "== perfbench tests (the end-to-end benchmark's own suite)"
+python3 -m pytest -q perfbench/tests
+
 echo "== all checks passed"

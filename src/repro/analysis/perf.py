@@ -555,57 +555,16 @@ def _bench_native_build_large(seed: int, quick: bool) -> list[BenchRow]:
     return rows
 
 
-def _bench_sharded_delivery(seed: int, quick: bool) -> list[BenchRow]:
-    """Worker sweep of the sharded simulator on one walk workload.
-
-    Every row must report the same ``rounds`` — sharding moves delivery
-    onto more processes without touching the round accounting; the sweep
-    records what that costs/buys in wall time at each worker count.
-    """
-    n, length = (48, 6) if quick else (128, 10)
-    graph = random_regular(n, 6, derive_rng(seed, n))
-    starts = np.repeat(np.arange(n), 2)
-    sweep = (1, 2) if quick else (1, 2, 4)
-    rows = []
-    baseline_rounds: int | None = None
-    for workers in sweep:
-        wall, outcome = _timed(
-            lambda workers=workers: run_walk_protocol(
-                graph,
-                starts,
-                length,
-                seed=seed + n,
-                engine="scalar",
-                workers=workers,
-            ),
-            repeats=1 if quick else 2,
-        )
-        total = outcome.forward_rounds + outcome.reverse_rounds
-        if baseline_rounds is None:
-            baseline_rounds = total
-        elif total != baseline_rounds:
-            raise AssertionError(
-                f"sharded delivery changed the round count: {total} != "
-                f"{baseline_rounds} at workers={workers}"
-            )
-        rows.append(
-            BenchRow(f"sharded_delivery_w{workers}", n, seed, wall, total)
-        )
-    return rows
-
-
 def run_pr7_suite(seed: int = 0, quick: bool = False) -> list[BenchRow]:
     """The vectorized-engine suite behind ``benchmarks/results/engine.json``.
 
-    Three groups: the scalar-vs-array walk protocol (verified equal
-    before reporting), the native hierarchy build at n = 512/1024 (the
-    sizes the array engine unlocked), and a sharded-delivery worker
-    sweep (identical rounds at every worker count, by assertion).
+    Two groups: the scalar-vs-array walk protocol (verified equal
+    before reporting) and the native hierarchy build at n = 512/1024
+    (the sizes the array engine unlocked).
     """
     rows: list[BenchRow] = []
     rows += _bench_walk_protocol_vec(seed, quick)
     rows += _bench_native_build_large(seed, quick)
-    rows += _bench_sharded_delivery(seed, quick)
     return rows
 
 

@@ -3,8 +3,7 @@
 One front door for every benchmark in the repo:
 
 * :mod:`repro.bench.schema` — the versioned ``repro-bench/v1`` JSON
-  record every suite writes (and a loader that still reads the legacy
-  ``BENCH_PR*.json`` bare-list format);
+  record every suite writes and the loader that validates it;
 * :mod:`repro.bench.gate` — the uniform regression gate: exact
   comparison of seed-deterministic columns, row coverage, and absolute
   wall budgets;

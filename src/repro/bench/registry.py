@@ -360,7 +360,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             name="engine",
             title="vectorized-engine suite (scalar-vs-array walks, "
-            "large native builds, sharded delivery)",
+            "large native builds)",
             runner=_perf_runner(perf.run_pr7_suite),
             legacy_source="BENCH_PR7.json",
         ),
@@ -472,6 +472,6 @@ def check_suite(
             f"`repro bench {name} --quick` and commit the record"
         )
         return result
-    baseline = load_record(path, suite=name)
+    baseline = load_record(path)
     current = run_suite(name, seed=seed, quick=True)
     return compare_records(baseline, current, suite.gate)

@@ -27,9 +27,9 @@ scalar (percentiles, error counts, curve coordinates).  ``rounds`` and
 every ``metrics`` value except ``wall``-prefixed ones are expected to be
 seed-deterministic — that is what the regression gate compares exactly.
 
-:func:`load_record` reads both formats: a bare list (the legacy files)
-is wrapped into a v1 record with ``meta.legacy = true``.  New code only
-ever *writes* the new schema.
+:func:`load_record` reads only this schema; a bare list of rows (the
+retired legacy format) is rejected.  Baselines migrated from the legacy
+files carry ``meta.legacy = true``.
 """
 
 from __future__ import annotations
@@ -169,35 +169,13 @@ def write_record(record: Mapping[str, Any], path: str) -> None:
         handle.write("\n")
 
 
-def load_record(
-    path: str, *, suite: Optional[str] = None
-) -> dict[str, Any]:
-    """Read a bench file in either format; return a v1 record.
+def load_record(path: str) -> dict[str, Any]:
+    """Read a v1 bench record from ``path`` and validate it.
 
-    A bare list of rows (the pre-PR-9 ``BENCH_PR*.json`` format) is
-    wrapped into a v1 record: the suite name comes from ``suite`` (or
-    the filename stem), the seed from the rows, and ``meta.legacy`` is
-    set so consumers can tell a migrated record from a native one.
+    Raises ``ValueError`` on anything but a well-formed v1 record —
+    including a bare list of rows, the retired pre-v1 format.
     """
     with open(path) as handle:
         payload = json.load(handle)
-    if isinstance(payload, list):
-        seeds = {
-            row.get("seed")
-            for row in payload
-            if isinstance(row, dict)
-        }
-        seed = seeds.pop() if len(seeds) == 1 else 0
-        name = suite
-        if name is None:
-            stem = path.rsplit("/", 1)[-1]
-            name = stem.split(".", 1)[0]
-        return make_record(
-            name,
-            payload,
-            seed=int(seed) if isinstance(seed, int) else 0,
-            quick=False,
-            meta={"legacy": True, "source": path},
-        )
     validate_record(payload)
     return payload

@@ -116,11 +116,6 @@ def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
         "continue it later with 'repro run --resume PATH'",
     )
     sub.add_argument(
-        "--workers", type=int, default=1,
-        help="message-delivery shards for the native simulator; results "
-        "and round accounting are identical at any worker count",
-    )
-    sub.add_argument(
         "--cache", metavar="MODE", default="off",
         help="content-addressed hierarchy cache: 'off' (default), "
         "'auto' ($REPRO_CACHE_DIR or the XDG cache dir), or a "
@@ -138,7 +133,6 @@ def _make_config(args) -> RunConfig:
         faults=getattr(args, "faults", None),
         recovery=getattr(args, "recovery", "fail-fast"),
         checkpoint=getattr(args, "checkpoint", None),
-        workers=getattr(args, "workers", 1),
         cache=getattr(args, "cache", "off"),
     )
 

@@ -57,7 +57,6 @@ def forward_demands(
     validate: str = "full",
     faults: Optional[FaultPlan] = None,
     context=None,
-    workers: int = 1,
 ) -> tuple[int, int]:
     """Deliver one-hop demands ``origin -> target`` under edge capacity 1.
 
@@ -76,10 +75,6 @@ def forward_demands(
         context: optional :class:`repro.runtime.RunContext`; with active
             faults the retry overhead is charged to it under
             ``faults/retry-rounds``.
-        workers: delivery processes for
-            :meth:`repro.congest.network.Network.run`; round accounting
-            is unchanged, only wall-clock delivery is sharded.  Ignored
-            under active faults (the ARQ path is sequential).
 
     Returns:
         ``(rounds, messages)`` of the real execution; on a clean wire
@@ -111,7 +106,6 @@ def forward_demands(
         algorithms,
         max_rounds=10 * len(list(origins)) + 100,
         validate=validate,
-        workers=workers,
     )
     delivered = sum(algorithm.received for algorithm in algorithms)
     expected = sum(len(demands) for demands in per_node)

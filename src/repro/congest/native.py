@@ -407,7 +407,6 @@ def replay_walk_run(
     validate: str = "full",
     faults=None,
     context=None,
-    workers: int = 1,
 ) -> WalkReplay:
     """Execute a recorded walk batch through the CONGEST simulator.
 
@@ -432,9 +431,6 @@ def replay_walk_run(
             clean charge; the surplus is the measured fault overhead.
         context: optional :class:`repro.runtime.RunContext` that the
             reliable path charges ``faults/retry-rounds`` to.
-        workers: delivery processes per step (see
-            :meth:`repro.congest.network.Network.run`); round accounting
-            is unchanged.  Ignored under active faults.
 
     Returns:
         A :class:`WalkReplay` with the executed round/message counts.
@@ -467,7 +463,6 @@ def replay_walk_run(
             validate=validate,
             faults=faults,
             context=context,
-            workers=workers,
         )
         per_step.append(rounds)
         messages += sent

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..graphs.graph import Graph, WeightedGraph
 from .faults import FaultPlan, FaultRecord
 
@@ -34,128 +32,6 @@ MESSAGE_WORD_LIMIT = 4
 
 class CongestViolation(RuntimeError):
     """An algorithm broke a CONGEST constraint (bandwidth or addressing)."""
-
-
-def _validate_payloads(
-    sender: int,
-    outbox: Mapping[int, tuple],
-    round_number: int,
-    neighbors: frozenset,
-) -> None:
-    """The CONGEST contract checks, shared by master and shard workers."""
-    for target, payload in outbox.items():
-        if target not in neighbors:
-            raise CongestViolation(
-                f"round {round_number}: node {sender} sent to "
-                f"non-neighbor {target} (payload {payload!r}); CONGEST "
-                "messages travel only along edges of the graph"
-            )
-        if not isinstance(payload, tuple):
-            raise CongestViolation(
-                f"round {round_number}: node {sender} sent a non-tuple "
-                f"payload {payload!r} to {target}; payloads must be "
-                "tuples of words"
-            )
-        if len(payload) > MESSAGE_WORD_LIMIT:
-            raise CongestViolation(
-                f"round {round_number}: node {sender} exceeded the "
-                f"{MESSAGE_WORD_LIMIT}-word message budget to {target}: "
-                f"{len(payload)} words in {payload!r}"
-            )
-
-
-def _fork_available() -> bool:
-    """Sharded delivery needs copy-on-write process images (``fork``)."""
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _shard_worker(
-    conn,
-    algorithms: Sequence["NodeAlgorithm"],
-    lo: int,
-    hi: int,
-    indptr_name: str,
-    indices_name: str,
-    num_nodes: int,
-    num_arcs: int,
-) -> None:
-    """Per-shard process body: run ``receive`` for nodes ``[lo, hi)``.
-
-    The algorithm objects arrive via fork (copy-on-write); the CSR used
-    for outbox validation is attached from ``multiprocessing.shared_
-    memory`` so all shards read one physical copy of the graph instead
-    of faulting private pages of it.  Protocol on the pipe:
-
-    * ``("round", r, mail, do_validate)`` → ``("ok", outboxes, finished)``
-      with per-node lists for the shard's range, in node order;
-    * ``("export",)`` → ``("state", {node: export_state()})`` and exit;
-    * any exception → ``("raise", error)`` and exit (the master
-      re-raises it, so a CongestViolation in a shard surfaces exactly
-      like a single-process one).
-    """
-    from multiprocessing import shared_memory
-
-    shm_indptr = shared_memory.SharedMemory(name=indptr_name)
-    shm_indices = shared_memory.SharedMemory(name=indices_name)
-    indptr = np.frombuffer(shm_indptr.buf, dtype=np.int64, count=num_nodes + 1)
-    indices = np.frombuffer(shm_indices.buf, dtype=np.int64, count=num_arcs)
-    neighbor_sets: dict[int, frozenset] = {}
-
-    def sets_for(v: int) -> frozenset:
-        cached = neighbor_sets.get(v)
-        if cached is None:
-            cached = neighbor_sets[v] = frozenset(
-                int(w) for w in indices[indptr[v] : indptr[v + 1]]
-            )
-        return cached
-
-    try:
-        while True:
-            message = conn.recv()
-            if message[0] == "round":
-                _, round_number, mail, do_validate = message
-                outs: list[dict[int, tuple]] = []
-                fins: list[bool] = []
-                for v in range(lo, hi):
-                    algorithm = algorithms[v]
-                    outbox = dict(
-                        algorithm.receive(
-                            round_number, mail.get(v, _EMPTY_INBOX)
-                        )
-                        or {}
-                    )
-                    if do_validate:
-                        _validate_payloads(
-                            v, outbox, round_number + 1, sets_for(v)
-                        )
-                    outs.append(outbox)
-                    fins.append(algorithm.finished)
-                conn.send(("ok", outs, fins))
-            else:  # "export"
-                conn.send(
-                    (
-                        "state",
-                        {
-                            v: algorithms[v].export_state()
-                            for v in range(lo, hi)
-                        },
-                    )
-                )
-                return
-    except BaseException as error:  # propagated to the master verbatim
-        try:
-            conn.send(("raise", error))
-        except (OSError, ValueError, TypeError):
-            # The master is gone or the error is unpicklable; dying
-            # nonzero is the only signal left (the master surfaces the
-            # closed pipe as EOFError).
-            raise error
-    finally:
-        del indptr, indices
-        shm_indptr.close()
-        shm_indices.close()
 
 
 @dataclass
@@ -209,27 +85,6 @@ class NodeAlgorithm:
     def result(self) -> Any:
         """Algorithm-specific output, read after the run completes."""
         return None
-
-    def export_state(self) -> Mapping[str, Any]:
-        """Serializable state for sharded runs (``Network.run(workers>1)``).
-
-        Workers execute ``receive`` on forked copies of the algorithm
-        objects; at the end of the run each worker exports its nodes'
-        state and the master absorbs it into the original objects so
-        callers observe exactly the single-process outcome.  The default
-        ships the whole instance dict minus the (reconstructable)
-        context; override to drop bulky shared read-only members.
-        """
-        return {k: v for k, v in self.__dict__.items() if k != "context"}
-
-    def absorb_remote(self, payload: Mapping[str, Any]) -> None:
-        """Adopt a worker's exported state into this (stale) instance.
-
-        Override together with :meth:`export_state` when callers hold
-        aliases into mutable members — merge in place instead of
-        rebinding so those aliases stay valid.
-        """
-        self.__dict__.update(payload)
 
 
 @dataclass
@@ -308,9 +163,27 @@ class Network:
     def _validate_outbox(
         self, sender: int, outbox: Mapping[int, tuple], round_number: int
     ) -> None:
-        _validate_payloads(
-            sender, outbox, round_number, self._neighbor_sets[sender]
-        )
+        """The CONGEST contract checks on one node's outbox."""
+        neighbors = self._neighbor_sets[sender]
+        for target, payload in outbox.items():
+            if target not in neighbors:
+                raise CongestViolation(
+                    f"round {round_number}: node {sender} sent to "
+                    f"non-neighbor {target} (payload {payload!r}); CONGEST "
+                    "messages travel only along edges of the graph"
+                )
+            if not isinstance(payload, tuple):
+                raise CongestViolation(
+                    f"round {round_number}: node {sender} sent a non-tuple "
+                    f"payload {payload!r} to {target}; payloads must be "
+                    "tuples of words"
+                )
+            if len(payload) > MESSAGE_WORD_LIMIT:
+                raise CongestViolation(
+                    f"round {round_number}: node {sender} exceeded the "
+                    f"{MESSAGE_WORD_LIMIT}-word message budget to {target}: "
+                    f"{len(payload)} words in {payload!r}"
+                )
 
     def run(
         self,
@@ -318,7 +191,6 @@ class Network:
         max_rounds: int = 1_000_000,
         validate: str = "full",
         faults: Optional[FaultPlan] = None,
-        workers: int = 1,
     ) -> RunStats:
         """Run all nodes to completion (or ``max_rounds``).
 
@@ -337,15 +209,6 @@ class Network:
                 injecting wire-level faults.  ``None`` — and any plan
                 whose spec is null — runs the exact fault-free code
                 path, so a rate-0 plan is byte-identical to no plan.
-            workers: shard ``receive`` execution across this many forked
-                processes (virtual-node partitioning: nodes are
-                independent within a round, so any partition is sound).
-                Delivery, validation-mode selection, round/message
-                accounting and termination stay on the master at the
-                round barrier, so :class:`RunStats` and all node results
-                are identical to a single-process run.  Faulty runs
-                ignore ``workers`` — the per-message fault stream is
-                sequential — as do platforms without ``fork``.
 
         Returns round/message statistics.  Raises
         :class:`CongestViolation` on any bandwidth/addressing violation
@@ -356,16 +219,12 @@ class Network:
                 f"validate must be 'full', 'first_round' or 'off', "
                 f"got {validate!r}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if len(algorithms) != self.graph.num_nodes:
             raise ValueError("need exactly one algorithm per node")
         if faults is not None and faults.spec.is_null:
             faults = None
         if faults is not None:
             return self._run_faulty(algorithms, max_rounds, validate, faults)
-        if workers > 1 and self.graph.num_nodes > 1 and _fork_available():
-            return self._run_sharded(algorithms, max_rounds, validate, workers)
         check_all = validate == "full"
         check_first = validate == "first_round"
         stats = RunStats()
@@ -414,135 +273,6 @@ class Network:
                     )
                 next_outboxes.append(outbox)
             outboxes = next_outboxes
-
-    def _run_sharded(
-        self,
-        algorithms: Sequence[NodeAlgorithm],
-        max_rounds: int,
-        validate: str,
-        workers: int,
-    ) -> RunStats:
-        """The multi-process twin of the clean loop in :meth:`run`.
-
-        Nodes are partitioned into ``workers`` contiguous shards; each
-        forked worker runs ``receive`` (and outbox validation) for its
-        shard while the master keeps everything order-sensitive:
-        initialization, inbox assembly in ascending sender order,
-        round/message accounting and termination — all at the round
-        barrier of the pipe exchange.  RunStats and node results are
-        therefore identical to ``workers=1``; the final states flow
-        back through :meth:`NodeAlgorithm.export_state` /
-        :meth:`~NodeAlgorithm.absorb_remote`.
-        """
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        n = self.graph.num_nodes
-        workers = min(workers, n)
-        check_all = validate == "full"
-        check_first = validate == "first_round"
-        stats = RunStats()
-        outboxes: list[Mapping[int, tuple]] = []
-        for v, algorithm in enumerate(algorithms):
-            outbox = dict(algorithm.initialize())
-            if check_all or check_first:
-                self._validate_outbox(v, outbox, round_number=1)
-            outboxes.append(outbox)
-        finished = [algorithm.finished for algorithm in algorithms]
-        bounds = [(n * s) // workers for s in range(workers + 1)]
-        indptr = np.ascontiguousarray(self.graph.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(self.graph.indices, dtype=np.int64)
-        shm_indptr = shared_memory.SharedMemory(
-            create=True, size=max(1, indptr.nbytes)
-        )
-        shm_indices = shared_memory.SharedMemory(
-            create=True, size=max(1, indices.nbytes)
-        )
-        shm_indptr.buf[: indptr.nbytes] = indptr.tobytes()
-        shm_indices.buf[: indices.nbytes] = indices.tobytes()
-        context = multiprocessing.get_context("fork")
-        conns = []
-        procs = []
-        try:
-            for s in range(workers):
-                parent, child = context.Pipe()
-                proc = context.Process(
-                    target=_shard_worker,
-                    args=(
-                        child, algorithms, bounds[s], bounds[s + 1],
-                        shm_indptr.name, shm_indices.name,
-                        n, int(indices.shape[0]),
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                conns.append(parent)
-                procs.append(proc)
-            while True:
-                in_flight = sum(len(outbox) for outbox in outboxes)
-                if in_flight == 0 and all(finished):
-                    for conn in conns:
-                        conn.send(("export",))
-                    for conn in conns:
-                        reply = conn.recv()
-                        if reply[0] == "raise":
-                            raise reply[1]
-                        for v, payload in reply[1].items():
-                            algorithms[v].absorb_remote(payload)
-                    return stats
-                if stats.rounds >= max_rounds:
-                    raise RuntimeError(
-                        f"network did not terminate within "
-                        f"{max_rounds} rounds"
-                    )
-                stats.rounds += 1
-                stats.messages += in_flight
-                stats.max_messages_per_round = max(
-                    stats.max_messages_per_round, in_flight
-                )
-                stats.per_round_messages.append(in_flight)
-                inboxes: dict[int, dict[int, tuple]] = {}
-                for sender, outbox in enumerate(outboxes):
-                    for target, payload in outbox.items():
-                        box = inboxes.get(target)
-                        if box is None:
-                            box = inboxes[target] = {}
-                        box[sender] = payload
-                do_validate = check_all or (check_first and stats.rounds <= 1)
-                for s, conn in enumerate(conns):
-                    mail = {
-                        v: inboxes[v]
-                        for v in range(bounds[s], bounds[s + 1])
-                        if v in inboxes
-                    }
-                    conn.send(("round", stats.rounds, mail, do_validate))
-                next_outboxes: list[Mapping[int, tuple]] = [{}] * n
-                for s, conn in enumerate(conns):
-                    reply = conn.recv()
-                    if reply[0] == "raise":
-                        raise reply[1]
-                    _, outs, fins = reply
-                    lo = bounds[s]
-                    for offset, outbox in enumerate(outs):
-                        next_outboxes[lo + offset] = outbox
-                        finished[lo + offset] = fins[offset]
-                outboxes = next_outboxes
-        finally:
-            for conn in conns:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            for proc in procs:
-                proc.join(timeout=10)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=10)
-            shm_indptr.close()
-            shm_indptr.unlink()
-            shm_indices.close()
-            shm_indices.unlink()
 
     def _run_faulty(
         self,

@@ -80,7 +80,6 @@ def _run_pass(
     faults: Optional[FaultPlan],
     stage: str,
     extra_rounds: int = 0,
-    workers: int = 1,
 ):
     """One protocol pass; round-budget exhaustion under faults becomes a
     diagnosable :class:`DeliveryTimeout` (a crash window can wedge an
@@ -93,7 +92,6 @@ def _run_pass(
             max_rounds=max_rounds,
             validate=validate,
             faults=faults,
-            workers=workers,
         )
     except CongestViolation:
         raise
@@ -188,7 +186,6 @@ def run_walk_protocol(
     context=None,
     max_wait: int = MAX_WAIT_ROUNDS,
     engine: str = "auto",
-    workers: int = 1,
 ) -> WalkProtocolOutcome:
     """Execute the forward+reverse walk protocol on ``graph``.
 
@@ -227,9 +224,6 @@ def run_walk_protocol(
             else scalar), ``"scalar"`` (the per-node oracle), or
             ``"vectorized"`` (raises if the fault mode needs the scalar
             path).
-        workers: delivery shards for the scalar engine's
-            :meth:`Network.run` (ignored by the vectorized engine,
-            which has no per-node message loop to shard).
 
     Returns:
         A :class:`WalkProtocolOutcome`; ``returned_to`` equals ``starts``
@@ -328,7 +322,6 @@ def run_walk_protocol(
         forward_stats = _run_pass(
             network, forward, length, validate, faults,
             stage="walk-forward", extra_rounds=extra_rounds,
-            workers=workers,
         )
         endpoints = np.full(num_walks, -1, dtype=np.int64)
         for v, state in enumerate(states):
@@ -344,7 +337,6 @@ def run_walk_protocol(
         reverse_stats = _run_pass(
             network, reverse, length, validate, faults,
             stage="walk-reverse", extra_rounds=extra_rounds,
-            workers=workers,
         )
         returned = np.full(num_walks, -1, dtype=np.int64)
         for v, algorithm in enumerate(reverse):

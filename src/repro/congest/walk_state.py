@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -97,15 +97,6 @@ class WalkState:
 
     visit_stack: dict[int, list[int]] = field(default_factory=dict)
     finished_here: dict[int, int] = field(default_factory=dict)
-
-    def merge_from(self, other: "WalkState") -> None:
-        """Adopt ``other``'s contents *in place* (sharded-run absorb:
-        callers hold aliases to this object, so identity must survive).
-        """
-        self.visit_stack.clear()
-        self.visit_stack.update(other.visit_stack)
-        self.finished_here.clear()
-        self.finished_here.update(other.finished_here)
 
 
 class _SelfHealMixin:
@@ -199,25 +190,6 @@ class ForwardWalkNode(_SelfHealMixin, NodeAlgorithm):
             self._admit(walk_id, ttl - 1)
         return self._outbox(round_number)
 
-    # -- sharded-run state transfer (Network.run workers > 1) ----------------
-
-    def export_state(self) -> dict[str, Any]:
-        # The tape is shared, read-only, and potentially huge: never
-        # ship it back over the worker pipe.
-        return {
-            "queues": self.queues,
-            "finished": self.finished,
-            "parked": self.parked,
-            "walk_state": self.state,
-        }
-
-    def absorb_remote(self, payload: Mapping[str, Any]) -> None:
-        self.queues = payload["queues"]
-        self.finished = payload["finished"]
-        self.parked = payload["parked"]
-        # Merge in place: callers alias self.state.
-        self.state.merge_from(payload["walk_state"])
-
 
 class ReverseWalkNode(_SelfHealMixin, NodeAlgorithm):
     """Reverse pass: pop the visit stack and send the token back."""
@@ -264,21 +236,3 @@ class ReverseWalkNode(_SelfHealMixin, NodeAlgorithm):
         for __, payload in inbox.items():
             self._bounce(int(payload[1]))
         return self._outbox(round_number)
-
-    # -- sharded-run state transfer (Network.run workers > 1) ----------------
-
-    def export_state(self) -> dict[str, Any]:
-        return {
-            "queues": self.queues,
-            "finished": self.finished,
-            "parked": self.parked,
-            "home_tokens": self.home_tokens,
-            "walk_state": self.state,
-        }
-
-    def absorb_remote(self, payload: Mapping[str, Any]) -> None:
-        self.queues = payload["queues"]
-        self.finished = payload["finished"]
-        self.parked = payload["parked"]
-        self.home_tokens[:] = payload["home_tokens"]
-        self.state.merge_from(payload["walk_state"])

@@ -223,6 +223,10 @@ class NativeBackend(Backend):
     under ``validate``; the executed rounds must equal the engine's
     ``schedule_rounds()`` charge or :class:`BackendMismatch` is raised.
     MST / min-cut / clique raise :class:`UnsupportedOnBackend`.
+
+    The simulator keys each outbox by neighbour, so two parallel edges
+    would share one wire while the engine charges congestion per arc:
+    multigraphs are refused up front (the oracle builds them).
     """
 
     name = "native"
@@ -233,11 +237,17 @@ class NativeBackend(Backend):
         context: RunContext,
         beta: Optional[int] = None,
         validate: str = "full",
-        workers: int = 1,
     ) -> None:
+        pair = _parallel_pair(graph)
+        if pair is not None:
+            raise ValueError(
+                f"the native backend needs a simple graph, but nodes "
+                f"{pair[0]} and {pair[1]} are joined by parallel edges "
+                "(the simulator carries one message per neighbour per "
+                "round); use backend='oracle' for multigraphs"
+            )
         super().__init__(graph, context, beta=beta)
         self.validate = validate
-        self.workers = int(workers)
         self.executed_rounds = 0
         self.executed_messages = 0
 
@@ -260,8 +270,7 @@ class NativeBackend(Backend):
             # replaced by surplus accounting, not silently skipped.
             plan = self.context.fault_plan
             replay = replay_walk_run(
-                graph, run, validate=self.validate, faults=plan,
-                workers=self.workers,
+                graph, run, validate=self.validate, faults=plan
             )
             charged = run.schedule_rounds()
             if plan is None:
@@ -295,6 +304,17 @@ class NativeBackend(Backend):
         return native_runner
 
 
+def _parallel_pair(graph: Graph) -> Optional[tuple[int, int]]:
+    """One pair of nodes joined by two or more edges, else ``None``."""
+    edges = np.sort(graph.edge_array, axis=1)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    repeats = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
+    if repeats.size == 0:
+        return None
+    u, v = edges[repeats[0]]
+    return int(u), int(v)
+
+
 BACKENDS = {"oracle": OracleBackend, "native": NativeBackend}
 
 
@@ -304,12 +324,11 @@ def make_backend(
     context: RunContext,
     beta: Optional[int] = None,
     validate: str = "full",
-    workers: int = 1,
 ) -> Backend:
     """Instantiate a backend by name (``"oracle"`` or ``"native"``).
 
-    ``validate`` and ``workers`` only apply to the native backend (the
-    oracle has no message passing to validate or shard).
+    ``validate`` only applies to the native backend (the oracle has no
+    message passing to validate).
     """
     try:
         cls = BACKENDS[name]
@@ -318,7 +337,5 @@ def make_backend(
             f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
     if cls is NativeBackend:
-        return cls(
-            graph, context, beta=beta, validate=validate, workers=workers
-        )
+        return cls(graph, context, beta=beta, validate=validate)
     return cls(graph, context, beta=beta)

@@ -74,11 +74,6 @@ class RunConfig:
             state there after the build phase and
             :func:`repro.runtime.checkpoint.resume` can continue it
             deterministically.
-        workers: message-delivery shards for the native backend's
-            simulator (see :meth:`repro.congest.network.Network.run`);
-            results, rounds and ledger charges are identical at any
-            worker count — only wall-clock changes.  Ignored by the
-            oracle backend.
         cache: content-addressed hierarchy cache — ``"off"`` (default),
             ``"auto"`` (``$REPRO_CACHE_DIR`` or the XDG cache dir), or
             an explicit directory path.  With caching on, :func:`run`
@@ -102,7 +97,6 @@ class RunConfig:
     beta: Optional[int] = None
     recovery: str = "fail-fast"
     checkpoint: Optional[str] = None
-    workers: int = 1
     cache: Optional[str] = "off"
     resilience: Optional[ResiliencePolicy] = None
 
@@ -122,11 +116,6 @@ class RunConfig:
             raise ValueError(
                 f"recovery must be one of {RECOVERY_MODES}, "
                 f"got {self.recovery!r}"
-            )
-        object.__setattr__(self, "workers", int(self.workers))
-        if self.workers < 1:
-            raise ValueError(
-                f"workers must be >= 1, got {self.workers}"
             )
         if self.checkpoint is not None and not isinstance(
             self.checkpoint, str
@@ -189,7 +178,6 @@ class RunConfig:
             context if context is not None else self.make_context(),
             beta=self.beta,
             validate=self.validate,
-            workers=self.workers,
         )
 
 

@@ -345,13 +345,11 @@ class Session:
                 )
                 if announce is not None:
                     check_backend_support(backend, announce)
-                # Adopt the *current* config's execution-only knobs:
-                # they are excluded from the content key because they
-                # cannot change built state.
+                # Adopt the *current* config's ``validate``: it is
+                # excluded from the content key because it cannot
+                # change built state.
                 if hasattr(backend, "validate"):
                     backend.validate = config.validate
-                if hasattr(backend, "workers"):
-                    backend.workers = config.workers
                 # Re-bind the walk-runner closure the pickle dropped.
                 runner = backend._walk_runner()
                 if backend._router is not None:
@@ -663,9 +661,8 @@ class Session:
 
         Batched admission: the demands are concatenated and forwarded
         through a single router invocation, so the batch pays one
-        preparation-walk phase instead of ``len(requests)`` — riding
-        the native backend's ``workers=`` sharding for the wall-clock
-        win.  Every request must be ``op="route"`` with explicit
+        preparation-walk phase instead of ``len(requests)``.  Every
+        request must be ``op="route"`` with explicit
         ``sources``/``destinations`` (random demands need their own
         stream draws and are served individually).  A batch is one
         routing instance: per-request responses share the batch result

@@ -95,9 +95,9 @@ def store_key(graph: Graph, config, lineage: str = "") -> str:
 
     Covers every input the build is a deterministic function of; knobs
     that only change *how* the same state is computed (``validate``,
-    ``workers``, ``trace``, ``checkpoint``, ``cache`` itself) are
-    deliberately excluded, so e.g. a single-worker and a four-worker
-    native build share one entry — they produce identical state.
+    ``trace``, ``checkpoint``, ``cache`` itself) are deliberately
+    excluded, so e.g. a fully validated and an unvalidated native build
+    share one entry — they produce identical state.
     """
     params = config.params
     if params is None:

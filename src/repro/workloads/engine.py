@@ -394,7 +394,6 @@ def run_workload(
     seed: int = 0,
     mode: str = "session",
     backend: str = "oracle",
-    workers: int = 1,
     config: Optional[RunConfig] = None,
     policy: Optional[ResiliencePolicy] = None,
     chaos: Optional[ChaosSpec] = None,
@@ -428,7 +427,6 @@ def run_workload(
             backend=backend,
             faults=resolved.faults,
             recovery=resolved.recovery,
-            workers=workers,
         )
     if policy is None:
         policy = config.resilience

@@ -32,7 +32,7 @@ def _committed_record(suite):
     path = os.path.join(_RESULTS_DIR, f"{suite}.json")
     if not os.path.exists(path):
         pytest.skip(f"benchmarks/results/{suite}.json not present")
-    return load_record(path, suite=suite)
+    return load_record(path)
 
 
 class TestCirculationPaths:
@@ -95,7 +95,7 @@ class TestBenchSuite:
         path = str(tmp_path / "bench.json")
         record = make_record("kernels", [asdict(row) for row in quick_rows])
         write_record(record, path)
-        loaded = load_record(path, suite="kernels")
+        loaded = load_record(path)
         assert [BenchRow(**row) for row in loaded["rows"]] == quick_rows
 
 

@@ -113,7 +113,7 @@ class TestCommittedQuickBaselines:
         assert os.path.exists(path), (
             f"missing {path}; run `repro bench {name} --quick`"
         )
-        record = load_record(path, suite=name)
+        record = load_record(path)
         assert record["suite"] == name
         assert record["quick"] is True
 
@@ -123,6 +123,6 @@ class TestCommittedQuickBaselines:
         assert os.path.exists(path), (
             f"missing {path}; run `repro bench {name}`"
         )
-        record = load_record(path, suite=name)
+        record = load_record(path)
         assert record["suite"] == name
         assert record["quick"] is False

@@ -1,4 +1,4 @@
-"""Tests for the unified bench record schema and the legacy loader."""
+"""Tests for the unified bench record schema and its loader."""
 
 import json
 
@@ -120,28 +120,12 @@ class TestRoundTrip:
 
 
 class TestLegacyLoader:
-    def test_bare_list_wrapped_with_legacy_meta(self, tmp_path):
+    def test_bare_list_rejected(self, tmp_path):
         path = str(tmp_path / "faults.json")
         with open(path, "w") as handle:
             json.dump([_row(seed=4), _row(n=128, seed=4)], handle)
-        record = load_record(path)
-        assert record["schema"] == SCHEMA_VERSION
-        assert record["suite"] == "faults"  # filename stem
-        assert record["seed"] == 4  # inferred from the rows
-        assert record["meta"]["legacy"] is True
-        assert len(record["rows"]) == 2
-
-    def test_explicit_suite_wins_over_filename(self, tmp_path):
-        path = str(tmp_path / "BENCH_PR4.json")
-        with open(path, "w") as handle:
-            json.dump([_row()], handle)
-        assert load_record(path, suite="faults")["suite"] == "faults"
-
-    def test_mixed_seeds_fall_back_to_zero(self, tmp_path):
-        path = str(tmp_path / "kernels.json")
-        with open(path, "w") as handle:
-            json.dump([_row(seed=1), _row(seed=2, n=128)], handle)
-        assert load_record(path)["seed"] == 0
+        with pytest.raises(ValueError, match="must be a dict"):
+            load_record(path)
 
     def test_malformed_legacy_rows_rejected(self, tmp_path):
         path = str(tmp_path / "kernels.json")

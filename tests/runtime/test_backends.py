@@ -81,6 +81,25 @@ class TestUnsupportedOnNative:
             native.clique()
 
 
+class TestNativeRejectsMultigraphs:
+    def test_parallel_edges_refused_before_build(self):
+        from repro.graphs import Graph
+        from repro.rng import derive_rng
+        from repro.runtime import RunConfig, Session
+
+        base = random_regular(32, 4, derive_rng(3))
+        edges = base.edge_array
+        graph = Graph(base.num_nodes, np.concatenate([edges, edges[:8]]))
+        doubled = {tuple(sorted(map(int, edge))) for edge in edges[:8]}
+        with pytest.raises(ValueError, match="parallel edges") as caught:
+            Session.open(graph, RunConfig(seed=1, backend="native"))
+        assert any(
+            f"nodes {u} and {v} " in str(caught.value) for u, v in doubled
+        )
+        with Session.open(graph, RunConfig(seed=1)) as session:
+            assert session.request("route").result.delivered
+
+
 class TestOracleFullSurface:
     def test_mst_and_min_cut_and_clique_run(self):
         from repro.graphs import with_random_weights

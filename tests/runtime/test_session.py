@@ -246,6 +246,23 @@ class TestApplyUpdate:
             assert session.cache_key != key
 
 
+class TestCacheHitKnobs:
+    def test_hit_adopts_the_opening_validate(self, graph, tmp_path):
+        first = RunConfig(
+            seed=SEED, backend="native", validate="full", cache=str(tmp_path)
+        )
+        with Session.open(graph, first) as session:
+            assert not session.from_cache
+            rounds = session.request("route").result.cost_rounds
+        second = RunConfig(
+            seed=SEED, backend="native", validate="off", cache=str(tmp_path)
+        )
+        with Session.open(graph, second) as session:
+            assert session.from_cache
+            assert session.backend.validate == "off"
+            assert session.request("route").result.cost_rounds == rounds
+
+
 class TestServeJsonl:
     def test_stream_with_errors_keeps_serving(self, oracle_session):
         records = [

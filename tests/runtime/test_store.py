@@ -70,7 +70,8 @@ class TestStoreKey:
         )
 
     @pytest.mark.parametrize(
-        "change", [{"validate": "off"}, {"workers": 4}, {"cache": "auto"}]
+        "change",
+        [{"validate": "off"}, {"checkpoint": "run.ckpt"}, {"cache": "auto"}],
     )
     def test_execution_knobs_do_not_change_the_key(self, graph, change):
         base = store_key(graph, RunConfig(seed=3, backend="native"))
