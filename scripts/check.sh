@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Pre-PR gate: style lint (ruff), contract lint (reprolint), tests.
+# Pre-PR gate, in order: ruff (style lint, if installed), reprolint
+# (contract lint), mypy (if installed), the bench regression gate
+# (`repro bench --check`), pytest, and the perfbench tests.
 #
 # Usage: scripts/check.sh
 #
-# This is the exact sequence CI runs; a change that passes here is safe
-# to put up for review.  See docs/linting.md for the reprolint rule
-# catalogue and CONTRIBUTING.md for the full conventions.
+# This is the sequence the CI `check` job runs; a change that passes
+# here is safe to put up for review.  See docs/linting.md for the
+# reprolint rule catalogue and CONTRIBUTING.md for the full conventions.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,15 +41,6 @@ echo "== bench regression gate (quick tier vs committed baselines)"
 # the tripwire suite also enforces the native-build wall budget.
 # Refresh a baseline with: python -m repro bench <suite> --quick
 python -m repro bench --check
-
-echo "== fault-matrix smoke (reliable delivery under injected faults)"
-python scripts/fault_smoke.py
-
-echo "== serve smoke (session lifecycle: build, cache hit, replay, churn)"
-python scripts/serve_smoke.py
-
-echo "== chaos smoke (kill, damage, recover, replay: bit-identical)"
-python scripts/chaos_smoke.py
 
 echo "== pytest"
 python -m pytest -x -q

@@ -13,8 +13,9 @@ Public API tour:
   :class:`repro.RunContext` (named RNG streams, run ledger, structured
   trace events) and the oracle/native :class:`~repro.runtime.Backend`
   protocol.
-* :class:`repro.ExpanderNetwork` — an object façade over the same
-  machinery (one network, all applications).
+* :class:`repro.Session` — the same machinery held open: build once
+  (or restore from the store), then serve many requests, apply churn
+  updates, and recover from a write-ahead journal.
 * :mod:`repro.graphs`, :mod:`repro.walks`, :mod:`repro.congest` — the
   substrates: graph families and spectra, random-walk engines with
   congestion-measured scheduling (Lemmas 2.3–2.5), and a faithful
@@ -22,17 +23,12 @@ Public API tour:
   (:class:`~repro.congest.FaultPlan`) and reliable delivery
   (:mod:`repro.congest.reliable`).
 
-Two legacy per-function entry points remain as deprecated shims —
-:func:`build_hierarchy` and :func:`minimum_spanning_tree` — and both
-now dispatch through :func:`repro.run` (the op table in
-:mod:`repro.runtime.ops` is the only dispatch site).  The other PR-1
-entry points (``repro.Router``, ``repro.emulate_clique``,
-``repro.approximate_min_cut``) were removed after five releases of
-deprecation warnings: use ``repro.run("route" / "clique" / "mincut",
-graph)`` or import the un-deprecated originals from :mod:`repro.core`.
+``repro.run(op, graph, config=RunConfig(...))`` and
+``Session.open(graph, RunConfig(...))`` are the only entry points.
+:mod:`repro.core` keeps the rng-based building blocks
+(``build_hierarchy``, ``minimum_spanning_tree``, ``Router``, ...) for
+callers that compose the layers by hand.
 """
-
-import warnings as _warnings
 
 from . import baselines, congest, graphs, hashing, runtime, theory, walks
 from .core import (
@@ -55,60 +51,8 @@ from .runtime import (
     make_backend,
     run,
 )
-from .system import ExpanderNetwork
 
 __version__ = "1.0.0"
-
-
-def _deprecated(name: str, hint: str) -> None:
-    _warnings.warn(
-        f"repro.{name} is deprecated; use repro.run({hint}) with a "
-        "RunConfig instead (repro.core keeps the un-deprecated "
-        "original)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reject_rng(name: str, rng) -> None:
-    if rng is not None:
-        raise TypeError(
-            f"repro.{name} now dispatches through repro.run and takes "
-            "seed= instead of rng= (named streams derive from the "
-            f"seed); pass seed=, or use repro.core.{name} for the "
-            "rng-based original"
-        )
-
-
-def build_hierarchy(graph, params=None, *, seed=0, rng=None):
-    """Deprecated shim: ``repro.run("build", graph)`` via the op table.
-
-    Returns the built :class:`~repro.core.hierarchy.Hierarchy`, exactly
-    as ``run("build", graph, config=RunConfig(seed=seed,
-    params=params)).result`` would.  The historical ``rng=`` argument
-    is gone — runs are configured by seed; :func:`repro.core.\
-build_hierarchy` keeps the rng-based signature.
-    """
-    _deprecated("build_hierarchy", "'build', graph")
-    _reject_rng("build_hierarchy", rng)
-    config = RunConfig(seed=seed, params=params)
-    return run("build", graph, config=config).result
-
-
-def minimum_spanning_tree(graph, params=None, *, seed=0, rng=None):
-    """Deprecated shim: ``repro.run("mst", graph)`` via the op table.
-
-    Returns the :class:`~repro.core.mst.MstResult`; unweighted graphs
-    get i.i.d. uniform weights from the config's ``"weights"`` stream,
-    exactly as the front door does.  ``rng=`` is gone (see
-    :func:`build_hierarchy`); :func:`repro.core.minimum_spanning_tree`
-    keeps the rng-based original.
-    """
-    _deprecated("minimum_spanning_tree", "'mst', graph")
-    _reject_rng("minimum_spanning_tree", rng)
-    config = RunConfig(seed=seed, params=params)
-    return run("mst", graph, config=config).result
-
 
 __all__ = [
     "baselines",
@@ -131,11 +75,8 @@ __all__ = [
     "RoutingError",
     "RoutingResult",
     "build_g0",
-    "build_hierarchy",
     "build_partition",
     "build_portals",
-    "minimum_spanning_tree",
     "Params",
-    "ExpanderNetwork",
     "__version__",
 ]

@@ -89,15 +89,12 @@ class Suite:
         runner: ``(seed, quick) -> serialized rows`` (dicts in the
             unified row shape).
         gate: the comparison policy for this suite's baselines.
-        legacy_source: the pre-PR-9 artifact this suite's full-tier
-            baseline was migrated from, if any.
     """
 
     name: str
     title: str
     runner: Callable[[int, bool], list[dict]]
     gate: GatePolicy = GatePolicy()
-    legacy_source: Optional[str] = None
 
 
 def _perf_runner(
@@ -341,35 +338,30 @@ SUITES: dict[str, Suite] = {
             title="pinned kernel suite (walks, scheduler, simulator, "
             "native build, end-to-end)",
             runner=_perf_runner(perf.run_bench_suite),
-            legacy_source="BENCH_PR2.json",
         ),
         Suite(
             name="faults",
             title="fault-injection suite (clean vs drop=0.01 reliable "
             "forwarding)",
             runner=_perf_runner(perf.run_fault_suite),
-            legacy_source="BENCH_PR4.json",
         ),
         Suite(
             name="recovery",
             title="self-healing suite (detection, parking, re-homing, "
             "portal failover)",
             runner=_perf_runner(perf.run_recovery_suite),
-            legacy_source="BENCH_PR5.json",
         ),
         Suite(
             name="engine",
             title="vectorized-engine suite (scalar-vs-array walks, "
             "large native builds)",
             runner=_perf_runner(perf.run_pr7_suite),
-            legacy_source="BENCH_PR7.json",
         ),
         Suite(
             name="serve",
             title="session-layer suite (cold vs warm serving, build, "
             "cache-hit re-open)",
             runner=_perf_runner(perf.run_serve_suite),
-            legacy_source="BENCH_PR8.json",
         ),
         Suite(
             name="tripwire",

@@ -575,12 +575,12 @@ class MessageSizeFlowRule(ProgramRule):
 class InternalShimRule(ProgramRule):
     """R012: library code must not call the deprecated ``repro.*`` shims.
 
-    The surviving top-level shims (``repro.build_hierarchy``,
-    ``repro.minimum_spanning_tree``) exist for downstream users
-    mid-migration; they warn on every call and add a layer of
-    indirection.  Internal modules calling them
-    would warn at import time, re-enter the package root, and couple
-    the implementation to its own deprecation surface — import the
+    The package currently ships no shims, so the rule finds nothing; it
+    stays armed for the next one.  A shim (a top-level ``repro.*`` name
+    kept for downstream users mid-migration) warns on every call and
+    adds a layer of indirection.  Internal modules calling one would
+    warn at import time, re-enter the package root, and couple the
+    implementation to its own deprecation surface — import the
     originals from ``repro.core`` instead.  The shim list is discovered
     from the package root itself (anything whose body calls
     ``_deprecated``), so adding a shim automatically extends the rule.

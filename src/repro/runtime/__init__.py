@@ -1,8 +1,8 @@
 """The execution layer: run contexts, trace events, and backends.
 
-Everything the repository can run — CLI commands, the
-:class:`~repro.system.ExpanderNetwork` façade, benchmarks, tests — goes
-through a :class:`RunContext` (seed → named RNG streams, shared
+Everything the repository can run — CLI commands, :func:`run`,
+:class:`Session`, benchmarks, tests — goes through a
+:class:`RunContext` (seed → named RNG streams, shared
 :class:`~repro.params.Params`, one :class:`~repro.core.ledger.RoundLedger`,
 structured trace events) and a :class:`Backend` (oracle = vectorized
 engines, native = real message passing).  See ``docs/architecture.md``

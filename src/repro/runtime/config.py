@@ -1,14 +1,14 @@
 """One front door for the pipeline: ``repro.run(op, graph, config=...)``.
 
-Before this module, every entry point threaded the same knobs by hand —
-``params=``, ``rng=``, ``seed=``, ``validate=``, ``backend=`` sprinkled
-across :func:`~repro.core.hierarchy.build_hierarchy`,
-:class:`~repro.core.router.Router`,
-:func:`~repro.core.mst.minimum_spanning_tree`, and friends.
-:class:`RunConfig` freezes those decisions into one immutable value, and
-:func:`run` executes any of the paper's operations under it:
+The building blocks in :mod:`repro.core` each take their own
+``params=``, ``rng=`` and friends.  :class:`RunConfig` freezes those
+decisions (seed, params, backend, validate, ...) into one immutable
+value, and :func:`run` executes any of the paper's operations under it:
 
     >>> from repro import run, RunConfig
+    >>> from repro.graphs import random_regular
+    >>> from repro.rng import derive_rng
+    >>> graph = random_regular(64, 6, derive_rng(0, 64))
     >>> outcome = run("route", graph, config=RunConfig(seed=7))
     >>> outcome.result.delivered
     True
@@ -18,8 +18,8 @@ RNG streams, ``faults`` (a spec string or
 :class:`~repro.congest.faults.FaultSpec`) binds a fault plan to the
 dedicated ``"faults"`` stream, ``trace`` captures the structured event
 stream, and ``backend``/``validate`` choose how walk batches execute.
-The legacy call signatures keep working as thin shims (see
-:mod:`repro.__init__`) but new code should come through here.
+Together with :class:`~repro.runtime.session.Session` (the same
+config, held open to serve many requests) this is the only way in.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .backends import BACKENDS, Backend, make_backend
 from .checkpoint import write_checkpoint
 from .context import RECOVERY_MODES, RunContext
 from .events import EventSink, JsonlSink, MemorySink, TraceEvent
-from .ops import OP_TABLE, OPS, validate_request
+from .ops import OPS, validate_request
 from .resilience import ResiliencePolicy
 
 __all__ = ["OPS", "RunConfig", "RunOutcome", "run"]
@@ -236,12 +236,6 @@ class RunOutcome:
                 if charge.label.startswith("recovery/")
             )
         )
-
-
-#: Compatibility alias: the op runners now live in
-#: :data:`repro.runtime.ops.OP_TABLE` (one dispatch surface for the
-#: one-shot, resume, and session paths); ``OPS`` is re-exported above.
-_OP_RUNNERS = {name: spec.runner for name, spec in OP_TABLE.items()}
 
 
 def run(

@@ -1,12 +1,8 @@
 """The operation table: one dispatch surface for every execution path.
 
-Before this module, :func:`repro.runtime.config.run` owned a private
-``_OP_RUNNERS`` dict, :func:`repro.runtime.checkpoint.resume` imported
-it through the back door, and the session layer would have needed a
-third copy.  Every way to execute an operation — one-shot ``run()``,
-checkpoint resume, and :class:`~repro.runtime.session.Session` request
-serving — now goes through the same :data:`OP_TABLE` of
-:class:`OpSpec` entries.
+Every way to execute an operation — one-shot ``run()``, checkpoint
+resume, and :class:`~repro.runtime.session.Session` request serving —
+goes through the same :data:`OP_TABLE` of :class:`OpSpec` entries.
 
 Each spec declares, next to its runner, the operation's *argument
 vocabulary*.  That lets :func:`validate_request` reject unknown ops and

@@ -311,8 +311,11 @@ class Session:
             config = RunConfig()
         if policy is None:
             policy = getattr(config, "resilience", None)
+        # A journal opened here from a path is ours to close if the
+        # open fails; a caller's Journal object stays open.
+        owned_journal = None
         if isinstance(journal, str):
-            journal = Journal(
+            journal = owned_journal = Journal(
                 journal, identity=cls._journal_identity(graph, config)
             )
         if store is None:
@@ -357,6 +360,8 @@ class Session:
             except BaseException:
                 if isinstance(config.trace, str):
                     context.close()
+                if owned_journal is not None:
+                    owned_journal.close()
                 raise
             session = cls(
                 graph,
@@ -395,6 +400,8 @@ class Session:
         except BaseException:
             if isinstance(config.trace, str):
                 context.close()
+            if owned_journal is not None:
+                owned_journal.close()
             raise
         session = cls(
             graph,

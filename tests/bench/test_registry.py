@@ -15,6 +15,12 @@ from repro.bench import (
 )
 from repro.bench.schema import load_record
 
+RESULTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+    "benchmarks",
+    "results",
+)
+
 
 class TestCatalogue:
     def test_expected_suites_registered(self):
@@ -34,8 +40,17 @@ class TestCatalogue:
             get_suite("warp-speed")
 
     def test_legacy_sources_recorded(self):
-        assert get_suite("faults").legacy_source == "BENCH_PR4.json"
-        assert get_suite("serve-soak").legacy_source is None
+        """A migrated baseline names its source artifact in its own
+        ``meta``; a suite born in the v1 schema carries no such tag."""
+        faults = load_record(
+            baseline_path("faults", quick=False, results_dir=RESULTS)
+        )
+        assert faults["meta"]["legacy"] is True
+        assert faults["meta"]["source"] == "BENCH_PR4.json"
+        soak = load_record(
+            baseline_path("serve-soak", quick=False, results_dir=RESULTS)
+        )
+        assert "legacy" not in soak["meta"]
 
     def test_baseline_paths_by_tier(self, tmp_path):
         directory = str(tmp_path)

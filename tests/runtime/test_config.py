@@ -1,8 +1,7 @@
 """Tests for the ``repro.run``/``RunConfig`` front door.
 
-One frozen config must drive every operation, normalize its fault
-spec, and leave the legacy per-function entry points working — but
-deprecated.
+One frozen config must drive every operation and normalize its fault
+spec; the retired per-function shims must stay gone.
 """
 
 import dataclasses
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ExpanderNetwork, RunConfig, run
+from repro import RunConfig, run
 from repro.cli import main
 from repro.congest.faults import FaultSpec
 from repro.graphs import random_regular, save_graph
@@ -155,42 +154,21 @@ class TestRun:
 
 
 class TestDeprecatedShims:
-    """The surviving legacy entry points warn and dispatch via run().
+    """The retired legacy entry points are gone from the package root.
 
-    PR 9 removed the dead shims (``repro.Router``,
-    ``repro.emulate_clique``, ``repro.approximate_min_cut``) and routed
-    the two survivors through the op table, so a shim call is
-    bit-identical to the equivalent ``repro.run``.
+    ``repro.run`` and ``Session.open`` are the only entry points; the
+    un-deprecated originals live on in :mod:`repro.core`.
     """
 
-    def test_build_hierarchy_matches_run(self, graph):
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            hierarchy = repro.build_hierarchy(graph, seed=3)
-        direct = run("build", graph, config=RunConfig(seed=3)).result
-        assert hierarchy.depth == direct.depth
-        assert hierarchy.ledger.total() == direct.ledger.total()
-
-    def test_minimum_spanning_tree_matches_run(self, graph):
-        weighted = repro.graphs.with_random_weights(
-            graph, np.random.default_rng(2)
-        )
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            result = repro.minimum_spanning_tree(weighted, seed=4)
-        direct = run("mst", weighted, config=RunConfig(seed=4)).result
-        assert result.edge_ids == direct.edge_ids
-        assert result.total_weight == direct.total_weight
-
     @pytest.mark.parametrize(
-        "name", ["build_hierarchy", "minimum_spanning_tree"]
-    )
-    def test_survivors_reject_rng(self, graph, name):
-        shim = getattr(repro, name)
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            with pytest.raises(TypeError, match="seed="):
-                shim(graph, rng=np.random.default_rng(1))
-
-    @pytest.mark.parametrize(
-        "name", ["Router", "emulate_clique", "approximate_min_cut"]
+        "name",
+        [
+            "Router",
+            "emulate_clique",
+            "approximate_min_cut",
+            "build_hierarchy",
+            "minimum_spanning_tree",
+        ],
     )
     def test_dead_shims_are_gone(self, name):
         assert not hasattr(repro, name)
@@ -207,29 +185,6 @@ class TestDeprecatedShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run("route", graph, config=RunConfig(seed=2))
-
-
-class TestExpanderNetworkConfig:
-    def test_builds_one_config_from_kwargs(self, graph):
-        net = ExpanderNetwork(graph, seed=9, faults="drop=0.5")
-        assert net.config.seed == 9
-        assert net.config.faults.drop == pytest.approx(0.5)
-
-    def test_explicit_config_wins(self, graph):
-        config = RunConfig(seed=21)
-        net = ExpanderNetwork(graph, seed=9, config=config)
-        assert net.config is config
-        assert net.seed == 21
-
-    def test_matches_front_door(self, graph):
-        n = graph.num_nodes
-        net = ExpanderNetwork(graph, seed=2)
-        direct = run("route", graph, config=RunConfig(seed=2))
-        via_net = net.route(
-            np.arange(n),
-            net.context.stream("workload").permutation(n),
-        )
-        assert via_net.cost_rounds == direct.result.cost_rounds
 
 
 class TestCliFaults:

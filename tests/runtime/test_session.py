@@ -7,13 +7,17 @@ regardless of what was served before it — must reproduce the cold
 session's build ledger followed by the request's ledger slice.
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import random_regular
+from repro.graphs import Graph, random_regular
 from repro.runtime import (
+    Journal,
     Request,
     RunConfig,
     Session,
@@ -263,6 +267,40 @@ class TestCacheHitKnobs:
             assert session.request("route").result.cost_rounds == rounds
 
 
+class TestJournalOwnership:
+    """A failed ``Session.open`` closes a journal it opened from a path,
+    and leaves a caller's :class:`Journal` open."""
+
+    @staticmethod
+    def _disconnected():
+        return Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+
+    def test_failed_open_closes_the_journal_it_opened(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match="connected"):
+                Session.open(
+                    self._disconnected(), RunConfig(seed=SEED), journal=path
+                )
+            gc.collect()
+        leaks = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+        assert not leaks, leaks
+
+    def test_failed_open_leaves_a_callers_journal_open(self, tmp_path):
+        with Journal(str(tmp_path / "j.jsonl")) as journal:
+            with pytest.raises(ValueError, match="connected"):
+                Session.open(
+                    self._disconnected(), RunConfig(seed=SEED),
+                    journal=journal,
+                )
+            journal.mark_served(0, record=0)
+
+
 class TestServeJsonl:
     def test_stream_with_errors_keeps_serving(self, oracle_session):
         records = [
@@ -289,8 +327,12 @@ class TestServeJsonl:
             },
         }
         records = [dict(record, id=f"r{i}") for i in range(4)]
+        served = oracle_session.served
         responses = list(
             serve_jsonl(oracle_session, records, batch=2)
         )
         assert len(responses) == 4
+        assert not any("error" in r for r in responses)
         assert all(r["batch_size"] == 2 for r in responses)
+        assert all(r["rounds"] > 0 for r in responses)
+        assert oracle_session.served == served + 4

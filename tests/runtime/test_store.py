@@ -15,6 +15,7 @@ from repro.runtime import (
     RunConfig,
     Session,
     open_store,
+    run,
     store_key,
 )
 from repro.runtime.store import resolve_cache_root
@@ -135,6 +136,31 @@ class TestStoreLifecycle:
             names = [event.name for event in sink.events]
             assert "serve/cache-hit" in names
             assert "build/hierarchy" not in names
+
+    def test_restart_serves_bit_identical_requests(self, graph, tmp_path):
+        """A miss builds (and says so); a restart that hits serves the
+        cold run's route, with the same per-request ledger."""
+        n = graph.num_nodes
+        demand = {
+            "sources": np.arange(n),
+            "destinations": np.roll(np.arange(n), 7),
+        }
+        cold = run("route", graph, config=RunConfig(seed=5), **demand)
+        assert cold.result.delivered
+        totals = []
+        for hit in (False, True):
+            sink = MemorySink()
+            config = RunConfig(seed=5, cache=str(tmp_path), trace=sink)
+            with Session.open(graph, config) as session:
+                names = [event.name for event in sink.events]
+                assert session.from_cache == hit
+                assert ("serve/cache-hit" in names) == hit
+                assert ("serve/cache-miss" in names) != hit
+                assert ("build/hierarchy" in names) != hit
+                response = session.request("route", **demand)
+            assert response.result.cost_rounds == cold.result.cost_rounds
+            totals.append(response.ledger.total())
+        assert totals[0] == totals[1]
 
     def test_corrupt_entry_is_a_miss_and_deleted(self, graph, tmp_path):
         store = HierarchyStore(str(tmp_path))

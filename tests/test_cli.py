@@ -326,6 +326,96 @@ class TestServe:
         ]
         assert [r["id"] for r in responses] == ["r3"]
 
+    def test_recover_after_torn_store_replays_the_update_once(
+        self, tmp_path, capsys
+    ):
+        """Kill after an update, tear every store entry and the
+        journal's last mark line, then ``--recover``: the update is
+        replayed exactly once and partial + recovered responses equal
+        an uninterrupted run on every deterministic field."""
+        import json
+        import os
+
+        from repro.rng import derive_rng
+        from repro.runtime import read_journal
+        from repro.runtime.chaos import truncate_journal_tail
+
+        graph_path = self._expander(tmp_path)
+        graph = load_graph(graph_path)
+        n = graph.num_nodes
+        neighbours = set(graph.indices[graph.indptr[0]:graph.indptr[1]])
+        added = next(w for w in range(1, n) if w not in neighbours)
+        rng = derive_rng(3, n)
+        records = [
+            {
+                "op": "route",
+                "args": {
+                    "sources": list(range(n)),
+                    "destinations": [int(x) for x in rng.permutation(n)],
+                },
+                "id": f"req-{index}",
+            }
+            for index in range(8)
+        ]
+        records.insert(4, {"update": {
+            "edges_removed": [[0, int(min(neighbours))]],
+            "edges_added": [[0, added]],
+        }})
+
+        def serve(name, count, *flags):
+            requests = str(tmp_path / f"{name}-requests.jsonl")
+            with open(requests, "w") as handle:
+                for record in records[:count]:
+                    handle.write(json.dumps(record) + "\n")
+            out = str(tmp_path / f"{name}.jsonl")
+            assert main(
+                ["serve", graph_path, "--requests", requests, "-o", out,
+                 "--seed", "3", *flags]
+            ) == 0
+            transient = ("wall_s", "service_s", "sojourn_s",
+                         "retry_backoff_s")
+            responses = [
+                {k: v for k, v in json.loads(line).items()
+                 if k not in transient}
+                for line in open(out) if line.strip()
+            ]
+            return responses, capsys.readouterr().err
+
+        full, _ = serve(
+            "full", len(records), "--cache", str(tmp_path / "store-ref")
+        )
+        assert full[4]["update"]["edges_removed"] == 1
+
+        store = str(tmp_path / "store")
+        journal = str(tmp_path / "journal.jsonl")
+        partial, _ = serve(
+            "partial", 5, "--cache", store, "--journal", journal
+        )
+        assert len(partial) == 5
+
+        torn = [name for name in os.listdir(store) if name.endswith(".ckpt")]
+        assert torn
+        for name in torn:
+            path = os.path.join(store, name)
+            with open(path, "r+b") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
+        with open(journal, "rb") as handle:
+            last_line = handle.read().splitlines(keepends=True)[-1]
+        assert truncate_journal_tail(journal, len(last_line))
+        _, updates, stamps, _, mark = read_journal(journal)
+        assert (len(updates), stamps, mark) == (1, [5], 5)
+
+        rest, err = serve(
+            "rest", len(records), "--cache", store, "--journal", journal,
+            "--recover",
+        )
+        assert "replayed 1 update(s)" in err
+        assert [r.get("id") for r in rest] == [
+            f"req-{index}" for index in range(4, 8)
+        ]
+        assert all("error" not in r for r in rest)
+        assert partial + rest == full
+
     def test_serve_batched(self, tmp_path, capsys):
         import json
 

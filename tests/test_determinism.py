@@ -1,8 +1,8 @@
 """Same-seed double-run determinism for the end-to-end pipeline.
 
 The reproducibility contract reprolint enforces statically is verified
-dynamically here: two fresh ``ExpanderNetwork`` instances built from the
-same seed must produce bit-identical routing and MST outcomes — round
+dynamically here: two fresh ``repro.run`` calls with the same seed must
+produce bit-identical routing, MST and construction outcomes — round
 counts, message/phase counts, and outputs.  Any unseeded RNG, wall-clock
 dependence, or hash-order iteration sneaking into the pipeline breaks
 this test.
@@ -11,24 +11,31 @@ this test.
 import numpy as np
 import pytest
 
+from repro import RunConfig, run
 from repro.graphs import random_regular
-from repro.system import ExpanderNetwork
 
-
-def _fresh_network(seed):
-    graph = random_regular(32, 4, np.random.default_rng(5))
-    return ExpanderNetwork(graph, seed=seed)
+GRAPH = random_regular(32, 4, np.random.default_rng(5))
 
 
 def _route_once(seed):
-    net = _fresh_network(seed)
     sources = np.arange(32)
     destinations = np.roll(sources, 7)
-    return net.route(sources, destinations, trace=True)
+    return run(
+        "route",
+        GRAPH,
+        config=RunConfig(seed=seed),
+        sources=sources,
+        destinations=destinations,
+        trace_hops=True,
+    ).result
 
 
 def _mst_once(seed):
-    return _fresh_network(seed).minimum_spanning_tree()
+    return run("mst", GRAPH, config=RunConfig(seed=seed)).result
+
+
+def _build_once(seed):
+    return run("build", GRAPH, config=RunConfig(seed=seed)).result
 
 
 class TestRoutingDeterminism:
@@ -71,11 +78,11 @@ class TestMstDeterminism:
 
 class TestConstructionDeterminism:
     def test_hierarchy_build_rounds_repeat(self):
-        first = _fresh_network(31)
-        second = _fresh_network(31)
+        first = _build_once(31)
+        second = _build_once(31)
         assert (
             first.construction_rounds() == second.construction_rounds()
         )
-        assert first.tau_mix == second.tau_mix
-        assert first.hierarchy.beta == second.hierarchy.beta
-        assert first.hierarchy.depth == second.hierarchy.depth
+        assert first.g0.tau_mix == second.g0.tau_mix
+        assert first.beta == second.beta
+        assert first.depth == second.depth

@@ -18,6 +18,7 @@ import pytest
 
 from repro import RunConfig, run
 from repro.baselines import kruskal
+from repro.congest.detector import CrashView, detection_rounds
 from repro.congest.faults import (
     CrashWindow,
     DeliveryTimeout,
@@ -276,6 +277,16 @@ class TestNetworkFaultInjection:
         assert report.delivered == report.expected
         assert report.stats.duplicated + report.stats.delayed > 0
 
+    def test_mixed_wire_faults_exactly_once(self, expander64):
+        origins, targets = _neighbor_demands(expander64)
+        report = reliable_forward_demands(
+            expander64, origins, targets,
+            faults=_plan("drop=0.1,dup=0.02,delay=0.05", label=6),
+        )
+        assert report.delivered == report.expected == expander64.num_nodes
+        assert report.rounds >= report.ideal_rounds
+        assert report.stats.dropped > 0
+
     def test_fault_events_mirrored_to_trace(self, expander64):
         origins, targets = _neighbor_demands(expander64)
         context = RunContext(seed=9, sink=MemorySink(), faults="drop=0.2")
@@ -456,6 +467,20 @@ class TestSelfHealCompletion:
         )
         assert report.delivered == report.expected
         assert report.rehomed or report.orphaned
+        assert report.recovery_rounds >= 0
+
+    def test_waitable_window_parks_without_retries(self, expander64):
+        """A crash window that ends is waited out: tokens park, and the
+        wait is charged under recovery/, not as retries."""
+        origins, targets = _neighbor_demands(expander64)
+        report = reliable_forward_demands(
+            expander64, origins, targets,
+            faults=_plan("crash=6@rounds:2-520", label=7),
+            recovery="self-heal",
+        )
+        assert report.delivered == report.expected
+        assert report.parked > 0
+        assert report.retry_rounds == 0
 
     def test_permanent_crash_forwarding_deterministic(self, expander64):
         origins, targets = _neighbor_demands(expander64)
@@ -510,6 +535,42 @@ class TestSelfHealCompletion:
         assert labels, "self-heal cost must land under recovery/"
         # Recovery and fault retry accounting stay disjoint.
         assert not any(label.startswith("faults/") for label in labels)
+
+    def test_portal_failover_at_every_level(self):
+        """Killing primary portal hosts at each level of a two-level
+        tower: the self-healing router fails over (or re-elects) and
+        still delivers, with recovery cost below one clean route."""
+        n = 96
+        graph = random_regular(n, 6, derive_rng(7, n))
+        # beta=4 forces a two-level tower at this size.
+        clean = run("route", graph, config=RunConfig(seed=7, beta=4))
+        hierarchy = clean.backend.hierarchy
+        assert hierarchy.depth >= 2
+        host = hierarchy.g0.virtual.host
+        total_recovery = 0.0
+        for level in range(1, hierarchy.depth + 1):
+            table = clean.backend.router.portals.tables[level - 1]
+            portal_vnodes = np.unique(table[table >= 0])
+            assert portal_vnodes.size, f"level {level} has no portals"
+            victims = frozenset(
+                int(host[v]) for v in portal_vnodes[:4].tolist()
+            )
+            view = CrashView(
+                n, ((1, 10**6, victims),), detection_rounds(1, n)
+            )
+            live = np.array([v for v in range(n) if v not in victims])
+            router = Router(
+                hierarchy,
+                params=clean.backend.context.params,
+                rng=derive_rng(7, 100 + level),
+                recovery="self-heal",
+                crash_view=view,
+            )
+            result = router.route(live, np.roll(live, 3))
+            assert result.delivered, f"level {level} failover"
+            assert result.recovery_rounds <= clean.result.cost_rounds
+            total_recovery += result.recovery_rounds
+        assert total_recovery > 0
 
     def test_self_heal_without_crashes_is_bit_identical(self, expander64):
         """Enabling self-heal draws nothing unless a crash window
