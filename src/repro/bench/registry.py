@@ -14,8 +14,8 @@ Suites:
 * the five historical kernel suites (``kernels``, ``faults``,
   ``recovery``, ``engine``, ``serve``) wrapping
   :mod:`repro.analysis.perf`;
-* ``tripwire`` — the native-build wall-budget canary, same workload
-  in both tiers;
+* ``tripwire`` — the native wall-budget canaries (G0 + level-1 build,
+  and a full native ``Session.open``), same workloads in both tiers;
 * ``serve-soak`` — the PR 9 workload engine: a sustained multi-epoch
   open-loop run with concurrent churn + wire faults against one warm
   session, in both serving modes, plus the throughput-vs-fault-rate
@@ -59,6 +59,10 @@ RESULTS_DIR = os.path.join("benchmarks", "results")
 
 #: The native-build tripwire budget: 20% of the pre-vectorization 27 s.
 TRIPWIRE_BUDGET_S = 5.4
+
+#: The native-open tripwire budget: about twice the array replay's
+#: measured open, well below the ~4 s of the per-node simulator replay.
+NATIVE_OPEN_BUDGET_S = 2.0
 
 #: Deterministic workload metrics the gate compares exactly (wall-clock
 #: metrics are reported but never gated).
@@ -142,9 +146,38 @@ def tripwire_measurement(seed: int = 0, n: int = 256) -> dict:
     }
 
 
+def _native_open_measurement(seed: int = 0, n: int = 128) -> dict:
+    """One full native ``Session.open`` (cache off) at the pinned size.
+
+    ``rounds`` is the ledger total; ``metrics.executed_rounds`` the
+    rounds the walk replay executed on the wire.  Both are exact, and
+    the wall budget trips if the replay falls back to the per-node
+    simulator.
+    """
+    from ..runtime import RunConfig, Session
+
+    graph = random_regular(n, 6, derive_rng(seed, n))
+    config = RunConfig(seed=seed, backend="native", cache="off")
+    wall, session = perf._timed(lambda: Session.open(graph, config))
+    with session:
+        return {
+            "kernel": "native_open",
+            "n": n,
+            "seed": seed,
+            "wall_s": wall,
+            "rounds": int(session.context.ledger.total()),
+            "metrics": {
+                "executed_rounds": int(session.backend.executed_rounds)
+            },
+        }
+
+
 def _tripwire_runner(seed: int, quick: bool) -> list[dict]:
-    del quick  # the canary runs the pinned size in both tiers
-    return [tripwire_measurement(seed=seed)]
+    del quick  # the canaries run the pinned sizes in both tiers
+    return [
+        tripwire_measurement(seed=seed),
+        _native_open_measurement(seed=seed),
+    ]
 
 
 def _workload_row(kernel: str, report: WorkloadReport) -> dict:
@@ -365,12 +398,16 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             name="tripwire",
-            title="native-build wall-budget canary (n=256, "
-            f"{TRIPWIRE_BUDGET_S}s)",
+            title="native wall-budget canaries (build n=256, "
+            f"{TRIPWIRE_BUDGET_S}s; open n=128, {NATIVE_OPEN_BUDGET_S}s)",
             runner=_tripwire_runner,
             gate=GatePolicy(
                 exact=("rounds",),
-                wall_budget_s={"native_build": TRIPWIRE_BUDGET_S},
+                exact_metrics=("executed_rounds",),
+                wall_budget_s={
+                    "native_build": TRIPWIRE_BUDGET_S,
+                    "native_open": NATIVE_OPEN_BUDGET_S,
+                },
             ),
         ),
         Suite(

@@ -26,7 +26,8 @@ through :func:`repro.run`:
   clear error).
 * ``--trace out.jsonl`` — write the structured trace-event stream.
 * ``--validate {full,first_round,off}`` — simulator outbox validation
-  for the native backend.
+  for the native backend; ``full`` also cross-runs sampled walk steps
+  on the per-node simulator.
 * ``--faults SPEC`` — seeded fault injection, e.g.
   ``drop=0.01,dup=0.001,crash=3@rounds:10-20`` (see
   ``docs/robustness.md`` for the grammar).  Delivery is still

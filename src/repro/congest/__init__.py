@@ -21,6 +21,7 @@ from .leader import disseminate_seed, elect_leader
 from .native import (
     NativeG0,
     NativeLevel,
+    ReplayMismatch,
     WalkReplay,
     build_native_g0,
     build_native_level1,
@@ -80,6 +81,7 @@ __all__ = [
     "build_native_level1",
     "build_native_g0",
     "replay_walk_run",
+    "ReplayMismatch",
     "TokenForwarder",
     "forward_demands",
     "disseminate_seed",

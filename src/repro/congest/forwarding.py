@@ -7,17 +7,36 @@ time equals the max per-arc demand count — the quantity the vectorized
 engines charge — and this module executes it for real, so cross-checks
 can compare the two (see ``tests/congest/test_walk_crosscheck.py`` and
 ``tests/congest/test_hop_crosscheck.py``).
+
+On a clean wire :func:`forward_demands` runs an array executor: one
+FIFO queue per busy directed node pair, drained one message per pair per
+round.  The per-node simulation — :class:`TokenForwarder` nodes on
+:meth:`repro.congest.network.Network.run` — is kept as the oracle
+(``_forward_demands_scalar``): the equivalence tests drive it, and
+:func:`repro.congest.native.replay_walk_run` re-runs it on a sample of
+walk steps under ``validate="full"``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from ..graphs.graph import Graph
 from .faults import FaultPlan
-from .network import Network, NodeAlgorithm
+from .network import CongestViolation, Network, NodeAlgorithm
 
 __all__ = ["TokenForwarder", "forward_demands"]
+
+#: Per graph, the sorted ``tail * n + head`` key of every arc (parallel
+#: arcs repeat their pair's key), closed by a sentinel no key reaches.
+#: Built once and reused by every call on that graph (graphs are
+#: immutable; the entry dies with the graph).
+_PAIR_INDEX: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class TokenForwarder(NodeAlgorithm):
@@ -50,6 +69,123 @@ class TokenForwarder(NodeAlgorithm):
         return self._emit()
 
 
+def _demand_arrays(origins, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Both demand sides as int64 arrays of one length.
+
+    Accepts any iterable (an iterator is read exactly once).
+
+    Raises:
+        ValueError: if the two sides differ in length.
+    """
+    sides = [
+        np.asarray(
+            side if isinstance(side, np.ndarray) else list(side),
+            dtype=np.int64,
+        ).reshape(-1)
+        for side in (origins, targets)
+    ]
+    if sides[0].shape != sides[1].shape:
+        raise ValueError(
+            f"origins and targets must have the same length, got "
+            f"{sides[0].shape[0]} origins and {sides[1].shape[0]} targets"
+        )
+    return sides[0], sides[1]
+
+
+def _pair_index(graph: Graph) -> np.ndarray:
+    """The graph's sorted directed-pair keys (see :data:`_PAIR_INDEX`)."""
+    index = _PAIR_INDEX.get(graph)
+    if index is None:
+        n = graph.num_nodes
+        tails = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        index = np.append(
+            np.sort(tails * n + graph.indices), np.iinfo(np.int64).max
+        )
+        _PAIR_INDEX[graph] = index
+    return index
+
+
+def _non_edge(
+    graph: Graph, origins: np.ndarray, targets: np.ndarray
+) -> CongestViolation:
+    """The violation naming the first demand that is not an edge."""
+    n = graph.num_nodes
+    for origin, target in zip(origins.tolist(), targets.tolist()):
+        in_range = 0 <= origin < n and 0 <= target < n
+        if not in_range or not graph.has_edge(origin, target):
+            break
+    return CongestViolation(
+        f"round 1: node {origin} sent to non-neighbor {target}; demand "
+        f"({origin}, {target}) is not an edge of the graph, and CONGEST "
+        "messages travel only along edges"
+    )
+
+
+def _forward_demands_array(
+    graph: Graph, origins: np.ndarray, targets: np.ndarray
+) -> tuple[int, int]:
+    """The clean-wire array executor: ``(rounds, messages)``.
+
+    Groups the demands into one FIFO queue per directed node pair
+    (parallel edges share a queue, as in :class:`TokenForwarder`), then
+    runs round by round: each busy pair sends its head token, and the
+    run ends when every queue is empty.
+
+    Raises:
+        CongestViolation: if some demand is not an edge of the graph.
+    """
+    n = graph.num_nodes
+    keys = origins * n
+    keys += targets
+    pairs, queues = np.unique(keys, return_counts=True)
+    index = _pair_index(graph)
+    in_range = origins.shape[0] == 0 or (
+        min(origins.min(), targets.min()) >= 0
+        and max(origins.max(), targets.max()) < n
+    )
+    # An out-of-range id could alias another pair's key: check it first.
+    if not in_range or not (
+        index[np.searchsorted(index, pairs)] == pairs
+    ).all():
+        raise _non_edge(graph, origins, targets)
+    rounds = messages = 0
+    while queues.shape[0]:
+        rounds += 1
+        messages += int(queues.shape[0])
+        queues = queues[queues > 1] - 1
+    return rounds, messages
+
+
+def _forward_demands_scalar(
+    graph: Graph, origins, targets, validate: str = "full"
+) -> tuple[int, int]:
+    """The oracle: one :class:`TokenForwarder` per node on
+    :meth:`~repro.congest.network.Network.run`, clean wire only.
+
+    Returns ``(rounds, messages)`` of the simulated execution.
+    """
+    origins, targets = _demand_arrays(origins, targets)
+    network = Network(graph)
+    per_node: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for origin, target in zip(origins.tolist(), targets.tolist()):
+        per_node[origin].append(target)
+    algorithms = [
+        TokenForwarder(network.context(v), per_node[v])
+        for v in range(graph.num_nodes)
+    ]
+    stats = network.run(
+        algorithms,
+        max_rounds=10 * origins.shape[0] + 100,
+        validate=validate,
+    )
+    delivered = sum(algorithm.received for algorithm in algorithms)
+    if delivered != origins.shape[0]:
+        raise RuntimeError(
+            f"forwarding lost messages: {delivered} != {origins.shape[0]}"
+        )
+    return stats.rounds, stats.messages
+
+
 def forward_demands(
     graph: Graph,
     origins,
@@ -60,12 +196,22 @@ def forward_demands(
 ) -> tuple[int, int]:
     """Deliver one-hop demands ``origin -> target`` under edge capacity 1.
 
+    On a clean wire the array executor runs: per-pair FIFO queues, one
+    message per busy directed pair per round, executed round by round.
+    It checks every demand against the graph's edges in every
+    ``validate`` mode.  The per-node simulator it replaces stays as the
+    oracle ``_forward_demands_scalar``, checked against this executor by
+    ``tests/congest/test_hop_crosscheck.py`` and, under
+    ``validate="full"``, on sampled steps of
+    :func:`repro.congest.native.replay_walk_run`.
+
     Args:
         graph: the network; every (origin, target) must be an edge.
-        origins: demand origins.
-        targets: demand targets (same length).
+        origins: demand origins (any iterable).
+        targets: demand targets (any iterable, same length).
         validate: outbox-validation mode passed to
-            :meth:`repro.congest.network.Network.run`.
+            :meth:`repro.congest.network.Network.run` on the faulty
+            wire.
         faults: optional :class:`~repro.congest.faults.FaultPlan`.  With
             an active (non-null) plan the unreliable queue protocol
             would lose tokens, so delivery is delegated to the ARQ path
@@ -77,10 +223,20 @@ def forward_demands(
             ``faults/retry-rounds``.
 
     Returns:
-        ``(rounds, messages)`` of the real execution; on a clean wire
+        ``(rounds, messages)`` of the execution; on a clean wire
         ``rounds`` equals the max number of demands sharing one directed
-        edge.
+        node pair.
+
+    Raises:
+        ValueError: if ``origins`` and ``targets`` differ in length.
+        CongestViolation: on a clean wire, if a demand is not an edge.
     """
+    if validate not in ("full", "first_round", "off"):
+        raise ValueError(
+            f"validate must be 'full', 'first_round' or 'off', "
+            f"got {validate!r}"
+        )
+    origins, targets = _demand_arrays(origins, targets)
     if faults is not None and not faults.spec.is_null:
         from .reliable import reliable_forward_demands
 
@@ -94,23 +250,4 @@ def forward_demands(
             recovery=getattr(context, "recovery", None) or "fail-fast",
         )
         return report.rounds, report.messages
-    network = Network(graph)
-    per_node: list[list[int]] = [[] for _ in range(graph.num_nodes)]
-    for origin, target in zip(origins, targets):
-        per_node[int(origin)].append(int(target))
-    algorithms = [
-        TokenForwarder(network.context(v), per_node[v])
-        for v in range(graph.num_nodes)
-    ]
-    stats = network.run(
-        algorithms,
-        max_rounds=10 * len(list(origins)) + 100,
-        validate=validate,
-    )
-    delivered = sum(algorithm.received for algorithm in algorithms)
-    expected = sum(len(demands) for demands in per_node)
-    if delivered != expected:
-        raise RuntimeError(
-            f"forwarding lost messages: {delivered} != {expected}"
-        )
-    return stats.rounds, stats.messages
+    return _forward_demands_array(graph, origins, targets)

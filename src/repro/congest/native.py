@@ -36,7 +36,7 @@ import numpy as np
 from ..baselines.routing_baselines import schedule_paths, schedule_paths_csr
 from ..graphs.graph import Graph
 from ..rng import derive_rng
-from .forwarding import forward_demands
+from .forwarding import _forward_demands_scalar, forward_demands
 from .network import Network
 from .walk_engine_vec import forward_pass_vec
 from .walk_state import ForwardWalkNode, WalkState, WalkTape
@@ -44,6 +44,7 @@ from .walk_state import ForwardWalkNode, WalkState, WalkTape
 __all__ = [
     "NativeG0",
     "NativeLevel",
+    "ReplayMismatch",
     "WalkReplay",
     "build_native_g0",
     "build_native_level1",
@@ -383,6 +384,16 @@ def _assemble_chains(
     return nodes[keep], out_offsets
 
 
+class ReplayMismatch(RuntimeError):
+    """The array executor and the per-node simulator disagreed on a
+    replayed walk step."""
+
+
+#: Under ``validate="full"``, one moving walk step in this many (at
+#: least one per batch) is re-run through the per-node simulator.
+_ORACLE_SAMPLE_EVERY = 32
+
+
 @dataclass
 class WalkReplay:
     """Outcome of executing a recorded walk batch as real message passing.
@@ -401,6 +412,47 @@ class WalkReplay:
     messages: int
 
 
+def _cross_run_oracle(
+    graph: Graph,
+    trajectory: np.ndarray,
+    per_step: list[int],
+    sent_per_step: list[int],
+) -> None:
+    """Re-run a seeded sample of moving steps on the per-node simulator.
+
+    The sample comes from a generator seeded by the batch's shape alone
+    — never from a run's named streams — so it leaves every built
+    structure bit-identical.
+
+    Raises:
+        ReplayMismatch: if a sampled step's ``(rounds, messages)``
+            differ from the array executor's.
+    """
+    moving = [step for step, sent in enumerate(sent_per_step) if sent]
+    if not moving:
+        return
+    count = max(1, len(moving) // _ORACLE_SAMPLE_EVERY)
+    rng = derive_rng(*trajectory.shape, len(moving))
+    sample = sorted(int(s) for s in rng.choice(moving, count, replace=False))
+    for step in sample:
+        before = trajectory[step]
+        after = trajectory[step + 1]
+        moved = before != after
+        # A re-execution of a step whose rounds the array executor
+        # already returned (replay_walk_run exports them); charging it
+        # too would count the step twice.
+        oracle = _forward_demands_scalar(  # reprolint: disable=R009
+            graph, before[moved], after[moved], validate="full"
+        )
+        if oracle != (per_step[step], sent_per_step[step]):
+            raise ReplayMismatch(
+                f"walk step {step}: the array executor took "
+                f"{per_step[step]} rounds / {sent_per_step[step]} "
+                f"messages but the per-node simulator took {oracle[0]} "
+                f"rounds / {oracle[1]} messages for the same demands"
+            )
+
+
 def replay_walk_run(
     graph: Graph,
     run,
@@ -408,22 +460,29 @@ def replay_walk_run(
     faults=None,
     context=None,
 ) -> WalkReplay:
-    """Execute a recorded walk batch through the CONGEST simulator.
+    """Execute a recorded walk batch as CONGEST message passing.
 
     Replays each walk step's token movements as real messages — every
     node forwards at most one token per directed edge per round, with a
-    barrier between steps — under the simulator's validation.  This is
-    how a backend *executes* the exact trajectories a vectorized engine
-    sampled: the structure built from the walks is bit-identical, while
-    the rounds are measured on the wire (Lemma 2.5 guarantees they equal
-    the engine's ``schedule_rounds()`` charge; callers assert that).
+    barrier between steps.  This is how a backend *executes* the exact
+    trajectories a vectorized engine sampled: the structure built from
+    the walks is bit-identical, while the rounds are measured on the
+    wire (Lemma 2.5 guarantees they equal the engine's
+    ``schedule_rounds()`` charge; callers assert that).
+
+    On a clean wire each step runs on the array executor of
+    :func:`repro.congest.forwarding.forward_demands`.  Under
+    ``validate="full"`` a seeded sample of steps (at least one per batch
+    with any movement) is re-run through the per-node simulator, and
+    the two must agree on ``(rounds, messages)`` — a check independent
+    of both the executor's and the engine's arithmetic.
 
     Args:
         graph: the base graph the walks ran on.
         run: a :class:`repro.walks.engine.WalkRun` recorded with
             ``record_trajectory=True``.
-        validate: outbox-validation mode for
-            :meth:`repro.congest.network.Network.run`.
+        validate: ``"full"`` adds the sampled simulator cross-run; the
+            mode is also passed to the faulty-wire simulator.
         faults: optional :class:`~repro.congest.faults.FaultPlan`; with
             an active plan each step's tokens travel the reliable ARQ
             path instead — the structure stays identical (retries, not
@@ -437,8 +496,9 @@ def replay_walk_run(
 
     Raises:
         ValueError: if ``run`` has no recorded trajectory.
-        RuntimeError: if any step fails to deliver all its tokens on the
-            clean wire.
+        CongestViolation: if a step moves a token along a non-edge.
+        ReplayMismatch: if a sampled step's simulator run disagrees with
+            the array executor.
         DeliveryTimeout: if faults defeat the retry budget of any step.
     """
     trajectory = getattr(run, "trajectory", None)
@@ -448,13 +508,14 @@ def replay_walk_run(
             "record_trajectory=True"
         )
     per_step: list[int] = []
-    messages = 0
+    sent_per_step: list[int] = []
     for step in range(run.steps):
         before = trajectory[step]
         after = trajectory[step + 1]
         moved = before != after
         if not moved.any():
             per_step.append(0)
+            sent_per_step.append(0)
             continue
         rounds, sent = forward_demands(
             graph,
@@ -465,9 +526,14 @@ def replay_walk_run(
             context=context,
         )
         per_step.append(rounds)
-        messages += sent
-    rounds = int(sum(max(1, r) for r in per_step))
-    return WalkReplay(rounds=rounds, per_step=per_step, messages=messages)
+        sent_per_step.append(sent)
+    if validate == "full" and (faults is None or faults.spec.is_null):
+        _cross_run_oracle(graph, trajectory, per_step, sent_per_step)
+    return WalkReplay(
+        rounds=int(sum(max(1, r) for r in per_step)),
+        per_step=per_step,
+        messages=sum(sent_per_step),
+    )
 
 
 @dataclass

@@ -136,7 +136,8 @@ class LedgerCoverageRule(ProgramRule):
     """R009: rounds under ``congest/``/``core/``/``runtime/`` reach a charge.
 
     A function that *executes rounds* — calls ``Network.run`` (directly,
-    or transitively through the call graph) or ``replay_walk_run`` —
+    or transitively through the call graph), ``replay_walk_run`` or one
+    of the array round executors —
     must account for them one of two ways: reach a
     ``RoundLedger.charge``/``RunContext.charge``/``absorb_ledger`` call
     (in itself or a transitive callee), or *export* the round count to
@@ -159,10 +160,15 @@ class LedgerCoverageRule(ProgramRule):
     # op and slices afterwards hands every executed round to the
     # per-request ledger view — same contract as charging directly.
     _CHARGE_ATTRS = {"charge", "absorb_ledger", "slice_from"}
-    # simulate_walk_timing is the array engine's round executor: it plays
-    # the queue/wire dynamics without a Network, so its rounds need the
+    # simulate_walk_timing and _forward_demands_array are the array
+    # round executors (walk protocol, one-hop forwarding): they play the
+    # queue/wire dynamics without a Network, so their rounds need the
     # same coverage as a simulator run.
-    _RUN_EXECUTORS = ("replay_walk_run", "simulate_walk_timing")
+    _RUN_EXECUTORS = (
+        "replay_walk_run",
+        "simulate_walk_timing",
+        "_forward_demands_array",
+    )
     # Serving ops invoked on a backend execute rounds behind an attribute
     # call the call graph cannot resolve; treat them as round sites so
     # session request handlers owe the same accounting (they pay it by

@@ -9,10 +9,11 @@ cut, clique emulation) behind one interface:
 * :class:`NativeBackend` — the same *random process*, executed as real
   message passing: every construction / preparation walk batch is
   recorded and replayed token-by-token through
-  :meth:`repro.congest.network.Network.run` (respecting the one-message-
-  per-edge-per-direction CONGEST constraint, with the simulator's
-  ``validate`` modes), and the executed round count is asserted equal to
-  the engine's Lemma 2.5 charge.
+  :func:`repro.congest.replay_walk_run` (one message per directed edge
+  per round, on the array executor; ``validate="full"`` re-runs a
+  sample of steps on :meth:`repro.congest.network.Network.run`), and
+  the executed round count is asserted equal to the engine's Lemma 2.5
+  charge.
 
 Because both backends draw from the context's named streams and consume
 them identically, a fixed seed yields the *same* G0 edge multiset,
@@ -24,11 +25,12 @@ a pointer to the oracle.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
 
-from ..congest.native import replay_walk_run
+from ..congest.native import ReplayMismatch, replay_walk_run
 from ..core.clique import CliqueEmulationResult, emulate_clique
 from ..core.hierarchy import Hierarchy, build_hierarchy
 from ..core.mincut import MinCutResult, approximate_min_cut
@@ -219,10 +221,15 @@ class NativeBackend(Backend):
 
     Covers hierarchy/G0 build and routing.  Each walk batch is sampled
     by the same engine as the oracle (hence bit-identical structures),
-    recorded, and replayed through :func:`repro.congest.replay_walk_run`
-    under ``validate``; the executed rounds must equal the engine's
-    ``schedule_rounds()`` charge or :class:`BackendMismatch` is raised.
-    MST / min-cut / clique raise :class:`UnsupportedOnBackend`.
+    recorded, and replayed through :func:`repro.congest.replay_walk_run`:
+    on a clean wire each step runs on the array executor of
+    :func:`repro.congest.forward_demands`, and under
+    ``validate="full"`` a seeded sample of steps is re-run on the
+    per-node simulator.  :class:`BackendMismatch` is raised if the
+    executed rounds differ from the engine's ``schedule_rounds()``
+    charge, or if a sampled step's simulator run disagrees with the
+    executor.  MST / min-cut / clique raise
+    :class:`UnsupportedOnBackend`.
 
     The simulator keys each outbox by neighbour, so two parallel edges
     would share one wire while the engine charges congestion per arc:
@@ -257,6 +264,11 @@ class NativeBackend(Backend):
             if self.context.params.use_correlated_walks
             else run_lazy_walks
         )
+        # The router keeps this runner.  A weak reference back to the
+        # backend stops backend -> router -> runner from forming a
+        # cycle, which would keep a closed session's hierarchy alive
+        # until the next garbage collection.
+        backend = weakref.proxy(self)
 
         def native_runner(graph, starts, steps, rng, record_trajectory=False):
             run = engine(
@@ -268,10 +280,13 @@ class NativeBackend(Backend):
             # engine's clean Lemma 2.5 charge *is* the fault overhead,
             # charged under faults/ — so the clean equality assertion is
             # replaced by surplus accounting, not silently skipped.
-            plan = self.context.fault_plan
-            replay = replay_walk_run(
-                graph, run, validate=self.validate, faults=plan
-            )
+            plan = backend.context.fault_plan
+            try:
+                replay = replay_walk_run(
+                    graph, run, validate=backend.validate, faults=plan
+                )
+            except ReplayMismatch as exc:
+                raise BackendMismatch(str(exc)) from exc
             charged = run.schedule_rounds()
             if plan is None:
                 if replay.rounds != charged:
@@ -281,23 +296,23 @@ class NativeBackend(Backend):
                         "batch"
                     )
             else:
-                self.context.charge(
+                backend.context.charge(
                     "faults/retry-rounds",
                     float(max(0, replay.rounds - charged)),
                     stage="native/walk-batch",
                     rounds_total=int(replay.rounds),
                     ideal_rounds=int(charged),
                 )
-            self.executed_rounds += replay.rounds
-            self.executed_messages += replay.messages
-            self.context.emit(
+            backend.executed_rounds += replay.rounds
+            backend.executed_messages += replay.messages
+            backend.context.emit(
                 "backend",
                 "native/walk-batch",
                 walks=int(np.asarray(starts).shape[0]),
                 steps=int(steps),
                 executed_rounds=int(replay.rounds),
                 messages=int(replay.messages),
-                validate=self.validate,
+                validate=backend.validate,
             )
             return run
 

@@ -54,7 +54,9 @@ class RunConfig:
             :meth:`Params.default`).
         backend: ``"oracle"`` (vectorized) or ``"native"`` (real message
             passing).
-        validate: simulator outbox-validation mode, native backend only.
+        validate: simulator outbox-validation mode, native backend only;
+            ``"full"`` also re-runs a seeded sample of each walk batch's
+            steps on the per-node simulator as an oracle.
         trace: where structured events go — ``None`` (discard), a path
             string (JSONL file), or any
             :class:`~repro.runtime.EventSink`.

@@ -455,17 +455,23 @@ class Session:
 
         if config is None:
             config = RunConfig()
+        owned_journal: Optional[Journal] = None
         if isinstance(journal, str):
-            journal = Journal(
+            journal = owned_journal = Journal(
                 journal, identity=cls._journal_identity(graph, config)
             )
-        session = cls.open(
-            graph,
-            config,
-            store=store,
-            staleness_bound=staleness_bound,
-            policy=policy,
-        )
+        try:
+            session = cls.open(
+                graph,
+                config,
+                store=store,
+                staleness_bound=staleness_bound,
+                policy=policy,
+            )
+        except BaseException:
+            if owned_journal is not None:
+                owned_journal.close()
+            raise
         from ..congest.faults import DeliveryTimeout
 
         replayed = failed = 0

@@ -5,13 +5,25 @@ single boundary edge.  Here we re-execute the same single-hop demands
 through the message-passing forwarder on the overlay graph and check the
 real round count equals the charge (up to the one-per-direction nuance,
 which the forwarder also honours).
+
+The clean-wire forwarder runs on arrays; the per-node simulator it
+replaced (``_forward_demands_scalar``) is the oracle both are checked
+against here.
 """
 
 import numpy as np
 import pytest
 
-from repro.congest.forwarding import forward_demands
-from repro.graphs import Graph, star_graph
+from repro.congest import CongestViolation
+from repro.congest.forwarding import _forward_demands_scalar, forward_demands
+from repro.graphs import Graph, path_graph, random_regular, star_graph
+from repro.rng import derive_rng
+
+#: The array executor and the per-node oracle, for tests both must pass.
+EXECUTORS = [
+    pytest.param(forward_demands, id="array"),
+    pytest.param(_forward_demands_scalar, id="scalar"),
+]
 
 
 class TestForwardDemands:
@@ -84,3 +96,145 @@ class TestRouterHopCrosscheck:
         # The real execution takes exactly the max per-arc load — the
         # same quantity Router._hop charges.
         assert rounds == max(loads.values())
+
+
+def _random_demands(graph, count, seed):
+    """``count`` demands along uniformly drawn arcs of ``graph``."""
+    rng = derive_rng(seed, count)
+    arcs = rng.integers(0, graph.num_arcs, size=count)
+    return graph.arc_tails[arcs], graph.indices[arcs]
+
+
+class TestArrayMatchesScalarOracle:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            pytest.param(
+                lambda: random_regular(32, 4, derive_rng(5)), id="regular"
+            ),
+            pytest.param(lambda: star_graph(9), id="star"),
+            pytest.param(lambda: path_graph(7), id="path"),
+            pytest.param(
+                lambda: Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3)]),
+                id="multigraph",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, 17, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounds_and_messages_agree(self, factory, count, seed):
+        graph = factory()
+        origins, targets = _random_demands(graph, count, seed)
+        assert forward_demands(
+            graph, origins, targets
+        ) == _forward_demands_scalar(graph, origins, targets)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_parallel_edges_share_one_queue(self, executor):
+        graph = Graph(3, [(0, 1), (0, 1), (1, 2)])
+        assert executor(graph, [0] * 4 + [1], [1] * 4 + [2]) == (4, 5)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_empty_demands(self, executor):
+        assert executor(Graph(2, [(0, 1)]), [], []) == (0, 0)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("validate", ["full", "first_round"])
+    # Target 4 is out of range; its key 0 * 4 + 4 aliases the edge (1, 0).
+    @pytest.mark.parametrize("target", [3, 4])
+    def test_non_edge_names_the_pair(self, executor, validate, target):
+        graph = path_graph(4)
+        with pytest.raises(
+            CongestViolation, match=f"node 0 sent to non-neighbor {target}"
+        ):
+            executor(graph, [1, 0], [2, target], validate=validate)
+
+
+class TestDemandInputs:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_mismatched_lengths_rejected(self, executor):
+        with pytest.raises(ValueError, match="same length"):
+            executor(Graph(2, [(0, 1)]), [0, 0, 0], [1])
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_iterators_are_read_once(self, executor):
+        graph = Graph(2, [(0, 1)])
+        rounds, messages = executor(
+            graph, iter([0] * 150), (1 for _ in range(150))
+        )
+        assert (rounds, messages) == (150, 150)
+
+
+class TestReplayCrossRun:
+    """Under ``validate="full"`` the walk replay re-runs sampled steps on
+    the per-node simulator, independent of the executor's arithmetic."""
+
+    @staticmethod
+    def _native(validate):
+        from repro.runtime import RunConfig
+
+        return RunConfig(
+            seed=1, backend="native", cache="off", validate=validate
+        )
+
+    def test_oracle_disagreement_fails_a_native_open(self, monkeypatch):
+        from repro.congest import native
+        from repro.runtime import BackendMismatch, Session
+
+        calls = []
+
+        def wrong(graph, origins, targets, validate="full"):
+            calls.append(validate)
+            return 0, 0
+
+        monkeypatch.setattr(native, "_forward_demands_scalar", wrong)
+        graph = random_regular(16, 4, derive_rng(270))
+        with pytest.raises(BackendMismatch, match="per-node simulator"):
+            Session.open(graph, self._native("full"))
+        assert calls == ["full"]
+        # Cheaper modes skip the cross-run, so the wrong oracle is moot.
+        with Session.open(graph, self._native("first_round")) as session:
+            assert session.request("route").result.delivered
+        assert calls == ["full"]
+
+    def test_every_moving_batch_is_sampled(self, monkeypatch):
+        from repro.congest import native, replay_walk_run
+        from repro.walks import run_lazy_walks
+
+        oracle = native._forward_demands_scalar
+        checked = []
+
+        def spy(graph, origins, targets, validate="full"):
+            checked.append(len(origins))
+            return oracle(graph, origins, targets, validate=validate)
+
+        monkeypatch.setattr(native, "_forward_demands_scalar", spy)
+        graph = random_regular(24, 4, derive_rng(6))
+        rng = derive_rng(7)
+        starts = rng.integers(0, graph.num_nodes, size=300)
+        run = run_lazy_walks(graph, starts, 40, rng, record_trajectory=True)
+        full = replay_walk_run(graph, run)
+        assert 1 <= len(checked) <= 40 and all(checked)
+        sampled = len(checked)
+        off = replay_walk_run(graph, run, validate="off")
+        assert len(checked) == sampled
+        assert (full.rounds, full.messages) == (off.rounds, off.messages)
+        assert full.rounds == run.schedule_rounds()
+
+    def test_sampling_leaves_built_structures_identical(self):
+        from repro.runtime import Session
+
+        graph = random_regular(16, 4, derive_rng(270))
+        with Session.open(graph, self._native("full")) as full:
+            with Session.open(graph, self._native("off")) as off:
+                assert (
+                    full.backend.g0_edge_multiset()
+                    == off.backend.g0_edge_multiset()
+                )
+                assert (
+                    full.context.stream_states()
+                    == off.context.stream_states()
+                )
+                assert full.request("route").rounds == (
+                    off.request("route").rounds
+                )

@@ -70,6 +70,34 @@ class TestLedgerCoverage:
         assert _rules_of(findings) == ["R009"]
         assert findings[0].scope == "discards"
 
+    def test_dropping_the_array_forwarders_rounds_is_flagged(
+        self, make_tree
+    ):
+        """The clean-wire array executor runs rounds without a
+        ``Network``; a caller that drops its count is still flagged."""
+        root = make_tree({
+            "proj/congest/forwarding.py": """
+                def _forward_demands_array(graph, origins, targets):
+                    return 1, len(origins)
+            """,
+            "proj/congest/mod.py": """
+                from .forwarding import _forward_demands_array
+
+                def drops(graph, origins, targets):
+                    _forward_demands_array(graph, origins, targets)
+                    return 0
+
+                def forwards(graph, origins, targets):
+                    rounds, messages = _forward_demands_array(
+                        graph, origins, targets
+                    )
+                    return rounds
+            """,
+        })
+        findings = lint_program([root / "proj"])
+        assert _rules_of(findings) == ["R009"]
+        assert findings[0].scope == "drops"
+
     def test_transitive_charge_covers_the_caller(self, make_tree):
         root = make_tree({
             "proj/congest/mod.py": """

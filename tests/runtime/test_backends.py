@@ -65,6 +65,25 @@ class TestCrossBackendEquivalence:
         assert native.executed_messages > 0
 
 
+class TestNativeBackendLifetime:
+    def test_dropped_backend_is_freed_without_the_cycle_collector(self):
+        """The router keeps the native walk runner; the runner must not
+        hold the backend strongly, or a dropped session's hierarchy
+        lives on until the next garbage collection."""
+        import gc
+        import weakref
+
+        native = make_backend("native", _small_graph(), RunContext(seed=11))
+        assert native.router.route(np.arange(4), np.arange(4)).delivered
+        alive = weakref.ref(native)
+        gc.disable()
+        try:
+            del native
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
 class TestUnsupportedOnNative:
     def test_mst_min_cut_clique_raise(self):
         from repro.graphs import with_random_weights

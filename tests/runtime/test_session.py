@@ -268,8 +268,8 @@ class TestCacheHitKnobs:
 
 
 class TestJournalOwnership:
-    """A failed ``Session.open`` closes a journal it opened from a path,
-    and leaves a caller's :class:`Journal` open."""
+    """A failed ``Session.open`` or ``Session.recover`` closes a journal
+    it opened from a path, and leaves a caller's :class:`Journal` open."""
 
     @staticmethod
     def _disconnected():
@@ -295,6 +295,31 @@ class TestJournalOwnership:
         with Journal(str(tmp_path / "j.jsonl")) as journal:
             with pytest.raises(ValueError, match="connected"):
                 Session.open(
+                    self._disconnected(), RunConfig(seed=SEED),
+                    journal=journal,
+                )
+            journal.mark_served(0, record=0)
+
+    def test_failed_recover_closes_the_journal_it_opened(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match="connected"):
+                Session.recover(
+                    self._disconnected(), RunConfig(seed=SEED), journal=path
+                )
+            gc.collect()
+        leaks = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+        assert not leaks, leaks
+
+    def test_failed_recover_leaves_a_callers_journal_open(self, tmp_path):
+        with Journal(str(tmp_path / "j.jsonl")) as journal:
+            with pytest.raises(ValueError, match="connected"):
+                Session.recover(
                     self._disconnected(), RunConfig(seed=SEED),
                     journal=journal,
                 )
