@@ -14,8 +14,9 @@ Suites:
 * the five historical kernel suites (``kernels``, ``faults``,
   ``recovery``, ``engine``, ``serve``) wrapping
   :mod:`repro.analysis.perf`;
-* ``tripwire`` — the native wall-budget canaries (G0 + level-1 build,
-  and a full native ``Session.open``), same workloads in both tiers;
+* ``tripwire`` — the wall-budget canaries (native G0 + level-1 build,
+  a full native ``Session.open``, and the warm oracle route request),
+  same workloads in both tiers;
 * ``serve-soak`` — the PR 9 workload engine: a sustained multi-epoch
   open-loop run with concurrent churn + wire faults against one warm
   session, in both serving modes, plus the throughput-vs-fault-rate
@@ -33,8 +34,10 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from ..analysis import perf
-from ..graphs import random_regular
+from ..graphs import hypercube, random_regular
 from ..rng import derive_rng
 from ..runtime.chaos import ChaosSpec
 from ..runtime.resilience import ResiliencePolicy
@@ -63,6 +66,10 @@ TRIPWIRE_BUDGET_S = 5.4
 #: The native-open tripwire budget: about twice the array replay's
 #: measured open, well below the ~4 s of the per-node simulator replay.
 NATIVE_OPEN_BUDGET_S = 2.0
+
+#: The warm-route tripwire budget: about twice the array router's
+#: measured p50 request (2.1–3.3 ms on a shared 2-core host).
+WARM_ROUTE_BUDGET_S = 0.006
 
 #: Deterministic workload metrics the gate compares exactly (wall-clock
 #: metrics are reported but never gated).
@@ -172,11 +179,54 @@ def _native_open_measurement(seed: int = 0, n: int = 128) -> dict:
         }
 
 
+def _warm_route_measurement(seed: int = 0, dim: int = 9) -> dict:
+    """The warm request: a fixed 64-request route script served from
+    one oracle session (cache off) on ``hypercube(dim)``.
+
+    One request in four is a full permutation, the rest are 1..32-packet
+    batches.  ``rounds`` is the exact sum of the script's route rounds;
+    ``wall_s`` is the p50 request wall time, which trips the budget if
+    per-request work scales with the graph instead of the request.
+    """
+    from ..runtime import RunConfig, Session
+
+    graph = hypercube(dim)
+    n = graph.num_nodes
+    rng = derive_rng(seed, n)
+    script = []
+    for index in range(64):
+        if index % 4 == 0:
+            sources, destinations = np.arange(n), rng.permutation(n)
+        else:
+            size = int(rng.integers(1, 33))
+            sources = rng.integers(0, n, size=size)
+            destinations = rng.integers(0, n, size=size)
+        script.append((sources.tolist(), destinations.tolist()))
+    config = RunConfig(seed=seed, cache="off")
+    with Session.open(graph, config) as session:
+        timed = [
+            perf._timed(
+                lambda: session.request(
+                    "route", sources=sources, destinations=destinations
+                )
+            )
+            for sources, destinations in script
+        ]
+    return {
+        "kernel": "warm_route",
+        "n": n,
+        "seed": seed,
+        "wall_s": round(float(np.median([wall for wall, _ in timed])), 6),
+        "rounds": float(sum(response.rounds for _, response in timed)),
+    }
+
+
 def _tripwire_runner(seed: int, quick: bool) -> list[dict]:
     del quick  # the canaries run the pinned sizes in both tiers
     return [
         tripwire_measurement(seed=seed),
         _native_open_measurement(seed=seed),
+        _warm_route_measurement(seed=seed),
     ]
 
 
@@ -398,8 +448,10 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             name="tripwire",
-            title="native wall-budget canaries (build n=256, "
-            f"{TRIPWIRE_BUDGET_S}s; open n=128, {NATIVE_OPEN_BUDGET_S}s)",
+            title="wall-budget canaries (native build n=256, "
+            f"{TRIPWIRE_BUDGET_S}s; native open n=128, "
+            f"{NATIVE_OPEN_BUDGET_S}s; warm route p50 n=512, "
+            f"{WARM_ROUTE_BUDGET_S}s)",
             runner=_tripwire_runner,
             gate=GatePolicy(
                 exact=("rounds",),
@@ -407,6 +459,7 @@ SUITES: dict[str, Suite] = {
                 wall_budget_s={
                     "native_build": TRIPWIRE_BUDGET_S,
                     "native_open": NATIVE_OPEN_BUDGET_S,
+                    "warm_route": WARM_ROUTE_BUDGET_S,
                 },
             ),
         ),

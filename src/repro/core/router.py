@@ -443,15 +443,8 @@ class Router:
         load = np.bincount(sources, minlength=graph.num_nodes) + np.bincount(
             destinations, minlength=graph.num_nodes
         )
-        allowed = np.array(
-            [
-                self.params.packets_per_node(graph.num_nodes, d)
-                for d in graph.degrees
-            ],
-            dtype=np.int64,
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = load / np.maximum(allowed, 1)
+        allowed = self.params.packets_per_node(graph.num_nodes, graph.degrees)
+        ratio = load / allowed
         return max(1, int(np.ceil(ratio.max()))) if load.size else 1
 
     def _model_fault_cost(
@@ -681,33 +674,40 @@ class Router:
         """Hop packets over level-``level`` overlay boundary edges.
 
         Each packet sits at a portal that has at least one overlay edge
-        into its target part; it crosses a uniformly random such edge.
-        Cost is the measured max number of packets on a single edge.
+        into its target part; it crosses a uniformly random such edge
+        (one ``self.rng.integers`` call draws every packet's pick, in
+        packet order).  Cost is the measured max number of packets on a
+        single edge.  A portal with no such edge raises
+        :class:`RoutingError` for the first stranded packet before
+        anything is drawn.
         """
         overlay = self.hierarchy.overlay_at(level)
         parts_next = self.hierarchy.parts_at(level + 1)
-        landed = np.empty_like(portals)
-        chosen_arcs = np.empty_like(portals)
-        for i, (portal, part) in enumerate(zip(portals, target_parts)):
-            arcs = np.arange(
-                overlay.indptr[portal], overlay.indptr[portal + 1]
+        # Every packet's overlay row, laid end to end in packet order.
+        starts = overlay.indptr[portals]
+        spans = overlay.indptr[portals + 1] - starts
+        owner = np.repeat(np.arange(portals.size), spans)
+        row_start = np.cumsum(spans) - spans
+        arcs = np.arange(owner.size) + np.repeat(starts - row_start, spans)
+        heads = overlay.indices[arcs]
+        keep = parts_next[heads] == target_parts[owner]
+        if self._self_heal:
+            # Prefer boundary edges whose far endpoint is live; a hop
+            # into a crashed node would strand the packet.
+            live = keep & ~self._dead_vnode[heads]
+            has_live = np.bincount(owner[live], minlength=portals.size) > 0
+            keep = np.where(has_live[owner], live, keep)
+        valid_arcs = arcs[keep]
+        counts = np.bincount(owner[keep], minlength=portals.size)
+        if not counts.all():
+            i = int(np.argmin(counts))
+            raise RoutingError(
+                f"portal {int(portals[i])} lost its boundary edge to part "
+                f"{int(target_parts[i])} at level {level + 1}"
             )
-            heads = overlay.indices[arcs]
-            valid = arcs[parts_next[heads] == part]
-            if self._self_heal and valid.size:
-                # Prefer boundary edges whose far endpoint is live; a
-                # hop into a crashed node would strand the packet.
-                live = valid[~self._dead_vnode[overlay.indices[valid]]]
-                if live.size:
-                    valid = live
-            if valid.size == 0:
-                raise RoutingError(
-                    f"portal {int(portal)} lost its boundary edge to part "
-                    f"{int(part)} at level {level + 1}"
-                )
-            arc = int(valid[self.rng.integers(0, valid.size)])
-            landed[i] = overlay.indices[arc]
-            chosen_arcs[i] = arc
+        picks = self.rng.integers(0, counts)
+        chosen_arcs = valid_arcs[np.cumsum(counts) - counts + picks]
+        landed = overlay.indices[chosen_arcs]
         # Per *directed* arc: opposite-direction crossings run in parallel
         # (one message per edge per direction per round).
         congestion = np.bincount(chosen_arcs).max() if portals.size else 0

@@ -7,6 +7,7 @@ so random-walk steps and congestion counts vectorize with numpy.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,8 +30,10 @@ class Graph:
         num_edges: number of undirected edges ``m`` (self-loops count once).
         indptr: CSR row pointer, shape ``(n + 1,)``.
         indices: CSR column indices (arc heads), shape ``(2m,)``.
-        arc_twin: for each arc, the index of the reverse arc.
-        arc_edge: for each arc, the undirected edge id in ``0..m-1``.
+        arc_twin: for each arc, the index of the reverse arc (built on
+            first use).
+        arc_edge: for each arc, the undirected edge id in ``0..m-1``
+            (built on first use).
     """
 
     def __init__(
@@ -60,30 +63,46 @@ class Graph:
             raise ValueError(f"self-loop at node {a} is not supported")
         self._num_nodes = int(num_nodes)
         self._num_edges = int(edge_array.shape[0])
-        self._build_csr(edge_array)
         self._edge_array = edge_array
+        self._build_csr()
 
-    def _build_csr(self, edge_array: np.ndarray) -> None:
-        """CSR arrays, each node's arcs in edge-id order.
+    def _build_csr(self) -> None:
+        """CSR arrays, each node's arcs in edge-id order."""
+        n = self._num_nodes
+        edge_array = self._edge_array
+        degree = np.bincount(edge_array.reshape(-1), minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        self.indptr = indptr
+        self.indices = edge_array[:, ::-1].reshape(-1)[self._arc_order()]
+        self._degree = degree
+
+    def _arc_order(self) -> np.ndarray:
+        """Interleaved-arc index of every CSR arc.
 
         In the interleaved tail list ``u0 v0 u1 v1 ...``, entry ``2 * eid``
         is the arc leaving ``u`` and ``2 * eid + 1`` the one leaving ``v``:
         a stable sort by tail gives the CSR order, and the twin of
         interleaved arc ``i`` is ``i ^ 1``.
         """
-        n = self._num_nodes
-        tails = edge_array.reshape(-1)
-        order = np.argsort(tails, kind="stable")
-        degree = np.bincount(tails, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
+        return np.argsort(self._edge_array.reshape(-1), kind="stable")
+
+    # The two per-arc maps below are built on first use, not in the
+    # constructor: the overlays a session keeps alive never read them,
+    # and each is a ``2m`` int64 array per overlay.
+
+    @cached_property
+    def arc_twin(self) -> np.ndarray:
+        """For each arc, the index of the reverse arc."""
+        order = self._arc_order()
         position = np.empty_like(order)
         position[order] = np.arange(order.shape[0])
-        self.indptr = indptr
-        self.indices = edge_array[:, ::-1].reshape(-1)[order]
-        self.arc_twin = position[order ^ 1]
-        self.arc_edge = order // 2
-        self._degree = degree
+        return position[order ^ 1]
+
+    @cached_property
+    def arc_edge(self) -> np.ndarray:
+        """For each arc, the undirected edge id in ``0..m-1``."""
+        return self._arc_order() // 2
 
     # -- basic accessors ----------------------------------------------------
 

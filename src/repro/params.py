@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Params:
@@ -166,11 +168,22 @@ class Params:
         """Independence ``W`` of the partition hash family."""
         return max(4, int(round(self.hash_independence * _log2(n))))
 
-    def packets_per_node(self, n: int, degree: int) -> int:
-        """Routing-load promise for a node of the given degree."""
-        return max(
-            1, int(round(self.packets_per_node_factor * degree * _log2(n)))
+    def packets_per_node(
+        self, n: int, degree: int | np.ndarray
+    ) -> int | np.ndarray:
+        """Routing-load promise for a node of the given degree.
+
+        ``degree`` is an int (returns an int) or an array of degrees
+        (returns an int64 array of the same shape).  ``np.rint`` rounds
+        half to even, as Python's ``round`` does.
+        """
+        allowed = np.maximum(
+            1,
+            np.rint(
+                self.packets_per_node_factor * np.asarray(degree) * _log2(n)
+            ).astype(np.int64),
         )
+        return allowed if np.ndim(degree) else int(allowed)
 
 
 def _log2(n: int) -> float:

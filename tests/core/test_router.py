@@ -1,11 +1,13 @@
 """Tests for the hierarchical router (Theorem 1.2 behaviour)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core import Router, build_hierarchy
 from repro.core.router import RoutingError
-from repro.graphs import grid_torus, hypercube, random_regular
+from repro.graphs import Graph, grid_torus, hypercube, random_regular
 from repro.params import Params
 
 
@@ -163,6 +165,36 @@ class TestMissingPortalPath:
         router.portals.tables[0][:, :] = -1
         rng = np.random.default_rng(82)
         with pytest.raises(RoutingError, match="missing portal"):
+            router.route(np.arange(64), rng.permutation(64))
+
+    def test_lost_boundary_edge_raises(self, hierarchy64, params):
+        """Portals whose G0 boundary arcs to other level-1 parts are
+        deleted strand the hop itself, not the portal lookup."""
+        portals = Router(
+            hierarchy64, params=params, rng=np.random.default_rng(81)
+        ).portals
+        table = portals.tables[0]
+        portal_set = np.unique(table[table >= 0])
+        parts = hierarchy64.parts_at(1)
+        edges = hierarchy64.g0.overlay.edge_array
+        u, v = edges[:, 0], edges[:, 1]
+        boundary = (parts[u] != parts[v]) & (
+            np.isin(u, portal_set) | np.isin(v, portal_set)
+        )
+        assert boundary.any()
+        pruned = copy.copy(hierarchy64)
+        pruned.g0 = copy.copy(hierarchy64.g0)
+        pruned.g0.overlay = Graph(
+            hierarchy64.g0.overlay.num_nodes, edges[~boundary]
+        )
+        router = Router(
+            pruned, portals=portals, params=params,
+            rng=np.random.default_rng(81),
+        )
+        rng = np.random.default_rng(82)
+        with pytest.raises(
+            RoutingError, match="lost its boundary edge to part"
+        ):
             router.route(np.arange(64), rng.permutation(64))
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the CSR graph core."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ class TestDegreesAndArcs:
             assert triangle.arc_edge[arc] == triangle.arc_edge[
                 triangle.arc_twin[arc]
             ]
+
+    def test_per_arc_maps_built_on_first_use(self, triangle):
+        assert "arc_twin" not in vars(triangle)
+        assert "arc_edge" not in vars(triangle)
+        restored = pickle.loads(pickle.dumps(triangle))
+        assert triangle.arc_twin.tolist() == restored.arc_twin.tolist()
+        assert triangle.arc_edge.tolist() == restored.arc_edge.tolist()
 
     def test_arc_tail(self, path4):
         for arc in range(path4.num_arcs):

@@ -145,6 +145,21 @@ def test_request_stream_order_is_irrelevant(
         ]
 
 
+class TestResidentSet:
+    def test_serving_leaves_overlay_arc_maps_unbuilt(self, graph):
+        """Nothing on the oracle serve path reads the overlays'
+        ``arc_twin``/``arc_edge``, so a warm session never holds those
+        two ``2m`` arrays per overlay."""
+        config = RunConfig(seed=SEED, cache="off")
+        with Session.open(graph, config) as session:
+            session.request("route")
+            hierarchy = session.backend.hierarchy
+            for level in range(hierarchy.depth + 1):
+                overlay = vars(hierarchy.overlay_at(level))
+                assert "arc_twin" not in overlay
+                assert "arc_edge" not in overlay
+
+
 class TestRequestValidation:
     def test_unknown_op_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown operation"):
