@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.analysis import format_table
-from repro.analysis.perf import circulation_paths
+from repro.analysis.workloads import circulation_paths
 from repro.baselines import schedule_paths, schedule_paths_ref
 from repro.graphs import random_regular
 

@@ -7,12 +7,18 @@ One front door for every benchmark in the repo:
 * :mod:`repro.bench.gate` — the uniform regression gate: exact
   comparison of seed-deterministic columns, row coverage, and absolute
   wall budgets;
-* :mod:`repro.bench.registry` — the declarative suite table behind
-  ``repro bench SUITE [--check] [--quick]``.
+* :mod:`repro.bench.suites` — every suite runner, each returning v1
+  rows (kernels, faults, recovery, engine, serve, tripwire, serve-soak,
+  load-curve, chaos);
+* :mod:`repro.bench.registry` — the suite table behind
+  ``repro bench SUITE [--check] [--quick]``, and :func:`run_suite`,
+  the one way to run a suite.
 
 Committed baselines live under ``benchmarks/results/`` — ``<suite>.json``
 for the full tier, ``<suite>.quick.json`` for the quick tier CI gates
-against.  See ``docs/performance.md`` and ``docs/workloads.md``.
+against.  Every record ``run_suite`` writes carries ``meta.provenance``
+(commit, python, numpy, core count).  See ``docs/performance.md`` and
+``docs/workloads.md``.
 """
 
 from .gate import GatePolicy, GateResult, compare_records
@@ -25,7 +31,6 @@ from .registry import (
     default_results_dir,
     get_suite,
     run_suite,
-    tripwire_measurement,
 )
 from .schema import (
     ROW_KEYS,
@@ -52,7 +57,6 @@ __all__ = [
     "load_record",
     "make_record",
     "run_suite",
-    "tripwire_measurement",
     "validate_record",
     "write_record",
 ]

@@ -143,7 +143,8 @@ def compare_records(
     for key in sorted(cur_rows):
         kernel = key[0]
         budget = policy.wall_budget_s.get(kernel)
-        if budget is not None and cur_rows[key]["wall_s"] > budget:
+        # Written so a NaN wall fails: every comparison with NaN is False.
+        if budget is not None and not cur_rows[key]["wall_s"] <= budget:
             result.failures.append(
                 f"row {key}: wall_s {cur_rows[key]['wall_s']:.3f}s "
                 f"exceeds the {budget:.3f}s budget"

@@ -28,14 +28,15 @@ every ``metrics`` value except ``wall``-prefixed ones are expected to be
 seed-deterministic — that is what the regression gate compares exactly.
 
 :func:`load_record` reads only this schema; a bare list of rows (the
-retired legacy format) is rejected.  Baselines migrated from the legacy
-files carry ``meta.legacy = true``.
+retired legacy format) is rejected, and so is a non-finite number:
+a NaN ``wall_s`` would slip under any wall budget.
 """
 
 from __future__ import annotations
 
 import json
-from numbers import Number
+import math
+from numbers import Real
 from typing import Any, Mapping, Optional, Sequence
 
 __all__ = [
@@ -140,10 +141,11 @@ def _validate_row(index: int, row: object) -> None:
     for key in ("n", "seed"):
         if not isinstance(row[key], int) or isinstance(row[key], bool):
             raise ValueError(f"row {index}: {key} must be an int")
-    if not isinstance(row["wall_s"], Number) or row["wall_s"] < 0:
-        raise ValueError(f"row {index}: wall_s must be a number >= 0")
-    if not isinstance(row["rounds"], Number) or row["rounds"] < 0:
-        raise ValueError(f"row {index}: rounds must be a number >= 0")
+    for key in ("wall_s", "rounds"):
+        if not _finite(row[key]) or row[key] < 0:
+            raise ValueError(
+                f"row {index}: {key} must be a finite number >= 0"
+            )
     if row["n"] <= 0:
         raise ValueError(f"row {index}: n must be > 0")
     metrics = row.get("metrics")
@@ -154,18 +156,27 @@ def _validate_row(index: int, row: object) -> None:
     for key, value in metrics.items():
         if not isinstance(key, str):
             raise ValueError(f"row {index}: metric keys must be str")
-        if not isinstance(value, (Number, str)) or isinstance(value, bool):
+        if not (isinstance(value, str) or _finite(value)):
             raise ValueError(
-                f"row {index}: metric {key!r} must be a number or str, "
-                f"got {value!r}"
+                f"row {index}: metric {key!r} must be a finite number "
+                f"or str, got {value!r}"
             )
+
+
+def _finite(value: object) -> bool:
+    """A real, finite number (bools excluded) — NaN would pass any gate."""
+    return (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def write_record(record: Mapping[str, Any], path: str) -> None:
     """Serialize a validated record to ``path`` as diffable JSON."""
     validate_record(dict(record))
     with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
+        json.dump(record, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 

@@ -293,11 +293,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the small quick-tier sizes and write the "
         "<suite>.quick.json baseline instead of <suite>.json",
     )
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument(
+        "--seed", type=int, default=None,
+        help="seed to record at (default 0; not with --check, which "
+        "runs at each baseline's own seed)",
+    )
     bench.add_argument(
         "--out", metavar="PATH", default=None,
         help="write the record here instead of the results directory "
-        "(single suite only)",
+        "(single suite only; not with --check)",
     )
     bench.add_argument(
         "--results", metavar="DIR", default=None,
@@ -557,11 +561,16 @@ def _cmd_bench(args) -> int:
         raise ValueError("--out needs exactly one SUITE")
 
     if args.check:
+        for flag, value in (("--seed", args.seed), ("--out", args.out)):
+            if value is not None:
+                raise ValueError(
+                    f"{flag} cannot be combined with --check: the gate "
+                    "runs at each committed baseline's seed and writes "
+                    "nothing"
+                )
         failed = False
         for name in names:
-            result = check_suite(
-                name, seed=args.seed, results_dir=args.results
-            )
+            result = check_suite(name, results_dir=args.results)
             print(result.describe())
             failed = failed or not result.ok
         return 1 if failed else 0
@@ -572,7 +581,7 @@ def _cmd_bench(args) -> int:
         else default_results_dir()
     )
     for name in names:
-        record = run_suite(name, seed=args.seed, quick=args.quick)
+        record = run_suite(name, seed=args.seed or 0, quick=args.quick)
         path = args.out or baseline_path(
             name, quick=args.quick, results_dir=results_dir
         )

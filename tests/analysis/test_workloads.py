@@ -1,4 +1,4 @@
-"""Tests for the demand generators and CSV export."""
+"""Tests for the demand and path generators and CSV export."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ from repro.analysis.export import rows_to_csv, write_csv
 from repro.analysis.workloads import (
     all_to_one_demand,
     bipartite_demand,
+    circulation_paths,
     hotspot_demand,
     neighbor_demand,
     permutation_demand,
     random_demand,
 )
 from repro.core import Router, build_hierarchy
-from repro.graphs import hypercube, random_regular
+from repro.graphs import Graph, hypercube, random_regular
 from repro.params import Params
 
 
@@ -70,6 +71,34 @@ class TestGenerators:
         sources, destinations = all_to_one_demand(g, target=5)
         assert np.all(destinations == 5)
         assert sources.shape == (8,)
+
+
+class TestCirculationPaths:
+    def test_paths_follow_edges(self):
+        graph = random_regular(32, 4, np.random.default_rng(420))
+        paths = circulation_paths(graph, 20, 9)
+        assert len(paths) == 20
+        for path in paths:
+            assert len(path) == 10
+            for a, b in zip(path, path[1:]):
+                assert graph.has_edge(a, b)
+
+    def test_contention_free(self):
+        """Packets occupy pairwise-distinct directed edges every round."""
+        graph = random_regular(32, 4, np.random.default_rng(421))
+        paths = circulation_paths(graph, 30, 7)
+        for step in range(7):
+            hops = [(path[step], path[step + 1]) for path in paths]
+            assert len(set(hops)) == len(hops)
+
+    def test_too_many_packets_rejected(self):
+        graph = random_regular(16, 4, np.random.default_rng(422))
+        with pytest.raises(ValueError, match="num_packets"):
+            circulation_paths(graph, 33, 4)  # 64 arcs < 2 * 33
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="connected"):
+            circulation_paths(Graph(4, [(0, 1), (2, 3)]), 1, 2)
 
 
 class TestWorkloadsThroughRouter:

@@ -11,7 +11,7 @@ produces (walk trajectories, circulations).
 import numpy as np
 import pytest
 
-from repro.analysis.perf import circulation_paths
+from repro.analysis.workloads import circulation_paths
 from repro.baselines.routing_baselines import schedule_paths
 from repro.baselines.routing_baselines_ref import schedule_paths_ref
 from repro.graphs import random_regular

@@ -93,6 +93,16 @@ class TestWallBudgets:
         result = compare_records(baseline, current, policy)
         assert any("exceeds" in f for f in result.failures)
 
+    def test_nan_wall_fails_budget(self):
+        """NaN compares False against everything, so a ``>`` check
+        would wave it through; the gate must not."""
+        policy = GatePolicy(wall_budget_s={"walk_engine": 1.0})
+        baseline = _record([_row(wall_s=0.5)])
+        current = _record([_row(wall_s=0.5)])
+        current["rows"][0]["wall_s"] = float("nan")
+        result = compare_records(baseline, current, policy)
+        assert any("exceeds" in f for f in result.failures)
+
     def test_budget_applies_to_current_not_baseline(self):
         policy = GatePolicy(wall_budget_s={"walk_engine": 1.0})
         slow_baseline = _record([_row(wall_s=9.0)])

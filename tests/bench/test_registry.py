@@ -8,6 +8,7 @@ from repro.bench import (
     SUITES,
     baseline_path,
     check_suite,
+    compare_records,
     get_suite,
     run_suite,
     validate_record,
@@ -39,18 +40,21 @@ class TestCatalogue:
         with pytest.raises(ValueError, match="kernels"):
             get_suite("warp-speed")
 
-    def test_legacy_sources_recorded(self):
-        """A migrated baseline names its source artifact in its own
-        ``meta``; a suite born in the v1 schema carries no such tag."""
-        faults = load_record(
-            baseline_path("faults", quick=False, results_dir=RESULTS)
-        )
-        assert faults["meta"]["legacy"] is True
-        assert faults["meta"]["source"] == "BENCH_PR4.json"
-        soak = load_record(
-            baseline_path("serve-soak", quick=False, results_dir=RESULTS)
-        )
-        assert "legacy" not in soak["meta"]
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_full_records_carry_provenance(self, name):
+        """Every full record says where it was measured; none is a
+        verbatim copy of a retired per-PR file any more."""
+        meta = load_record(
+            baseline_path(name, quick=False, results_dir=RESULTS)
+        )["meta"]
+        assert set(meta["provenance"]) == {
+            "commit",
+            "python",
+            "numpy",
+            "cpu_count",
+        }
+        assert meta["provenance"]["commit"]
+        assert "legacy" not in meta and "source" not in meta
 
     def test_baseline_paths_by_tier(self, tmp_path):
         directory = str(tmp_path)
@@ -93,7 +97,7 @@ class TestRunAndCheck:
             faults_record,
             baseline_path("faults", quick=True, results_dir=directory),
         )
-        result = check_suite("faults", seed=0, results_dir=directory)
+        result = check_suite("faults", results_dir=directory)
         assert result.ok, result.describe()
 
     def test_check_detects_tampered_rounds(self, faults_record, tmp_path):
@@ -105,9 +109,23 @@ class TestRunAndCheck:
             tampered,
             baseline_path("faults", quick=True, results_dir=directory),
         )
-        result = check_suite("faults", seed=0, results_dir=directory)
+        result = check_suite("faults", results_dir=directory)
         assert not result.ok
         assert "rounds drifted" in result.describe()
+
+    def test_check_runs_at_the_baseline_seed(self, tmp_path):
+        directory = str(tmp_path)
+        write_record(
+            run_suite("faults", seed=3, quick=True),
+            baseline_path("faults", quick=True, results_dir=directory),
+        )
+        result = check_suite("faults", results_dir=directory)
+        assert result.ok, result.describe()
+
+    def test_run_suite_records_provenance(self, faults_record):
+        provenance = faults_record["meta"]["provenance"]
+        assert provenance["cpu_count"] >= 1
+        assert provenance["python"].count(".") == 2
 
     def test_missing_baseline_is_a_failure_naming_the_fix(self, tmp_path):
         result = check_suite("faults", results_dir=str(tmp_path))
@@ -141,3 +159,24 @@ class TestCommittedQuickBaselines:
         record = load_record(path)
         assert record["suite"] == name
         assert record["quick"] is False
+
+
+class TestCommittedFullBaselines:
+    """A full record that no longer reproduces fails tier-1.
+
+    Only the cheap full tiers run here (about 0.5–1 s each on a 2-core
+    host).  ``kernels``, ``engine`` and ``serve`` take about 11 s, 24 s
+    and 4 s, too slow for every test run; ``tripwire``'s full tier is
+    its quick tier, which ``repro bench --check`` already gates.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["faults", "recovery", "serve-soak", "load-curve", "chaos"]
+    )
+    def test_cheap_full_tier_reproduces(self, name):
+        baseline = load_record(
+            baseline_path(name, quick=False, results_dir=RESULTS)
+        )
+        current = run_suite(name, seed=baseline["seed"], quick=False)
+        result = compare_records(baseline, current, get_suite(name).gate)
+        assert result.ok, result.describe()

@@ -35,8 +35,24 @@ class TestMakeAndValidate:
         assert record["quick"] is True
         validate_record(record)
 
+    def test_hand_built_record_accepted(self):
+        """A literal record, not produced by make_record, validates."""
+        validate_record(
+            {
+                "schema": SCHEMA_VERSION,
+                "suite": "kernels",
+                "seed": 0,
+                "quick": False,
+                "rows": [
+                    {"kernel": "k", "n": 8, "seed": 0, "wall_s": 0.1, "rounds": 3}
+                ],
+                "meta": {},
+            }
+        )
+
     def test_row_columns_serialized_in_order(self):
-        record = make_record("kernels", [_row()])
+        scrambled = dict(reversed(list(_row().items())))
+        record = make_record("kernels", [scrambled])
         assert tuple(record["rows"][0]) == ROW_KEYS
 
     def test_metrics_sorted_and_kept(self):
@@ -58,6 +74,8 @@ class TestMakeAndValidate:
             ({"quick": 1}, "quick"),
             ({"rows": []}, "rows"),
             ({"meta": None}, "meta"),
+            ({"rows": {"rows": []}}, "rows"),
+            ({"rows": [_row(wall_s=float("nan"))]}, "wall_s"),
         ],
     )
     def test_bad_record_rejected(self, mutation, match):
@@ -77,6 +95,14 @@ class TestMakeAndValidate:
             ({**_row(), "extra": 1}, "columns"),
             (_row(metrics={"flag": True}), "number or str"),
             (_row(metrics={"bad": [1]}), "number or str"),
+            (_row(rounds="3"), "rounds"),
+            (_row(rounds=float("inf")), "rounds"),
+            (
+                {k: v for k, v in _row().items() if k != "rounds"},
+                "columns",
+            ),
+            (dict(reversed(list(_row().items()))), "columns"),
+            (_row(metrics={"p50": float("nan")}), "finite"),
         ],
     )
     def test_bad_row_rejected(self, bad_row, match):
@@ -110,6 +136,14 @@ class TestRoundTrip:
         )
         write_record(record, path)
         assert load_record(path) == record
+
+    def test_non_finite_never_written(self, tmp_path):
+        path = tmp_path / "kernels.json"
+        record = make_record("kernels", [_row()])
+        record["rows"][0]["wall_s"] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            write_record(record, str(path))
+        assert not path.exists()
 
     def test_written_file_is_diffable_json(self, tmp_path):
         path = str(tmp_path / "kernels.json")

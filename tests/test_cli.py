@@ -461,6 +461,18 @@ class TestBench:
         assert main(["bench", "faults", "kernels", "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "1"), ("--out", "x.json")]
+    )
+    def test_check_rejects_seed_and_out(self, flag, value, tmp_path, capsys):
+        """The gate runs at each baseline's own seed and writes nothing,
+        so either flag could only be silently wrong."""
+        results = str(tmp_path / "results")
+        argv = ["bench", "faults", "--check", "--results", results]
+        assert main(argv + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_quick_run_then_check_round_trips(self, tmp_path, capsys):
         import json
 

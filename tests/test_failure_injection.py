@@ -341,6 +341,41 @@ class TestReliableDeliveryUnderFaults:
         assert faulty.fault_rounds() == faulty.result.fault_rounds
 
 
+class TestDeliveryCurve:
+    """Delivery vs. per-link drop rate for the reliable forwarder."""
+
+    @staticmethod
+    def _deliver(rate, seed, n=32):
+        graph = random_regular(n, 6, derive_rng(seed, n))
+        origins, targets = _neighbor_demands(graph)
+        faults = None
+        if rate:
+            faults = FaultPlan(
+                FaultSpec(drop=rate), rng=derive_rng(seed, n, 7)
+            )
+        return reliable_forward_demands(
+            graph, origins, targets, faults=faults
+        )
+
+    def test_full_delivery_and_monotone_overhead(self):
+        curve = [self._deliver(rate, seed=1) for rate in (0.0, 0.05, 0.2)]
+        assert [report.delivered for report in curve] == [32, 32, 32]
+        assert curve[0].retry_rounds == 0
+        assert curve[0].rounds == curve[0].ideal_rounds
+        rounds = [report.rounds for report in curve]
+        assert rounds == sorted(rounds)
+        assert curve[-1].retransmissions > 0
+
+    def test_curve_reproducible(self):
+        first = self._deliver(0.1, seed=3)
+        again = self._deliver(0.1, seed=3)
+        assert (first.rounds, first.messages, first.retransmissions) == (
+            again.rounds,
+            again.messages,
+            again.retransmissions,
+        )
+
+
 class TestCrashWindows:
     """Crash windows recover — or time out loudly.  Never silence."""
 

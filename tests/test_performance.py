@@ -60,7 +60,7 @@ class TestKernelSpeed:
     def test_scheduler_throughput(self, big_graph):
         """4096 packets x 64 hops through the vectorized scheduler —
         sub-second when vectorized, ~10x ceiling against regression."""
-        from repro.analysis.perf import circulation_paths
+        from repro.analysis.workloads import circulation_paths
         from repro.baselines import schedule_paths
 
         paths = circulation_paths(big_graph, 4096, 64)
