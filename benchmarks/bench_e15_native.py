@@ -1,11 +1,13 @@
 """E15 — fidelity closure: native message passing vs. charged rounds.
 
-Regenerates the toy-scale comparison between a fully message-passing G0
-(overlay edges are embedded walk paths; deliveries run store-and-forward
-under per-edge capacity) and the vectorized pipeline's charged costs.
-The stable ~0.4-0.5x ratio (native pipelines across walk steps; the
-charge uses per-step barriers) licenses the accounting at larger sizes.
-The benchmark timer measures one native G0 construction.
+Regenerates the toy-scale comparison between a native G0 (construction
+walks executed as messages forward and back, the executed Lemma 2.5
+schedule; overlay edges are embedded walk paths; deliveries run
+store-and-forward under per-edge capacity) and the vectorized
+pipeline's charged costs.  The stable ~0.4-0.5x round ratio (native
+pipelines across walk steps; the charge uses per-step barriers)
+licenses the accounting at larger sizes.  The benchmark timer measures
+one native G0 construction.
 """
 
 import numpy as np

@@ -7,7 +7,8 @@ behaviour can be inspected directly:
 1. flooding BFS and broadcast,
 2. leader election + shared-seed dissemination (the Section 3.1.2 step),
 3. pipelined min-collection over a BFS tree (the GKP phase-2 engine),
-4. the forward+reverse walk protocol (the Section 3.1.1 mechanic),
+4. a walk batch replayed as messages, forward and back (the Section
+   3.1.1 mechanic),
 5. full message-passing Boruvka, cross-checked against Kruskal.
 
 Run:  python examples/congest_playground.py [n]
@@ -25,9 +26,10 @@ from repro.congest import (
     build_bfs_tree,
     disseminate_seed,
     pipelined_min_collect,
-    run_walk_protocol,
+    replay_walk_run,
 )
 from repro.graphs import random_regular, with_random_weights
+from repro.walks import WalkRun, run_lazy_walks
 
 
 def main() -> None:
@@ -56,13 +58,19 @@ def main() -> None:
     print(f"    5 smallest of {n} items at the root in {rounds} rounds: "
           f"{[int(k) for k, __ in collected]}")
 
-    print("=== 4. Walk protocol: forward + remembered-direction reverse")
+    print("=== 4. Walks as messages: forward, then back to the origins")
     starts = rng.integers(0, n, size=3 * n)
-    outcome = run_walk_protocol(graph, starts, 10, seed=31)
-    returned = bool(np.array_equal(outcome.returned_to, starts))
-    print(f"    {3 * n} tokens, 10 steps: forward "
-          f"{outcome.forward_rounds} rounds, reverse "
-          f"{outcome.reverse_rounds} rounds, all returned: {returned}")
+    run = run_lazy_walks(
+        graph, starts, 10, np.random.default_rng(31), record_trajectory=True
+    )
+    forward = replay_walk_run(graph, run)
+    # The reverse pass retraces every token's arcs, last step first.
+    back = WalkRun(starts=run.positions, positions=starts, steps=run.steps)
+    back.trajectory = run.trajectory[::-1]
+    reverse = replay_walk_run(graph, back)
+    print(f"    {3 * n} tokens, 10 steps: forward {forward.rounds} rounds "
+          f"(Lemma 2.5 charges {run.schedule_rounds()}), reverse "
+          f"{reverse.rounds} rounds")
 
     print("=== 5. Message-passing Boruvka vs the accounted model")
     weighted = with_random_weights(graph, rng)

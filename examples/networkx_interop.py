@@ -3,8 +3,8 @@
 Loads a NetworkX-generated topology (a connected Watts–Strogatz small
 world standing in for a measured overlay snapshot), converts it with
 :func:`repro.graphs.from_networkx`, inspects its expansion profile, and
-runs the full routing pipeline plus the message-passing walk protocol on
-it.
+runs the full routing pipeline on it, plus a walk batch executed as
+CONGEST messages.
 
 Run:  python examples/networkx_interop.py [n]
 """
@@ -15,9 +15,9 @@ import numpy as np
 
 from repro import Params
 from repro.core import Router, build_hierarchy
-from repro.congest import Network, run_walk_protocol
+from repro.congest import replay_walk_run
 from repro.graphs import from_networkx, spectral_gap, to_networkx
-from repro.walks import estimate_mixing_time
+from repro.walks import estimate_mixing_time, run_lazy_walks
 
 
 def main() -> None:
@@ -42,13 +42,15 @@ def main() -> None:
           f"{result.cost_rounds:,.0f} rounds "
           f"({result.num_phases} phase(s))")
 
-    print("=== Message-passing walk protocol (Section 3.1.1's mechanic)")
+    print("=== Walks as messages (Section 3.1.1's mechanic)")
     starts = rng.integers(0, n, size=40)
-    outcome = run_walk_protocol(graph, starts, 12, seed=5)
-    returned = bool(np.array_equal(outcome.returned_to, starts))
-    print(f"    40 tokens, 12 steps: forward {outcome.forward_rounds} "
-          f"rounds, reverse {outcome.reverse_rounds} rounds")
-    print(f"    every token returned to its origin: {returned}")
+    run = run_lazy_walks(
+        graph, starts, 12, np.random.default_rng(5), record_trajectory=True
+    )
+    replay = replay_walk_run(graph, run)
+    print(f"    40 tokens, 12 steps: {replay.rounds} rounds and "
+          f"{replay.messages} messages executed; Lemma 2.5 charges "
+          f"{run.schedule_rounds()} rounds")
 
     print("=== Round-trip back to NetworkX")
     back = to_networkx(graph)

@@ -38,8 +38,8 @@ echo "== bench regression gate (quick tier vs committed baselines)"
 # Runs every registry suite at quick sizes and compares the
 # seed-deterministic columns (rounds, served/error counts, round
 # percentiles) exactly against benchmarks/results/<suite>.quick.json;
-# the tripwire suite also enforces three wall budgets: native_build,
-# native_open and warm_route.
+# the tripwire suite also enforces three wall budgets:
+# native_embedded_build, native_open and warm_route.
 # Refresh a baseline with: python -m repro bench <suite> --quick
 python -m repro bench --check
 

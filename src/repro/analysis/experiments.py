@@ -610,10 +610,14 @@ def native_fidelity(
 ) -> list[dict]:
     """E15: CONGEST-native G0 vs. the vectorized calibration.
 
-    Builds the level-zero overlay twice at toy scale — once through real
-    message passing with embedded paths (``repro.congest.native``), once
-    through the vectorized pipeline — and compares the cost of one G0
-    round under each.
+    Builds the level-zero overlay twice at toy scale from the same
+    seed: once natively (``repro.congest.build_native_g0``: the walk
+    batch executed as messages forward and back, overlay edges kept as
+    embedded paths), once through the vectorized pipeline.
+    ``native_build`` is the executed Lemma 2.5 schedule of both passes,
+    ``charged_build`` what ``build_g0`` charges for them;
+    ``native_round`` is one store-and-forward delivery along the
+    embedded paths, ``charged_round`` the per-step-barrier charge.
     """
     from ..congest.native import build_native_g0
     from ..graphs import mixing_time, random_regular

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from numbers import Number
 from typing import Any, Mapping
 
+from .schema import keyed_rows
+
 __all__ = ["GatePolicy", "GateResult", "compare_records"]
 
 #: Relative tolerance for float metric equality (serialization jitter
@@ -64,10 +66,6 @@ class GateResult:
         return "\n".join(lines)
 
 
-def _row_key(row: Mapping[str, Any]) -> tuple:
-    return (row["kernel"], row["n"], row["seed"])
-
-
 def _values_equal(baseline: Any, current: Any) -> bool:
     if isinstance(baseline, Number) and isinstance(current, Number):
         base = float(baseline)
@@ -84,15 +82,19 @@ def compare_records(
     current: Mapping[str, Any],
     policy: GatePolicy,
 ) -> GateResult:
-    """Gate ``current`` against the committed ``baseline`` record."""
+    """Gate ``current`` against the committed ``baseline`` record.
+
+    Raises ``ValueError`` if either record holds two rows under one
+    ``(kernel, n, seed)`` key.
+    """
     result = GateResult(suite=str(current.get("suite", "?")))
     if baseline.get("suite") != current.get("suite"):
         result.failures.append(
             f"suite mismatch: baseline {baseline.get('suite')!r} vs "
             f"current {current.get('suite')!r}"
         )
-    base_rows = {_row_key(row): row for row in baseline["rows"]}
-    cur_rows = {_row_key(row): row for row in current["rows"]}
+    base_rows = keyed_rows(baseline["rows"])
+    cur_rows = keyed_rows(current["rows"])
 
     for key in sorted(base_rows):
         if key not in cur_rows:

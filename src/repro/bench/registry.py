@@ -42,7 +42,8 @@ __all__ = [
 #: Where committed baselines live, relative to the repo root.
 RESULTS_DIR = os.path.join("benchmarks", "results")
 
-#: The native-build tripwire budget: 20% of the pre-vectorization 27 s.
+#: The native embedded-build tripwire budget: 20% of the
+#: pre-vectorization 27 s.
 TRIPWIRE_BUDGET_S = 5.4
 
 #: The native-open tripwire budget: about twice the array replay's
@@ -124,7 +125,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             name="kernels",
             title="pinned kernel suite (walks, scheduler, simulator, "
-            "native build, end-to-end)",
+            "native embedded build, end-to-end)",
             runner=suites.kernels,
         ),
         Suite(
@@ -141,8 +142,8 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             name="engine",
-            title="vectorized-engine suite (scalar-vs-array walks, "
-            "large native builds)",
+            title="large-n suite (embedded-path native G0 + level-1 "
+            "builds)",
             runner=suites.engine,
         ),
         Suite(
@@ -153,7 +154,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             name="tripwire",
-            title="wall-budget canaries (native build n=256, "
+            title="wall-budget canaries (native embedded build n=256, "
             f"{TRIPWIRE_BUDGET_S}s; native open n=128, "
             f"{NATIVE_OPEN_BUDGET_S}s; warm route p50 n=512, "
             f"{WARM_ROUTE_BUDGET_S}s)",
@@ -162,7 +163,7 @@ SUITES: dict[str, Suite] = {
                 exact=("rounds",),
                 exact_metrics=("executed_rounds",),
                 wall_budget_s={
-                    "native_build": TRIPWIRE_BUDGET_S,
+                    "native_embedded_build": TRIPWIRE_BUDGET_S,
                     "native_open": NATIVE_OPEN_BUDGET_S,
                     "warm_route": WARM_ROUTE_BUDGET_S,
                 },

@@ -42,6 +42,7 @@ from typing import Any, Mapping, Optional, Sequence
 __all__ = [
     "ROW_KEYS",
     "SCHEMA_VERSION",
+    "keyed_rows",
     "load_record",
     "make_record",
     "validate_record",
@@ -53,6 +54,23 @@ SCHEMA_VERSION = "repro-bench/v1"
 
 #: The required row columns, in serialization order.
 ROW_KEYS = ("kernel", "n", "seed", "wall_s", "rounds")
+
+
+def keyed_rows(rows: Sequence[Mapping[str, Any]]) -> dict[tuple, Any]:
+    """Rows by their ``(kernel, n, seed)`` key, one row per key.
+
+    Raises ``ValueError`` naming the first repeated key: the gate
+    compares one row per key, so a repeat would go unchecked.
+    """
+    keyed: dict[tuple, Any] = {}
+    for index, row in enumerate(rows):
+        key = (row["kernel"], row["n"], row["seed"])
+        if key in keyed:
+            raise ValueError(
+                f"row {index} repeats the key (kernel, n, seed) = {key!r}"
+            )
+        keyed[key] = row
+    return keyed
 
 
 def make_record(
@@ -96,7 +114,8 @@ def _normalize_row(row: Mapping[str, Any]) -> dict[str, Any]:
 def validate_record(payload: object) -> None:
     """Assert ``payload`` is a well-formed v1 record.
 
-    Raises ``ValueError`` describing the first violation.
+    Raises ``ValueError`` describing the first violation, including a
+    row whose ``(kernel, n, seed)`` key an earlier row already holds.
     """
     if not isinstance(payload, dict):
         raise ValueError(
@@ -119,6 +138,7 @@ def validate_record(payload: object) -> None:
         raise ValueError("bench record rows must be a non-empty list")
     for index, row in enumerate(rows):
         _validate_row(index, row)
+    keyed_rows(rows)
     if not isinstance(payload.get("meta"), dict):
         raise ValueError("bench record meta must be a dict")
 

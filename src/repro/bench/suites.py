@@ -7,9 +7,10 @@ to run them.  Every runner derives all randomness from ``seed``, so
 bit-for-bit; only wall times are machine-dependent.
 
 Where a suite times a fast engine against its oracle (the scheduler
-pair, the walk-protocol pair, warm vs. cold serving, the cache-hit
-re-open), it checks the two agree *before* any row is reported — a
-record can never show a speedup bought by changed semantics.
+pair, the per-node simulator against the walk engine's charge, warm
+vs. cold serving, the cache-hit re-open), it checks the two agree
+*before* any row is reported — a record can never show a speedup bought
+by changed semantics.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from ..baselines.routing_baselines import schedule_paths
 from ..baselines.routing_baselines_ref import schedule_paths_ref
 from ..congest.detector import run_heartbeat_detector
 from ..congest.faults import FaultPlan, FaultSpec
+from ..congest.forwarding import _forward_demands_scalar
 from ..congest.native import build_native_g0, build_native_level1
 from ..congest.reliable import reliable_forward_demands
-from ..congest.walk_protocol import run_walk_protocol
 from ..core import MstRunner, Router, build_hierarchy
 from ..graphs import (
     hypercube,
@@ -100,11 +101,14 @@ def _regular(seed: int, n: int, degree: int = 6):
     return random_regular(n, degree, derive_rng(seed, n))
 
 
-def _native_build_row(seed: int, n: int) -> dict:
-    """The native G0 + level-1 hierarchy build on ``random_regular(n, 6)``.
+def _native_embedded_build_row(seed: int, n: int) -> dict:
+    """The embedded-path native G0 + level-1 build (experiment E15's
+    pipeline) on ``random_regular(n, 6)``.
 
-    The one workload behind every ``native_build`` row: the kernels and
-    engine suites run it at their sizes, the tripwire at its budget's.
+    ``rounds`` is the executed construction: the G0 walks' forward and
+    reverse passes plus the level-1 chain schedule.  The one workload
+    behind every ``native_embedded_build`` row: the kernels and engine
+    suites run it at their sizes, the tripwire at its budget's.
     """
     graph = _regular(seed, n)
     tau = mixing_time(graph)
@@ -123,7 +127,7 @@ def _native_build_row(seed: int, n: int) -> dict:
         return g0.build_rounds + level1.build_rounds
 
     wall, rounds = _timed(build)
-    return _row("native_build", n, seed, wall, int(rounds))
+    return _row("native_embedded_build", n, seed, wall, int(rounds))
 
 
 def _fault_plan(text: str, seed: int, n: int, label: int):
@@ -187,22 +191,40 @@ def _scheduler(seed: int, quick: bool) -> list[dict]:
 
 
 def _simulator(seed: int, quick: bool) -> list[dict]:
+    """The per-node simulator replaying the moving steps of one walk
+    batch, with outbox validation on and off."""
     rows = []
     for n, length in [(48, 8)] if quick else [(64, 16), (128, 16)]:
         graph = _regular(seed, n)
-        starts = np.repeat(np.arange(n), 2)
+        run = run_lazy_walks(
+            graph,
+            np.repeat(np.arange(n), 2),
+            length,
+            derive_rng(seed, n, 6),
+            record_trajectory=True,
+        )
+        steps = []
+        for before, after in zip(run.trajectory, run.trajectory[1:]):
+            moved = before != after
+            if moved.any():
+                steps.append((before[moved], after[moved]))
         for kernel, mode in (
             ("simulator", "full"),
             ("simulator_novalidate", "off"),
         ):
-            wall, outcome = _timed(
-                lambda: run_walk_protocol(
-                    graph, starts, length, seed=seed + n, validate=mode
+            wall, executed = _timed(
+                lambda: sum(
+                    _forward_demands_scalar(graph, *step, validate=mode)[0]
+                    for step in steps
                 ),
                 repeats=1 if quick else 3,
             )
-            rounds = outcome.forward_rounds + outcome.reverse_rounds
-            rows.append(_row(kernel, n, seed, wall, int(rounds)))
+            if executed != sum(run.edge_congestion):
+                raise AssertionError(
+                    f"the simulator executed {executed} rounds but the "
+                    f"walk engine charged {sum(run.edge_congestion)}"
+                )
+            rows.append(_row(kernel, n, seed, wall, int(executed)))
     return rows
 
 
@@ -243,7 +265,10 @@ def kernels(seed: int, quick: bool) -> list[dict]:
         _walk_engine(seed, quick)
         + _scheduler(seed, quick)
         + _simulator(seed, quick)
-        + [_native_build_row(seed, n) for n in ((32,) if quick else (64, 256))]
+        + [
+            _native_embedded_build_row(seed, n)
+            for n in ((32,) if quick else (64, 256))
+        ]
         + _end_to_end(seed, quick)
     )
 
@@ -283,8 +308,7 @@ def recovery(seed: int, quick: bool) -> list[dict]:
     ``heartbeat_detect`` (failure detection under a temporary crash
     window), ``selfheal_forward_park`` (forwarding waits the window out),
     ``selfheal_forward_rehome`` (demands to permanently dead targets are
-    re-homed), ``selfheal_walk_avoid`` (walks confined to the live
-    subgraph) and ``selfheal_route_failover`` (an end-to-end route over
+    re-homed) and ``selfheal_route_failover`` (an end-to-end route over
     dead portal hosts).
     """
     crashes = 3 if quick else 6
@@ -322,21 +346,6 @@ def recovery(seed: int, quick: bool) -> list[dict]:
             )
             rows.append(_row(kernel, n, seed, wall, int(delivery.rounds)))
 
-        starts = np.repeat(np.arange(n), 2)
-        wall, outcome = _timed(
-            lambda: run_walk_protocol(
-                graph,
-                starts,
-                8,
-                seed=seed + n,
-                faults=_fault_plan(perm, seed, n, 12),
-                recovery="self-heal",
-            ),
-            repeats=repeats,
-        )
-        rounds = outcome.forward_rounds + outcome.reverse_rounds
-        rows.append(_row("selfheal_walk_avoid", n, seed, wall, int(rounds)))
-
     n = 32 if quick else 64
     graph = _regular(seed, n)
     wall, outcome = _timed(
@@ -363,41 +372,11 @@ def recovery(seed: int, quick: bool) -> list[dict]:
 # -- engine --------------------------------------------------------------
 
 
-def _walk_protocol_pair(seed: int, quick: bool) -> list[dict]:
-    rows = []
-    for n, length in [(64, 8)] if quick else [(128, 12), (512, 16)]:
-        graph = _regular(seed, n)
-        starts = np.repeat(np.arange(n), 2)
-        wall_vec, vec = _timed(
-            lambda: run_walk_protocol(
-                graph, starts, length, seed=seed + n, engine="vectorized"
-            ),
-            repeats=1 if quick else 3,
-        )
-        wall_sca, sca = _timed(
-            lambda: run_walk_protocol(
-                graph, starts, length, seed=seed + n, engine="scalar"
-            )
-        )
-        if (
-            not np.array_equal(vec.endpoints, sca.endpoints)
-            or not np.array_equal(vec.returned_to, sca.returned_to)
-            or (vec.forward_rounds, vec.reverse_rounds, vec.messages)
-            != (sca.forward_rounds, sca.reverse_rounds, sca.messages)
-        ):
-            raise AssertionError(
-                "walk-protocol engines diverged on the bench workload"
-            )
-        total = int(vec.forward_rounds + vec.reverse_rounds)
-        rows.append(_row("walk_protocol_vec", n, seed, wall_vec, total))
-        rows.append(_row("walk_protocol_scalar", n, seed, wall_sca, total))
-    return rows
-
-
 def engine(seed: int, quick: bool) -> list[dict]:
-    """Scalar-vs-array walk protocol, then native builds at large n."""
-    return _walk_protocol_pair(seed, quick) + [
-        _native_build_row(seed, n) for n in ((128,) if quick else (512, 1024))
+    """Embedded-path native builds at large n."""
+    return [
+        _native_embedded_build_row(seed, n)
+        for n in ((128,) if quick else (512, 1024))
     ]
 
 
@@ -562,7 +541,7 @@ def tripwire(seed: int, quick: bool) -> list[dict]:
     """The wall-budget canaries, at their pinned sizes in both tiers."""
     del quick
     return [
-        _native_build_row(seed, 256),
+        _native_embedded_build_row(seed, 256),
         _native_open_row(seed),
         _warm_route_row(seed),
     ]

@@ -41,17 +41,6 @@ from .reliable import (
     ReliableForwarder,
     reliable_forward_demands,
 )
-from .walk_engine_vec import (
-    TrajectoryBatch,
-    VecPassStats,
-    VecProtocolResult,
-    forward_pass_vec,
-    run_walk_protocol_vec,
-    sample_trajectories,
-    simulate_walk_timing,
-)
-from .walk_protocol import WalkProtocolOutcome, run_walk_protocol
-from .walk_state import ForwardWalkNode, ReverseWalkNode, WalkState, WalkTape
 
 __all__ = [
     "MAX_WAIT_ROUNDS",
@@ -89,17 +78,4 @@ __all__ = [
     "BfsNode",
     "broadcast_value",
     "build_bfs_tree",
-    "WalkProtocolOutcome",
-    "run_walk_protocol",
-    "ForwardWalkNode",
-    "ReverseWalkNode",
-    "WalkState",
-    "WalkTape",
-    "TrajectoryBatch",
-    "VecPassStats",
-    "VecProtocolResult",
-    "forward_pass_vec",
-    "run_walk_protocol_vec",
-    "sample_trajectories",
-    "simulate_walk_timing",
 ]

@@ -4,26 +4,24 @@ The fastest paths in this library treat overlay graphs abstractly and
 charge measured emulation costs.  This module builds the level-zero
 overlay the way the distributed algorithm actually does, end to end:
 
-1. the construction walks run through the message-passing walk protocol
-   (per-edge queues, remembered directions, reversal);
+1. the construction walks are sampled by the walk engine with their
+   trajectories recorded, and :func:`replay_walk_run` executes them as
+   messages twice: the forward pass, then the reverse pass that brings
+   every endpoint back to its origin along the same arcs;
 2. every overlay edge *keeps the walk path that created it* — the
    embedded route its messages will travel;
 3. delivering one message per overlay edge (one native ``G0`` round) is
    executed by store-and-forward scheduling of those embedded paths
    under unit edge capacity.
 
-The native round cost is then compared against the vectorized
-calibration of :func:`repro.core.embedding.build_g0` (see
-``tests/congest/test_native.py``) — closing the loop between the
-accounted and the executed pipeline.
-
-The construction walks default to the array-native engine
-(:mod:`repro.congest.walk_engine_vec`), which executes the identical
-protocol — same tape, same queues, same rounds — from flat numpy state,
-keeping base graphs up to ``n ~ 4096`` practical; the per-node scalar
-simulation is retained (``engine="scalar"``) as the equivalence oracle.
-The level-1 construction batches its sampling walks over the overlay
-CSR and assembles the embedded chains with array ops.
+The walk replay is the one the native backend runs for every walk
+batch, so this module and :class:`repro.runtime.NativeBackend` share a
+single message-passing walk executor, checked under
+``validate="full"`` by the per-node simulator on sampled steps.  The
+native round cost is compared against the vectorized calibration of
+:func:`repro.core.embedding.build_g0` (experiment E15).  The level-1
+construction batches its sampling walks over the overlay CSR and
+assembles the embedded chains with array ops.
 """
 
 from __future__ import annotations
@@ -34,12 +32,12 @@ from itertools import chain as _chain
 import numpy as np
 
 from ..baselines.routing_baselines import schedule_paths, schedule_paths_csr
+from ..core.embedding import VirtualNodes
+from ..core.sampling import group_select
 from ..graphs.graph import Graph
 from ..rng import derive_rng
+from ..walks.engine import WalkRun, run_lazy_walks
 from .forwarding import _forward_demands_scalar, forward_demands
-from .network import Network
-from .walk_engine_vec import forward_pass_vec
-from .walk_state import ForwardWalkNode, WalkState, WalkTape
 
 __all__ = [
     "NativeG0",
@@ -62,8 +60,8 @@ class NativeG0:
         vnode_host: real node of each virtual node.
         edge_paths: per overlay edge, the real-node path embedding it
             (from the tail's host to the head's host).
-        build_rounds: CONGEST rounds of the construction (forward +
-            reverse walk protocol).
+        forward: the executed forward pass of the construction walks.
+        reverse: the executed reverse pass (endpoints back to origins).
         round_rounds: measured rounds of one native overlay round
             (one message per overlay edge, both directions).
     """
@@ -72,105 +70,25 @@ class NativeG0:
     overlay: Graph
     vnode_host: np.ndarray
     edge_paths: list[list[int]]
-    build_rounds: int
+    forward: WalkReplay
+    reverse: WalkReplay
     round_rounds: int
 
-
-def _forward_pass_with_paths(
-    graph: Graph,
-    starts: np.ndarray,
-    length: int,
-    seed: int,
-    validate: str = "full",
-    engine: str = "vectorized",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run the forward walk protocol and reconstruct each token's path.
-
-    Both engines read the same :class:`WalkTape`, so endpoints, paths
-    and rounds are bit-identical; ``engine="scalar"`` runs the per-node
-    oracle through the simulator, the default runs the array engine.
-    Returns ``(endpoints, flat, pptr, rounds)``; walk ``w``'s path is
-    ``flat[pptr[w]:pptr[w + 1]]`` — the real nodes the token moved
-    through (stays omitted), starting at its origin.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    num_walks = int(starts.shape[0])
-    tape = WalkTape.sample(seed, num_walks, length)
-    if engine == "vectorized":
-        endpoints, batch, rounds = forward_pass_vec(graph, starts, tape)
-        # Inflate the move CSR into per-walk paths (origin first).
-        counts = batch.move_counts()
-        pptr = np.zeros(num_walks + 1, dtype=np.int64)
-        np.cumsum(counts + 1, out=pptr[1:])
-        flat = np.empty(int(pptr[-1]), dtype=np.int64)
-        flat[pptr[:-1]] = starts
-        content = np.ones(flat.shape[0], dtype=bool)
-        content[pptr[:-1]] = False
-        flat[content] = batch.mv_target
-        return endpoints, flat, pptr, rounds
-    if engine != "scalar":
-        raise ValueError(
-            f"engine must be 'vectorized' or 'scalar', got {engine!r}"
-        )
-    network = Network(graph)
-    n = graph.num_nodes
-    states = [WalkState() for _ in range(n)]
-    per_node: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for walk_id, origin in enumerate(starts):
-        per_node[int(origin)].append((walk_id, length))
-    forward = [
-        ForwardWalkNode(network.context(v), states[v], tape, per_node[v])
-        for v in range(n)
-    ]
-    stats = network.run(
-        forward, max_rounds=10000 * (length + 1), validate=validate
-    )
-    endpoints = np.full(starts.shape[0], -1, dtype=np.int64)
-    for v, state in enumerate(states):
-        for walk_id in state.finished_here:
-            endpoints[walk_id] = v
-    # Reconstruct paths by replaying the reversal centrally: pop the
-    # visit stacks from the endpoint back to the origin.
-    stacks = [
-        {walk: list(senders) for walk, senders in state.visit_stack.items()}
-        for state in states
-    ]
-    paths: list[list[int]] = []
-    for walk_id, origin in enumerate(starts):
-        node = int(endpoints[walk_id])
-        reverse_path = [node]
-        while True:
-            stack = stacks[node].get(walk_id)
-            if not stack:
-                break
-            node = stack.pop()
-            reverse_path.append(node)
-        if reverse_path[-1] != int(origin):
-            raise RuntimeError("path reconstruction lost the origin")
-        paths.append(list(reversed(reverse_path)))
-    pptr = np.zeros(num_walks + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(map(len, paths), dtype=np.int64, count=num_walks),
-        out=pptr[1:],
-    )
-    flat = np.fromiter(
-        _chain.from_iterable(paths), dtype=np.int64, count=int(pptr[-1])
-    )
-    return endpoints, flat, pptr, stats.rounds
+    @property
+    def build_rounds(self) -> int:
+        """CONGEST rounds of the construction: forward plus reverse."""
+        return self.forward.rounds + self.reverse.rounds
 
 
-def _reverse_rows_csr(flat: np.ndarray, pptr: np.ndarray) -> np.ndarray:
-    """Reverse each CSR row in place-order: row ``w`` of the result is
-    row ``w`` of ``flat`` backwards."""
-    total = int(flat.shape[0])
-    counts = np.diff(pptr)
-    walk_of = np.repeat(
-        np.arange(counts.shape[0], dtype=np.int64), counts
-    )
-    mirror = pptr[walk_of] + pptr[walk_of + 1] - 1 - np.arange(
-        total, dtype=np.int64
-    )
-    return flat[mirror]
+def _moving_paths(trajectories: np.ndarray) -> list[list[int]]:
+    """Per column of a ``(steps + 1, walks)`` trajectory, the nodes the
+    walk moved through, starting at its origin (stays omitted)."""
+    rows = trajectories.T
+    keep = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=keep[:, 1:])
+    bounds = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).tolist()
+    flat = rows[keep].tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def build_native_g0(
@@ -179,74 +97,54 @@ def build_native_g0(
     degree: int,
     length: int,
     seed: int = 0,
-    validate: str = "full",
-    engine: str = "vectorized",
 ) -> NativeG0:
     """Build a native ``G0`` with embedded paths and measure one round.
 
-    The construction walks run through the walk-protocol engine
-    (array-native by default, the per-node scalar oracle with
-    ``engine="scalar"`` — same tape, bit-identical outcome); everything
-    downstream (path delivery, native-round measurement) goes through
-    the vectorized scheduler, which keeps ``n ~ 1024`` and beyond
-    practical.
+    The construction walks are sampled by
+    :func:`repro.walks.run_lazy_walks` from ``derive_rng(seed)`` with
+    their trajectories recorded.  :func:`replay_walk_run` executes the
+    forward pass (whose rounds equal the batch's Lemma 2.5
+    ``schedule_rounds()``) and then the reverse pass on the same
+    trajectory backwards, which returns every endpoint to its origin.
+    Each virtual node keeps up to ``degree`` distinct endpoints with
+    :func:`repro.core.sampling.group_select`, the selection
+    :func:`repro.core.embedding.build_g0` uses, and each kept edge
+    embeds the moving steps of the walk that found it.
 
     Args:
         graph: connected base graph.
         walks_per_vnode: construction walks per virtual node.
         degree: out-neighbours kept per virtual node.
         length: walk length (use ``~2 tau_mix``).
-        seed: seed of the shared walk-decision tape.
-        validate: outbox-validation mode for the simulator (see
-            :meth:`repro.congest.network.Network.run`; scalar engine
-            only).
-        engine: ``"vectorized"`` or ``"scalar"``.
+        seed: randomness seed.
     """
     if not graph.is_connected():
         raise ValueError("native G0 requires a connected graph")
-    vnode_host = graph.arc_tails
-    num_vnodes = int(vnode_host.shape[0])
-    starts = np.repeat(vnode_host, walks_per_vnode)
-    owners = np.repeat(np.arange(num_vnodes), walks_per_vnode)
-    endpoints, path_flat, path_ptr, build_rounds = _forward_pass_with_paths(
-        graph, starts, length, seed, validate=validate, engine=engine
-    )
-    # The reversal (to tell sources their endpoints) costs about the same
-    # again; run it through the scheduler on the row-reversed paths.
-    reverse = schedule_paths_csr(
-        _reverse_rows_csr(path_flat, path_ptr),
-        path_ptr,
-        rng=derive_rng(seed, 98),
-    )
-    build_rounds += reverse.rounds
+    virtual = VirtualNodes(graph=graph, host=graph.arc_tails)
+    starts = np.repeat(virtual.host, walks_per_vnode)
+    owners = np.repeat(np.arange(virtual.count), walks_per_vnode)
+    rng = derive_rng(seed)
+    run = run_lazy_walks(graph, starts, length, rng, record_trajectory=True)
+    forward = replay_walk_run(graph, run)
+    # The reverse pass: each token retraces its arcs, last step first,
+    # carrying its endpoint home.
+    back = WalkRun(starts=run.positions, positions=starts, steps=run.steps)
+    back.trajectory = run.trajectory[::-1]  # type: ignore[attr-defined]
+    reverse = replay_walk_run(graph, back)
 
-    rng = derive_rng(seed, 99)
-    # Map endpoints to uniform virtual nodes of the landing hosts.
-    offsets = (
-        rng.random(endpoints.shape[0]) * graph.degrees[endpoints]
-    ).astype(np.int64)
-    target_vnodes = graph.indptr[endpoints] + offsets
-    # Select up to `degree` distinct targets per owner, remembering which
-    # walk produced each kept edge (for its path).
-    edges: list[tuple[int, int]] = []
-    edge_paths: list[list[int]] = []
-    by_owner: dict[int, dict[int, int]] = {}
-    for walk_id in range(owners.shape[0]):
-        owner = int(owners[walk_id])
-        target = int(target_vnodes[walk_id])
-        if target == owner:
-            continue
-        bucket = by_owner.setdefault(owner, {})
-        if target not in bucket and len(bucket) < degree:
-            bucket[target] = walk_id
-    path_list = path_flat.tolist()
-    for owner, bucket in sorted(by_owner.items()):
-        for target, walk_id in bucket.items():
-            edges.append((owner, target))
-            edge_paths.append(
-                path_list[int(path_ptr[walk_id]) : int(path_ptr[walk_id + 1])]
-            )
-    overlay = Graph(num_vnodes, edges)
+    # Endpoints land degree-proportionally on real nodes; a uniform
+    # virtual node of the endpoint is then uniform over virtual nodes.
+    targets = virtual.random_vnode_of(run.positions, rng)
+    edges = group_select(owners, targets, virtual.count, degree, rng)
+    # Each kept edge embeds the first of its owner's walks that found it.
+    walk_keys = owners * virtual.count + targets
+    order = np.argsort(walk_keys, kind="stable")
+    edge_walks = order[
+        np.searchsorted(
+            walk_keys[order], edges[:, 0] * virtual.count + edges[:, 1]
+        )
+    ]
+    edge_paths = _moving_paths(run.trajectory[:, edge_walks])
     # One native overlay round: a message along every edge, both ways.
     both_ways = edge_paths + [list(reversed(p)) for p in edge_paths]
     native_round = schedule_paths(
@@ -255,10 +153,11 @@ def build_native_g0(
     )
     return NativeG0(
         graph=graph,
-        overlay=overlay,
-        vnode_host=vnode_host,
+        overlay=Graph(virtual.count, edges),
+        vnode_host=virtual.host,
         edge_paths=edge_paths,
-        build_rounds=build_rounds,
+        forward=forward,
+        reverse=reverse,
         round_rounds=native_round.rounds,
     )
 

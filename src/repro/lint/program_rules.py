@@ -160,13 +160,11 @@ class LedgerCoverageRule(ProgramRule):
     # op and slices afterwards hands every executed round to the
     # per-request ledger view — same contract as charging directly.
     _CHARGE_ATTRS = {"charge", "absorb_ledger", "slice_from"}
-    # simulate_walk_timing and _forward_demands_array are the array
-    # round executors (walk protocol, one-hop forwarding): they play the
-    # queue/wire dynamics without a Network, so their rounds need the
-    # same coverage as a simulator run.
+    # _forward_demands_array is the array round executor (one-hop
+    # forwarding): it plays the queue/wire dynamics without a Network,
+    # so its rounds need the same coverage as a simulator run.
     _RUN_EXECUTORS = (
         "replay_walk_run",
-        "simulate_walk_timing",
         "_forward_demands_array",
     )
     # Serving ops invoked on a backend execute rounds behind an attribute

@@ -84,12 +84,10 @@ def keyed_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance all walks one step over a CSR adjacency.
 
-    The shared inner step of every walk engine in this repo —
-    :func:`run_lazy_walks`, :func:`run_regular_walks` and the trajectory
-    presampler in :mod:`repro.congest.walk_engine_vec` — so the arc
-    choice is the *same arithmetic* everywhere: ``floor(u * degree)``
-    with the uniform ``choice_u``, truncated exactly like the scalar
-    protocol's ``int(u * degree)``.
+    The shared inner step of :func:`run_lazy_walks` and
+    :func:`run_regular_walks`, so the arc choice is the *same
+    arithmetic* in both: ``floor(u * degree)`` with the uniform
+    ``choice_u``.
 
     Every token gets a *key*: its chosen arc, plus ``num_arcs`` if it
     moves.  One gather from :attr:`StepTable.landing` then yields every
@@ -181,7 +179,11 @@ def run_lazy_walks(
         steps: number of synchronous steps.
         rng: randomness source.
         record_trajectory: if True, attach ``run.trajectory`` of shape
-            ``(steps + 1, W)`` (memory-heavy; for tests).
+            ``(steps + 1, W)``, the positions before the first step and
+            after each step.  Memory-heavy; the native backend and
+            :func:`repro.congest.build_native_g0` record it so that
+            :func:`repro.congest.replay_walk_run` can execute the batch
+            as messages.
         node_loads: if True, also record ``run.max_node_load`` per step.
 
     Returns:

@@ -53,6 +53,20 @@ class TestCompareRecords:
         extra = compare_records(one, two, GatePolicy())
         assert any("refresh" in f for f in extra.failures)
 
+    def test_duplicate_row_keys_rejected(self):
+        """Two rows under one (kernel, n, seed) key: a dict keyed by it
+        kept only the last, so the first row's drift (5 -> 6) passed."""
+        with pytest.raises(ValueError, match=r"\('walk_engine', 64, 0\)"):
+            _record([_row(rounds=5), _row(rounds=7)])
+        baseline = {
+            "schema": "repro-bench/v1", "suite": "kernels", "seed": 0,
+            "quick": False, "meta": {},
+            "rows": [_row(rounds=5), _row(rounds=7)],
+        }
+        current = dict(baseline, rows=[_row(rounds=6), _row(rounds=7)])
+        with pytest.raises(ValueError, match="repeats the key"):
+            compare_records(baseline, current, GatePolicy())
+
     def test_suite_mismatch_fails(self):
         baseline = _record([_row()], suite="kernels")
         current = _record([_row()], suite="faults")

@@ -35,7 +35,7 @@ class TestBenchSuite:
             "scheduler_vectorized",
             "scheduler_reference",
             "simulator",
-            "native_build",
+            "native_embedded_build",
             "end_to_end_route",
             "end_to_end_mst",
         }

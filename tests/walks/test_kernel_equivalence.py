@@ -315,8 +315,8 @@ class TestWalkKernels:
     @kernel_settings
     @given(multigraphs(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_keyed_step_matches_oracle_on_live_subgraph(self, graph, seed):
-        # The presampler's use: a CSR filtered to live heads, where
-        # filtering can leave nodes with no arcs.
+        # A CSR filtered to a random subset of arcs, where filtering
+        # can leave nodes with no arcs (the has_isolated path).
         rng = np.random.default_rng(seed)
         keep = rng.random(graph.num_arcs) < 0.7
         tails = graph.arc_tails[keep]
