@@ -35,9 +35,11 @@ else
 fi
 
 echo "== bench regression gate (quick tier vs committed baselines)"
-# Runs every registry suite at quick sizes and compares the
-# seed-deterministic columns (rounds, served/error counts, round
-# percentiles) exactly against benchmarks/results/<suite>.quick.json;
+# Runs every registry suite at quick sizes (kernels, faults, recovery,
+# engine, serve, tripwire, serve-soak, load-curve, chaos, paper) and
+# compares the seed-deterministic columns (rounds, served/error counts,
+# round percentiles, every EXPERIMENTS.md table cell) exactly against
+# benchmarks/results/<suite>.quick.json;
 # the tripwire suite also enforces three wall budgets:
 # native_embedded_build, native_open and warm_route.
 # Refresh a baseline with: python -m repro bench <suite> --quick

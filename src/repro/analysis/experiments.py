@@ -1,9 +1,11 @@
-"""Experiment runners for the E1–E11 reproduction suite (see DESIGN.md §5).
+"""Experiment runners for the E1–E16 reproduction suite (see DESIGN.md §5).
 
-Each function returns a list of row dicts; ``benchmarks/bench_e*.py``
-print them next to the paper's claims, and EXPERIMENTS.md records the
-outcomes.  The paper is a theory paper, so every experiment reproduces a
-theorem/lemma-shaped claim rather than a testbed number.
+Each function returns a list of row dicts, one per table row.  The
+section table :data:`repro.analysis.report.SECTIONS` lists them with
+their full and quick arguments; the ``paper`` bench suite runs them and
+EXPERIMENTS.md is rendered from its record.  The paper is a theory
+paper, so every experiment reproduces a theorem/lemma-shaped claim
+rather than a testbed number.
 """
 
 from __future__ import annotations

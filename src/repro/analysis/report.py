@@ -1,25 +1,30 @@
-"""Regenerate EXPERIMENTS.md from live experiment runs.
+"""Render EXPERIMENTS.md from the committed ``paper`` bench record.
 
-Run:  python -m repro.analysis.report [output_path]
+:data:`SECTIONS` is the one table of the paper's experiments (DESIGN.md
+§5).  Each entry names its runner in :mod:`repro.analysis.experiments`,
+the arguments of its full and quick tiers, its table's column order, and
+the claim and outcome text around the table.  The ``paper`` bench suite
+(:func:`repro.bench.suites.paper`) runs every entry and records one row
+per table row; :func:`build_report` renders that record back into
+EXPERIMENTS.md without running anything::
 
-Executes every experiment in DESIGN.md §5 and writes the paper-claim vs.
-measured record.  Sizes are chosen so the full regeneration takes a few
-minutes on a laptop.
+    python -m repro bench paper   # re-run; writes benchmarks/results/paper.json
+    python -m repro report        # render EXPERIMENTS.md from that record
 """
 
 from __future__ import annotations
 
-import sys
+from typing import Any, Mapping
 
 from . import experiments
 from .tables import format_table
 
-__all__ = ["build_report", "main"]
+__all__ = ["SECTIONS", "build_report", "kernel_prefix"]
 
 _HEADER = """\
 # EXPERIMENTS — paper claims vs. measured behaviour
 
-Generated by ``python -m repro.analysis.report``.  The paper (Ghaffari,
+Generated by ``python -m repro report`` from ``benchmarks/results/paper.json``.  The paper (Ghaffari,
 Kuhn, Su; PODC 2017) is a theory paper with no empirical tables — its
 "results" are Theorems 1.1–1.3 and Lemmas 2.3–2.5 / 3.1–3.4 / 4.1, plus
 the Figure 1 schematic.  Each experiment below reproduces one of those
@@ -45,11 +50,21 @@ benchmark registry (``python -m repro bench``, records under
 ``benchmarks/results/``); see docs/workloads.md.
 """
 
-_SECTIONS: list[dict] = [
+#: The paper's experiments, in report order.  ``experiment`` runs at
+#: the keyword arguments of its ``full`` or ``quick`` tier (plus the
+#: bench seed offset) and returns rows whose keys are ``columns``, in
+#: order; ``claim`` and ``commentary`` frame its table.
+SECTIONS: list[dict[str, Any]] = [
     {
         "id": "E1",
         "title": "Theorem 1.2 — permutation routing in almost mixing time",
-        "run": lambda: experiments.routing_scaling(sizes=(64, 128, 256)),
+        "experiment": experiments.routing_scaling,
+        "full": {"sizes": (64, 128, 256)},
+        "quick": {"sizes": (32, 64)},
+        "columns": (
+            "n", "tau_mix", "beta", "depth", "delivered", "rounds",
+            "rounds/tau", "envelope(c=3)", "bfs_fwd_rounds",
+        ),
         "claim": (
             "All packets delivered when each node is source/destination of "
             "at most ``d(v) * O(log n)`` packets, in "
@@ -70,7 +85,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E2/E11",
         "title": "Theorem 1.1 — MST in almost mixing time, vs. the barrier",
-        "run": lambda: experiments.mst_scaling(sizes=(64, 128, 256)),
+        "experiment": experiments.mst_scaling,
+        "full": {"sizes": (64, 128, 256)},
+        "quick": {"sizes": (32, 64)},
+        "columns": (
+            "n", "tau_mix", "correct", "iterations", "rounds", "rounds/tau",
+            "ghs_rounds", "gkp_rounds", "D+sqrt(n)",
+        ),
         "claim": (
             "A Las Vegas MST in ``tau_mix * 2^{O(sqrt(log n log log n))}`` "
             "rounds; general-graph algorithms face the Das Sarma et al. "
@@ -89,7 +110,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E3",
         "title": "Theorem 1.3 corollary — clique emulation on G(n, p)",
-        "run": lambda: experiments.clique_emulation_sweep(),
+        "experiment": experiments.clique_emulation_sweep,
+        "full": {},
+        "quick": {"n": 32},
+        "columns": (
+            "p", "n", "delivered", "phases", "rounds", "phases*tau",
+            "balliu_rounds", "theory 1/p+logn", "balliu min{1/p^2,np}",
+        ),
         "claim": (
             "``G(n, p)`` above the connectivity threshold emulates the "
             "congested clique in ``O(1/p + log n)`` rounds, improving "
@@ -108,7 +135,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E3b",
         "title": "Theorem 1.3, second clause — the dense regime",
-        "run": experiments.dense_regime_sweep,
+        "experiment": experiments.dense_regime_sweep,
+        "full": {},
+        "quick": {"n": 32},
+        "columns": (
+            "p", "n", "Delta", "delivered", "rounds", "retries",
+            "theory n/h*logn*log*n", "balliu_rounds",
+        ),
         "claim": (
             "When ``h(G) = Omega(Delta)`` and ``Delta >= n^{1/2+eps}``, "
             "clique emulation improves to ``O(n/h * log n * log* n)``."
@@ -125,7 +158,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E4",
         "title": "Lemma 2.3 — Cheeger bound on the regular walk's mixing",
-        "run": experiments.mixing_bound_survey,
+        "experiment": experiments.mixing_bound_survey,
+        "full": {},
+        "quick": {},
+        "columns": (
+            "family", "n", "h(G)", "Delta", "tau_bar measured",
+            "lemma2.3 bound", "bound/measured",
+        ),
         "claim": "``tau_bar_mix <= 8 * Delta^2 / h(G)^2 * ln n``.",
         "commentary": (
             "The bound holds on all five families, with slack growing as "
@@ -137,7 +176,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E4b",
         "title": "Mixing-time scaling across families",
-        "run": experiments.mixing_scaling,
+        "experiment": experiments.mixing_scaling,
+        "full": {},
+        "quick": {"sizes": (32, 64)},
+        "columns": (
+            "family", "n_small", "tau_small", "n_large", "tau_large",
+            "fitted alpha", "theory alpha",
+        ),
         "claim": (
             "``tau_mix`` is ``Theta(n^2)`` on rings, ``Theta(n)`` on "
             "tori, and polylog on expanders — the parameter regime that "
@@ -154,7 +199,14 @@ _SECTIONS: list[dict] = [
     {
         "id": "E5",
         "title": "Lemmas 2.4/2.5 — parallel walk load and scheduling",
-        "run": experiments.parallel_walk_sweep,
+        "experiment": experiments.parallel_walk_sweep,
+        "full": {},
+        "quick": {"n": 64},
+        "columns": (
+            "k", "walks", "steps", "peak_load", "lemma2.4 bound", "load_ratio",
+            "rounds", "lemma2.5 bound", "rounds_ratio", "correlated_rounds",
+            "kT lower bound",
+        ),
         "claim": (
             "With ``k d(v)`` walks per node: per-step node load "
             "``O(k d(v) + log n)`` w.h.p., and ``T`` steps schedule in "
@@ -171,7 +223,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E6",
         "title": "Lemma 3.2 — hierarchy cost and the beta trade-off",
-        "run": lambda: experiments.beta_ablation(betas=(2, 4, 8, 16, 32)),
+        "experiment": experiments.beta_ablation,
+        "full": {"betas": (2, 4, 8, 16, 32)},
+        "quick": {"n": 64},
+        "columns": (
+            "beta", "depth", "build_rounds", "route_rounds", "route_g0_rounds",
+            "delivered", "beta*(n)",
+        ),
         "claim": (
             "``k = log n / log beta`` levels, each level's round "
             "emulating in ``(log n)^{O(1)}`` lower-level rounds; total "
@@ -191,7 +249,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E7",
         "title": "Lemma 3.4 — the routing recursion decomposition",
-        "run": experiments.recursion_decomposition,
+        "experiment": experiments.recursion_decomposition,
+        "full": {},
+        "quick": {"n": 64},
+        "columns": (
+            "level", "invocations", "2^level", "hop_rounds", "bottom_rounds",
+            "packets_crossing", "emul_cost", "log^2 n",
+        ),
         "claim": (
             "``T(m) = 2 T(m/beta) * O(log^2 n) + O(log n)``: invocations "
             "double per level, emulation multiplies by ``O(log^2 n)``, "
@@ -208,7 +272,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E8",
         "title": "Lemma 4.1 — virtual-tree invariants across Boruvka",
-        "run": experiments.virtual_tree_trace,
+        "experiment": experiments.virtual_tree_trace,
+        "full": {},
+        "quick": {"n": 32},
+        "columns": (
+            "iteration", "components", "max_depth", "depth_bound log^2 n",
+            "degree_ratio", "degree_bound log n", "upcast_steps",
+        ),
         "claim": (
             "Across all merges: tree depth ``O(log^2 n)``, virtual degree "
             "``d(v) * O(log n)``, parents always known."
@@ -223,7 +293,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E9",
         "title": "Figure 1 — structure of the hierarchical partition",
-        "run": experiments.partition_structure,
+        "experiment": experiments.partition_structure,
+        "full": {},
+        "quick": {"n": 64},
+        "columns": (
+            "level", "parts", "min_part", "max_part", "balance",
+            "portal_coverage", "clique",
+        ),
         "claim": (
             "Nested ``beta``-ary parts of near-equal size (P1) whose "
             "labels any node can compute (P2), with portals between all "
@@ -239,7 +315,12 @@ _SECTIONS: list[dict] = [
     {
         "id": "E10",
         "title": "Lemma 3.3 — portal discovery cost and uniformity",
-        "run": experiments.portal_uniformity,
+        "experiment": experiments.portal_uniformity,
+        "full": {},
+        "quick": {"n": 32},
+        "columns": (
+            "variant", "samples", "support", "max_count", "chi2_per_dof",
+        ),
         "claim": (
             "Portals added in ``O(beta^2 log n)`` rounds per level, each "
             "uniform over the boundary nodes towards the target part."
@@ -254,7 +335,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E13",
         "title": "Routing stretch — per-packet hop counts",
-        "run": experiments.stretch_profile,
+        "experiment": experiments.stretch_profile,
+        "full": {},
+        "quick": {"n": 64},
+        "columns": (
+            "beta", "depth", "delivered", "mean_hops", "max_hops",
+            "bound 2^(d+1)-1",
+        ),
         "claim": (
             "Each recursion level adds at most one portal hop per stage; "
             "a packet's overlay journey is bounded by ``2^{depth+1} - 1`` "
@@ -271,7 +358,12 @@ _SECTIONS: list[dict] = [
     {
         "id": "E14",
         "title": "Crossover analysis — how asymptotic is the advantage?",
-        "run": experiments.crossover_analysis,
+        "experiment": experiments.crossover_analysis,
+        "full": {},
+        "quick": {"sizes": (32, 64)},
+        "columns": (
+            "source", "envelope_c", "crossover_n",
+        ),
         "claim": (
             "On polylog-mixing expanders the paper's bound "
             "``tau_mix * 2^{c sqrt(log n loglog n)}`` eventually "
@@ -291,7 +383,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E12",
         "title": "Correlated walks — the deferred k = o(log n) refinement",
-        "run": experiments.correlated_ablation,
+        "experiment": experiments.correlated_ablation,
+        "full": {},
+        "quick": {"n": 64},
+        "columns": (
+            "variant", "g0_build", "g0_round_cost", "route_rounds",
+            "delivered",
+        ),
         "claim": (
             "For ``k = o(log n)`` walks per degree, correlated scheduling "
             "removes the additive ``log n`` of Lemma 2.5 (details "
@@ -308,7 +406,13 @@ _SECTIONS: list[dict] = [
     {
         "id": "E15",
         "title": "Native execution vs. charged rounds (fidelity closure)",
-        "run": experiments.native_fidelity,
+        "experiment": experiments.native_fidelity,
+        "full": {},
+        "quick": {"sizes": (16, 20)},
+        "columns": (
+            "n", "tau_mix", "native_round", "charged_round", "ratio",
+            "native_build", "charged_build", "native_connected",
+        ),
         "claim": (
             "The library's charged G0-round costs stand in for a real "
             "distributed execution: messages travel the embedded walk "
@@ -333,7 +437,12 @@ _SECTIONS: list[dict] = [
     {
         "id": "E16",
         "title": "Constants presets — what the paper's literal values cost",
-        "run": experiments.preset_ablation,
+        "experiment": experiments.preset_ablation,
+        "full": {},
+        "quick": {"n": 32},
+        "columns": (
+            "preset", "g0_degree", "build_rounds", "route_rounds", "delivered",
+        ),
         "claim": (
             "The paper's constants (200 log n walks per virtual node, "
             "100 log n overlay degree, ...) are sized for asymptotic "
@@ -352,28 +461,45 @@ _SECTIONS: list[dict] = [
 ]
 
 
-def build_report() -> str:
-    """Run every experiment and return the EXPERIMENTS.md content."""
+def kernel_prefix(section: Mapping[str, Any]) -> str:
+    """The kernel prefix of a section's bench rows.
+
+    A table row is recorded under ``<id>/<first column>=<value>``, e.g.
+    ``E6/beta=8``; every table's first column tells its rows apart.
+    """
+    return f"{section['id']}/{section['columns'][0]}="
+
+
+def build_report(record: Mapping[str, Any]) -> str:
+    """EXPERIMENTS.md rendered from a ``paper`` bench record.
+
+    Raises ``ValueError`` if a section has no rows in ``record`` or a
+    row belongs to no section: the record and :data:`SECTIONS` must
+    describe the same experiments.
+    """
+    rows = record["rows"]
     parts = [_HEADER]
-    for section in _SECTIONS:
-        rows = section["run"]()
+    rendered = 0
+    for section in SECTIONS:
+        prefix = kernel_prefix(section)
+        table = [
+            row["metrics"] for row in rows if row["kernel"].startswith(prefix)
+        ]
+        if not table:
+            raise ValueError(
+                f"the paper record has no {section['id']} rows; re-record "
+                "it with `repro bench paper`"
+            )
+        rendered += len(table)
         parts.append(f"## {section['id']}: {section['title']}\n")
         parts.append(f"**Paper claim.** {section['claim']}\n")
         parts.append("```")
-        parts.append(format_table(rows))
+        parts.append(format_table(table, columns=section["columns"]))
         parts.append("```\n")
         parts.append(f"**Outcome.** {section['commentary']}\n")
+    if rendered != len(rows):
+        raise ValueError(
+            f"the paper record holds {len(rows) - rendered} row(s) of no "
+            "section in repro.analysis.report.SECTIONS"
+        )
     return "\n".join(parts)
-
-
-def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    output = argv[0] if argv else "EXPERIMENTS.md"
-    report = build_report()
-    with open(output, "w") as handle:
-        handle.write(report)
-    print(f"wrote {output} ({len(report.splitlines())} lines)")
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,7 @@ One front door for every benchmark in the repo:
   wall budgets;
 * :mod:`repro.bench.suites` — every suite runner, each returning v1
   rows (kernels, faults, recovery, engine, serve, tripwire, serve-soak,
-  load-curve, chaos);
+  load-curve, chaos, and paper: every EXPERIMENTS.md table);
 * :mod:`repro.bench.registry` — the suite table behind
   ``repro bench SUITE [--check] [--quick]``, and :func:`run_suite`,
   the one way to run a suite.

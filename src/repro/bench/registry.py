@@ -25,6 +25,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..analysis.report import SECTIONS
 from . import suites
 from .gate import GatePolicy, GateResult, compare_records
 from .schema import load_record, make_record
@@ -119,6 +120,15 @@ _CHAOS_GATE = GatePolicy(
 )
 
 
+#: Every cell of every EXPERIMENTS.md table is seed-deterministic.
+_PAPER_GATE = GatePolicy(
+    exact=("rounds",),
+    exact_metrics=tuple(
+        sorted({column for s in SECTIONS for column in s["columns"]})
+    ),
+)
+
+
 SUITES: dict[str, Suite] = {
     suite.name: suite
     for suite in (
@@ -189,6 +199,13 @@ SUITES: dict[str, Suite] = {
             "governed burst, mid-stream fault windows",
             runner=suites.chaos,
             gate=_CHAOS_GATE,
+        ),
+        Suite(
+            name="paper",
+            title="every EXPERIMENTS.md table (experiments E1-E16), one "
+            "row per table row",
+            runner=suites.paper,
+            gate=_PAPER_GATE,
         ),
     )
 }

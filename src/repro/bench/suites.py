@@ -15,12 +15,15 @@ by changed semantics.
 
 from __future__ import annotations
 
+import inspect
+import math
 import tempfile
 import time
 from typing import Callable, Optional
 
 import numpy as np
 
+from ..analysis.report import SECTIONS, kernel_prefix
 from ..analysis.workloads import circulation_paths
 from ..baselines.routing_baselines import schedule_paths
 from ..baselines.routing_baselines_ref import schedule_paths_ref
@@ -57,6 +60,7 @@ __all__ = [
     "faults",
     "kernels",
     "load_curve",
+    "paper",
     "recovery",
     "serve",
     "soak",
@@ -674,3 +678,60 @@ def chaos(seed: int, quick: bool) -> list[dict]:
         )
         for kernel, scenario, policy, spec in runs
     ]
+
+
+# -- paper ---------------------------------------------------------------
+
+
+def _cell(value):
+    """A table cell as a v1 metric: booleans and infinities become the
+    strings the table prints for them (``yes``/``no``, ``inf``)."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    return value
+
+
+def paper(seed: int, quick: bool) -> list[dict]:
+    """Every EXPERIMENTS.md table, one row per table row.
+
+    Each experiment in :data:`repro.analysis.report.SECTIONS` runs at
+    its tier's arguments and at its own fixed seed plus ``seed``, so
+    seed 0 reproduces the committed tables.  A row is keyed
+    ``<id>/<first column>=<value>`` at the graph size it measured (its
+    ``n`` cell, else the experiment's ``n`` or largest of ``sizes``);
+    its metrics are the table's cells, and ``wall_s`` is the whole
+    experiment call's time.  ``rounds`` is 0: a table's round counts
+    are named cells, gated as metrics.
+    """
+    rows = []
+    for section in SECTIONS:
+        experiment = section["experiment"]
+        call = inspect.signature(experiment).bind(
+            **section["quick" if quick else "full"]
+        )
+        call.apply_defaults()
+        call.arguments["seed"] += seed
+        wall, table = _timed(lambda: experiment(*call.args, **call.kwargs))
+        size = call.arguments.get("n") or max(
+            call.arguments.get("sizes", (0,))
+        )
+        columns = section["columns"]
+        for cells in table:
+            if tuple(cells) != columns:
+                raise AssertionError(
+                    f"{section['id']} returned the columns {tuple(cells)}, "
+                    f"but its section lists {columns}"
+                )
+            rows.append(
+                _row(
+                    kernel_prefix(section) + str(cells[columns[0]]),
+                    cells.get("n", size),
+                    call.arguments["seed"],
+                    wall,
+                    0,
+                    {key: _cell(value) for key, value in cells.items()},
+                )
+            )
+    return rows

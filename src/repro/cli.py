@@ -15,7 +15,8 @@ Commands:
   skipping already-served records).
 * ``bench`` — run registry benchmark suites / gate them against
   committed baselines (``repro bench SUITE [--check] [--quick]``).
-* ``report`` — regenerate EXPERIMENTS.md from live runs.
+* ``report`` — render EXPERIMENTS.md from the committed ``paper`` bench
+  record (``repro bench paper`` re-runs the experiments).
 
 Pipeline commands (``route``/``mst``/``mincut``/``clique``) construct
 one :class:`~repro.runtime.RunConfig` from their flags and execute
@@ -52,6 +53,7 @@ from the ``"faults"`` stream.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis.report import build_report
@@ -309,7 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: benchmarks/results under the cwd)",
     )
 
-    report = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
+    report = sub.add_parser(
+        "report",
+        help="render EXPERIMENTS.md from benchmarks/results/paper.json",
+    )
     report.add_argument("-o", "--output", default="EXPERIMENTS.md")
     return parser
 
@@ -408,7 +413,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = build_report()
+    from .bench import baseline_path, load_record
+
+    path = baseline_path("paper", quick=False)
+    if not os.path.exists(path):
+        raise ValueError(
+            f"no paper record at {path}; record one with "
+            "`repro bench paper`"
+        )
+    report = build_report(load_record(path))
     with open(args.output, "w") as handle:
         handle.write(report)
     print(f"wrote {args.output} ({len(report.splitlines())} lines)")
@@ -533,8 +546,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import os
-
     from .bench import (
         SUITES,
         baseline_path,

@@ -387,8 +387,9 @@ def replay_walk_run(
             path instead — the structure stays identical (retries, not
             resampling) while the executed rounds grow past the engine's
             clean charge; the surplus is the measured fault overhead.
-        context: optional :class:`repro.runtime.RunContext` that the
-            reliable path charges ``faults/retry-rounds`` to.
+        context: optional :class:`repro.runtime.RunContext`; the
+            reliable path runs under its recovery mode and charges it
+            ``faults/retry-rounds`` (``recovery/wait`` under self-heal).
 
     Returns:
         A :class:`WalkReplay` with the executed round/message counts.

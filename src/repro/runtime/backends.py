@@ -275,15 +275,25 @@ class NativeBackend(Backend):
                 graph, starts, steps, rng, record_trajectory=True
             )
             # With faults on, the replay runs each step over the
-            # reliable ARQ path: same trajectories (retries resend, they
-            # never resample), more rounds.  The surplus over the
-            # engine's clean Lemma 2.5 charge *is* the fault overhead,
-            # charged under faults/ — so the clean equality assertion is
-            # replaced by surplus accounting, not silently skipped.
+            # reliable ARQ path under the run's recovery mode: same
+            # trajectories (retries resend, they never resample), more
+            # rounds.  The surplus over the engine's clean Lemma 2.5
+            # charge *is* the fault overhead — so the clean equality
+            # assertion is replaced by surplus accounting, not silently
+            # skipped.  Each step books its surplus over the ARQ ideal
+            # itself (faults/retry-rounds, or recovery/wait under
+            # self-heal); the batch charges only the rest, so every
+            # surplus round is billed once.
             plan = backend.context.fault_plan
+            charges = backend.context.ledger.charges
+            mark = len(charges)
             try:
                 replay = replay_walk_run(
-                    graph, run, validate=backend.validate, faults=plan
+                    graph,
+                    run,
+                    validate=backend.validate,
+                    faults=plan,
+                    context=backend.context,
                 )
             except ReplayMismatch as exc:
                 raise BackendMismatch(str(exc)) from exc
@@ -296,12 +306,18 @@ class NativeBackend(Backend):
                         "batch"
                     )
             else:
+                booked = sum(
+                    charge.rounds
+                    for charge in charges[mark:]
+                    if charge.label in _STEP_SURPLUS_LABELS
+                )
                 backend.context.charge(
                     "faults/retry-rounds",
-                    float(max(0, replay.rounds - charged)),
+                    float(max(0, replay.rounds - charged - booked)),
                     stage="native/walk-batch",
                     rounds_total=int(replay.rounds),
                     ideal_rounds=int(charged),
+                    step_booked=float(booked),
                 )
             backend.executed_rounds += replay.rounds
             backend.executed_messages += replay.messages
@@ -317,6 +333,10 @@ class NativeBackend(Backend):
             return run
 
         return native_runner
+
+
+#: The labels the reliable path books a step's surplus under.
+_STEP_SURPLUS_LABELS = ("faults/retry-rounds", "recovery/wait")
 
 
 def _parallel_pair(graph: Graph) -> Optional[tuple[int, int]]:

@@ -34,6 +34,7 @@ class TestCatalogue:
             "tripwire",
             "serve-soak",
             "load-curve",
+            "paper",
         }
 
     def test_unknown_suite_rejected_listing_choices(self):

@@ -625,3 +625,46 @@ class TestNativeFaultReplay:
             == clean.backend.g0_edge_multiset()
         )
         assert faulty.fault_rounds() > 0
+
+    def test_native_self_heal_delivers_and_bills_each_surplus_once(self):
+        # A permanent crash window outlives every retry: fail-fast
+        # times out, so delivery needs the run's self-heal mode to reach
+        # the replay's reliable forwarding.
+        graph = random_regular(32, 6, derive_rng(0, 32))
+        outcomes = {
+            backend: run(
+                "route", graph,
+                config=RunConfig(
+                    seed=3, backend=backend, cache="off",
+                    faults="crash=3@rounds:1-1000000",
+                    recovery="self-heal",
+                ),
+            )
+            for backend in ("oracle", "native")
+        }
+        native = outcomes["native"]
+        assert native.result.delivered
+        assert (
+            native.result.cost_rounds
+            == outcomes["oracle"].result.cost_rounds
+        )
+        charges = native.ledger.charges
+        surplus = sum(
+            charge.rounds
+            for charge in charges
+            if charge.label in ("faults/retry-rounds", "recovery/wait")
+            and charge.detail.get("stage") != "route/model"
+        )
+        batches = [
+            charge.detail
+            for charge in charges
+            if charge.detail.get("stage") == "native/walk-batch"
+        ]
+        assert batches
+        assert surplus == sum(
+            batch["rounds_total"] - batch["ideal_rounds"]
+            for batch in batches
+        )
+        assert native.backend.executed_rounds == sum(
+            batch["rounds_total"] for batch in batches
+        )

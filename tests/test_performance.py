@@ -1,8 +1,9 @@
 """Performance regression guards.
 
 Loose wall-clock ceilings on the vectorized kernels: these are not
-micro-benchmarks (see benchmarks/) but tripwires against accidentally
-de-vectorizing a hot path.  Thresholds are ~10x typical laptop times.
+micro-benchmarks (the ``kernels`` bench suite records those) but
+tripwires against accidentally de-vectorizing a hot path.  Thresholds
+are ~10x typical laptop times.
 """
 
 import time
