@@ -38,6 +38,7 @@ from ..graphs.graph import Graph
 from ..rng import derive_rng
 from ..walks.engine import WalkRun, run_lazy_walks
 from .forwarding import _forward_demands_scalar, forward_demands
+from .reliable import reliable_forward_demands
 
 __all__ = [
     "NativeG0",
@@ -304,11 +305,15 @@ class WalkReplay:
             :meth:`repro.walks.engine.WalkRun.schedule_rounds`.
         per_step: executed rounds of each walk step (no floor).
         messages: total token messages delivered.
+        step_booked: fault surplus the steps charged to the run context
+            themselves (``faults/retry-rounds``, or ``recovery/wait``
+            under self-heal); 0 on a clean wire or without a context.
     """
 
     rounds: int
     per_step: list[int]
     messages: int
+    step_booked: int = 0
 
 
 def _cross_run_oracle(
@@ -389,7 +394,9 @@ def replay_walk_run(
             clean charge; the surplus is the measured fault overhead.
         context: optional :class:`repro.runtime.RunContext`; the
             reliable path runs under its recovery mode and charges it
-            ``faults/retry-rounds`` (``recovery/wait`` under self-heal).
+            each step's surplus over the ARQ ideal as
+            ``faults/retry-rounds`` (``recovery/wait`` under
+            self-heal), summed in :attr:`WalkReplay.step_booked`.
 
     Returns:
         A :class:`WalkReplay` with the executed round/message counts.
@@ -407,8 +414,10 @@ def replay_walk_run(
             "replay_walk_run needs a WalkRun recorded with "
             "record_trajectory=True"
         )
+    faulty = faults is not None and not faults.spec.is_null
     per_step: list[int] = []
     sent_per_step: list[int] = []
+    step_booked = 0
     for step in range(run.steps):
         before = trajectory[step]
         after = trajectory[step + 1]
@@ -417,22 +426,32 @@ def replay_walk_run(
             per_step.append(0)
             sent_per_step.append(0)
             continue
-        rounds, sent = forward_demands(
-            graph,
-            before[moved],
-            after[moved],
-            validate=validate,
-            faults=faults,
-            context=context,
-        )
+        if not faulty:
+            rounds, sent = forward_demands(
+                graph, before[moved], after[moved], validate=validate
+            )
+        else:
+            report = reliable_forward_demands(
+                graph,
+                before[moved],
+                after[moved],
+                faults=faults,
+                validate=validate,
+                context=context,
+                recovery=getattr(context, "recovery", None) or "fail-fast",
+            )
+            rounds, sent = report.rounds, report.messages
+            if context is not None:
+                step_booked += report.retry_rounds + report.recovery_rounds
         per_step.append(rounds)
         sent_per_step.append(sent)
-    if validate == "full" and (faults is None or faults.spec.is_null):
+    if validate == "full" and not faulty:
         _cross_run_oracle(graph, trajectory, per_step, sent_per_step)
     return WalkReplay(
         rounds=int(sum(max(1, r) for r in per_step)),
         per_step=per_step,
         messages=sum(sent_per_step),
+        step_booked=step_booked,
     )
 
 

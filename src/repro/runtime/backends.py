@@ -285,8 +285,6 @@ class NativeBackend(Backend):
             # self-heal); the batch charges only the rest, so every
             # surplus round is billed once.
             plan = backend.context.fault_plan
-            charges = backend.context.ledger.charges
-            mark = len(charges)
             try:
                 replay = replay_walk_run(
                     graph,
@@ -306,18 +304,15 @@ class NativeBackend(Backend):
                         "batch"
                     )
             else:
-                booked = sum(
-                    charge.rounds
-                    for charge in charges[mark:]
-                    if charge.label in _STEP_SURPLUS_LABELS
-                )
                 backend.context.charge(
                     "faults/retry-rounds",
-                    float(max(0, replay.rounds - charged - booked)),
+                    float(
+                        max(0, replay.rounds - charged - replay.step_booked)
+                    ),
                     stage="native/walk-batch",
                     rounds_total=int(replay.rounds),
                     ideal_rounds=int(charged),
-                    step_booked=float(booked),
+                    step_booked=int(replay.step_booked),
                 )
             backend.executed_rounds += replay.rounds
             backend.executed_messages += replay.messages
@@ -333,10 +328,6 @@ class NativeBackend(Backend):
             return run
 
         return native_runner
-
-
-#: The labels the reliable path books a step's surplus under.
-_STEP_SURPLUS_LABELS = ("faults/retry-rounds", "recovery/wait")
 
 
 def _parallel_pair(graph: Graph) -> Optional[tuple[int, int]]:

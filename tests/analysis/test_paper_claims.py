@@ -4,8 +4,10 @@ Each case reads one experiment's rows from the full ``paper`` bench
 record (``benchmarks/results/paper.json``, the record EXPERIMENTS.md is
 rendered from) and asserts the shape the paper predicts: delivery,
 lemma bounds with small constants, and who wins where.  Nothing is
-re-run here; ``repro bench --check`` keeps the quick tier reproducible,
-and re-recording the full tier re-checks these claims.
+re-run here.  Every claim also holds at the quick sizes, so the same
+checks run on ``paper.quick.json`` — the record ``repro bench --check``
+re-runs — and both tiers must come from the same commit, so neither
+can be re-recorded without the other.
 """
 
 import math
@@ -21,12 +23,15 @@ _RESULTS = os.path.join(
 )
 
 
-@pytest.fixture(scope="module")
-def tables():
+def _record(quick):
+    return load_record(
+        baseline_path("paper", quick=quick, results_dir=_RESULTS)
+    )
+
+
+def _tables(quick):
     """Each experiment's table: its rows' metrics, in table order."""
-    rows = load_record(
-        baseline_path("paper", quick=False, results_dir=_RESULTS)
-    )["rows"]
+    rows = _record(quick)["rows"]
     return {
         section["id"]: [
             row["metrics"]
@@ -35,6 +40,16 @@ def tables():
         ]
         for section in SECTIONS
     }
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return _tables(quick=False)
+
+
+@pytest.fixture(scope="module")
+def quick_tables():
+    return _tables(quick=True)
 
 
 def _by(rows, column):
@@ -230,3 +245,22 @@ def test_paper_claim_holds(experiment, tables):
     assert experiment in CLAIMS, f"no claim check for {experiment}"
     assert tables[experiment], f"no {experiment} rows in paper.json"
     CLAIMS[experiment](tables[experiment])
+
+
+@pytest.mark.parametrize("experiment", [s["id"] for s in SECTIONS])
+def test_paper_claim_holds_at_quick_sizes(experiment, quick_tables):
+    assert quick_tables[experiment], (
+        f"no {experiment} rows in paper.quick.json"
+    )
+    CLAIMS[experiment](quick_tables[experiment])
+
+
+def test_both_tiers_recorded_at_one_commit():
+    # The quick tier is the one the bench gate re-runs; tying the full
+    # tier to its commit keeps EXPERIMENTS.md's record from going stale
+    # when only the quick tier is re-recorded.
+    full, quick = (
+        _record(tier)["meta"]["provenance"]["commit"]
+        for tier in (False, True)
+    )
+    assert full == quick

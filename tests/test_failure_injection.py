@@ -625,6 +625,24 @@ class TestNativeFaultReplay:
             == clean.backend.g0_edge_multiset()
         )
         assert faulty.fault_rounds() > 0
+        assert _step_surplus(faulty, "faults/retry-rounds") > 0
+        _assert_surplus_billed_once(faulty)
+
+    def test_native_self_heal_waits_out_a_window_and_bills_it_once(self):
+        # A crash window short enough to wait out: the steps park
+        # tokens and book recovery/wait themselves, and the batch
+        # charges only what they left.
+        graph = random_regular(24, 6, np.random.default_rng(5))
+        outcome = run(
+            "route", graph,
+            config=RunConfig(
+                seed=11, backend="native", validate="first_round",
+                faults="crash=3@rounds:1-40", recovery="self-heal",
+            ),
+        )
+        assert outcome.result.delivered
+        assert _step_surplus(outcome, "recovery/wait") > 0
+        _assert_surplus_billed_once(outcome)
 
     def test_native_self_heal_delivers_and_bills_each_surplus_once(self):
         # A permanent crash window outlives every retry: fail-fast
@@ -648,23 +666,43 @@ class TestNativeFaultReplay:
             native.result.cost_rounds
             == outcomes["oracle"].result.cost_rounds
         )
-        charges = native.ledger.charges
-        surplus = sum(
-            charge.rounds
-            for charge in charges
-            if charge.label in ("faults/retry-rounds", "recovery/wait")
-            and charge.detail.get("stage") != "route/model"
-        )
-        batches = [
-            charge.detail
-            for charge in charges
-            if charge.detail.get("stage") == "native/walk-batch"
-        ]
-        assert batches
-        assert surplus == sum(
-            batch["rounds_total"] - batch["ideal_rounds"]
-            for batch in batches
-        )
-        assert native.backend.executed_rounds == sum(
-            batch["rounds_total"] for batch in batches
-        )
+        _assert_surplus_billed_once(native)
+
+
+def _step_surplus(outcome, label):
+    """Surplus the replay's steps booked under ``label`` themselves."""
+    return sum(
+        charge.rounds
+        for charge in outcome.ledger.charges
+        if charge.label == label
+        and charge.detail.get("stage")
+        not in ("route/model", "native/walk-batch")
+    )
+
+
+def _assert_surplus_billed_once(outcome):
+    """Walk-batch fault charges add up to the executed surplus, once.
+
+    The steps book their surplus over the ARQ ideal and each batch
+    charges the rest, so together they equal the executed rounds over
+    the engine's clean charge — no more (double billing), no less.
+    """
+    charges = outcome.ledger.charges
+    surplus = sum(
+        charge.rounds
+        for charge in charges
+        if charge.label in ("faults/retry-rounds", "recovery/wait")
+        and charge.detail.get("stage") != "route/model"
+    )
+    batches = [
+        charge.detail
+        for charge in charges
+        if charge.detail.get("stage") == "native/walk-batch"
+    ]
+    assert batches
+    assert surplus == sum(
+        batch["rounds_total"] - batch["ideal_rounds"] for batch in batches
+    )
+    assert outcome.backend.executed_rounds == sum(
+        batch["rounds_total"] for batch in batches
+    )
