@@ -153,7 +153,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             name="engine",
             title="large-n suite (embedded-path native G0 + level-1 "
-            "builds)",
+            "builds; full tier: native open n=4096)",
             runner=suites.engine,
         ),
         Suite(

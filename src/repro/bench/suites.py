@@ -377,11 +377,15 @@ def recovery(seed: int, quick: bool) -> list[dict]:
 
 
 def engine(seed: int, quick: bool) -> list[dict]:
-    """Embedded-path native builds at large n."""
-    return [
+    """Embedded-path native builds at large n; the full tier adds one
+    full native ``Session.open`` at n=4096."""
+    rows = [
         _native_embedded_build_row(seed, n)
         for n in ((128,) if quick else (512, 1024))
     ]
+    if not quick:
+        rows.append(_native_open_row(seed, 4096))
+    return rows
 
 
 # -- serve ---------------------------------------------------------------

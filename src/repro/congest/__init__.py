@@ -22,6 +22,7 @@ from .native import (
     NativeG0,
     NativeLevel,
     ReplayMismatch,
+    WalkBatch,
     WalkReplay,
     build_native_g0,
     build_native_level1,
@@ -66,6 +67,7 @@ __all__ = [
     "pipelined_min_collect",
     "NativeG0",
     "NativeLevel",
+    "WalkBatch",
     "WalkReplay",
     "build_native_level1",
     "build_native_g0",

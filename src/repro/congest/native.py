@@ -5,7 +5,8 @@ charge measured emulation costs.  This module builds the level-zero
 overlay the way the distributed algorithm actually does, end to end:
 
 1. the construction walks are sampled by the walk engine with their
-   trajectories recorded, and :func:`replay_walk_run` executes them as
+   trajectories recorded (the reverse pass and the embedded paths read
+   the whole batch back), and :func:`replay_walk_run` executes them as
    messages twice: the forward pass, then the reverse pass that brings
    every endpoint back to its origin along the same arcs;
 2. every overlay edge *keeps the walk path that created it* — the
@@ -18,6 +19,8 @@ The walk replay is the one the native backend runs for every walk
 batch, so this module and :class:`repro.runtime.NativeBackend` share a
 single message-passing walk executor, checked under
 ``validate="full"`` by the per-node simulator on sampled steps.  The
+backend runs it live: each step is executed inside the walk engine's
+step loop (a :class:`WalkBatch`), so it never holds a trajectory.  The
 native round cost is compared against the vectorized calibration of
 :func:`repro.core.embedding.build_g0` (experiment E15).  The level-1
 construction batches its sampling walks over the overlay CSR and
@@ -26,8 +29,9 @@ assembles the embedded chains with array ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain as _chain
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -44,6 +48,7 @@ __all__ = [
     "NativeG0",
     "NativeLevel",
     "ReplayMismatch",
+    "WalkBatch",
     "WalkReplay",
     "build_native_g0",
     "build_native_level1",
@@ -129,8 +134,12 @@ def build_native_g0(
     forward = replay_walk_run(graph, run)
     # The reverse pass: each token retraces its arcs, last step first,
     # carrying its endpoint home.
-    back = WalkRun(starts=run.positions, positions=starts, steps=run.steps)
-    back.trajectory = run.trajectory[::-1]  # type: ignore[attr-defined]
+    back = WalkRun(
+        starts=run.positions,
+        positions=starts,
+        steps=run.steps,
+        trajectory=run.trajectory[::-1],
+    )
     reverse = replay_walk_run(graph, back)
 
     # Endpoints land degree-proportionally on real nodes; a uniform
@@ -289,14 +298,14 @@ class ReplayMismatch(RuntimeError):
     replayed walk step."""
 
 
-#: Under ``validate="full"``, one moving walk step in this many (at
-#: least one per batch) is re-run through the per-node simulator.
+#: Under ``validate="full"``, one walk step in this many (at least one
+#: per batch with any movement) is re-run through the per-node simulator.
 _ORACLE_SAMPLE_EVERY = 32
 
 
 @dataclass
 class WalkReplay:
-    """Outcome of executing a recorded walk batch as real message passing.
+    """Outcome of executing a walk batch as real message passing.
 
     Attributes:
         rounds: executed CONGEST rounds, summed over walk steps with the
@@ -308,71 +317,158 @@ class WalkReplay:
         step_booked: fault surplus the steps charged to the run context
             themselves (``faults/retry-rounds``, or ``recovery/wait``
             under self-heal); 0 on a clean wire or without a context.
+        run: the :class:`~repro.walks.engine.WalkRun` a live
+            :class:`WalkBatch` produced; ``None`` when a recorded run
+            was replayed (its caller already holds it).
     """
 
     rounds: int
     per_step: list[int]
     messages: int
     step_booked: int = 0
+    run: Optional[WalkRun] = field(default=None, repr=False)
 
 
-def _cross_run_oracle(
-    graph: Graph,
-    trajectory: np.ndarray,
-    per_step: list[int],
-    sent_per_step: list[int],
-) -> None:
-    """Re-run a seeded sample of moving steps on the per-node simulator.
+@dataclass(frozen=True)
+class WalkBatch:
+    """A walk batch for :func:`replay_walk_run` to sample and execute live.
 
-    The sample comes from a generator seeded by the batch's shape alone
-    — never from a run's named streams — so it leaves every built
-    structure bit-identical.
-
-    Raises:
-        ReplayMismatch: if a sampled step's ``(rounds, messages)``
-            differ from the array executor's.
+    ``engine`` is a walk engine such as
+    :func:`repro.walks.engine.run_lazy_walks`, called as
+    ``engine(graph, starts, steps, rng, on_step=hook)``.
     """
-    moving = [step for step, sent in enumerate(sent_per_step) if sent]
-    if not moving:
-        return
-    count = max(1, len(moving) // _ORACLE_SAMPLE_EVERY)
-    rng = derive_rng(*trajectory.shape, len(moving))
-    sample = sorted(int(s) for s in rng.choice(moving, count, replace=False))
-    for step in sample:
-        before = trajectory[step]
-        after = trajectory[step + 1]
+
+    engine: Callable[..., WalkRun]
+    starts: np.ndarray
+    steps: int
+    rng: np.random.Generator
+
+
+class _StepReplay:
+    """Executes walk steps as messages, one ``(before, after)`` at a time.
+
+    The step hook behind both forms of :func:`replay_walk_run`: the live
+    form hands it to the walk engine, the recorded form feeds it the
+    rows of a trajectory, so the two execute through one code path.  Under
+    ``validate="full"`` on a clean wire, the steps the per-node
+    simulator re-runs are drawn up front from a generator seeded by the
+    batch shape ``(steps, walks)`` alone — never from a run's named
+    streams, so the cross-run leaves every built structure bit-identical
+    — and each is checked as it is taken.  If no sampled step moved a
+    token, the batch's last moving step is checked instead, so every
+    batch with movement is cross-run at least once.
+    """
+
+    def __init__(self, graph, steps, walks, validate, faults, context):
+        self.graph = graph
+        self.validate = validate
+        self.faults = None if faults is None or faults.spec.is_null else faults
+        self.context = context
+        self.per_step: list[int] = []
+        self.messages = 0
+        self.step_booked = 0
+        self.sample: frozenset[int] = frozenset()
+        if validate == "full" and self.faults is None and steps:
+            count = max(1, steps // _ORACLE_SAMPLE_EVERY)
+            picks = derive_rng(steps, walks).choice(steps, count, replace=False)
+            self.sample = frozenset(int(step) for step in picks)
+        self.checked = False
+        # The last moving step, kept until some step has been cross-run.
+        self.unchecked: Optional[tuple] = None
+
+    def __call__(self, before: np.ndarray, after: np.ndarray) -> int:
+        """Execute one walk step; returns its executed rounds."""
+        step = len(self.per_step)
         moved = before != after
+        if not moved.any():
+            self.per_step.append(0)
+            return 0
+        origins, targets = before[moved], after[moved]
+        if self.faults is None:
+            rounds, sent = forward_demands(
+                self.graph, origins, targets, validate=self.validate
+            )
+        else:
+            report = reliable_forward_demands(
+                self.graph,
+                origins,
+                targets,
+                faults=self.faults,
+                validate=self.validate,
+                context=self.context,
+                recovery=getattr(self.context, "recovery", None)
+                or "fail-fast",
+            )
+            rounds, sent = report.rounds, report.messages
+            if self.context is not None:
+                self.step_booked += report.retry_rounds + report.recovery_rounds
+        self.per_step.append(rounds)
+        self.messages += sent
+        if step in self.sample:
+            self._cross_check(step, origins, targets, rounds, sent)
+        elif self.sample and not self.checked:
+            self.unchecked = (step, origins, targets, rounds, sent)
+        return rounds
+
+    def _cross_check(self, step, origins, targets, rounds, sent) -> None:
+        """Re-run one executed step on the per-node simulator.
+
+        Raises:
+            ReplayMismatch: if its ``(rounds, messages)`` differ from the
+                array executor's.
+        """
+        self.checked = True
+        self.unchecked = None
         # A re-execution of a step whose rounds the array executor
         # already returned (replay_walk_run exports them); charging it
         # too would count the step twice.
         oracle = _forward_demands_scalar(  # reprolint: disable=R009
-            graph, before[moved], after[moved], validate="full"
+            self.graph, origins, targets, validate="full"
         )
-        if oracle != (per_step[step], sent_per_step[step]):
+        if oracle != (rounds, sent):
             raise ReplayMismatch(
-                f"walk step {step}: the array executor took "
-                f"{per_step[step]} rounds / {sent_per_step[step]} "
-                f"messages but the per-node simulator took {oracle[0]} "
-                f"rounds / {oracle[1]} messages for the same demands"
+                f"walk step {step}: the array executor took {rounds} "
+                f"rounds / {sent} messages but the per-node simulator "
+                f"took {oracle[0]} rounds / {oracle[1]} messages for the "
+                "same demands"
             )
+
+    def result(self, run: Optional[WalkRun] = None) -> WalkReplay:
+        """The batch's replay, after its fallback cross-run (if due)."""
+        if self.unchecked is not None:
+            # Re-runs an executed step; its rounds are in per_step.
+            self._cross_check(*self.unchecked)  # reprolint: disable=R009
+        return WalkReplay(
+            rounds=int(sum(max(1, r) for r in self.per_step)),
+            per_step=self.per_step,
+            messages=self.messages,
+            step_booked=self.step_booked,
+            run=run,
+        )
 
 
 def replay_walk_run(
     graph: Graph,
-    run,
+    run: Union[WalkRun, WalkBatch],
     validate: str = "full",
     faults=None,
     context=None,
 ) -> WalkReplay:
-    """Execute a recorded walk batch as CONGEST message passing.
+    """Execute a walk batch as CONGEST message passing.
 
     Replays each walk step's token movements as real messages — every
     node forwards at most one token per directed edge per round, with a
     barrier between steps.  This is how a backend *executes* the exact
-    trajectories a vectorized engine sampled: the structure built from
-    the walks is bit-identical, while the rounds are measured on the
-    wire (Lemma 2.5 guarantees they equal the engine's
-    ``schedule_rounds()`` charge; callers assert that).
+    walks a vectorized engine samples: the structure built from the
+    walks is bit-identical, while the rounds are measured on the wire
+    (Lemma 2.5 guarantees they equal the engine's ``schedule_rounds()``
+    charge; callers assert that).
+
+    ``run`` is either a :class:`WalkBatch`, sampled by its engine and
+    executed step by step as the engine takes each step (no trajectory
+    is ever held), or a :class:`repro.walks.engine.WalkRun` recorded
+    with ``record_trajectory=True``, whose rows are fed through the
+    same per-step executor.
 
     On a clean wire each step runs on the array executor of
     :func:`repro.congest.forwarding.forward_demands`.  Under
@@ -382,9 +478,9 @@ def replay_walk_run(
     of both the executor's and the engine's arithmetic.
 
     Args:
-        graph: the base graph the walks ran on.
-        run: a :class:`repro.walks.engine.WalkRun` recorded with
-            ``record_trajectory=True``.
+        graph: the base graph the walks run on.
+        run: a :class:`WalkBatch` to run live, or a recorded
+            :class:`repro.walks.engine.WalkRun`.
         validate: ``"full"`` adds the sampled simulator cross-run; the
             mode is also passed to the faulty-wire simulator.
         faults: optional :class:`~repro.congest.faults.FaultPlan`; with
@@ -399,60 +495,36 @@ def replay_walk_run(
             self-heal), summed in :attr:`WalkReplay.step_booked`.
 
     Returns:
-        A :class:`WalkReplay` with the executed round/message counts.
+        A :class:`WalkReplay` with the executed round/message counts;
+        for a :class:`WalkBatch` its ``run`` is the sampled batch.
 
     Raises:
-        ValueError: if ``run`` has no recorded trajectory.
+        ValueError: if a :class:`WalkRun` has no recorded trajectory.
         CongestViolation: if a step moves a token along a non-edge.
         ReplayMismatch: if a sampled step's simulator run disagrees with
             the array executor.
         DeliveryTimeout: if faults defeat the retry budget of any step.
     """
-    trajectory = getattr(run, "trajectory", None)
+    if isinstance(run, WalkBatch):
+        replay = _StepReplay(
+            graph, run.steps, len(run.starts), validate, faults, context
+        )
+        walked = run.engine(
+            graph, run.starts, run.steps, run.rng, on_step=replay
+        )
+        return replay.result(walked)
+    trajectory = run.trajectory
     if trajectory is None:
         raise ValueError(
             "replay_walk_run needs a WalkRun recorded with "
             "record_trajectory=True"
         )
-    faulty = faults is not None and not faults.spec.is_null
-    per_step: list[int] = []
-    sent_per_step: list[int] = []
-    step_booked = 0
-    for step in range(run.steps):
-        before = trajectory[step]
-        after = trajectory[step + 1]
-        moved = before != after
-        if not moved.any():
-            per_step.append(0)
-            sent_per_step.append(0)
-            continue
-        if not faulty:
-            rounds, sent = forward_demands(
-                graph, before[moved], after[moved], validate=validate
-            )
-        else:
-            report = reliable_forward_demands(
-                graph,
-                before[moved],
-                after[moved],
-                faults=faults,
-                validate=validate,
-                context=context,
-                recovery=getattr(context, "recovery", None) or "fail-fast",
-            )
-            rounds, sent = report.rounds, report.messages
-            if context is not None:
-                step_booked += report.retry_rounds + report.recovery_rounds
-        per_step.append(rounds)
-        sent_per_step.append(sent)
-    if validate == "full" and not faulty:
-        _cross_run_oracle(graph, trajectory, per_step, sent_per_step)
-    return WalkReplay(
-        rounds=int(sum(max(1, r) for r in per_step)),
-        per_step=per_step,
-        messages=sum(sent_per_step),
-        step_booked=step_booked,
+    replay = _StepReplay(
+        graph, run.steps, run.num_walks, validate, faults, context
     )
+    for before, after in zip(trajectory[:-1], trajectory[1:]):
+        replay(before, after)
+    return replay.result()
 
 
 @dataclass

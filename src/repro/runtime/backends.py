@@ -8,12 +8,11 @@ cut, clique emulation) behind one interface:
   measured-schedule accounting (the existing ``core/`` pipeline).
 * :class:`NativeBackend` — the same *random process*, executed as real
   message passing: every construction / preparation walk batch is
-  recorded and replayed token-by-token through
-  :func:`repro.congest.replay_walk_run` (one message per directed edge
-  per round, on the array executor; ``validate="full"`` re-runs a
-  sample of steps on :meth:`repro.congest.network.Network.run`), and
-  the executed round count is asserted equal to the engine's Lemma 2.5
-  charge.
+  executed token-by-token through :func:`repro.congest.replay_walk_run`
+  as the engine takes each step (one message per directed edge per
+  round, on the array executor; ``validate="full"`` re-runs a sample of
+  steps on :meth:`repro.congest.network.Network.run`), and the executed
+  round count is asserted equal to the engine's Lemma 2.5 charge.
 
 Because both backends draw from the context's named streams and consume
 them identically, a fixed seed yields the *same* G0 edge multiset,
@@ -30,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..congest.native import ReplayMismatch, replay_walk_run
+from ..congest.native import ReplayMismatch, WalkBatch, replay_walk_run
 from ..core.clique import CliqueEmulationResult, emulate_clique
 from ..core.hierarchy import Hierarchy, build_hierarchy
 from ..core.mincut import MinCutResult, approximate_min_cut
@@ -220,9 +219,10 @@ class NativeBackend(Backend):
     """Executes walk batches as real CONGEST message passing.
 
     Covers hierarchy/G0 build and routing.  Each walk batch is sampled
-    by the same engine as the oracle (hence bit-identical structures),
-    recorded, and replayed through :func:`repro.congest.replay_walk_run`:
-    on a clean wire each step runs on the array executor of
+    by the same engine as the oracle (hence bit-identical structures)
+    and executed by :func:`repro.congest.replay_walk_run` one step at a
+    time, inside the engine's step loop, so no batch trajectory is ever
+    held: on a clean wire each step runs on the array executor of
     :func:`repro.congest.forward_demands`, and under
     ``validate="full"`` a seeded sample of steps is re-run on the
     per-node simulator.  :class:`BackendMismatch` is raised if the
@@ -270,10 +270,7 @@ class NativeBackend(Backend):
         # until the next garbage collection.
         backend = weakref.proxy(self)
 
-        def native_runner(graph, starts, steps, rng, record_trajectory=False):
-            run = engine(
-                graph, starts, steps, rng, record_trajectory=True
-            )
+        def native_runner(graph, starts, steps, rng):
             # With faults on, the replay runs each step over the
             # reliable ARQ path under the run's recovery mode: same
             # trajectories (retries resend, they never resample), more
@@ -288,13 +285,14 @@ class NativeBackend(Backend):
             try:
                 replay = replay_walk_run(
                     graph,
-                    run,
+                    WalkBatch(engine, starts, steps, rng),
                     validate=backend.validate,
                     faults=plan,
                     context=backend.context,
                 )
             except ReplayMismatch as exc:
                 raise BackendMismatch(str(exc)) from exc
+            run = replay.run
             charged = run.schedule_rounds()
             if plan is None:
                 if replay.rounds != charged:
@@ -319,7 +317,7 @@ class NativeBackend(Backend):
             backend.context.emit(
                 "backend",
                 "native/walk-batch",
-                walks=int(np.asarray(starts).shape[0]),
+                walks=run.num_walks,
                 steps=int(steps),
                 executed_rounds=int(replay.rounds),
                 messages=int(replay.messages),

@@ -28,10 +28,12 @@ endpoints (G0, level overlays, portals) can run on correlated batches.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..graphs.graph import Graph
-from .engine import WalkRun
+from .engine import StepHook, WalkRun, _Recorder
 
 __all__ = ["run_correlated_walks"]
 
@@ -42,6 +44,8 @@ def run_correlated_walks(
     steps: int,
     rng: np.random.Generator,
     record_trajectory: bool = False,
+    *,
+    on_step: Optional[StepHook] = None,
 ) -> WalkRun:
     """Run token-balanced (correlated) lazy walks.
 
@@ -56,6 +60,8 @@ def run_correlated_walks(
         steps: synchronous steps.
         rng: randomness source.
         record_trajectory: attach a ``(steps+1, W)`` trajectory array.
+        on_step: optional per-step ``(before, after)`` hook, as for
+            :func:`repro.walks.engine.run_lazy_walks`.
 
     Returns:
         A :class:`WalkRun` whose measured congestion is near-optimal
@@ -64,12 +70,14 @@ def run_correlated_walks(
     starts = np.asarray(starts, dtype=np.int64)
     positions = starts.copy()
     run = WalkRun(starts=starts, positions=positions, steps=steps)
-    trajectory = [starts.copy()] if record_trajectory else None
+    recorder = _Recorder(starts, on_step) if record_trajectory else None
+    hook = recorder if recorder is not None else on_step
     indptr = graph.indptr
     indices = graph.indices
     degrees = graph.degrees
     num_tokens = positions.shape[0]
     for _ in range(steps):
+        before = positions
         move = rng.random(num_tokens) < 0.5
         move &= degrees[positions] > 0
         moving_idx = np.flatnonzero(move)
@@ -102,9 +110,9 @@ def run_correlated_walks(
         node_counts = np.bincount(positions, minlength=graph.num_nodes)
         run.edge_congestion.append(congestion)
         run.max_node_load.append(int(node_counts.max()))
-        if trajectory is not None:
-            trajectory.append(positions.copy())
+        if hook is not None:
+            hook(before, positions)
     run.positions = positions
-    if trajectory is not None:
-        run.trajectory = np.stack(trajectory)  # type: ignore[attr-defined]
+    if recorder is not None:
+        run.trajectory = recorder.stack()
     return run

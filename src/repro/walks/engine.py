@@ -11,13 +11,14 @@ the true random process rather than the lemma's upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from ..graphs.graph import Graph
 
 __all__ = [
+    "StepHook",
     "StepTable",
     "WalkRun",
     "keyed_step",
@@ -30,6 +31,11 @@ __all__ = [
 # across blocks: fresh multi-MiB draws per step fragmented the heap
 # enough to show up in peak RSS.
 _BLOCK_BYTES = 1 << 20
+
+#: A per-step callback ``hook(before, after)``: the positions of every
+#: walk before and after one synchronous step.  Engines call it once per
+#: step, in step order, and never modify either array afterwards.
+StepHook = Callable[[np.ndarray, np.ndarray], None]
 
 
 class StepTable(NamedTuple):
@@ -136,6 +142,8 @@ class WalkRun:
         max_node_load: per step, the max number of tokens resident at any
             single node *after* the step (Lemma 2.4's quantity); empty
             unless the engine was asked for node loads.
+        trajectory: ``(steps + 1, W)`` positions before the first step
+            and after each step, or ``None`` unless recorded.
     """
 
     starts: np.ndarray
@@ -143,6 +151,7 @@ class WalkRun:
     steps: int
     edge_congestion: list[int] = field(default_factory=list)
     max_node_load: list[int] = field(default_factory=list)
+    trajectory: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def num_walks(self) -> int:
@@ -162,6 +171,24 @@ class WalkRun:
         return max(self.max_node_load) if self.max_node_load else 0
 
 
+class _Recorder:
+    """The ``record_trajectory`` step hook: keeps every step's positions
+    and passes the step on to the caller's own hook, if any."""
+
+    def __init__(self, starts: np.ndarray, then: Optional[StepHook]):
+        self.rows = [starts]
+        self.then = then
+
+    def __call__(self, before: np.ndarray, after: np.ndarray) -> None:
+        self.rows.append(after)
+        if self.then is not None:
+            self.then(before, after)
+
+    def stack(self) -> np.ndarray:
+        """The ``(steps + 1, W)`` trajectory."""
+        return np.stack(self.rows)
+
+
 def run_lazy_walks(
     graph: Graph,
     starts: np.ndarray,
@@ -170,6 +197,7 @@ def run_lazy_walks(
     record_trajectory: bool = False,
     *,
     node_loads: bool = False,
+    on_step: Optional[StepHook] = None,
 ) -> WalkRun:
     """Run lazy random walks (stay w.p. 1/2, else uniform incident edge).
 
@@ -180,11 +208,15 @@ def run_lazy_walks(
         rng: randomness source.
         record_trajectory: if True, attach ``run.trajectory`` of shape
             ``(steps + 1, W)``, the positions before the first step and
-            after each step.  Memory-heavy; the native backend and
-            :func:`repro.congest.build_native_g0` record it so that
-            :func:`repro.congest.replay_walk_run` can execute the batch
-            as messages.
+            after each step.  Memory-heavy (``steps + 1`` position
+            arrays); :func:`repro.congest.build_native_g0` records it
+            because its reverse pass and embedded paths read the whole
+            batch back.
         node_loads: if True, also record ``run.max_node_load`` per step.
+        on_step: optional :data:`StepHook` called with each step's
+            ``(before, after)`` positions as the step is taken — how the
+            native backend executes a batch as messages without holding
+            its trajectory.  It draws nothing from ``rng``.
 
     Returns:
         A :class:`WalkRun` with measured per-step congestion.
@@ -192,7 +224,7 @@ def run_lazy_walks(
     move_probability = np.where(graph.degrees > 0, 0.5, 0.0)
     return _run_walks(
         graph, starts, steps, rng, move_probability,
-        record_trajectory, node_loads,
+        record_trajectory, node_loads, on_step,
     )
 
 
@@ -209,13 +241,13 @@ def run_regular_walks(
 
     Each token moves to each incident edge w.p. ``1/(2*Delta)`` and stays
     otherwise, giving a uniform stationary distribution.  Arguments as
-    for :func:`run_lazy_walks`.
+    for :func:`run_lazy_walks` (no ``on_step``).
     """
     delta = max(1, graph.max_degree)
     move_probability = graph.degrees / (2.0 * delta)
     return _run_walks(
         graph, starts, steps, rng, move_probability,
-        record_trajectory, node_loads,
+        record_trajectory, node_loads, None,
     )
 
 
@@ -227,6 +259,7 @@ def _run_walks(
     move_probability: np.ndarray,
     record_trajectory: bool,
     node_loads: bool,
+    on_step: Optional[StepHook],
 ) -> WalkRun:
     """Walks that move w.p. ``move_probability[node]`` per step.
 
@@ -241,7 +274,8 @@ def _run_walks(
     starts = np.asarray(starts, dtype=np.int64)
     positions = starts.copy()
     run = WalkRun(starts=starts, positions=positions, steps=steps)
-    trajectory = [starts] if record_trajectory else None
+    recorder = _Recorder(starts, on_step) if record_trajectory else None
+    hook = recorder if recorder is not None else on_step
     table = StepTable.of(graph)
     num_arcs = table.num_arcs
     num_walks = positions.shape[0]
@@ -252,6 +286,7 @@ def _run_walks(
         rng.random(out=chunk)
         for coin, choice_u in chunk:
             move = coin < move_probability[positions]
+            before = positions
             positions, keys = keyed_step(table, positions, move, choice_u)
             if num_arcs:
                 arc_loads = np.bincount(keys, minlength=2 * num_arcs)
@@ -261,9 +296,9 @@ def _run_walks(
             if node_loads:
                 node_counts = np.bincount(positions, minlength=graph.num_nodes)
                 run.max_node_load.append(int(node_counts.max()))
-            if trajectory is not None:
-                trajectory.append(positions)
+            if hook is not None:
+                hook(before, positions)
     run.positions = positions
-    if trajectory is not None:
-        run.trajectory = np.stack(trajectory)  # type: ignore[attr-defined]
+    if recorder is not None:
+        run.trajectory = recorder.stack()
     return run

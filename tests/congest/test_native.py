@@ -228,3 +228,50 @@ class TestArcPathConsistency:
         broken = dataclasses.replace(g0, edge_paths=bad_paths)
         with pytest.raises(ValueError, match="inconsistent with the overlay"):
             build_native_level1(broken, beta=2, degree=3, length=4, seed=0)
+
+
+class TestLiveReplay:
+    """A batch executed live, step by step inside the engine, replays
+    exactly like the same seeded batch recorded first."""
+
+    @staticmethod
+    def _both(graph, faults=None):
+        from repro.congest import WalkBatch, replay_walk_run
+        from repro.rng import derive_rng
+        from repro.runtime import RunContext
+        from repro.walks import run_lazy_walks
+
+        starts = derive_rng(8).integers(0, graph.num_nodes, size=60)
+        replays, runs = [], []
+        for live in (True, False):
+            context = RunContext(seed=9, faults=faults)
+            rng = derive_rng(10)
+            if live:
+                batch = WalkBatch(run_lazy_walks, starts, 12, rng)
+            else:
+                batch = run_lazy_walks(
+                    graph, starts, 12, rng, record_trajectory=True
+                )
+            replay = replay_walk_run(
+                graph, batch, faults=context.fault_plan, context=context
+            )
+            replays.append(replay)
+            runs.append(replay.run if live else batch)
+        return replays, runs
+
+    @pytest.mark.parametrize("faults", [None, "drop=0.2"])
+    def test_live_equals_recorded(self, faults):
+        graph = random_regular(16, 4, np.random.default_rng(336))
+        (live, recorded), (walked, batch) = self._both(graph, faults)
+        assert live.run is walked and walked.trajectory is None
+        assert recorded.run is None
+        assert np.array_equal(walked.positions, batch.positions)
+        assert walked.edge_congestion == batch.edge_congestion
+        for name in ("rounds", "per_step", "messages", "step_booked"):
+            assert getattr(live, name) == getattr(recorded, name), name
+        if faults is None:
+            assert live.rounds == walked.schedule_rounds()
+            assert live.step_booked == 0
+        else:
+            assert live.rounds > walked.schedule_rounds()
+            assert live.step_booked > 0

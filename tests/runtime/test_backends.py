@@ -167,3 +167,76 @@ class TestOracleFullSurface:
         # every pipeline stage charged the shared context ledger
         prefixes = {label.split("/")[0] for label in context.ledger.by_label()}
         assert {"mst", "mincut", "clique"} <= prefixes
+
+
+def _spy_native_runs(monkeypatch):
+    """Wrap every native walk runner; returns the list its runs land in."""
+    runs = []
+    make_runner = NativeBackend._walk_runner
+
+    def spying(self):
+        runner = make_runner(self)
+
+        def spy(*args):
+            run = runner(*args)
+            runs.append(run)
+            return run
+
+        return spy
+
+    monkeypatch.setattr(NativeBackend, "_walk_runner", spying)
+    return runs
+
+
+class TestNativeMemory:
+    def test_native_open_peaks_near_the_oracle(self, monkeypatch):
+        """Each walk step is executed as the engine takes it, so a native
+        open holds no batch trajectory: its tracemalloc peak stays within
+        2x the oracle's (it was ~14x while batches were recorded first)."""
+        import tracemalloc
+
+        from repro.rng import derive_rng
+        from repro.runtime import RunConfig, Session
+
+        runs = _spy_native_runs(monkeypatch)
+        graph = random_regular(128, 6, derive_rng(0, 128))
+        peaks = {}
+        for backend in ("oracle", "native"):
+            config = RunConfig(seed=0, backend=backend, cache="off")
+            tracemalloc.start()
+            try:
+                with Session.open(graph, config):
+                    peaks[backend] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["native"] <= 2 * peaks["oracle"], peaks
+        assert runs and all(run.trajectory is None for run in runs)
+
+
+class TestNativeCorrelatedWalks:
+    def test_correlated_batches_run_through_the_step_hook(self, monkeypatch):
+        from repro.params import Params
+        from repro.runtime import RunConfig, Session
+        from repro.runtime import backends
+        from repro.walks import run_correlated_walks
+
+        hooked = []
+
+        def spy(graph, starts, steps, rng, record_trajectory=False, **kw):
+            hooked.append((record_trajectory, kw.get("on_step") is not None))
+            return run_correlated_walks(
+                graph, starts, steps, rng, record_trajectory, **kw
+            )
+
+        monkeypatch.setattr(backends, "run_correlated_walks", spy)
+        runs = _spy_native_runs(monkeypatch)
+        params = Params.default().with_overrides(use_correlated_walks=True)
+        config = RunConfig(
+            seed=2, backend="native", cache="off", params=params
+        )
+        with Session.open(_small_graph(n=32), config) as session:
+            assert session.request("route").result.delivered
+            executed = session.backend.executed_rounds
+        assert hooked and set(hooked) == {(False, True)}
+        assert len(runs) == len(hooked)
+        assert executed == sum(run.schedule_rounds() for run in runs)
