@@ -8,8 +8,8 @@ engines charge — and this module executes it for real, so cross-checks
 can compare the two (see ``tests/congest/test_walk_crosscheck.py`` and
 ``tests/congest/test_hop_crosscheck.py``).
 
-On a clean wire :func:`forward_demands` runs an array executor: one
-FIFO queue per busy directed node pair, drained one message per pair per
+:func:`forward_demands` runs a clean-wire array executor: one FIFO
+queue per busy directed node pair, drained one message per pair per
 round.  The per-node simulation — :class:`TokenForwarder` nodes on
 :meth:`repro.congest.network.Network.run` — is kept as the oracle
 (``_forward_demands_scalar``): the equivalence tests drive it, and
@@ -20,12 +20,11 @@ walk steps under ``validate="full"``.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..graphs.graph import Graph
-from .faults import FaultPlan
 from .network import CongestViolation, Network, NodeAlgorithm
 
 __all__ = ["TokenForwarder", "forward_demands"]
@@ -186,68 +185,32 @@ def _forward_demands_scalar(
     return stats.rounds, stats.messages
 
 
-def forward_demands(
-    graph: Graph,
-    origins,
-    targets,
-    validate: str = "full",
-    faults: Optional[FaultPlan] = None,
-    context=None,
-) -> tuple[int, int]:
+def forward_demands(graph: Graph, origins, targets) -> tuple[int, int]:
     """Deliver one-hop demands ``origin -> target`` under edge capacity 1.
 
-    On a clean wire the array executor runs: per-pair FIFO queues, one
-    message per busy directed pair per round, executed round by round.
-    It checks every demand against the graph's edges in every
-    ``validate`` mode.  The per-node simulator it replaces stays as the
-    oracle ``_forward_demands_scalar``, checked against this executor by
+    Runs the clean-wire array executor: per-pair FIFO queues, one
+    message per busy directed pair per round, executed round by round,
+    with every demand checked against the graph's edges.  The per-node
+    simulator it replaces stays as the oracle
+    ``_forward_demands_scalar``, checked against this executor by
     ``tests/congest/test_hop_crosscheck.py`` and, under
     ``validate="full"``, on sampled steps of
-    :func:`repro.congest.native.replay_walk_run`.
+    :func:`repro.congest.native.replay_walk_run`.  A faulty wire needs
+    the ARQ path,
+    :func:`repro.congest.reliable.reliable_forward_demands`.
 
     Args:
         graph: the network; every (origin, target) must be an edge.
         origins: demand origins (any iterable).
         targets: demand targets (any iterable, same length).
-        validate: outbox-validation mode passed to
-            :meth:`repro.congest.network.Network.run` on the faulty
-            wire.
-        faults: optional :class:`~repro.congest.faults.FaultPlan`.  With
-            an active (non-null) plan the unreliable queue protocol
-            would lose tokens, so delivery is delegated to the ARQ path
-            in :func:`repro.congest.reliable.reliable_forward_demands`
-            — everything still arrives, at measured extra round cost, or
-            a :class:`~repro.congest.faults.DeliveryTimeout` is raised.
-        context: optional :class:`repro.runtime.RunContext`; with active
-            faults the retry overhead is charged to it under
-            ``faults/retry-rounds``.
 
     Returns:
-        ``(rounds, messages)`` of the execution; on a clean wire
-        ``rounds`` equals the max number of demands sharing one directed
-        node pair.
+        ``(rounds, messages)`` of the execution; ``rounds`` equals the
+        max number of demands sharing one directed node pair.
 
     Raises:
         ValueError: if ``origins`` and ``targets`` differ in length.
-        CongestViolation: on a clean wire, if a demand is not an edge.
+        CongestViolation: if a demand is not an edge.
     """
-    if validate not in ("full", "first_round", "off"):
-        raise ValueError(
-            f"validate must be 'full', 'first_round' or 'off', "
-            f"got {validate!r}"
-        )
     origins, targets = _demand_arrays(origins, targets)
-    if faults is not None and not faults.spec.is_null:
-        from .reliable import reliable_forward_demands
-
-        report = reliable_forward_demands(
-            graph,
-            origins,
-            targets,
-            faults=faults,
-            validate=validate,
-            context=context,
-            recovery=getattr(context, "recovery", None) or "fail-fast",
-        )
-        return report.rounds, report.messages
     return _forward_demands_array(graph, origins, targets)

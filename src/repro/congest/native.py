@@ -385,9 +385,7 @@ class _StepReplay:
             return 0
         origins, targets = before[moved], after[moved]
         if self.faults is None:
-            rounds, sent = forward_demands(
-                self.graph, origins, targets, validate=self.validate
-            )
+            rounds, sent = forward_demands(self.graph, origins, targets)
         else:
             report = reliable_forward_demands(
                 self.graph,

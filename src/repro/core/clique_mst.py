@@ -21,7 +21,7 @@ from Avin et al. [5].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from ..params import Params
 from ..rng import resolve_rng
 from .clique import emulate_clique
 from .hierarchy import Hierarchy, build_hierarchy
-from .ledger import RoundLedger
 from .router import Router
 
 __all__ = ["CliqueMstResult", "clique_boruvka_mst"]
@@ -50,7 +49,6 @@ class CliqueMstResult:
             round.
         rounds: total base-graph rounds
             (``clique_rounds * clique_round_cost``).
-        ledger: accounting ledger.
     """
 
     edge_ids: list[int]
@@ -59,7 +57,6 @@ class CliqueMstResult:
     clique_rounds: int
     clique_round_cost: float
     rounds: float
-    ledger: RoundLedger = field(default_factory=RoundLedger)
 
 
 def clique_boruvka_mst(
@@ -88,7 +85,6 @@ def clique_boruvka_mst(
     rng = resolve_rng(rng, seed)
     hierarchy = hierarchy or build_hierarchy(graph, params, rng)
     router = Router(hierarchy, params=params, rng=rng)
-    ledger = RoundLedger()
     # Measure what one emulated clique round costs on this graph.
     emulation = emulate_clique(
         hierarchy, params, rng, router=router
@@ -96,7 +92,6 @@ def clique_boruvka_mst(
     if not emulation.delivered:
         raise RuntimeError("clique emulation failed on this graph")
     clique_round_cost = emulation.rounds
-    ledger.charge("clique-mst/calibration", clique_round_cost)
 
     n = graph.num_nodes
     component = np.arange(n, dtype=np.int64)
@@ -133,16 +128,11 @@ def clique_boruvka_mst(
     edge_ids = sorted(edge_ids)
     if len(edge_ids) != n - 1:
         raise RuntimeError("graph is disconnected; no spanning tree")
-    rounds = clique_rounds * clique_round_cost
-    ledger.charge(
-        "clique-mst/iterations", rounds, clique_rounds=clique_rounds
-    )
     return CliqueMstResult(
         edge_ids=edge_ids,
         total_weight=graph.total_weight(edge_ids),
         iterations=iterations,
         clique_rounds=clique_rounds,
         clique_round_cost=clique_round_cost,
-        rounds=rounds,
-        ledger=ledger,
+        rounds=clique_rounds * clique_round_cost,
     )

@@ -350,21 +350,22 @@ class RepairReport:
         dropped: per level, dead-incident edges removed without a
             replacement (no live non-adjacent candidate, or a clique
             level where live members stay complete anyway).
-        cost_rounds: base-graph rounds charged under
-            ``recovery/repair-level-*``.
+        costs: per level, in level order, the base-graph rounds of the
+            re-embedding walks (levels that replaced no edge are
+            absent).  The repair charges no ledger; its caller books
+            these costs.
     """
 
     dead: tuple[int, ...]
     replaced: dict[int, int]
     dropped: dict[int, int]
-    cost_rounds: float
+    costs: dict[int, float]
 
 
 def repair_overlay(
     hierarchy: Hierarchy,
     dead_vnodes,
     rng: np.random.Generator,
-    context=None,
 ) -> RepairReport:
     """Re-embed overlay edges incident to dead virtual nodes, in place.
 
@@ -376,16 +377,15 @@ def repair_overlay(
     their overlay arrays bit-identical (no global rebuild).
 
     Each replacement edge costs one ``level_walk_length``-step walk on
-    the previous overlay (forward + reverse), charged per level as
-    ``recovery/repair-level-{i}``; charges go to ``context`` when
-    given, else to the hierarchy's own ledger.
+    the previous overlay (forward + reverse); the per-level cost is
+    returned in :attr:`RepairReport.costs`, not charged.
     """
     dead = frozenset(int(v) for v in dead_vnodes)
     replaced: dict[int, int] = {}
     dropped: dict[int, int] = {}
-    total_cost = 0.0
+    costs: dict[int, float] = {}
     if not dead:
-        return RepairReport((), replaced, dropped, 0.0)
+        return RepairReport((), replaced, dropped, costs)
     num_vnodes = hierarchy.g0.virtual.count
     walk_length = max(4, int(round(3.0 * np.log2(max(2, num_vnodes)))))
     for level in hierarchy.levels:
@@ -469,21 +469,5 @@ def repair_overlay(
             * hierarchy.emulation_to_g(level.index - 1)
         )
         if cost > 0.0:
-            total_cost += cost
-            if context is not None:
-                context.charge(
-                    f"recovery/repair-level-{level.index}",
-                    cost,
-                    replaced=n_replaced,
-                    dropped=n_dropped,
-                )
-            else:
-                hierarchy.ledger.charge(
-                    f"recovery/repair-level-{level.index}",
-                    cost,
-                    replaced=n_replaced,
-                    dropped=n_dropped,
-                )
-    return RepairReport(
-        tuple(sorted(dead)), replaced, dropped, total_cost
-    )
+            costs[level.index] = cost
+    return RepairReport(tuple(sorted(dead)), replaced, dropped, costs)

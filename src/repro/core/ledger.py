@@ -92,10 +92,6 @@ class RoundLedger:
             table[prefix] = table.get(prefix, 0.0) + charge.rounds
         return table
 
-    def merge(self, other: "RoundLedger") -> None:
-        """Append all of ``other``'s charges to this ledger."""
-        self._charges.extend(other._charges)
-
     def format(self) -> str:
         """Human-readable breakdown."""
         lines = [f"{'label':40s} {'rounds':>12s}"]

@@ -21,7 +21,7 @@ upcasts (same order as one MST iteration per tree).  This is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..graphs.graph import Graph, WeightedGraph
 from ..params import Params
 from ..rng import resolve_rng
 from .hierarchy import Hierarchy, build_hierarchy
-from .ledger import RoundLedger
 from .mst import MstRunner
 
 __all__ = ["MinCutResult", "approximate_min_cut", "tree_respecting_min_cut"]
@@ -43,15 +42,13 @@ class MinCutResult:
         cut_value: the best (smallest) cut found.
         cut_side: boolean membership mask of one side of that cut.
         num_trees: packed trees inspected.
-        rounds: total base-graph rounds charged.
-        ledger: accounting ledger.
+        rounds: total base-graph rounds of the packed MST runs.
     """
 
     cut_value: int
     cut_side: np.ndarray
     num_trees: int
     rounds: float = 0.0
-    ledger: RoundLedger = field(default_factory=RoundLedger)
 
 
 def approximate_min_cut(
@@ -109,7 +106,6 @@ def approximate_min_cut(
             hierarchy = build_hierarchy(graph, context=context)
         else:
             hierarchy = build_hierarchy(graph, params, rng)
-    ledger = RoundLedger()
     loads = np.zeros(graph.num_edges, dtype=np.float64)
     edge_list = list(graph.edges())
     best_value = None
@@ -124,9 +120,6 @@ def approximate_min_cut(
         runner = MstRunner(weighted, hierarchy=hierarchy, params=params, rng=rng)
         mst = runner.run()
         rounds += mst.rounds
-        ledger.charge(
-            f"mincut/tree-{tree_index}", mst.rounds, edges=len(mst.edge_ids)
-        )
         if context is not None:
             context.charge(
                 f"mincut/tree-{tree_index}", mst.rounds,
@@ -145,7 +138,6 @@ def approximate_min_cut(
         cut_side=best_side,
         num_trees=num_trees,
         rounds=rounds,
-        ledger=ledger,
     )
 
 

@@ -29,7 +29,6 @@ from ..graphs.graph import WeightedGraph
 from ..params import Params
 from ..rng import resolve_rng
 from .hierarchy import Hierarchy, build_hierarchy
-from .ledger import RoundLedger
 from .router import Router
 from .virtual_tree import VirtualTree
 
@@ -75,7 +74,6 @@ class MstResult:
         iterations: per-iteration statistics.
         rounds: total base-graph rounds (construction excluded).
         construction_rounds: rounds spent building the routing structure.
-        ledger: the full accounting ledger.
     """
 
     edge_ids: list[int]
@@ -83,7 +81,6 @@ class MstResult:
     iterations: list[IterationStats] = field(default_factory=list)
     rounds: float = 0.0
     construction_rounds: float = 0.0
-    ledger: RoundLedger = field(default_factory=RoundLedger)
 
     @property
     def num_iterations(self) -> int:
@@ -127,8 +124,6 @@ class MstRunner:
         """Compute the MST; verified-unique via (weight, id) tie-breaks."""
         graph = self.graph
         n = graph.num_nodes
-        ledger = RoundLedger()
-        ledger.merge(self.hierarchy.ledger)
         component = np.arange(n, dtype=np.int64)
         trees: dict[int, VirtualTree] = {
             v: VirtualTree.singleton(v) for v in range(n)
@@ -136,7 +131,6 @@ class MstRunner:
         result = MstResult(
             edge_ids=[],
             total_weight=0.0,
-            ledger=ledger,
             construction_rounds=self.hierarchy.construction_rounds(),
         )
         max_iterations = max(8, int(8 * math.log2(max(2, n))))
@@ -145,9 +139,7 @@ class MstRunner:
             num_components = len(trees)
             if num_components == 1:
                 break
-            stats = self._one_iteration(
-                iteration, component, trees, edges, ledger
-            )
+            stats = self._one_iteration(iteration, component, trees, edges)
             result.iterations.append(stats)
             result.rounds += stats.rounds
             if stats.edges_added:
@@ -174,7 +166,6 @@ class MstRunner:
         component: np.ndarray,
         trees: dict[int, VirtualTree],
         edges: np.ndarray,
-        ledger: RoundLedger,
     ) -> IterationStats:
         graph = self.graph
         components_before = len(trees)
@@ -237,12 +228,6 @@ class MstRunner:
             for node in tree.nodes:
                 ratio = tree.in_degree(node) / max(1, graph.degree(node))
                 max_ratio = max(max_ratio, ratio)
-        ledger.charge(
-            f"mst/iteration-{iteration}",
-            iteration_rounds,
-            components=components_before,
-            merged=len(self._added_this_round),
-        )
         if self._context is not None:
             # The upcast repeats the routing instance, so its fault
             # surcharge repeats with it; split it out under faults/.

@@ -28,7 +28,6 @@ from ..graphs.graph import Graph
 from ..params import Params
 from ..walks.engine import run_regular_walks
 from .hierarchy import Hierarchy
-from .ledger import RoundLedger
 
 __all__ = ["PortalTable", "build_portals"]
 
@@ -127,17 +126,18 @@ def build_portals(
     hierarchy: Hierarchy,
     params: Params,
     rng: np.random.Generator,
-    ledger: RoundLedger | None = None,
     redundancy_rng: np.random.Generator | None = None,
     redundancy: int | None = None,
 ) -> PortalTable:
     """Build portal tables for all levels of ``hierarchy``.
 
+    The discovery rounds are charged to the hierarchy's construction
+    ledger (:attr:`Hierarchy.ledger`).
+
     Args:
         hierarchy: a constructed :class:`Hierarchy`.
         params: construction constants.
         rng: randomness source.
-        ledger: ledger to charge costs to (default: the hierarchy's own).
         redundancy_rng: separate randomness source for the extra
             ``k - 1`` failover portals per (node, sibling); when given,
             :attr:`PortalTable.redundant` is populated and the extra
@@ -150,7 +150,6 @@ def build_portals(
     Returns:
         The :class:`PortalTable`.
     """
-    ledger = ledger if ledger is not None else hierarchy.ledger
     tables: list[np.ndarray] = []
     boundary_counts: list[dict[tuple[int, int], int]] = []
     boundary_sets: list[dict[tuple[int, int], np.ndarray]] = []
@@ -179,7 +178,7 @@ def build_portals(
             # target part; beta targets; log n walk steps each.
             log_n = math.log2(max(2, num_vnodes))
             cost_level = float(beta * beta * log_n)
-        ledger.charge(
+        hierarchy.ledger.charge(
             f"portals/level-{level}",
             cost_level * hierarchy.emulation_to_g(level),
             beta=beta,
@@ -196,7 +195,7 @@ def build_portals(
                 )
             redundant.append(extra)
             # Each extra portal repeats the Lemma 3.3 discovery.
-            ledger.charge(
+            hierarchy.ledger.charge(
                 f"recovery/portal-redundancy-level-{level}",
                 (redundancy - 1)
                 * cost_level

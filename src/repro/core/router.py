@@ -38,7 +38,6 @@ from ..rng import derive_rng, resolve_rng
 from ..walks.correlated import run_correlated_walks
 from ..walks.engine import run_lazy_walks
 from .hierarchy import Hierarchy
-from .ledger import RoundLedger
 from .portals import PortalTable, build_portals
 
 __all__ = ["RoutingError", "LevelCost", "RoutingResult", "Router"]
@@ -300,7 +299,6 @@ class Router:
         self,
         sources: np.ndarray,
         destinations: np.ndarray,
-        ledger: RoundLedger | None = None,
         trace: bool = False,
     ) -> RoutingResult:
         """Deliver one packet per (source, destination) pair.
@@ -311,7 +309,6 @@ class Router:
         Args:
             sources: real-node source per packet.
             destinations: real-node destination per packet.
-            ledger: optional ledger to charge the phases to.
             trace: also record per-packet overlay hop counts (the
                 stretch measurement of experiment E13).
 
@@ -392,13 +389,6 @@ class Router:
                     reelections=self._reelections,
                     recovery_rounds=recovery_rounds,
                 )
-        if ledger is not None:
-            ledger.charge(
-                "route/instance",
-                cost_rounds,
-                packets=int(sources.shape[0]),
-                phases=num_phases,
-            )
         if self._context is not None:
             self._context.charge(
                 "route/instance",

@@ -211,20 +211,6 @@ class UpdateReport:
         }
 
 
-class _ServeLedger:
-    """Charge adapter: books repair costs under ``serve/`` instead of
-    ``recovery/`` (same amounts, the serving category — a planned
-    update is maintenance, not failure recovery)."""
-
-    def __init__(self, context: RunContext) -> None:
-        self._context = context
-
-    def charge(self, label: str, rounds: float, **detail: Any) -> None:
-        if label.startswith("recovery/"):
-            label = "serve/" + label.split("/", 1)[1]
-        self._context.charge(label, rounds, **detail)
-
-
 class Session:
     """A warm hierarchy + router serving many requests (use
     :meth:`open`)."""
@@ -890,11 +876,17 @@ class Session:
             f"serve-update-{self.updates_applied}"
         )
         report = repair_overlay(
-            self.backend.hierarchy,
-            dead_vnodes,
-            repair_rng,
-            context=_ServeLedger(self.context),
+            self.backend.hierarchy, dead_vnodes, repair_rng
         )
+        # A planned update is maintenance, not failure recovery: its
+        # repair books under serve/.
+        for level, rounds in report.costs.items():
+            self.context.charge(
+                f"serve/repair-level-{level}",
+                rounds,
+                replaced=report.replaced[level],
+                dropped=report.dropped.get(level, 0),
+            )
         reelected = self._reelect_dead_portals(dead_vnodes, repair_rng)
         cost = float(
             self.context.ledger.slice_from(start).total()

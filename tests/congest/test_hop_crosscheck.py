@@ -143,11 +143,14 @@ class TestArrayMatchesScalarOracle:
     # Target 4 is out of range; its key 0 * 4 + 4 aliases the edge (1, 0).
     @pytest.mark.parametrize("target", [3, 4])
     def test_non_edge_names_the_pair(self, executor, validate, target):
+        """The array executor has no validate mode (it checks every
+        demand); the oracle must catch the non-edge in every mode."""
         graph = path_graph(4)
+        options = {} if executor is forward_demands else {"validate": validate}
         with pytest.raises(
             CongestViolation, match=f"node 0 sent to non-neighbor {target}"
         ):
-            executor(graph, [1, 0], [2, target], validate=validate)
+            executor(graph, [1, 0], [2, target], **options)
 
 
 class TestDemandInputs:

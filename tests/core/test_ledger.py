@@ -35,13 +35,6 @@ class TestLedger:
         ledger.charge("mst/it0", 4)
         assert ledger.by_prefix() == {"route": 5.0, "mst": 4.0}
 
-    def test_merge(self):
-        a, b = RoundLedger(), RoundLedger()
-        a.charge("x", 1)
-        b.charge("y", 2)
-        a.merge(b)
-        assert a.total() == 3
-
     def test_label_order_preserved(self):
         ledger = RoundLedger()
         for label in ("c", "a", "b"):
@@ -72,17 +65,6 @@ class TestLedger:
         assert ledger.total() == pytest.approx(
             sum(charge.rounds for charge in ledger.charges)
         )
-
-    def test_merge_order_stable(self):
-        """Merging preserves first-seen label order across both ledgers."""
-        a, b = RoundLedger(), RoundLedger()
-        a.charge("c", 1)
-        a.charge("a", 1)
-        b.charge("d", 1)
-        b.charge("a", 1)  # existing label must not move
-        a.merge(b)
-        assert list(a.by_label()) == ["c", "a", "d"]
-        assert a.by_label()["a"] == 2.0
 
     def test_detail_survives_jsonl_round_trip(self, tmp_path):
         """Charge.detail comes back intact from a JSONL event sink."""

@@ -13,6 +13,7 @@ from repro.graphs import (
     random_regular,
     ring_graph,
 )
+from repro.runtime import RunContext
 
 
 class TestSubtreeMasks:
@@ -98,12 +99,19 @@ class TestApproximateMinCut:
 
     def test_rounds_and_ledger(self, params):
         g = ring_graph(12)
+        context = RunContext(seed=125, params=params)
         result = approximate_min_cut(
-            g, params=params, rng=np.random.default_rng(125), num_trees=2,
+            g, rng=np.random.default_rng(125), num_trees=2, context=context,
         )
         assert result.rounds > 0
         assert result.num_trees == 2
-        assert len(result.ledger.by_label()) == 2
+        trees = {
+            label: rounds
+            for label, rounds in context.ledger.by_label().items()
+            if label.startswith("mincut/")
+        }
+        assert list(trees) == ["mincut/tree-0", "mincut/tree-1"]
+        assert sum(trees.values()) == pytest.approx(result.rounds)
 
     def test_default_tree_count_scales(self, params):
         g = ring_graph(12)

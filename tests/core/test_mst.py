@@ -16,6 +16,8 @@ from repro.graphs import (
     with_weights,
 )
 from repro.params import Params
+from repro.rng import derive_rng
+from repro.runtime import RunConfig, RunContext, run
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +119,36 @@ class TestLemma41Invariants:
         for stats in mst64.iterations:
             assert stats.rounds >= 1
 
-    def test_ledger_has_iterations(self, mst64):
-        labels = mst64.ledger.by_prefix()
-        assert "mst" in labels
-        assert "g0" in labels
+    def test_ledger_has_iterations(self, weighted64, hierarchy64, params):
+        context = RunContext(seed=100, params=params)
+        MstRunner(weighted64, hierarchy=hierarchy64, context=context).run()
+        assert "mst" in context.ledger.by_prefix()
+        assert "g0" in hierarchy64.ledger.by_prefix()
+
+
+class TestRunLedger:
+    def test_iteration_charges_sum_to_iteration_rounds(self):
+        """Each iteration books its rounds once on the run ledger: the
+        ``mst/iteration-i`` charge plus the retry surcharge split out
+        under ``faults/retry-rounds`` make up ``IterationStats.rounds``."""
+        graph = random_regular(48, 6, derive_rng(0, 48))
+        outcome = run(
+            "mst", graph, config=RunConfig(seed=3, faults="drop=0.05")
+        )
+        charges = outcome.ledger.charges
+        surcharged = 0
+        for stats in outcome.result.iterations:
+            label = f"mst/iteration-{stats.iteration}"
+            booked = [c.rounds for c in charges if c.label == label]
+            retries = [
+                c.rounds
+                for c in charges
+                if c.label == "faults/retry-rounds"
+                and c.detail.get("stage") == label
+            ]
+            assert len(booked) == 1
+            surcharged += bool(retries)
+            assert sum(booked) + sum(retries) == pytest.approx(
+                stats.rounds, rel=1e-12
+            )
+        assert surcharged > 0

@@ -96,11 +96,9 @@ class TestPortalTables:
             )
 
     def test_cost_charged(self, hierarchy64, params):
-        from repro.core import RoundLedger
-
-        ledger = RoundLedger()
-        build_portals(hierarchy64, params, np.random.default_rng(61), ledger)
-        labels = ledger.by_label()
+        start = len(hierarchy64.ledger)
+        build_portals(hierarchy64, params, np.random.default_rng(61))
+        labels = hierarchy64.ledger.slice_from(start).by_label()
         assert any(label.startswith("portals/level") for label in labels)
 
     def test_boundary_counts_recorded(self, portals64, hierarchy64):
@@ -162,17 +160,14 @@ class TestRedundantPortals:
                     assert set(chosen[chosen >= 0].tolist()) <= legal
 
     def test_recovery_cost_charged_separately(self, hierarchy64, params):
-        from repro.core import RoundLedger
-
-        ledger = RoundLedger()
+        start = len(hierarchy64.ledger)
         build_portals(
             hierarchy64,
             params,
             derive_rng(12, 1),
-            ledger,
             redundancy_rng=derive_rng(12, 2),
         )
-        labels = ledger.by_label()
+        labels = hierarchy64.ledger.slice_from(start).by_label()
         assert any(
             label.startswith("recovery/portal-redundancy") for label in labels
         )

@@ -108,13 +108,21 @@ class TestCostAccounting:
         for level, cost in result.level_costs.items():
             assert cost.invocations <= 2**level
 
-    def test_ledger_charge(self, router64):
-        from repro.core import RoundLedger
+    def test_ledger_charge(self, router64, hierarchy64, params):
+        from repro.runtime import RunContext
 
-        ledger = RoundLedger()
+        context = RunContext(seed=76, params=params)
+        router = Router(
+            hierarchy64,
+            portals=router64.portals,
+            rng=np.random.default_rng(76),
+            context=context,
+        )
         rng = np.random.default_rng(76)
-        router64.route(np.arange(64), rng.permutation(64), ledger=ledger)
-        assert "route/instance" in ledger.by_label()
+        result = router.route(np.arange(64), rng.permutation(64))
+        assert context.ledger.by_label()["route/instance"] == (
+            result.cost_rounds
+        )
 
     def test_more_packets_cost_no_less(self, router64):
         rng = np.random.default_rng(77)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph, random_regular
+from repro.rng import derive_rng
 from repro.runtime import (
     Journal,
     Request,
@@ -263,6 +264,68 @@ class TestApplyUpdate:
             v = int(graph.indices[graph.indptr[0]])
             session.apply_update(edges_removed=[(u, v)])
             assert session.cache_key != key
+
+    def test_repair_levels_charge_under_serve(self):
+        """A repair that re-embeds edges books one ``serve/`` charge per
+        level, in level order, and nothing under ``recovery/``."""
+        graph = random_regular(64, 6, derive_rng(0, 64))
+        config = RunConfig(seed=0, cache="off", beta=2)
+        with Session.open(graph, config) as session:
+            start = len(session.context.ledger)
+            report = session.apply_update(nodes_down=[5])
+            booked = session.context.ledger.slice_from(start)
+        assert not report.rebuilt
+        assert sorted(report.repaired) == [1, 2, 3]
+        levels = [
+            c for c in booked.charges
+            if c.label.startswith("serve/repair-level-")
+        ]
+        assert [c.label for c in levels] == [
+            f"serve/repair-level-{level}" for level in (1, 2, 3)
+        ]
+        for level, charge in zip((1, 2, 3), levels):
+            assert charge.rounds > 0
+            assert charge.detail == {
+                "replaced": report.repaired[level],
+                "dropped": report.dropped.get(level, 0),
+            }
+        assert "serve/reelect" in booked.by_label()
+        assert not any(
+            label.startswith("recovery/") for label in booked.by_label()
+        )
+        assert booked.total() == pytest.approx(report.cost_rounds)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Session._edge_ids numbers removed edges in the current "
+        "graph, not the built one (CHANGES.md, FOUND: Session._edge_ids)",
+    )
+    def test_later_removal_kills_the_removed_edges_vnodes(
+        self, monkeypatch
+    ):
+        """Each removal kills the virtual nodes of the removed edge, as
+        numbered in the graph the hierarchy was built on."""
+        import repro.runtime.session as session_module
+
+        graph = random_regular(64, 6, derive_rng(0, 64))
+        killed: list[list[int]] = []
+        repair = session_module.repair_overlay
+
+        def recording_repair(hierarchy, dead_vnodes, *args, **kwargs):
+            killed.append(sorted(int(v) for v in dead_vnodes))
+            return repair(hierarchy, dead_vnodes, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "repair_overlay", recording_repair)
+        with Session.open(graph, RunConfig(seed=0)) as session:
+            virtual = session.backend.hierarchy.g0.virtual
+            first, second = (
+                tuple(int(x) for x in graph.edge_array[eid])
+                for eid in (3, 100)
+            )
+            session.apply_update(edges_removed=[first])
+            session.apply_update(edges_removed=[second])
+        expected = np.flatnonzero(virtual.graph.arc_edge == 100).tolist()
+        assert killed[1] == expected
 
 
 class TestCacheHitKnobs:

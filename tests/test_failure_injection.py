@@ -25,7 +25,6 @@ from repro.congest.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.congest.forwarding import forward_demands
 from repro.congest.reliable import reliable_forward_demands
 from repro.core import Router, build_hierarchy, minimum_spanning_tree
 from repro.graphs import (
@@ -247,12 +246,6 @@ class TestZeroFaultIdentity:
                 outcome.result.final_vnodes.tolist(),
             )
         assert results[None] == results["drop=0.0"]
-
-    def test_forwarding_null_plan_short_circuits(self, expander64):
-        origins, targets = _neighbor_demands(expander64)
-        assert forward_demands(
-            expander64, origins, targets, faults=_plan("drop=0")
-        ) == forward_demands(expander64, origins, targets)
 
 
 class TestNetworkFaultInjection:
