@@ -5,7 +5,7 @@ Ghaffari, Kuhn, Su — PODC 2017.
 Public API tour:
 
 * :func:`repro.run` with a :class:`repro.RunConfig` — the front door:
-  one frozen config (seed, params, backend, validate, trace, faults)
+  one frozen config (seed, params, backend, trace, faults, ...)
   executes any operation (``build`` / ``route`` / ``mst`` / ``mincut`` /
   ``clique``) and returns a :class:`~repro.runtime.RunOutcome` carrying
   the result, the ledger, and the trace.

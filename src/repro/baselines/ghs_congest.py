@@ -258,13 +258,11 @@ class _Relabel(NodeAlgorithm):
 def congest_ghs_mst(
     graph: WeightedGraph,
     max_iterations: int | None = None,
-    validate: str = "full",
 ) -> CongestGhsResult:
     """Run message-passing Boruvka to completion on ``graph``.
 
-    ``validate`` selects the outbox-validation mode of
-    :meth:`repro.congest.network.Network.run`; results are identical
-    across modes (the equivalence suite asserts this).
+    Every phase runs on :meth:`repro.congest.network.Network.run`, which
+    checks each node's outbox against the CONGEST contract every round.
     """
     if not isinstance(graph, WeightedGraph):
         raise TypeError("congest_ghs_mst needs a WeightedGraph")
@@ -286,9 +284,7 @@ def congest_ghs_mst(
     def run_phase(cls) -> None:
         nonlocal rounds, messages
         algorithms = [cls(network.context(v), states[v]) for v in range(n)]
-        stats = network.run(
-            algorithms, max_rounds=50 * n + 100, validate=validate
-        )
+        stats = network.run(algorithms, max_rounds=50 * n + 100)
         rounds += stats.rounds
         messages += stats.messages
         return algorithms

@@ -196,7 +196,7 @@ def _scheduler(seed: int, quick: bool) -> list[dict]:
 
 def _simulator(seed: int, quick: bool) -> list[dict]:
     """The per-node simulator replaying the moving steps of one walk
-    batch, with outbox validation on and off."""
+    batch, every outbox checked every round."""
     rows = []
     for n, length in [(48, 8)] if quick else [(64, 16), (128, 16)]:
         graph = _regular(seed, n)
@@ -212,23 +212,18 @@ def _simulator(seed: int, quick: bool) -> list[dict]:
             moved = before != after
             if moved.any():
                 steps.append((before[moved], after[moved]))
-        for kernel, mode in (
-            ("simulator", "full"),
-            ("simulator_novalidate", "off"),
-        ):
-            wall, executed = _timed(
-                lambda: sum(
-                    _forward_demands_scalar(graph, *step, validate=mode)[0]
-                    for step in steps
-                ),
-                repeats=1 if quick else 3,
+        wall, executed = _timed(
+            lambda: sum(
+                _forward_demands_scalar(graph, *step)[0] for step in steps
+            ),
+            repeats=1 if quick else 3,
+        )
+        if executed != sum(run.edge_congestion):
+            raise AssertionError(
+                f"the simulator executed {executed} rounds but the "
+                f"walk engine charged {sum(run.edge_congestion)}"
             )
-            if executed != sum(run.edge_congestion):
-                raise AssertionError(
-                    f"the simulator executed {executed} rounds but the "
-                    f"walk engine charged {sum(run.edge_congestion)}"
-                )
-            rows.append(_row(kernel, n, seed, wall, int(executed)))
+        rows.append(_row("simulator", n, seed, wall, int(executed)))
     return rows
 
 

@@ -23,12 +23,10 @@ one :class:`~repro.runtime.RunConfig` from their flags and execute
 through :func:`repro.run`:
 
 * ``--backend {oracle,native}`` — vectorized engines vs. real message
-  passing (native covers build + routing; elsewhere it exits with a
-  clear error).
+  passing (native covers build + routing, and on a clean wire cross-runs
+  sampled walk steps on the per-node simulator; elsewhere it exits with
+  a clear error).
 * ``--trace out.jsonl`` — write the structured trace-event stream.
-* ``--validate {full,first_round,off}`` — simulator outbox validation
-  for the native backend; ``full`` also cross-runs sampled walk steps
-  on the per-node simulator.
 * ``--faults SPEC`` — seeded fault injection, e.g.
   ``drop=0.01,dup=0.001,crash=3@rounds:10-20`` (see
   ``docs/robustness.md`` for the grammar).  Delivery is still
@@ -96,11 +94,6 @@ def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
         help="write structured trace events (JSONL) to this file",
     )
     sub.add_argument(
-        "--validate", choices=("full", "first_round", "off"),
-        default="full",
-        help="simulator outbox-validation mode (native backend only)",
-    )
-    sub.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="inject seeded faults, e.g. "
         "'drop=0.01,dup=0.001,crash=3@rounds:10-20'; retry overhead is "
@@ -131,7 +124,6 @@ def _make_config(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         backend=args.backend,
-        validate=args.validate,
         trace=getattr(args, "trace", None),
         faults=getattr(args, "faults", None),
         recovery=getattr(args, "recovery", "fail-fast"),

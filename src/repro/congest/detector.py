@@ -223,7 +223,6 @@ def run_heartbeat_detector(
     duration: int,
     faults: Optional[FaultPlan] = None,
     miss_threshold: int = MISS_THRESHOLD,
-    validate: str = "full",
 ) -> DetectionReport:
     """Run the heartbeat protocol on the (possibly faulty) wire."""
     network = Network(graph)
@@ -231,12 +230,7 @@ def run_heartbeat_detector(
         HeartbeatNode(network.context(v), duration, miss_threshold)
         for v in range(graph.num_nodes)
     ]
-    stats = network.run(
-        algorithms,
-        max_rounds=duration + 2,
-        validate=validate,
-        faults=faults,
-    )
+    stats = network.run(algorithms, max_rounds=duration + 2, faults=faults)
     suspected: Dict[int, int] = {}
     for algo in algorithms:
         for target, round_number in algo.suspected.items():

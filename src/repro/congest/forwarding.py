@@ -14,7 +14,7 @@ round.  The per-node simulation — :class:`TokenForwarder` nodes on
 :meth:`repro.congest.network.Network.run` — is kept as the oracle
 (``_forward_demands_scalar``): the equivalence tests drive it, and
 :func:`repro.congest.native.replay_walk_run` re-runs it on a sample of
-walk steps under ``validate="full"``.
+clean-wire walk steps.
 """
 
 from __future__ import annotations
@@ -155,9 +155,7 @@ def _forward_demands_array(
     return rounds, messages
 
 
-def _forward_demands_scalar(
-    graph: Graph, origins, targets, validate: str = "full"
-) -> tuple[int, int]:
+def _forward_demands_scalar(graph: Graph, origins, targets) -> tuple[int, int]:
     """The oracle: one :class:`TokenForwarder` per node on
     :meth:`~repro.congest.network.Network.run`, clean wire only.
 
@@ -172,11 +170,7 @@ def _forward_demands_scalar(
         TokenForwarder(network.context(v), per_node[v])
         for v in range(graph.num_nodes)
     ]
-    stats = network.run(
-        algorithms,
-        max_rounds=10 * origins.shape[0] + 100,
-        validate=validate,
-    )
+    stats = network.run(algorithms, max_rounds=10 * origins.shape[0] + 100)
     delivered = sum(algorithm.received for algorithm in algorithms)
     if delivered != origins.shape[0]:
         raise RuntimeError(
@@ -193,9 +187,8 @@ def forward_demands(graph: Graph, origins, targets) -> tuple[int, int]:
     with every demand checked against the graph's edges.  The per-node
     simulator it replaces stays as the oracle
     ``_forward_demands_scalar``, checked against this executor by
-    ``tests/congest/test_hop_crosscheck.py`` and, under
-    ``validate="full"``, on sampled steps of
-    :func:`repro.congest.native.replay_walk_run`.  A faulty wire needs
+    ``tests/congest/test_hop_crosscheck.py`` and on sampled clean-wire
+    steps of :func:`repro.congest.native.replay_walk_run`.  A faulty wire needs
     the ARQ path,
     :func:`repro.congest.reliable.reliable_forward_demands`.
 

@@ -17,8 +17,8 @@ overlay the way the distributed algorithm actually does, end to end:
 
 The walk replay is the one the native backend runs for every walk
 batch, so this module and :class:`repro.runtime.NativeBackend` share a
-single message-passing walk executor, checked under
-``validate="full"`` by the per-node simulator on sampled steps.  The
+single message-passing walk executor, checked on a clean wire by the
+per-node simulator on sampled steps.  The
 backend runs it live: each step is executed inside the walk engine's
 step loop (a :class:`WalkBatch`), so it never holds a trajectory.  The
 native round cost is compared against the vectorized calibration of
@@ -298,8 +298,8 @@ class ReplayMismatch(RuntimeError):
     replayed walk step."""
 
 
-#: Under ``validate="full"``, one walk step in this many (at least one
-#: per batch with any movement) is re-run through the per-node simulator.
+#: On a clean wire, one walk step in this many (at least one per batch
+#: with any movement) is re-run through the per-node simulator.
 _ORACLE_SAMPLE_EVERY = 32
 
 
@@ -349,9 +349,8 @@ class _StepReplay:
 
     The step hook behind both forms of :func:`replay_walk_run`: the live
     form hands it to the walk engine, the recorded form feeds it the
-    rows of a trajectory, so the two execute through one code path.  Under
-    ``validate="full"`` on a clean wire, the steps the per-node
-    simulator re-runs are drawn up front from a generator seeded by the
+    rows of a trajectory, so the two execute through one code path.  On
+    a clean wire, the steps the per-node simulator re-runs are drawn up front from a generator seeded by the
     batch shape ``(steps, walks)`` alone — never from a run's named
     streams, so the cross-run leaves every built structure bit-identical
     — and each is checked as it is taken.  If no sampled step moved a
@@ -359,16 +358,15 @@ class _StepReplay:
     batch with movement is cross-run at least once.
     """
 
-    def __init__(self, graph, steps, walks, validate, faults, context):
+    def __init__(self, graph, steps, walks, faults, context):
         self.graph = graph
-        self.validate = validate
         self.faults = None if faults is None or faults.spec.is_null else faults
         self.context = context
         self.per_step: list[int] = []
         self.messages = 0
         self.step_booked = 0
         self.sample: frozenset[int] = frozenset()
-        if validate == "full" and self.faults is None and steps:
+        if self.faults is None and steps:
             count = max(1, steps // _ORACLE_SAMPLE_EVERY)
             picks = derive_rng(steps, walks).choice(steps, count, replace=False)
             self.sample = frozenset(int(step) for step in picks)
@@ -392,7 +390,6 @@ class _StepReplay:
                 origins,
                 targets,
                 faults=self.faults,
-                validate=self.validate,
                 context=self.context,
                 recovery=getattr(self.context, "recovery", None)
                 or "fail-fast",
@@ -421,7 +418,7 @@ class _StepReplay:
         # already returned (replay_walk_run exports them); charging it
         # too would count the step twice.
         oracle = _forward_demands_scalar(  # reprolint: disable=R009
-            self.graph, origins, targets, validate="full"
+            self.graph, origins, targets
         )
         if oracle != (rounds, sent):
             raise ReplayMismatch(
@@ -448,7 +445,6 @@ class _StepReplay:
 def replay_walk_run(
     graph: Graph,
     run: Union[WalkRun, WalkBatch],
-    validate: str = "full",
     faults=None,
     context=None,
 ) -> WalkReplay:
@@ -469,9 +465,8 @@ def replay_walk_run(
     same per-step executor.
 
     On a clean wire each step runs on the array executor of
-    :func:`repro.congest.forwarding.forward_demands`.  Under
-    ``validate="full"`` a seeded sample of steps (at least one per batch
-    with any movement) is re-run through the per-node simulator, and
+    :func:`repro.congest.forwarding.forward_demands`, and a seeded
+    sample of steps (at least one per batch with any movement) is re-run through the per-node simulator, and
     the two must agree on ``(rounds, messages)`` — a check independent
     of both the executor's and the engine's arithmetic.
 
@@ -479,8 +474,6 @@ def replay_walk_run(
         graph: the base graph the walks run on.
         run: a :class:`WalkBatch` to run live, or a recorded
             :class:`repro.walks.engine.WalkRun`.
-        validate: ``"full"`` adds the sampled simulator cross-run; the
-            mode is also passed to the faulty-wire simulator.
         faults: optional :class:`~repro.congest.faults.FaultPlan`; with
             an active plan each step's tokens travel the reliable ARQ
             path instead — the structure stays identical (retries, not
@@ -505,7 +498,7 @@ def replay_walk_run(
     """
     if isinstance(run, WalkBatch):
         replay = _StepReplay(
-            graph, run.steps, len(run.starts), validate, faults, context
+            graph, run.steps, len(run.starts), faults, context
         )
         walked = run.engine(
             graph, run.starts, run.steps, run.rng, on_step=replay
@@ -518,7 +511,7 @@ def replay_walk_run(
             "record_trajectory=True"
         )
     replay = _StepReplay(
-        graph, run.steps, run.num_walks, validate, faults, context
+        graph, run.steps, run.num_walks, faults, context
     )
     for before, after in zip(trajectory[:-1], trajectory[1:]):
         replay(before, after)

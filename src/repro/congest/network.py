@@ -189,131 +189,58 @@ class Network:
         self,
         algorithms: Sequence[NodeAlgorithm],
         max_rounds: int = 1_000_000,
-        validate: str = "full",
         faults: Optional[FaultPlan] = None,
     ) -> RunStats:
         """Run all nodes to completion (or ``max_rounds``).
 
+        Every outbox is checked against the CONGEST contract every
+        round, so the contract stays machine-enforced.
+
         Args:
             algorithms: one :class:`NodeAlgorithm` per node.
             max_rounds: hard round budget.
-            validate: outbox-validation mode.  ``"full"`` (default)
-                checks every outbox every round — the CONGEST contract
-                stays machine-enforced.  ``"first_round"`` checks only
-                the outboxes of rounds 1 and 2 (cheap smoke check of the
-                message format); ``"off"`` skips validation entirely.
-                Benchmarks opt into the cheaper modes; results
-                (:class:`RunStats` and algorithm outputs) are identical
-                across modes on contract-abiding algorithms.
             faults: optional :class:`~repro.congest.faults.FaultPlan`
                 injecting wire-level faults.  ``None`` — and any plan
-                whose spec is null — runs the exact fault-free code
-                path, so a rate-0 plan is byte-identical to no plan.
+                whose spec is null — delivers every outbox intact, so a
+                rate-0 plan is byte-identical to no plan.  Under a plan
+                only the delivery step changes:
+
+                * a sender that is crashed this round loses its whole
+                  outbox;
+                * each surviving fresh message passes through
+                  :meth:`FaultPlan.link_copies` — dropped, duplicated
+                  (extra copy one round later), or delayed copies wait
+                  for their delivery round;
+                * a copy arriving at a crashed receiver is lost;
+                * two copies from the same sender contending for the
+                  same ``(sender, target)`` wire slot in one round: the
+                  second is pushed to the next round (the slot carries
+                  one message);
+                * crashed nodes are frozen — ``receive`` is not called
+                  and they emit nothing — and resume untouched when
+                  their window closes.
 
         Returns round/message statistics.  Raises
         :class:`CongestViolation` on any bandwidth/addressing violation
-        and ``RuntimeError`` if ``max_rounds`` is exhausted.
+        and ``RuntimeError`` if ``max_rounds`` is exhausted.  The run
+        terminates only once no delayed copy is pending either, so one
+        is never silently discarded at shutdown.
         """
-        if validate not in ("full", "first_round", "off"):
-            raise ValueError(
-                f"validate must be 'full', 'first_round' or 'off', "
-                f"got {validate!r}"
-            )
         if len(algorithms) != self.graph.num_nodes:
             raise ValueError("need exactly one algorithm per node")
         if faults is not None and faults.spec.is_null:
             faults = None
-        if faults is not None:
-            return self._run_faulty(algorithms, max_rounds, validate, faults)
-        check_all = validate == "full"
-        check_first = validate == "first_round"
         stats = RunStats()
         outboxes: list[Mapping[int, tuple]] = []
         for v, algorithm in enumerate(algorithms):
             outbox = dict(algorithm.initialize())
-            if check_all or check_first:
-                self._validate_outbox(v, outbox, round_number=1)
-            outboxes.append(outbox)
-        while True:
-            in_flight = sum(len(outbox) for outbox in outboxes)
-            all_done = all(algorithm.finished for algorithm in algorithms)
-            if in_flight == 0 and all_done:
-                return stats
-            if stats.rounds >= max_rounds:
-                raise RuntimeError(
-                    f"network did not terminate within {max_rounds} rounds"
-                )
-            stats.rounds += 1
-            stats.messages += in_flight
-            stats.max_messages_per_round = max(
-                stats.max_messages_per_round, in_flight
-            )
-            stats.per_round_messages.append(in_flight)
-            # Inboxes only for nodes that receive something this round;
-            # everyone else shares the one immutable empty mapping.
-            inboxes: dict[int, dict[int, tuple]] = {}
-            for sender, outbox in enumerate(outboxes):
-                for target, payload in outbox.items():
-                    box = inboxes.get(target)
-                    if box is None:
-                        box = inboxes[target] = {}
-                    box[sender] = payload
-            do_validate = check_all or (check_first and stats.rounds <= 1)
-            next_outboxes: list[Mapping[int, tuple]] = []
-            for v, algorithm in enumerate(algorithms):
-                outbox = dict(
-                    algorithm.receive(
-                        stats.rounds, inboxes.get(v, _EMPTY_INBOX)
-                    )
-                    or {}
-                )
-                if do_validate:
-                    self._validate_outbox(
-                        v, outbox, round_number=stats.rounds + 1
-                    )
-                next_outboxes.append(outbox)
-            outboxes = next_outboxes
-
-    def _run_faulty(
-        self,
-        algorithms: Sequence[NodeAlgorithm],
-        max_rounds: int,
-        validate: str,
-        faults: FaultPlan,
-    ) -> RunStats:
-        """The fault-injecting twin of the main loop in :meth:`run`.
-
-        Differences from the clean path, in delivery order:
-
-        * a sender that is crashed this round loses its whole outbox;
-        * each surviving fresh message passes through
-          :meth:`FaultPlan.link_copies` — dropped, duplicated (extra
-          copy one round later), or delayed copies land in ``pending``
-          keyed by their delivery round;
-        * a copy arriving at a crashed receiver is lost;
-        * two copies from the same sender contending for the same
-          ``(sender, target)`` wire slot in one round: the second is
-          pushed to the next round (the slot carries one message);
-        * crashed nodes are frozen — ``receive`` is not called and they
-          emit nothing — and resume untouched when their window closes.
-
-        Termination additionally requires ``pending`` to be empty, so
-        a delayed copy can never be silently discarded at shutdown.
-        """
-        check_all = validate == "full"
-        check_first = validate == "first_round"
-        stats = RunStats()
-        num_nodes = self.graph.num_nodes
-        outboxes: list[Mapping[int, tuple]] = []
-        for v, algorithm in enumerate(algorithms):
-            outbox = dict(algorithm.initialize())
-            if check_all or check_first:
-                self._validate_outbox(v, outbox, round_number=1)
+            self._validate_outbox(v, outbox, round_number=1)
             outboxes.append(outbox)
         # Fault-scheduled copies: delivery round -> [(sender, target,
         # payload)].  Fresh outbox messages with offset 0 never pass
-        # through here.
+        # through here, and a clean wire never fills it.
         pending: dict[int, list[tuple[int, int, tuple]]] = {}
+        down: frozenset[int] = frozenset()
         while True:
             in_flight = sum(len(outbox) for outbox in outboxes) + sum(
                 len(copies) for copies in pending.values()
@@ -326,69 +253,19 @@ class Network:
                     f"network did not terminate within {max_rounds} rounds"
                 )
             stats.rounds += 1
-            round_number = stats.rounds
-            down = faults.crashed(round_number, num_nodes)
-            deliveries: list[tuple[int, int, tuple]] = []
-            transmitted = 0
-            for sender, outbox in enumerate(outboxes):
-                if sender in down:
-                    for target, payload in outbox.items():
-                        stats.crash_dropped += 1
-                        faults.record(
-                            FaultRecord(
-                                "crash_drop", round_number, sender, target,
-                                detail={"side": "sender"},
-                            )
-                        )
-                    continue
-                for target, payload in outbox.items():
-                    transmitted += 1
-                    offsets = faults.link_copies(round_number, sender, target)
-                    if not offsets:
-                        stats.dropped += 1
-                        continue
-                    if len(offsets) > 1:
-                        stats.duplicated += 1
-                    if offsets[0] > 0:
-                        stats.delayed += 1
-                    for offset in offsets:
-                        if offset == 0:
-                            deliveries.append((sender, target, payload))
-                        else:
-                            pending.setdefault(
-                                round_number + offset, []
-                            ).append((sender, target, payload))
-            due = pending.pop(round_number, ())
-            transmitted += len(due)
-            deliveries.extend(due)
+            if faults is None:
+                inboxes = self._deliver(outboxes)
+                transmitted = in_flight
+            else:
+                down = faults.crashed(stats.rounds, self.graph.num_nodes)
+                inboxes, transmitted = self._deliver_faulty(
+                    outboxes, pending, down, faults, stats
+                )
             stats.messages += transmitted
             stats.max_messages_per_round = max(
                 stats.max_messages_per_round, transmitted
             )
             stats.per_round_messages.append(transmitted)
-            inboxes: dict[int, dict[int, tuple]] = {}
-            for sender, target, payload in deliveries:
-                if target in down:
-                    stats.crash_dropped += 1
-                    faults.record(
-                        FaultRecord(
-                            "crash_drop", round_number, sender, target,
-                            detail={"side": "receiver"},
-                        )
-                    )
-                    continue
-                box = inboxes.get(target)
-                if box is None:
-                    box = inboxes[target] = {}
-                if sender in box:
-                    # The (sender, target) slot already carried a
-                    # message this round; the extra copy waits.
-                    pending.setdefault(round_number + 1, []).append(
-                        (sender, target, payload)
-                    )
-                else:
-                    box[sender] = payload
-            do_validate = check_all or (check_first and stats.rounds <= 1)
             next_outboxes: list[Mapping[int, tuple]] = []
             for v, algorithm in enumerate(algorithms):
                 if v in down:
@@ -400,9 +277,98 @@ class Network:
                     )
                     or {}
                 )
-                if do_validate:
-                    self._validate_outbox(
-                        v, outbox, round_number=stats.rounds + 1
-                    )
+                self._validate_outbox(
+                    v, outbox, round_number=stats.rounds + 1
+                )
                 next_outboxes.append(outbox)
             outboxes = next_outboxes
+
+    @staticmethod
+    def _deliver(
+        outboxes: Sequence[Mapping[int, tuple]],
+    ) -> dict[int, dict[int, tuple]]:
+        """Clean-wire delivery: every outbox message arrives this round.
+
+        Inboxes exist only for nodes that receive something; everyone
+        else shares the one immutable empty mapping.
+        """
+        inboxes: dict[int, dict[int, tuple]] = {}
+        for sender, outbox in enumerate(outboxes):
+            for target, payload in outbox.items():
+                box = inboxes.get(target)
+                if box is None:
+                    box = inboxes[target] = {}
+                box[sender] = payload
+        return inboxes
+
+    @staticmethod
+    def _deliver_faulty(
+        outboxes: Sequence[Mapping[int, tuple]],
+        pending: dict[int, list[tuple[int, int, tuple]]],
+        down: frozenset[int],
+        faults: FaultPlan,
+        stats: RunStats,
+    ) -> tuple[dict[int, dict[int, tuple]], int]:
+        """Delivery through ``faults`` (the rules of :meth:`run`).
+
+        Moves this round's due copies out of ``pending`` and schedules
+        new ones into it, tallies the fault counters of ``stats``, and
+        returns the inboxes with the number of copies put on the wire.
+        """
+        round_number = stats.rounds
+        deliveries: list[tuple[int, int, tuple]] = []
+        transmitted = 0
+        for sender, outbox in enumerate(outboxes):
+            if sender in down:
+                for target in outbox:
+                    stats.crash_dropped += 1
+                    faults.record(
+                        FaultRecord(
+                            "crash_drop", round_number, sender, target,
+                            detail={"side": "sender"},
+                        )
+                    )
+                continue
+            for target, payload in outbox.items():
+                transmitted += 1
+                offsets = faults.link_copies(round_number, sender, target)
+                if not offsets:
+                    stats.dropped += 1
+                    continue
+                if len(offsets) > 1:
+                    stats.duplicated += 1
+                if offsets[0] > 0:
+                    stats.delayed += 1
+                for offset in offsets:
+                    if offset == 0:
+                        deliveries.append((sender, target, payload))
+                    else:
+                        pending.setdefault(
+                            round_number + offset, []
+                        ).append((sender, target, payload))
+        due = pending.pop(round_number, ())
+        transmitted += len(due)
+        deliveries.extend(due)
+        inboxes: dict[int, dict[int, tuple]] = {}
+        for sender, target, payload in deliveries:
+            if target in down:
+                stats.crash_dropped += 1
+                faults.record(
+                    FaultRecord(
+                        "crash_drop", round_number, sender, target,
+                        detail={"side": "receiver"},
+                    )
+                )
+                continue
+            box = inboxes.get(target)
+            if box is None:
+                box = inboxes[target] = {}
+            if sender in box:
+                # The (sender, target) slot already carried a message
+                # this round; the extra copy waits.
+                pending.setdefault(round_number + 1, []).append(
+                    (sender, target, payload)
+                )
+            else:
+                box[sender] = payload
+        return inboxes, transmitted

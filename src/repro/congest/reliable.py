@@ -218,7 +218,6 @@ def reliable_forward_demands(
     targets,
     *,
     faults: Optional[FaultPlan] = None,
-    validate: str = "full",
     max_attempts: Optional[int] = None,
     context=None,
     label: str = "forward",
@@ -239,7 +238,6 @@ def reliable_forward_demands(
         origins / targets: demand endpoints (same length).
         faults: :class:`FaultPlan` to run under; ``None`` or a null plan
             runs the clean wire (and then ``retry_rounds`` is 0).
-        validate: outbox-validation mode for :meth:`Network.run`.
         max_attempts: per-token transmission budget; defaults to the
             plan's spec (or :data:`DEFAULT_MAX_ATTEMPTS`).
         context: optional :class:`repro.runtime.RunContext`; when given
@@ -352,12 +350,7 @@ def reliable_forward_demands(
         # Parked tokens legitimately wait out waitable crash windows.
         budget += view.waitable_end(max_wait)
     try:
-        stats = network.run(
-            algorithms,
-            max_rounds=budget,
-            validate=validate,
-            faults=faults,
-        )
+        stats = network.run(algorithms, max_rounds=budget, faults=faults)
     except CongestViolation:
         raise
     except RuntimeError as error:

@@ -10,8 +10,8 @@ cut, clique emulation) behind one interface:
   message passing: every construction / preparation walk batch is
   executed token-by-token through :func:`repro.congest.replay_walk_run`
   as the engine takes each step (one message per directed edge per
-  round, on the array executor; ``validate="full"`` re-runs a sample of
-  steps on :meth:`repro.congest.network.Network.run`), and the executed
+  round, on the array executor, with a sample of clean-wire steps
+  re-run on :meth:`repro.congest.network.Network.run`), and the executed
   round count is asserted equal to the engine's Lemma 2.5 charge.
 
 Because both backends draw from the context's named streams and consume
@@ -223,9 +223,8 @@ class NativeBackend(Backend):
     and executed by :func:`repro.congest.replay_walk_run` one step at a
     time, inside the engine's step loop, so no batch trajectory is ever
     held: on a clean wire each step runs on the array executor of
-    :func:`repro.congest.forward_demands`, and under
-    ``validate="full"`` a seeded sample of steps is re-run on the
-    per-node simulator.  :class:`BackendMismatch` is raised if the
+    :func:`repro.congest.forward_demands`, and a seeded sample of steps
+    is re-run on the per-node simulator.  :class:`BackendMismatch` is raised if the
     executed rounds differ from the engine's ``schedule_rounds()``
     charge, or if a sampled step's simulator run disagrees with the
     executor.  MST / min-cut / clique raise
@@ -243,7 +242,6 @@ class NativeBackend(Backend):
         graph: Graph,
         context: RunContext,
         beta: Optional[int] = None,
-        validate: str = "full",
     ) -> None:
         pair = _parallel_pair(graph)
         if pair is not None:
@@ -254,7 +252,6 @@ class NativeBackend(Backend):
                 "round); use backend='oracle' for multigraphs"
             )
         super().__init__(graph, context, beta=beta)
-        self.validate = validate
         self.executed_rounds = 0
         self.executed_messages = 0
 
@@ -286,7 +283,6 @@ class NativeBackend(Backend):
                 replay = replay_walk_run(
                     graph,
                     WalkBatch(engine, starts, steps, rng),
-                    validate=backend.validate,
                     faults=plan,
                     context=backend.context,
                 )
@@ -321,7 +317,6 @@ class NativeBackend(Backend):
                 steps=int(steps),
                 executed_rounds=int(replay.rounds),
                 messages=int(replay.messages),
-                validate=backend.validate,
             )
             return run
 
@@ -347,19 +342,12 @@ def make_backend(
     graph: Graph,
     context: RunContext,
     beta: Optional[int] = None,
-    validate: str = "full",
 ) -> Backend:
-    """Instantiate a backend by name (``"oracle"`` or ``"native"``).
-
-    ``validate`` only applies to the native backend (the oracle has no
-    message passing to validate).
-    """
+    """Instantiate a backend by name (``"oracle"`` or ``"native"``)."""
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
-    if cls is NativeBackend:
-        return cls(graph, context, beta=beta, validate=validate)
     return cls(graph, context, beta=beta)

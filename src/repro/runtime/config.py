@@ -2,7 +2,7 @@
 
 The building blocks in :mod:`repro.core` each take their own
 ``params=``, ``rng=`` and friends.  :class:`RunConfig` freezes those
-decisions (seed, params, backend, validate, ...) into one immutable
+decisions (seed, params, backend, faults, ...) into one immutable
 value, and :func:`run` executes any of the paper's operations under it:
 
     >>> from repro import run, RunConfig
@@ -17,7 +17,7 @@ One config = one reproducible run: the seed feeds the context's named
 RNG streams, ``faults`` (a spec string or
 :class:`~repro.congest.faults.FaultSpec`) binds a fault plan to the
 dedicated ``"faults"`` stream, ``trace`` captures the structured event
-stream, and ``backend``/``validate`` choose how walk batches execute.
+stream, and ``backend`` chooses how walk batches execute.
 Together with :class:`~repro.runtime.session.Session` (the same
 config, held open to serve many requests) this is the only way in.
 """
@@ -41,9 +41,6 @@ from .resilience import ResiliencePolicy
 
 __all__ = ["OPS", "RunConfig", "RunOutcome", "run"]
 
-_VALIDATE_MODES = ("full", "first_round", "off")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs, decided once and immutable.
@@ -53,10 +50,9 @@ class RunConfig:
         params: construction constants (``None`` =
             :meth:`Params.default`).
         backend: ``"oracle"`` (vectorized) or ``"native"`` (real message
-            passing).
-        validate: simulator outbox-validation mode, native backend only;
-            ``"full"`` also re-runs a seeded sample of each walk batch's
-            steps on the per-node simulator as an oracle.
+            passing; on a clean wire it also re-runs a seeded sample of
+            each walk batch's steps on the per-node simulator as an
+            oracle).
         trace: where structured events go — ``None`` (discard), a path
             string (JSONL file), or any
             :class:`~repro.runtime.EventSink`.
@@ -93,7 +89,6 @@ class RunConfig:
     seed: int = 0
     params: Optional[Params] = None
     backend: str = "oracle"
-    validate: str = "full"
     trace: Union[None, str, EventSink] = None
     faults: Union[None, str, FaultSpec] = None
     beta: Optional[int] = None
@@ -108,11 +103,6 @@ class RunConfig:
             raise ValueError(
                 f"backend must be one of {sorted(BACKENDS)}, "
                 f"got {self.backend!r}"
-            )
-        if self.validate not in _VALIDATE_MODES:
-            raise ValueError(
-                f"validate must be one of {_VALIDATE_MODES}, "
-                f"got {self.validate!r}"
             )
         if self.recovery not in RECOVERY_MODES:
             raise ValueError(
@@ -179,7 +169,6 @@ class RunConfig:
             graph,
             context if context is not None else self.make_context(),
             beta=self.beta,
-            validate=self.validate,
         )
 
 

@@ -334,11 +334,6 @@ class Session:
                 )
                 if announce is not None:
                     check_backend_support(backend, announce)
-                # Adopt the *current* config's ``validate``: it is
-                # excluded from the content key because it cannot
-                # change built state.
-                if hasattr(backend, "validate"):
-                    backend.validate = config.validate
                 # Re-bind the walk-runner closure the pickle dropped.
                 runner = backend._walk_runner()
                 if backend._router is not None:

@@ -94,10 +94,10 @@ def store_key(graph: Graph, config, lineage: str = "") -> str:
     """The content address of a built hierarchy (64-char hex digest).
 
     Covers every input the build is a deterministic function of; knobs
-    that only change *how* the same state is computed (``validate``,
-    ``trace``, ``checkpoint``, ``cache`` itself) are deliberately
-    excluded, so e.g. a fully validated and an unvalidated native build
-    share one entry — they produce identical state.
+    that only change *how* the same state is observed or kept
+    (``trace``, ``checkpoint``, ``cache`` itself) are deliberately
+    excluded, so e.g. a traced and an untraced build share one entry —
+    they produce identical state.
     """
     params = config.params
     if params is None:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.congest import (
+    BfsNode,
     CongestViolation,
+    FaultPlan,
+    FaultSpec,
     Network,
     NodeAlgorithm,
     broadcast_value,
@@ -18,6 +21,11 @@ from repro.graphs import (
     ring_graph,
     with_random_weights,
 )
+from repro.rng import derive_rng
+
+#: A crash window far past any run here: the plan is not null, so runs
+#: take the faulty delivery path, but it never injects anything.
+_IDLE_CRASH = "crash=3@rounds:100000-100001"
 
 
 class _Silent(NodeAlgorithm):
@@ -127,6 +135,15 @@ class TestNetworkMechanics:
     def test_context_unweighted(self):
         net = Network(ring_graph(5))
         assert net.context(0).edge_weights is None
+
+    def test_arc_of_lookup(self):
+        g = random_regular(16, 4, np.random.default_rng(62))
+        net = Network(g)
+        for v in range(g.num_nodes):
+            for a in range(int(g.indptr[v]), int(g.indptr[v + 1])):
+                assert net.arc_of(v, int(g.indices[a])) == a
+        with pytest.raises(KeyError):
+            net.arc_of(0, int(g.num_nodes))
 
 
 class TestViolationDiagnostics:
@@ -265,33 +282,8 @@ class _TickThenViolate(NodeAlgorithm):
         return {target: ("tick",)}
 
 
-class TestValidateModes:
-    """The `validate` knob trades checking for speed, never results."""
-
-    def test_invalid_mode_rejected(self):
-        net = Network(ring_graph(4))
-        with pytest.raises(ValueError, match="validate"):
-            net.run(
-                [_Silent(net.context(v)) for v in range(4)],
-                validate="sometimes",
-            )
-
-    @staticmethod
-    def _flood_stats(validate):
-        g = hypercube(4)
-        net = Network(g)
-        algorithms = [_SendOnce(net.context(v)) for v in range(g.num_nodes)]
-        stats = net.run(algorithms, validate=validate)
-        received = [a.received for a in algorithms]
-        return stats, received
-
-    def test_modes_identical_run_stats(self):
-        """RunStats (incl. the per-round trace) match across all modes."""
-        full_stats, full_recv = self._flood_stats("full")
-        for mode in ("first_round", "off"):
-            stats, received = self._flood_stats(mode)
-            assert stats == full_stats
-            assert received == full_recv
+class TestEveryRoundChecked:
+    """Every outbox is checked every round, on a clean or a faulty wire."""
 
     def test_full_catches_late_violation(self):
         g = ring_graph(6)
@@ -299,55 +291,31 @@ class TestValidateModes:
         with pytest.raises(CongestViolation, match="word"):
             net.run([_TickThenViolate(net.context(v)) for v in range(6)])
 
-    def test_first_round_misses_late_violation(self):
-        """`first_round` checks rounds 1-2 only: a later offender slips
-        through (that is the documented trade-off, not a bug)."""
-        g = ring_graph(6)
-        net = Network(g)
-        stats = net.run(
-            [_TickThenViolate(net.context(v)) for v in range(6)],
-            validate="first_round",
-        )
-        assert stats.rounds >= _TickThenViolate.bad_round
-
-    def test_first_round_catches_early_violation(self):
-        class EarlyOffender(_TickThenViolate):
-            bad_round = 2
-
-        g = ring_graph(6)
-        net = Network(g)
-        with pytest.raises(CongestViolation, match="word"):
+    @pytest.mark.parametrize("spec", ["drop=0.3", _IDLE_CRASH])
+    def test_late_violation_caught_under_a_plan(self, spec):
+        net = Network(ring_graph(6))
+        plan = FaultPlan(FaultSpec.parse(spec), derive_rng(1))
+        with pytest.raises(CongestViolation, match="round 5"):
             net.run(
-                [EarlyOffender(net.context(v)) for v in range(6)],
-                validate="first_round",
+                [_TickThenViolate(net.context(v)) for v in range(6)],
+                faults=plan,
             )
 
-    def test_off_skips_all_validation(self):
-        g = ring_graph(6)
-        net = Network(g)
-        stats = net.run(
-            [_TickThenViolate(net.context(v)) for v in range(6)],
-            validate="off",
-        )
-        assert stats.rounds >= _TickThenViolate.bad_round
+    def test_idle_plan_matches_the_clean_wire(self):
+        """A plan whose crash window never opens still takes the faulty
+        delivery path, and must deliver exactly what the clean wire does."""
+        g = random_regular(64, 6, derive_rng(0, 64))
 
-    def test_ghs_identical_across_modes(self):
-        from repro.baselines.ghs_congest import congest_ghs_mst
+        def bfs(faults):
+            net = Network(g)
+            algorithms = [BfsNode(net.context(v), 0) for v in range(64)]
+            stats = net.run(algorithms, faults=faults)
+            return stats, [(a.parent, a.depth) for a in algorithms]
 
-        graph = with_random_weights(
-            random_regular(24, 4, np.random.default_rng(60)),
-            np.random.default_rng(61),
-        )
-        full = congest_ghs_mst(graph, validate="full")
-        for mode in ("first_round", "off"):
-            other = congest_ghs_mst(graph, validate=mode)
-            assert other == full
-
-    def test_arc_of_lookup(self):
-        g = random_regular(16, 4, np.random.default_rng(62))
-        net = Network(g)
-        for v in range(g.num_nodes):
-            for a in range(int(g.indptr[v]), int(g.indptr[v + 1])):
-                assert net.arc_of(v, int(g.indices[a])) == a
-        with pytest.raises(KeyError):
-            net.arc_of(0, int(g.num_nodes))
+        plan = FaultPlan(FaultSpec.parse(_IDLE_CRASH), derive_rng(1))
+        assert not plan.spec.is_null
+        clean_stats, clean_tree = bfs(None)
+        faulty_stats, faulty_tree = bfs(plan)
+        assert (clean_stats.rounds, clean_stats.messages) == (5, 321)
+        assert faulty_stats == clean_stats
+        assert faulty_tree == clean_tree

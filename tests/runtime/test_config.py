@@ -39,10 +39,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="backend"):
             RunConfig(backend="quantum")
 
-    def test_bad_validate_rejected(self):
-        with pytest.raises(ValueError, match="validate"):
-            RunConfig(validate="sometimes")
-
     def test_faults_string_normalized_to_spec(self):
         config = RunConfig(faults="drop=0.25,attempts=5")
         assert isinstance(config.faults, FaultSpec)

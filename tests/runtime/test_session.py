@@ -51,7 +51,7 @@ def oracle_session(graph):
 
 @pytest.fixture(scope="module")
 def native_session(graph):
-    config = RunConfig(seed=SEED, backend="native", validate="first_round")
+    config = RunConfig(seed=SEED, backend="native")
     with Session.open(graph, config) as session:
         yield session
 
@@ -62,11 +62,7 @@ def cold_outcomes(graph):
     outcomes = {}
     for backend, ops in (("oracle", ORACLE_OPS), ("native", NATIVE_OPS)):
         for op in ops:
-            config = RunConfig(
-                seed=SEED,
-                backend=backend,
-                validate="first_round" if backend == "native" else "full",
-            )
+            config = RunConfig(seed=SEED, backend=backend)
             outcomes[backend, op] = run(op, graph, config=config)
     return outcomes
 
@@ -326,23 +322,6 @@ class TestApplyUpdate:
             session.apply_update(edges_removed=[second])
         expected = np.flatnonzero(virtual.graph.arc_edge == 100).tolist()
         assert killed[1] == expected
-
-
-class TestCacheHitKnobs:
-    def test_hit_adopts_the_opening_validate(self, graph, tmp_path):
-        first = RunConfig(
-            seed=SEED, backend="native", validate="full", cache=str(tmp_path)
-        )
-        with Session.open(graph, first) as session:
-            assert not session.from_cache
-            rounds = session.request("route").result.cost_rounds
-        second = RunConfig(
-            seed=SEED, backend="native", validate="off", cache=str(tmp_path)
-        )
-        with Session.open(graph, second) as session:
-            assert session.from_cache
-            assert session.backend.validate == "off"
-            assert session.request("route").result.cost_rounds == rounds
 
 
 class TestJournalOwnership:

@@ -72,7 +72,7 @@ class TestStoreKey:
 
     @pytest.mark.parametrize(
         "change",
-        [{"validate": "off"}, {"checkpoint": "run.ckpt"}, {"cache": "auto"}],
+        [{"checkpoint": "run.ckpt"}, {"cache": "auto"}],
     )
     def test_execution_knobs_do_not_change_the_key(self, graph, change):
         base = store_key(graph, RunConfig(seed=3, backend="native"))

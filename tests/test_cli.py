@@ -114,7 +114,7 @@ class TestCliqueCommand:
 
 
 class TestRuntimeFlags:
-    """The PR's runtime surface: --trace, --backend, --validate."""
+    """The runtime surface: --trace and --backend."""
 
     def _expander(self, tmp_path, n=32):
         out = str(tmp_path / "exp.json")
@@ -150,8 +150,7 @@ class TestRuntimeFlags:
     def test_route_native_backend(self, tmp_path, capsys):
         graph = self._expander(tmp_path, 16)
         assert main(
-            ["route", graph, "--backend", "native", "--seed", "1",
-             "--validate", "first_round"]
+            ["route", graph, "--backend", "native", "--seed", "1"]
         ) == 0
         assert "delivered    True" in capsys.readouterr().out
 
@@ -159,8 +158,7 @@ class TestRuntimeFlags:
         graph = self._expander(tmp_path, 16)
         main(["route", graph, "--seed", "4"])
         oracle_out = capsys.readouterr().out
-        main(["route", graph, "--seed", "4", "--backend", "native",
-              "--validate", "first_round"])
+        main(["route", graph, "--seed", "4", "--backend", "native"])
         native_out = capsys.readouterr().out
         line = [l for l in oracle_out.splitlines() if "rounds" in l]
         assert line and line[0] in native_out

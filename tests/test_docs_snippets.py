@@ -1,16 +1,21 @@
-"""The tutorial's code blocks must run (like the README's).
+"""The tutorial's code blocks must run (like the README's), and every
+``repro`` command line the docs show must parse.
 
-Blocks share one namespace in order, mirroring a reader following along.
-Sizes in the tutorial are moderate, so this is the slowest doc test —
-still well under a minute.
+Tutorial blocks share one namespace in order, mirroring a reader
+following along.  Sizes in the tutorial are moderate, so this is the
+slowest doc test — still well under a minute.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-TUTORIAL = Path(__file__).resolve().parents[1] / "docs" / "tutorial.md"
+from repro.cli import _build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+TUTORIAL = ROOT / "docs" / "tutorial.md"
 
 
 def _blocks() -> list[str]:
@@ -33,3 +38,40 @@ class TestTutorial:
         # The walkthrough must have produced a delivered routing result.
         assert namespace["result"].delivered
         assert namespace["cut"].cut_value >= 1
+
+
+def _command_lines() -> list[tuple[str, list[str]]]:
+    """``(source, argv)`` of every ``repro`` / ``python -m repro`` line in
+    the bash and console blocks of README.md and docs/*.md."""
+    found = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        text = path.read_text()
+        for block in re.findall(
+            r"```(?:bash|console)\n(.*?)```", text, flags=re.DOTALL
+        ):
+            for line in block.replace("\\\n", " ").splitlines():
+                command = line.strip().removeprefix("$ ")
+                words = shlex.split(command, comments=True)
+                while words and re.fullmatch(r"\w+=\S*", words[0]):
+                    words = words[1:]  # leading VAR=value assignments
+                if words[:3] == ["python", "-m", "repro"]:
+                    words = words[3:]
+                elif words[:1] == ["repro"]:
+                    words = words[1:]
+                else:
+                    continue
+                found.append((f"{path.name}: {line.strip()}", words))
+    return found
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        lines = _command_lines()
+        assert len(lines) >= 20
+        rejected = []
+        for source, argv in lines:
+            try:
+                _build_parser().parse_args(argv)
+            except SystemExit:
+                rejected.append(source)
+        assert not rejected, "the CLI rejects: " + "; ".join(rejected)

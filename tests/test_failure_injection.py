@@ -235,10 +235,7 @@ class TestZeroFaultIdentity:
         for faults in (None, "drop=0.0"):
             outcome = run(
                 "route", graph,
-                config=RunConfig(
-                    seed=11, backend="native",
-                    validate="first_round", faults=faults,
-                ),
+                config=RunConfig(seed=11, backend="native", faults=faults),
             )
             results[faults] = (
                 outcome.backend.g0_edge_multiset(),
@@ -600,16 +597,11 @@ class TestNativeFaultReplay:
         graph = random_regular(24, 6, np.random.default_rng(5))
         clean = run(
             "route", graph,
-            config=RunConfig(
-                seed=11, backend="native", validate="first_round"
-            ),
+            config=RunConfig(seed=11, backend="native"),
         )
         faulty = run(
             "route", graph,
-            config=RunConfig(
-                seed=11, backend="native", validate="first_round",
-                faults="drop=0.02",
-            ),
+            config=RunConfig(seed=11, backend="native", faults="drop=0.02"),
         )
         # Retries resend recorded tokens, never resample them: the
         # structure is bit-identical, only the round bill grows.
@@ -629,7 +621,7 @@ class TestNativeFaultReplay:
         outcome = run(
             "route", graph,
             config=RunConfig(
-                seed=11, backend="native", validate="first_round",
+                seed=11, backend="native",
                 faults="crash=3@rounds:1-40", recovery="self-heal",
             ),
         )
