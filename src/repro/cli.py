@@ -6,7 +6,6 @@ Commands:
 * ``info`` — print a graph's size, expansion, and mixing statistics.
 * ``route`` — build the routing structure and route a random demand.
 * ``mst`` — run the distributed MST (random weights if none stored).
-* ``run`` — continue a run snapshotted with ``--checkpoint``.
 * ``serve`` — open a warm session and answer JSONL requests; with
   ``--deadline-rounds/--retry-budget/--max-inflight`` the stream is
   governed by a :class:`~repro.runtime.ResiliencePolicy`, with
@@ -36,11 +35,10 @@ through :func:`repro.run`:
   windows are detected and survived (waited out, failed over, or
   re-homed) with the cost charged under ``recovery/``; the default
   ``fail-fast`` reproduces pre-recovery runs bit-identically.
-* ``--checkpoint PATH`` — snapshot the run after the build phase;
-  ``repro run --resume PATH`` continues it deterministically.
 * ``--cache {off,auto,PATH}`` — content-addressed hierarchy cache; a
   hit restores the built structure and skips the build phase (see
-  ``docs/service.md``).
+  ``docs/service.md``), so re-running with the same ``--cache`` is how
+  a run restarts after a crash.
 
 Every random decision draws from a *named* stream of the context, so
 e.g. ``--packets`` changes only the ``"workload"`` stream and never
@@ -66,7 +64,6 @@ from .graphs import (
     with_random_weights,
 )
 from .runtime import (
-    CheckpointError,
     ResiliencePolicy,
     RunConfig,
     RunContext,
@@ -107,11 +104,6 @@ def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
         "them, charging the recovery/ ledger category",
     )
     sub.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="snapshot the run's full state here after the build phase; "
-        "continue it later with 'repro run --resume PATH'",
-    )
-    sub.add_argument(
         "--cache", metavar="MODE", default="off",
         help="content-addressed hierarchy cache: 'off' (default), "
         "'auto' ($REPRO_CACHE_DIR or the XDG cache dir), or a "
@@ -127,7 +119,6 @@ def _make_config(args) -> RunConfig:
         trace=getattr(args, "trace", None),
         faults=getattr(args, "faults", None),
         recovery=getattr(args, "recovery", "fail-fast"),
-        checkpoint=getattr(args, "checkpoint", None),
         cache=getattr(args, "cache", "off"),
     )
 
@@ -140,8 +131,6 @@ def _finish(outcome: RunOutcome, args) -> None:
         print(f"recovery     {outcome.recovery_rounds():,.0f} rounds")
     if getattr(args, "trace", None):
         print(f"trace        {args.trace}")
-    if getattr(args, "checkpoint", None):
-        print(f"checkpoint   {args.checkpoint}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,19 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     clique.add_argument("graph")
     clique.add_argument("--sample", type=float, default=1.0)
     _add_runtime_flags(clique)
-
-    run_cmd = sub.add_parser(
-        "run", help="continue a checkpointed run to completion"
-    )
-    run_cmd.add_argument(
-        "--resume", metavar="PATH", required=True,
-        help="checkpoint file written by a --checkpoint run",
-    )
-    run_cmd.add_argument(
-        "--trace", metavar="OUT.JSONL", default=None,
-        help="write the resumed run's full trace (pre-snapshot events "
-        "are replayed into it first) to this file",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -383,25 +359,6 @@ def _cmd_mst(args) -> int:
     print(f"verified     {matches} (vs centralized Kruskal)")
     _finish(outcome, args)
     return 0 if matches else 1
-
-
-def _cmd_run(args) -> int:
-    from .runtime.checkpoint import resume
-
-    outcome = resume(args.resume, sink=args.trace)
-    print(f"resumed      {args.resume}")
-    print(f"op           {outcome.op}")
-    print(f"seed         {outcome.config.seed}")
-    print(f"backend      {outcome.config.backend}")
-    print(f"rounds       {outcome.ledger.total():,.0f}")
-    if outcome.config.faults is not None:
-        print(f"fault rounds {outcome.fault_rounds():,.0f}")
-    if outcome.config.recovery == "self-heal":
-        print(f"recovery     {outcome.recovery_rounds():,.0f} rounds")
-    if args.trace:
-        print(f"trace        {args.trace}")
-    delivered = getattr(outcome.result, "delivered", True)
-    return 0 if delivered else 1
 
 
 def _cmd_report(args) -> int:
@@ -605,7 +562,6 @@ _COMMANDS = {
     "mst": _cmd_mst,
     "mincut": _cmd_mincut,
     "clique": _cmd_clique,
-    "run": _cmd_run,
     "serve": _cmd_serve,
     "bench": _cmd_bench,
     "report": _cmd_report,
@@ -617,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UnsupportedOnBackend, ValueError, CheckpointError) as error:
+    except (UnsupportedOnBackend, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except DeliveryTimeout as error:

@@ -249,12 +249,12 @@ class Router:
         self._level_costs: dict[int, LevelCost] = {}
         self._packet_hops: np.ndarray | None = None
 
-    # -- checkpoint support --------------------------------------------------
+    # -- store snapshots -----------------------------------------------------
 
     def __getstate__(self) -> dict:
         """Pickle everything except the walk-runner closure (a native
-        backend re-binds its runner on resume; the oracle default is
-        ``None`` anyway)."""
+        backend re-binds its runner on a cache hit; the oracle default
+        is ``None`` anyway)."""
         state = self.__dict__.copy()
         state["_walk_runner"] = None
         return state

@@ -1,5 +1,5 @@
 """k-wise independent hashing for the pseudo-random partition, plus
-content fingerprints for graphs (cache keys, checkpoint integrity)."""
+content fingerprints for graphs (cache keys, store-entry integrity)."""
 
 from .fingerprint import FINGERPRINT_VERSION, graph_fingerprint
 from .kwise import PRIME, KWiseHash

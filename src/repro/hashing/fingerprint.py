@@ -1,8 +1,8 @@
 """Content fingerprints for graphs (and the values keyed off them).
 
-The hierarchy cache (:mod:`repro.runtime.store`) and the checkpoint
-format (:mod:`repro.runtime.checkpoint`) both need to answer "is this
-the same graph?" exactly.  "Same" here is stricter than isomorphism:
+The hierarchy cache (:mod:`repro.runtime.store`) needs to answer "is
+this the same graph?" exactly, both for its keys and for the integrity
+check inside every entry.  "Same" here is stricter than isomorphism:
 the pipeline's randomness is consumed in arc order, and edge ids index
 weight arrays, so two graphs with the same edge *set* but a different
 edge order produce different (equally valid) runs.  The fingerprint

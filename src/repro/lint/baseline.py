@@ -18,7 +18,6 @@ invalidates its entry — which is exactly when a human should re-look.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path, PurePath
@@ -160,15 +159,3 @@ def write_baseline(
         encoding="utf-8",
     )
     return len(entries)
-
-
-def finding_fingerprint(
-    finding: Finding, root: Optional[Path] = None
-) -> str:
-    """Fingerprint of a single finding (occurrence index 0)."""
-    return fingerprint_findings([finding], root)[0][1]
-
-
-def replace_path(finding: Finding, path: str) -> Finding:
-    """A copy of ``finding`` with ``path`` swapped (for reporting)."""
-    return dataclasses.replace(finding, path=path)

@@ -18,13 +18,6 @@ from .backends import (
     UnsupportedOnBackend,
     make_backend,
 )
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    load_checkpoint,
-    resume,
-    write_checkpoint,
-)
 from .chaos import ChaosPlan, ChaosSpec
 from .config import OPS, RunConfig, RunOutcome, run
 from .context import RECOVERY_MODES, RunContext
@@ -63,10 +56,8 @@ __all__ = [
     "BREAKER_STATES",
     "Backend",
     "BackendMismatch",
-    "CHECKPOINT_VERSION",
     "ChaosPlan",
     "ChaosSpec",
-    "CheckpointError",
     "CircuitOpen",
     "DeadlineExceeded",
     "EVENT_KINDS",
@@ -98,16 +89,13 @@ __all__ = [
     "UnsupportedOnBackend",
     "UpdateReport",
     "check_backend_support",
-    "load_checkpoint",
     "make_backend",
     "open_store",
     "read_journal",
     "read_jsonl_trace",
-    "resume",
     "run",
     "serve_jsonl",
     "store_key",
     "sum_ledger_charges",
     "validate_request",
-    "write_checkpoint",
 ]

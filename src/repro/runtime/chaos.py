@@ -242,8 +242,8 @@ def corrupt_store_entry(store: "HierarchyStore", key: str) -> bool:
     canonical shape of a write that lost power mid-flush — so campaigns
     replay bit for bit and the damage is always *detectable*: a torn
     pickle fails to load, the store converts the
-    :class:`~repro.runtime.checkpoint.CheckpointError` into a delete +
-    miss, and recovery rebuilds deterministically.  (An in-place byte
+    :class:`~repro.runtime.store.StoreEntryError` into a delete + miss,
+    and recovery rebuilds deterministically.  (An in-place byte
     splat can land inside array data and load silently, which would
     make the campaign's behaviour depend on pickle layout.)  Returns
     whether an entry was damaged.

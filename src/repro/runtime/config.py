@@ -33,7 +33,6 @@ from ..congest.faults import FaultSpec
 from ..graphs.graph import Graph
 from ..params import Params
 from .backends import BACKENDS, Backend, make_backend
-from .checkpoint import write_checkpoint
 from .context import RECOVERY_MODES, RunContext
 from .events import EventSink, JsonlSink, MemorySink, TraceEvent
 from .ops import OPS, validate_request
@@ -68,16 +67,14 @@ class RunConfig:
             orphans traffic of permanently dead nodes, and routing
             fails over to redundant portals — all charged under the
             ``recovery/*`` ledger namespace).
-        checkpoint: optional path; when set, the run snapshots its full
-            state there after the build phase and
-            :func:`repro.runtime.checkpoint.resume` can continue it
-            deterministically.
         cache: content-addressed hierarchy cache — ``"off"`` (default),
             ``"auto"`` (``$REPRO_CACHE_DIR`` or the XDG cache dir), or
             an explicit directory path.  With caching on, :func:`run`
             opens a warm session from the store when the (graph, seed,
             params, backend) content hash matches, skipping the build
-            phase entirely; misses build once and persist.
+            phase entirely; misses build once and persist.  Re-running
+            with the same ``cache`` is also how a run restarts after a
+            crash: the hit resumes from the stored build.
         resilience: optional
             :class:`~repro.runtime.resilience.ResiliencePolicy` the
             serving layer governs requests under (deadlines, retry
@@ -93,7 +90,6 @@ class RunConfig:
     faults: Union[None, str, FaultSpec] = None
     beta: Optional[int] = None
     recovery: str = "fail-fast"
-    checkpoint: Optional[str] = None
     cache: Optional[str] = "off"
     resilience: Optional[ResiliencePolicy] = None
 
@@ -108,13 +104,6 @@ class RunConfig:
             raise ValueError(
                 f"recovery must be one of {RECOVERY_MODES}, "
                 f"got {self.recovery!r}"
-            )
-        if self.checkpoint is not None and not isinstance(
-            self.checkpoint, str
-        ):
-            raise TypeError(
-                "checkpoint must be None or a path string, "
-                f"got {type(self.checkpoint).__name__}"
             )
         if self.cache is None:
             object.__setattr__(self, "cache", "off")
@@ -278,21 +267,6 @@ def run(
     session = Session.open(graph, config, announce=op)
     context = session.context
     backend = session.backend
-    if config.checkpoint is not None:
-        # Snapshot at the build/operate phase boundary.  The session
-        # warm-up pre-built the structure, which is stream-neutral:
-        # construction and workload sampling draw from independent
-        # named streams, so the outcome is bit-identical to a run
-        # without a checkpoint.
-        write_checkpoint(
-            config.checkpoint,
-            op=op,
-            op_args=op_args,
-            config=config,
-            graph=graph,
-            context=context,
-            backend=backend,
-        )
     try:
         response = session.submit(
             Request(op=op, args=op_args), quiet=True

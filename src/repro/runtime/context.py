@@ -84,10 +84,6 @@ class RunContext:
         self._crash_views: dict[int, Optional[CrashView]] = {}
         self._seq = 0
         self._streams: dict[str, np.random.Generator] = {}
-        # Checkpoint support: when enabled, every emitted event is also
-        # kept here so a resumed run can replay the trace verbatim.
-        self.record_events = False
-        self.recorded_events: list[TraceEvent] = []
 
     # -- named RNG streams ---------------------------------------------------
 
@@ -249,8 +245,6 @@ class RunContext:
         )
         self._seq += 1
         self.sink.emit(event)
-        if self.record_events:
-            self.recorded_events.append(event)
         return event
 
     @contextmanager
@@ -299,12 +293,12 @@ class RunContext:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- checkpoint support --------------------------------------------------
+    # -- store snapshots -----------------------------------------------------
 
     def __getstate__(self) -> dict:
         """Pickle everything except the sink (file handles don't
-        survive a checkpoint; resume re-attaches one and replays
-        :attr:`recorded_events`)."""
+        survive a store entry; a cache hit attaches the opening
+        config's sink)."""
         state = self.__dict__.copy()
         state["sink"] = None
         return state

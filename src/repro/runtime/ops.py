@@ -1,8 +1,8 @@
 """The operation table: one dispatch surface for every execution path.
 
-Every way to execute an operation — one-shot ``run()``, checkpoint
-resume, and :class:`~repro.runtime.session.Session` request serving —
-goes through the same :data:`OP_TABLE` of :class:`OpSpec` entries.
+Every way to execute an operation — one-shot ``run()`` and
+:class:`~repro.runtime.session.Session` request serving — goes through
+the same :data:`OP_TABLE` of :class:`OpSpec` entries.
 
 Each spec declares, next to its runner, the operation's *argument
 vocabulary*.  That lets :func:`validate_request` reject unknown ops and

@@ -322,8 +322,6 @@ class Session:
             else:
                 sink = config.trace or NullSink()
             context.sink = sink
-            context.record_events = config.checkpoint is not None
-            context.recorded_events = []
             try:
                 cls._emit_run_start(context, config, op_name)
                 context.emit(
@@ -360,9 +358,6 @@ class Session:
             return session
 
         context = config.make_context()
-        if config.checkpoint is not None:
-            # Every event must be replayable on resume, incl. run_start.
-            context.record_events = True
         try:
             cls._emit_run_start(context, config, op_name)
             backend = config.make_backend(graph, context)
@@ -513,25 +508,17 @@ class Session:
         )
 
     def _persist(self, key: str) -> None:
-        """Write the warm snapshot to the store (recorded events are
-        transient run state, not built state — kept out of the entry)."""
+        """Write the warm snapshot to the store."""
         assert self.store is not None
-        context = self.context
-        saved = (context.record_events, context.recorded_events)
-        context.record_events = False
-        context.recorded_events = []
-        try:
-            path = self.store.save(
-                key,
-                config=self.config,
-                graph=self.graph,
-                context=context,
-                backend=self.backend,
-            )
-        finally:
-            context.record_events, context.recorded_events = saved
+        path = self.store.save(
+            key,
+            config=self.config,
+            graph=self.graph,
+            context=self.context,
+            backend=self.backend,
+        )
         self.cache_key = key
-        context.emit("cache", "serve/cache-store", key=key, path=path)
+        self.context.emit("cache", "serve/cache-store", key=key, path=path)
 
     @property
     def build_ledger(self) -> RoundLedger:
@@ -1051,7 +1038,6 @@ class Session:
             faults=self.config.faults,
             recovery=self.config.recovery,
         )
-        context.record_events = self.context.record_events
         backend = self.config.make_backend(new_graph, context)
         backend.build()
         if "route" in backend.supported_ops:

@@ -5,7 +5,7 @@ costs ``2^O(sqrt(log n))`` rounds and every routed instance afterwards
 is nearly free.  This module persists that expensive build so even
 *process* restarts amortize it.  A :class:`HierarchyStore` maps a
 content key — SHA-256 over everything that determines the built
-structure bit for bit — to a snapshot in the PR 5 checkpoint format:
+structure bit for bit — to one snapshot file (the *entry*):
 
     key = H(code salt, graph fingerprint, seed, params, backend, beta,
             faults, recovery, lineage)
@@ -24,11 +24,24 @@ incremental repairs — so each update extends the lineage hash and the
 session re-persists under the new key.  A fresh build always has the
 empty lineage, so repaired state can never shadow a clean build.
 
-Entries are written atomically (temp file + rename into place) and
-evicted LRU by file mtime, which doubles as the access clock: loads
-touch the file.  A corrupt or stale-format entry is treated as a miss
-and deleted, never an error — the cache must only ever make runs
-faster, not break them.
+A hit is also how a built run restarts: a process that dies after the
+build re-opens with the same ``cache`` and adopts the entry instead of
+rebuilding.
+
+An entry is one pickled dict — format version, config (minus its
+trace sink), graph, the graph's fingerprint, context (RNG stream
+positions, ledger, fault plan) and backend (with its built hierarchy)
+— pickled as *one* object graph so shared identities survive: the
+context's ``"router"`` stream and the router's ``rng`` stay the same
+generator after a round trip.  The two deliberately unpicklable
+members, the trace sink and the native backend's walk-runner closure,
+are dropped at save time and re-attached by the session on a hit.
+
+Entries are written atomically (temp file + fsync + rename into place
++ directory fsync) and evicted LRU by file mtime, which doubles as the
+access clock: loads touch the file.  A corrupt, stale-format or
+wrong-graph entry is treated as a miss and deleted, never an error —
+the cache must only ever make runs faster, not break them.
 """
 
 from __future__ import annotations
@@ -36,17 +49,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import pickle
+import tempfile
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from ..graphs.graph import Graph
 from ..hashing import FINGERPRINT_VERSION, graph_fingerprint
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    load_checkpoint,
-    write_checkpoint,
-)
+from .journal import _fsync_directory
 
 __all__ = [
     "CODE_EPOCH",
@@ -62,6 +72,14 @@ __all__ = [
 #: cache key, so a new build epoch silently invalidates old entries
 #: (they age out via LRU) instead of serving stale structures.
 CODE_EPOCH = 1
+
+#: Format version embedded in every entry (and salted into every key).
+#: Version 2 added the mandatory ``graph_fingerprint`` integrity field.
+ENTRY_VERSION = 2
+
+_ENTRY_FIELDS = frozenset(
+    {"config", "graph", "graph_fingerprint", "context", "backend"}
+)
 
 #: Default maximum number of cached hierarchies per store directory.
 DEFAULT_MAX_ENTRIES = 64
@@ -95,7 +113,7 @@ def store_key(graph: Graph, config, lineage: str = "") -> str:
 
     Covers every input the build is a deterministic function of; knobs
     that only change *how* the same state is observed or kept
-    (``trace``, ``checkpoint``, ``cache`` itself) are deliberately
+    (``trace``, ``cache`` itself, ``resilience``) are deliberately
     excluded, so e.g. a traced and an untraced build share one entry —
     they produce identical state.
     """
@@ -107,7 +125,7 @@ def store_key(graph: Graph, config, lineage: str = "") -> str:
     fault_spec = config.faults
     digest = hashlib.sha256()
     for part in (
-        f"store-v{CHECKPOINT_VERSION}.{FINGERPRINT_VERSION}.{CODE_EPOCH}",
+        f"store-v{ENTRY_VERSION}.{FINGERPRINT_VERSION}.{CODE_EPOCH}",
         graph_fingerprint(graph),
         f"seed={config.seed}",
         f"backend={config.backend}",
@@ -120,6 +138,102 @@ def store_key(graph: Graph, config, lineage: str = "") -> str:
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+class StoreEntryError(RuntimeError):
+    """A store entry is unreadable, corrupt, or incompatible."""
+
+
+def _write_entry(path: str, *, config, graph, context, backend) -> None:
+    """Snapshot a built run into ``path`` (atomic: temp file + fsync +
+    rename + parent-directory fsync).
+
+    The config's ``trace`` member may hold an open sink, so it is
+    stripped; everything else is pickled as one object graph.
+    """
+    payload = {
+        "version": ENTRY_VERSION,
+        "config": replace(config, trace=None),
+        "graph": graph,
+        "graph_fingerprint": graph_fingerprint(graph),
+        "context": context,
+        "backend": backend,
+    }
+    directory = os.path.dirname(os.path.abspath(path))
+    handle, temp_path = tempfile.mkstemp(
+        dir=directory, prefix=".ckpt-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
+            # fsync before the rename: os.replace is atomic in the
+            # namespace but says nothing about the *data* reaching the
+            # disk — a crash after the rename could otherwise leave a
+            # torn pickle behind the final name.
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temp_path, path)
+        # ... and the rename itself is only durable once the parent
+        # directory's entry is synced.
+        _fsync_directory(directory)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
+
+
+def _read_entry(path: str, expect_graph: Optional[Graph] = None) -> dict:
+    """Load and validate an entry written by :func:`_write_entry`.
+
+    Validation covers the format version, the required fields, and the
+    payload's content integrity: the recorded ``graph_fingerprint``
+    must match the pickled graph (a corrupted or hand-edited file fails
+    here, not as a downstream shape error), and — when ``expect_graph``
+    is given — must also match the graph the caller is opening, so an
+    entry can never be adopted for a different topology.
+
+    Raises:
+        StoreEntryError: on any of the above.
+    """
+    try:
+        with open(path, "rb") as stream:
+            payload = pickle.load(stream)
+    except (OSError, pickle.UnpicklingError, EOFError) as error:
+        raise StoreEntryError(
+            f"cannot read store entry {path!r}: {error}"
+        ) from error
+    if not isinstance(payload, dict) or "version" not in payload:
+        raise StoreEntryError(
+            f"{path!r} is not a repro store entry (no version field)"
+        )
+    if payload["version"] != ENTRY_VERSION:
+        raise StoreEntryError(
+            f"store entry {path!r} has format version "
+            f"{payload['version']}, this build reads {ENTRY_VERSION}"
+        )
+    missing = _ENTRY_FIELDS - set(payload)
+    if missing:
+        raise StoreEntryError(
+            f"store entry {path!r} is missing fields {sorted(missing)}"
+        )
+    recorded = payload["graph_fingerprint"]
+    actual = graph_fingerprint(payload["graph"])
+    if recorded != actual:
+        raise StoreEntryError(
+            f"store entry {path!r} failed integrity check: recorded "
+            f"graph fingerprint {recorded[:12]}... does not match the "
+            f"payload graph ({actual[:12]}...); the file is corrupt or "
+            "was tampered with"
+        )
+    if expect_graph is not None:
+        expected = graph_fingerprint(expect_graph)
+        if recorded != expected:
+            raise StoreEntryError(
+                f"store entry {path!r} was written for a different "
+                f"graph (fingerprint {recorded[:12]}..., expected "
+                f"{expected[:12]}...)"
+            )
+    return payload
 
 
 @dataclass
@@ -164,8 +278,8 @@ class HierarchyStore:
             self.stats.misses += 1
             return None
         try:
-            payload = load_checkpoint(path, expect_graph=graph)
-        except CheckpointError:
+            payload = _read_entry(path, expect_graph=graph)
+        except StoreEntryError:
             self.stats.corrupt += 1
             self.stats.misses += 1
             self._remove(path)
@@ -176,13 +290,12 @@ class HierarchyStore:
 
     def save(self, key: str, *, config, graph, context, backend) -> str:
         """Persist a warm session snapshot under ``key``; returns the
-        entry path.  Atomic (checkpoint writer), then LRU-evicts."""
+        entry path.  Atomic (see :func:`_write_entry`), then
+        LRU-evicts."""
         os.makedirs(self.root, exist_ok=True)
         path = self.path_for(key)
-        write_checkpoint(
+        _write_entry(
             path,
-            op="session",
-            op_args={},
             config=config,
             graph=graph,
             context=context,

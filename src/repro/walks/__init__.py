@@ -1,7 +1,6 @@
 """Random-walk engines, the Lemma 2.5 scheduler, and mixing estimation."""
 
 from .correlated import run_correlated_walks
-from .cover import CoverEstimate, cover_time_bounds, estimate_cover_time
 from .engine import WalkRun, run_lazy_walks, run_regular_walks
 from .hitting import (
     expected_hitting_time,
@@ -24,9 +23,6 @@ from .parallel import (
 __all__ = [
     "WalkRun",
     "run_correlated_walks",
-    "CoverEstimate",
-    "cover_time_bounds",
-    "estimate_cover_time",
     "run_lazy_walks",
     "run_regular_walks",
     "expected_hitting_time",

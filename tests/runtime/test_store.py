@@ -12,6 +12,7 @@ from repro.params import Params
 from repro.runtime import (
     HierarchyStore,
     MemorySink,
+    ResiliencePolicy,
     RunConfig,
     Session,
     open_store,
@@ -19,6 +20,26 @@ from repro.runtime import (
     store_key,
 )
 from repro.runtime.store import resolve_cache_root
+
+
+#: A changed value for every RunConfig field the build depends on; each
+#: must change the store key.
+_BUILD_INPUT_CHANGES = {
+    "seed": 4,
+    "backend": "native",
+    "beta": 4,
+    "faults": "drop=0.1",
+    "recovery": "self-heal",
+    "params": dataclasses.replace(Params.default(), level_walks_factor=9.0),
+}
+
+#: A changed value for every RunConfig field that changes how a build is
+#: observed, kept or served, never what is built; none may change the key.
+_EXECUTION_KNOB_CHANGES = {
+    "trace": MemorySink(),
+    "cache": "auto",
+    "resilience": ResiliencePolicy(deadline_rounds=10.0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +59,7 @@ class TestStoreKey:
 
     @pytest.mark.parametrize(
         "change",
-        [
-            {"seed": 4},
-            {"backend": "native"},
-            {"beta": 4},
-            {"faults": "drop=0.1"},
-            {"recovery": "self-heal"},
-        ],
+        [{name: value} for name, value in _BUILD_INPUT_CHANGES.items()],
     )
     def test_build_inputs_change_the_key(self, graph, change):
         base = store_key(graph, RunConfig(seed=3))
@@ -72,12 +87,22 @@ class TestStoreKey:
 
     @pytest.mark.parametrize(
         "change",
-        [{"checkpoint": "run.ckpt"}, {"cache": "auto"}],
+        [{name: value} for name, value in _EXECUTION_KNOB_CHANGES.items()],
     )
     def test_execution_knobs_do_not_change_the_key(self, graph, change):
         base = store_key(graph, RunConfig(seed=3, backend="native"))
         assert base == store_key(
             graph, RunConfig(seed=3, backend="native", **change)
+        )
+
+    def test_every_field_is_a_build_input_or_a_knob(self):
+        """Sweep RunConfig: every field sits in one of the two tables
+        the tests above check, so a new field fails here until it is
+        sorted into one (and a build input the key forgets fails
+        there)."""
+        names = {field.name for field in dataclasses.fields(RunConfig)}
+        assert names == set(_BUILD_INPUT_CHANGES) | set(
+            _EXECUTION_KNOB_CHANGES
         )
 
 

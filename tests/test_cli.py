@@ -170,29 +170,28 @@ class TestRuntimeFlags:
 
 
 class TestRecoveryFlags:
-    """The self-healing surface: --recovery, --checkpoint, run --resume."""
+    """The self-healing surface: --recovery, and --cache as the restart."""
 
     def _expander(self, tmp_path, n=32):
         out = str(tmp_path / "exp.json")
         main(["generate", "expander", str(n), "-o", out])
         return out
 
-    def test_checkpoint_then_resume_matches(self, tmp_path, capsys):
+    def test_cache_rerun_matches(self, tmp_path, capsys):
+        """Re-running with the same --cache restarts from the stored
+        build and prints the cold run's report."""
         graph = self._expander(tmp_path)
-        ckpt = str(tmp_path / "run.ckpt")
-        assert main(
-            ["route", graph, "--seed", "2", "--checkpoint", ckpt]
-        ) == 0
-        first = capsys.readouterr().out
-        assert f"checkpoint   {ckpt}" in first
-        assert main(["run", "--resume", ckpt]) == 0
-        resumed = capsys.readouterr().out
-        assert "op           route" in resumed
-        assert "seed         2" in resumed
-
-    def test_resume_missing_checkpoint_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--resume", str(tmp_path / "nope.ckpt")]) == 2
-        assert "error:" in capsys.readouterr().err
+        capsys.readouterr()
+        cache = str(tmp_path / "cache")
+        outputs = []
+        for _ in range(2):
+            assert main(
+                ["route", graph, "--seed", "2", "--cache", cache]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "delivered    True" in outputs[0]
+        assert len(list((tmp_path / "cache").iterdir())) == 1
 
     def test_self_heal_survives_permanent_crash(self, tmp_path, capsys):
         graph = self._expander(tmp_path)

@@ -1,17 +1,20 @@
-"""The tutorial's code blocks must run (like the README's), and every
-``repro`` command line the docs show must parse.
+"""The tutorial's code blocks must run (like the README's), every
+``repro`` command line the docs show must parse, and every subcommand
+and flag the ``repro.cli`` module docstring names must exist.
 
 Tutorial blocks share one namespace in order, mirroring a reader
 following along.  Sizes in the tutorial are moderate, so this is the
 slowest doc test — still well under a minute.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,3 +78,50 @@ class TestDocumentedCommands:
             except SystemExit:
                 rejected.append(source)
         assert not rejected, "the CLI rejects: " + "; ".join(rejected)
+
+
+def _docstring_names(doc: str) -> tuple[set[str], set[str]]:
+    """``(subcommands, flags)`` a CLI docstring names: its bulleted
+    commands, slash-separated command lists, ``repro <command>``
+    mentions and every ``--flag``."""
+    commands = set(re.findall(r"^\* ``([a-z]+)`` —", doc, flags=re.M))
+    commands |= set(re.findall(r"``([a-z]+)``(?=/|\))", doc))
+    commands |= set(re.findall(r"``(?:python -m )?repro ([a-z]+)", doc))
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", doc))
+    return commands, flags
+
+
+def _parser_names() -> tuple[set[str], set[str]]:
+    """``(subcommands, flags)`` that ``_build_parser()`` accepts."""
+    parser = _build_parser()
+    (subparsers,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = set()
+    for sub in [parser, *subparsers.choices.values()]:
+        for action in sub._actions:
+            flags.update(
+                option
+                for option in action.option_strings
+                if option.startswith("--")
+            )
+    return set(subparsers.choices), flags
+
+
+class TestCliDocstring:
+    def test_named_commands_and_flags_exist(self):
+        commands, flags = _docstring_names(repro.cli.__doc__)
+        assert {"route", "mst", "serve", "bench"} <= commands
+        assert {"--cache", "--faults", "--journal"} <= flags
+        known_commands, known_flags = _parser_names()
+        assert commands - known_commands == set()
+        assert flags - known_flags == set()
+
+    def test_stale_names_are_caught(self):
+        stale = "* ``resume`` — gone.\n* ``--checkpoint PATH`` — gone."
+        commands, flags = _docstring_names(stale)
+        known_commands, known_flags = _parser_names()
+        assert commands - known_commands == {"resume"}
+        assert flags - known_flags == {"--checkpoint"}
