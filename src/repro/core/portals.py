@@ -263,13 +263,19 @@ def _sampled_portals(
     num_vnodes: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uniform boundary-node portals, sampled directly (fast path)."""
+    """Uniform boundary-node portals, sampled directly (fast path).
+
+    Every member of a part draws one uniform index into the part's
+    candidates per sibling, in part-then-sibling order.  All the draws
+    are one ``rng.integers`` call over per-draw bounds, which consumes
+    the same stream as one sized call per (part, sibling).
+    """
     table = np.full((num_vnodes, beta), -1, dtype=np.int64)
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
     cuts = np.flatnonzero(np.diff(np.concatenate(([-1], sorted_parts, [-1]))))
-    for start, end in zip(cuts[:-1], cuts[1:]):
-        members = order[start:end]
+    rows, columns, pools = [], [], []
+    for start, end in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         part = int(sorted_parts[start])
         own_index = part % beta
         for sibling in range(beta):
@@ -278,9 +284,19 @@ def _sampled_portals(
             candidates = boundary.get((part, sibling))
             if candidates is None or candidates.shape[0] == 0:
                 continue
-            table[members, sibling] = candidates[
-                rng.integers(0, candidates.shape[0], size=members.shape[0])
-            ]
+            rows.append(order[start:end])
+            columns.append(sibling)
+            pools.append(candidates)
+    if not rows:
+        return table
+    counts = [members.shape[0] for members in rows]
+    sizes = np.array([pool.shape[0] for pool in pools], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    picks = rng.integers(0, np.repeat(sizes, counts))
+    picks += np.repeat(offsets, counts)
+    table[np.concatenate(rows), np.repeat(columns, counts)] = (
+        np.concatenate(pools)[picks]
+    )
     return table
 
 

@@ -49,6 +49,9 @@ class StepTable(NamedTuple):
             stays and on ``landing[num_arcs + a]`` if it moves.
         num_arcs: number of arcs (0 allowed: nothing moves).
         has_isolated: whether some node has degree 0.
+        degree: the common out-degree ``d`` when every node has the same
+            positive degree, else 0.  Node ``v``'s row then starts at
+            ``v * d``, so :func:`keyed_step` needs no per-walk gather.
     """
 
     indptr: np.ndarray
@@ -56,6 +59,7 @@ class StepTable(NamedTuple):
     landing: np.ndarray
     num_arcs: int
     has_isolated: bool
+    degree: int
 
     @classmethod
     def build(
@@ -66,12 +70,19 @@ class StepTable(NamedTuple):
         tails: np.ndarray,
     ) -> "StepTable":
         """Table over a CSR whose arc ``a`` leaves node ``tails[a]``."""
+        has_isolated = not degrees.all()
+        regular = (
+            degrees.size > 0
+            and not has_isolated
+            and bool((degrees == degrees[0]).all())
+        )
         return cls(
             indptr=indptr,
             degrees=degrees,
             landing=np.concatenate((tails, indices)),
             num_arcs=int(indices.shape[0]),
-            has_isolated=not degrees.all(),
+            has_isolated=has_isolated,
+            degree=int(degrees[0]) if regular else 0,
         )
 
     @classmethod
@@ -102,6 +113,12 @@ def keyed_step(
     below ``d`` in float64) — and the upper half of a bincount over the
     keys is the step's per-arc load.
 
+    On a regular table (:attr:`StepTable.degree` set) the key is
+    ``pos * d + floor(u * d)`` with no per-walk gather: ``indptr[v]`` is
+    ``v * d`` there, and ``u * d`` is the same float64 product as
+    ``u * degrees[v]``, so the keys are bit-identical to the general
+    branch's.
+
     Args:
         table: the adjacency.
         positions: current node per walk.
@@ -114,6 +131,12 @@ def keyed_step(
         ``(new_positions, keys)``, keys in ``[0, 2 * num_arcs)`` (no
         token moves when ``num_arcs`` is 0).
     """
+    degree = table.degree
+    if degree:
+        keys = (choice_u * degree).astype(np.int64)
+        keys += positions * degree
+        keys += move * table.num_arcs
+        return table.landing.take(keys), keys
     degrees = table.degrees[positions]
     keys = table.indptr[positions] + (choice_u * degrees).astype(np.int64)
     if not table.num_arcs:
@@ -265,7 +288,9 @@ def _run_walks(
 
     Per step and walk, draws the move coin and then the arc choice — the
     stream of two ``rng.random(W)`` calls per step, filled a block of
-    steps at a time into one reused buffer.
+    steps at a time into one reused buffer.  When every node has the
+    same move probability the coin is compared against that scalar
+    rather than a per-walk gather of it.
 
     Congestion is per *directed* arc: the CONGEST model allows one message
     per edge per direction per round, so opposite-direction tokens cross
@@ -281,11 +306,19 @@ def _run_walks(
     num_walks = positions.shape[0]
     block = max(1, min(steps, _BLOCK_BYTES // (16 * max(1, num_walks))))
     draws = np.empty((block, 2, num_walks))
+    scalar_p = (
+        move_probability[0]
+        if move_probability.size
+        and (move_probability == move_probability[0]).all()
+        else None
+    )
     for first in range(0, steps, block):
         chunk = draws[: min(block, steps - first)]
         rng.random(out=chunk)
         for coin, choice_u in chunk:
-            move = coin < move_probability[positions]
+            move = coin < (
+                move_probability[positions] if scalar_p is None else scalar_p
+            )
             before = positions
             positions, keys = keyed_step(table, positions, move, choice_u)
             if num_arcs:

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hierarchy import _clique_edges
-from repro.core.portals import _boundary_nodes
+from repro.core.portals import _boundary_nodes, _sampled_portals
 from repro.core.sampling import group_select, sample_within_parts
-from repro.graphs import Graph
+from repro.graphs import Graph, hypercube, random_regular, ring_graph
 from repro.walks import engine
 from repro.walks.engine import StepTable, keyed_step
 
@@ -68,6 +68,14 @@ def _oracle_lazy(graph, starts, steps, rng):
         congestion.append(c)
         loads.append(load)
     return positions, congestion, loads
+
+
+def _oracle_lazy_trajectory(graph, starts, steps, seed):
+    rng = np.random.default_rng(seed)
+    rows = [starts]
+    for _ in range(steps):
+        rows.append(_oracle_lazy(graph, rows[-1], 1, rng)[0])
+    return np.stack(rows)
 
 
 def _oracle_regular(graph, starts, steps, rng):
@@ -169,6 +177,26 @@ def _oracle_group_select(owners, targets, num_owners, cap, rng):
     return edges
 
 
+def _oracle_sampled_portals(parts, boundary, beta, num_vnodes, rng):
+    table = np.full((num_vnodes, beta), -1, dtype=np.int64)
+    order = np.argsort(parts, kind="stable")
+    sorted_parts = parts[order]
+    cuts = np.flatnonzero(np.diff(np.concatenate(([-1], sorted_parts, [-1]))))
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        members = order[start:end]
+        part = int(sorted_parts[start])
+        for sibling in range(beta):
+            if sibling == part % beta:
+                continue
+            candidates = boundary.get((part, sibling))
+            if candidates is None or candidates.shape[0] == 0:
+                continue
+            table[members, sibling] = candidates[
+                rng.integers(0, candidates.shape[0], size=members.shape[0])
+            ]
+    return table
+
+
 def _oracle_sample_within_parts(parts, degree, rng):
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
@@ -228,8 +256,29 @@ def multigraphs(draw, max_nodes=12, max_edges=30):
 
 
 @st.composite
+def regular_graphs(draw):
+    """Constant-degree graphs: the gather-free step's tables."""
+    kind = draw(st.sampled_from(["ring", "hypercube", "random", "parallel"]))
+    if kind == "ring":
+        return ring_graph(draw(st.integers(min_value=3, max_value=12)))
+    if kind == "hypercube":
+        return hypercube(draw(st.integers(min_value=2, max_value=5)))
+    if kind == "random":
+        n = draw(st.integers(min_value=5, max_value=16))
+        d = draw(st.integers(min_value=3, max_value=4))
+        if n * d % 2:
+            n += 1
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        return random_regular(n, d, np.random.default_rng(seed))
+    # A ring with every edge repeated: parallel arcs in each row.
+    n = draw(st.integers(min_value=3, max_value=8))
+    copies = draw(st.integers(min_value=2, max_value=3))
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)] * copies)
+
+
+@st.composite
 def walk_cases(draw):
-    graph = draw(multigraphs())
+    graph = draw(st.one_of(multigraphs(), regular_graphs()))
     num_walks = draw(st.integers(min_value=0, max_value=40))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     starts = np.random.default_rng(seed).integers(
@@ -255,6 +304,12 @@ def _assert_walks_match(runner, oracle, graph, starts, steps, seed):
     assert rng_new.random() == rng_old.random()
 
 
+_RUNNERS = [
+    (engine.run_lazy_walks, _oracle_lazy),
+    (engine.run_regular_walks, _oracle_regular),
+]
+
+
 class TestWalkKernels:
     @kernel_settings
     @given(walk_cases())
@@ -276,13 +331,19 @@ class TestWalkKernels:
                 graph, starts, steps, seed,
             )
 
-    @pytest.mark.parametrize(
-        "runner, oracle",
-        [
-            (engine.run_lazy_walks, _oracle_lazy),
-            (engine.run_regular_walks, _oracle_regular),
-        ],
-    )
+    @pytest.mark.parametrize("block_bytes", [16, 100, engine._BLOCK_BYTES])
+    def test_scalar_coin_with_gathered_keys(self, block_bytes):
+        # Mixed degrees and no isolated node: the lazy walk compares the
+        # coin against one scalar, yet the keys are gathered per walk.
+        graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
+        assert StepTable.of(graph).degree == 0
+        starts = np.random.default_rng(1).integers(0, 6, size=25)
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes):
+            _assert_walks_match(
+                engine.run_lazy_walks, _oracle_lazy, graph, starts, 9, seed=4
+            )
+
+    @pytest.mark.parametrize("runner, oracle", _RUNNERS)
     def test_default_blocks_span_many_steps(self, runner, oracle):
         # 10000 walks -> 6 steps per 1 MiB block -> blocks of 6, 6, 6, 2.
         graph = Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0),
@@ -306,11 +367,24 @@ class TestWalkKernels:
             graph, starts, 6, np.random.default_rng(seed),
             record_trajectory=True,
         )
-        rng = np.random.default_rng(seed)
-        expected = [starts]
-        for _ in range(6):
-            expected.append(_oracle_lazy(graph, expected[-1], 1, rng)[0])
-        assert np.array_equal(run.trajectory, np.stack(expected))
+        expected = _oracle_lazy_trajectory(graph, starts, 6, seed)
+        assert np.array_equal(run.trajectory, expected)
+
+    def test_trajectory_and_hook_on_regular_graph(self):
+        graph = hypercube(3)
+        starts = np.repeat(np.arange(8), 3)
+        seen = []
+        run = engine.run_lazy_walks(
+            graph, starts, 7, np.random.default_rng(11),
+            record_trajectory=True,
+            on_step=lambda before, after: seen.append((before, after)),
+        )
+        expected = _oracle_lazy_trajectory(graph, starts, 7, 11)
+        assert np.array_equal(run.trajectory, expected)
+        assert len(seen) == 7
+        for step, (before, after) in enumerate(seen):
+            assert np.array_equal(before, expected[step])
+            assert np.array_equal(after, expected[step + 1])
 
     @kernel_settings
     @given(multigraphs(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -336,6 +410,45 @@ class TestWalkKernels:
         assert np.array_equal(new, old)
         if table.num_arcs:
             assert np.array_equal(keys >= table.num_arcs, move)
+
+    @kernel_settings
+    @given(regular_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_keyed_step_matches_oracle_on_regular_table(self, graph, seed):
+        rng = np.random.default_rng(seed)
+        table = StepTable.build(
+            graph.indptr, graph.indices, graph.degrees, graph.arc_tails
+        )
+        assert table.degree == graph.degrees[0]
+        positions = rng.integers(0, graph.num_nodes, size=30)
+        move = rng.random(30) < 0.5
+        choice_u = rng.random(30)
+        new, keys = keyed_step(table, positions, move, choice_u)
+        old, _ = _oracle_advance(
+            positions, move, choice_u, graph.indptr, graph.indices,
+            graph.degrees, graph.num_arcs,
+        )
+        assert np.array_equal(new, old)
+        # The gathered branch computes the very same keys.
+        gathered = keyed_step(table._replace(degree=0), positions, move,
+                              choice_u)
+        assert np.array_equal(keys, gathered[1])
+        assert np.array_equal(new, gathered[0])
+
+    @pytest.mark.parametrize(
+        "graph, degree",
+        [
+            (ring_graph(5), 2),
+            (hypercube(4), 4),
+            (random_regular(10, 3, np.random.default_rng(2)), 3),
+            (Graph(2, [(0, 1)] * 3), 3),
+            (Graph(4, [(0, 1), (1, 2), (2, 0)]), 0),  # node 3 isolated
+            (Graph(4, [(0, 1), (1, 2), (2, 3)]), 0),  # mixed degrees
+            (Graph(3, []), 0),
+            (Graph(0, []), 0),
+        ],
+    )
+    def test_step_table_degree(self, graph, degree):
+        assert StepTable.of(graph).degree == degree
 
 
 # -- CSR build -----------------------------------------------------------
@@ -447,6 +560,42 @@ class TestEdgeBuilders:
             owners, targets, num_owners, cap, rng_old
         )
         assert _rows(edges) == expected
+        assert rng_new.random() == rng_old.random()
+
+    @kernel_settings
+    @given(st.data())
+    def test_sampled_portals_match_oracle(self, data):
+        beta = data.draw(st.integers(min_value=2, max_value=5))
+        parts = np.array(
+            data.draw(st.lists(
+                st.integers(min_value=0, max_value=3 * beta - 1),
+                min_size=1, max_size=30,
+            )),
+            dtype=np.int64,
+        )
+        num_vnodes = parts.shape[0]
+        # Per (part, sibling): a missing key, an empty array, or up to
+        # 20 candidates (repeats allowed).
+        boundary = {}
+        for part in np.unique(parts).tolist():
+            for sibling in range(beta):
+                size = data.draw(st.integers(min_value=-1, max_value=20))
+                if size >= 0:
+                    boundary[(part, sibling)] = np.array(
+                        data.draw(st.lists(
+                            st.integers(0, num_vnodes - 1),
+                            min_size=size, max_size=size,
+                        )),
+                        dtype=np.int64,
+                    )
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        table = _sampled_portals(parts, boundary, beta, num_vnodes, rng_new)
+        expected = _oracle_sampled_portals(
+            parts, boundary, beta, num_vnodes, rng_old
+        )
+        assert np.array_equal(table, expected)
         assert rng_new.random() == rng_old.random()
 
     @kernel_settings
