@@ -117,6 +117,13 @@ class RoutingResult:
         return self.cost_rounds
 
 
+def _max_multiplicity(values: np.ndarray) -> int:
+    """The largest number of times one value occurs (0 when empty)."""
+    if not values.size:
+        return 0
+    return int(np.unique(values, return_counts=True)[1].max())
+
+
 class Router:
     """Routes packet batches over a built hierarchy + portal table."""
 
@@ -699,9 +706,9 @@ class Router:
         chosen_arcs = valid_arcs[np.cumsum(counts) - counts + picks]
         landed = overlay.indices[chosen_arcs]
         # Per *directed* arc: opposite-direction crossings run in parallel
-        # (one message per edge per direction per round).
-        congestion = np.bincount(chosen_arcs).max() if portals.size else 0
-        return landed, float(congestion)
+        # (one message per edge per direction per round).  Counted over
+        # the picked arcs only, so the cost is request-sized.
+        return landed, float(_max_multiplicity(chosen_arcs))
 
     def _bottom_deliver(
         self, current: np.ndarray, target: np.ndarray
@@ -713,9 +720,6 @@ class Router:
         pairs among packets still in transit.
         """
         moving = current != target
-        if not moving.any():
-            return 0.0
         num = self.hierarchy.g0.virtual.count
         keys = current[moving] * num + target[moving]
-        __, counts = np.unique(keys, return_counts=True)
-        return float(counts.max())
+        return float(_max_multiplicity(keys))

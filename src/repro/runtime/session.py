@@ -512,7 +512,6 @@ class Session:
         assert self.store is not None
         path = self.store.save(
             key,
-            config=self.config,
             graph=self.graph,
             context=self.context,
             backend=self.backend,

@@ -28,14 +28,14 @@ A hit is also how a built run restarts: a process that dies after the
 build re-opens with the same ``cache`` and adopts the entry instead of
 rebuilding.
 
-An entry is one pickled dict — format version, config (minus its
-trace sink), graph, the graph's fingerprint, context (RNG stream
-positions, ledger, fault plan) and backend (with its built hierarchy)
-— pickled as *one* object graph so shared identities survive: the
-context's ``"router"`` stream and the router's ``rng`` stay the same
-generator after a round trip.  The two deliberately unpicklable
-members, the trace sink and the native backend's walk-runner closure,
-are dropped at save time and re-attached by the session on a hit.
+An entry is one pickled dict — format version, graph, the graph's
+fingerprint, context (RNG stream positions, ledger, fault plan) and
+backend (with its built hierarchy) — pickled as *one* object graph so
+shared identities survive: the context's ``"router"`` stream and the
+router's ``rng`` stay the same generator after a round trip.  The two
+deliberately unpicklable members, the trace sink and the native
+backend's walk-runner closure, are dropped at save time and
+re-attached by the session on a hit.
 
 Entries are written atomically (temp file + fsync + rename into place
 + directory fsync) and evicted LRU by file mtime, which doubles as the
@@ -51,7 +51,7 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..graphs.graph import Graph
@@ -74,12 +74,11 @@ __all__ = [
 CODE_EPOCH = 1
 
 #: Format version embedded in every entry (and salted into every key).
-#: Version 2 added the mandatory ``graph_fingerprint`` integrity field.
-ENTRY_VERSION = 2
+#: Version 2 added the mandatory ``graph_fingerprint`` integrity field;
+#: version 3 dropped the opening config, which nothing read back.
+ENTRY_VERSION = 3
 
-_ENTRY_FIELDS = frozenset(
-    {"config", "graph", "graph_fingerprint", "context", "backend"}
-)
+_ENTRY_FIELDS = frozenset({"graph", "graph_fingerprint", "context", "backend"})
 
 #: Default maximum number of cached hierarchies per store directory.
 DEFAULT_MAX_ENTRIES = 64
@@ -144,16 +143,11 @@ class StoreEntryError(RuntimeError):
     """A store entry is unreadable, corrupt, or incompatible."""
 
 
-def _write_entry(path: str, *, config, graph, context, backend) -> None:
+def _write_entry(path: str, *, graph, context, backend) -> None:
     """Snapshot a built run into ``path`` (atomic: temp file + fsync +
-    rename + parent-directory fsync).
-
-    The config's ``trace`` member may hold an open sink, so it is
-    stripped; everything else is pickled as one object graph.
-    """
+    rename + parent-directory fsync), pickled as one object graph."""
     payload = {
         "version": ENTRY_VERSION,
-        "config": replace(config, trace=None),
         "graph": graph,
         "graph_fingerprint": graph_fingerprint(graph),
         "context": context,
@@ -288,7 +282,7 @@ class HierarchyStore:
         self.stats.hits += 1
         return payload
 
-    def save(self, key: str, *, config, graph, context, backend) -> str:
+    def save(self, key: str, *, graph, context, backend) -> str:
         """Persist a warm session snapshot under ``key``; returns the
         entry path.  Atomic (see :func:`_write_entry`), then
         LRU-evicts."""
@@ -296,7 +290,6 @@ class HierarchyStore:
         path = self.path_for(key)
         _write_entry(
             path,
-            config=config,
             graph=graph,
             context=context,
             backend=backend,

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.congest.detector import CrashView
 from repro.core import Router, RoutingError, build_hierarchy
+from repro.core.router import _max_multiplicity
 from repro.graphs import grid_torus, hypercube, random_regular
 from repro.params import Params
 
@@ -308,6 +309,24 @@ class TestHopKernel:
         with pytest.raises(RoutingError, match="lost its boundary edge"):
             router._hop(0, portals, target_parts)
         assert router.rng.bit_generator.state == state
+
+
+class TestMaxMultiplicity:
+    """The hop's congestion count against the ``bincount`` it replaced,
+    which allocated ``max(arcs) + 1`` counters per hop."""
+
+    @kernel_settings
+    @given(
+        st.lists(st.integers(0, 10**6), max_size=50),
+        st.integers(1, 4),
+    )
+    def test_matches_bincount_max(self, arcs, repeats):
+        arcs = np.array(arcs * repeats, dtype=np.int64)
+        expected = np.bincount(arcs).max() if arcs.size else 0
+        assert _max_multiplicity(arcs) == expected
+
+    def test_empty(self):
+        assert _max_multiplicity(np.array([], dtype=np.int64)) == 0
 
 
 # -- whole routes --------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
+    FAMILIES,
     barbell_graph,
     complete_graph,
     conductance_exact,
@@ -29,6 +30,7 @@ from repro.graphs import (
     spectral_gap,
     star_graph,
 )
+from repro.graphs.properties import _mixing_time_from_matrix
 from repro.theory import cheeger_mixing_bound
 
 
@@ -191,6 +193,55 @@ class TestMixingTime:
         sparse = random_regular(32, 4, rng)
         dense = random_regular(32, 10, rng)
         assert mixing_time(dense) <= mixing_time(sparse) + 5
+
+
+def _scan_mixing_time(matrix, stationary, tolerance):
+    """The doubling-then-scan search the binary lift replaced: after
+    doubling, one product with ``P`` per step until mixed."""
+    def mixed(power):
+        return np.all(np.abs(power - stationary).max(axis=0) <= tolerance)
+
+    power, step, previous = matrix, 1, None
+    while not mixed(power):
+        previous, power, step = power, power @ power, 2 * step
+    if previous is None:
+        return 1
+    base, base_step = previous, step // 2
+    while True:
+        base, base_step = base @ matrix, base_step + 1
+        if mixed(base):
+            return base_step
+
+
+def _family_graphs():
+    for name, factory in sorted(FAMILIES.items()):
+        for n in (16, 32, 64):
+            for seed in (0, 1):
+                graph = factory(n, np.random.default_rng(seed))
+                if graph.is_connected():
+                    yield pytest.param(graph, id=f"{name}-{n}-{seed}")
+    yield pytest.param(
+        random_regular(128, 6, np.random.default_rng(0)),
+        id="random_regular-128-0",
+    )
+
+
+class TestMixingSearch:
+    """The binary lift over stored powers returns the scan's integer
+    ``tau`` on every committed graph family, for both walks."""
+
+    @pytest.mark.parametrize("graph", list(_family_graphs()))
+    def test_lift_matches_scan(self, graph):
+        n = graph.num_nodes
+        for matrix, stationary in (
+            (lazy_transition_matrix(graph),
+             graph.degrees / (2.0 * graph.num_edges)),
+            (regular_transition_matrix(graph), np.full(n, 1.0 / n)),
+        ):
+            tolerance = stationary / n
+            assert _mixing_time_from_matrix(
+                matrix, stationary, tolerance, 1 << 22
+            ) == _scan_mixing_time(matrix, stationary, tolerance)
 
 
 class TestLemma23:

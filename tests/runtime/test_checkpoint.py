@@ -15,6 +15,7 @@ from repro.runtime import (
     run,
     store_key,
 )
+from repro.runtime.events import NullSink
 from repro.runtime.store import (
     ENTRY_VERSION,
     StoreEntryError,
@@ -193,7 +194,7 @@ class TestResumeTrace:
 
 
 class TestFingerprintGuard:
-    """The graph fingerprint inside every entry (format version 2)."""
+    """The graph fingerprint inside every entry (since format version 2)."""
 
     def test_wrong_graph_rejected(self, graph64, tmp_path):
         path = _entry_path(graph64, str(tmp_path))
@@ -211,8 +212,13 @@ class TestFingerprintGuard:
     def test_matching_graph_accepted(self, graph64, tmp_path):
         path = _entry_path(graph64, str(tmp_path))
         payload = _read_entry(path, expect_graph=graph64)
-        assert payload["config"].seed == 7
-        assert payload["config"].trace is None
+        # The entry holds what a hit adopts, and no opening config.
+        assert set(payload) == {
+            "version", "graph", "graph_fingerprint", "context", "backend",
+        }
+        assert payload["version"] == ENTRY_VERSION == 3
+        assert payload["context"].seed == 7
+        assert isinstance(payload["context"].sink, NullSink)
 
     def test_tampered_payload_fails_integrity(self, graph64, tmp_path):
         path = _entry_path(graph64, str(tmp_path))

@@ -10,6 +10,7 @@ bad edge.
 
 from __future__ import annotations
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -287,7 +288,10 @@ def walk_cases(draw):
     steps = draw(st.integers(min_value=0, max_value=12))
     # Small draw blocks make short runs span several blocks.
     block_bytes = draw(st.sampled_from([16, 100, 1000, engine._BLOCK_BYTES]))
-    return graph, starts, steps, seed, block_bytes
+    # 0 draws every next block on the helper thread, the default
+    # (above every case's walk count) draws them all in line.
+    overlap_walks = draw(st.sampled_from([0, engine._OVERLAP_WALKS]))
+    return graph, starts, steps, seed, block_bytes, overlap_walks
 
 
 # -- walk kernels --------------------------------------------------------
@@ -310,12 +314,34 @@ _RUNNERS = [
 ]
 
 
+def _patched_engine(block_bytes, overlap_walks):
+    return mock.patch.multiple(
+        engine,
+        _BLOCK_BYTES=block_bytes,
+        _OVERLAP_WALKS=overlap_walks,
+        _SPARE_CORE=True,
+    )
+
+
+class _RaiseAt:
+    """A step hook that raises on its ``step``-th call."""
+
+    def __init__(self, step):
+        self.step = step
+        self.calls = 0
+
+    def __call__(self, before, after):
+        if self.calls == self.step:
+            raise RuntimeError(f"hook failed at step {self.step}")
+        self.calls += 1
+
+
 class TestWalkKernels:
     @kernel_settings
     @given(walk_cases())
     def test_lazy_walks_match_oracle(self, case):
-        graph, starts, steps, seed, block_bytes = case
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes):
+        graph, starts, steps, seed, block_bytes, overlap_walks = case
+        with _patched_engine(block_bytes, overlap_walks):
             _assert_walks_match(
                 engine.run_lazy_walks, _oracle_lazy,
                 graph, starts, steps, seed,
@@ -324,12 +350,58 @@ class TestWalkKernels:
     @kernel_settings
     @given(walk_cases())
     def test_regular_walks_match_oracle(self, case):
-        graph, starts, steps, seed, block_bytes = case
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes):
+        graph, starts, steps, seed, block_bytes, overlap_walks = case
+        with _patched_engine(block_bytes, overlap_walks):
             _assert_walks_match(
                 engine.run_regular_walks, _oracle_regular,
                 graph, starts, steps, seed,
             )
+
+    @pytest.mark.parametrize("fail_at", [0, 2, 3, 7, 11])
+    def test_raising_hook_rewinds_the_generator(self, fail_at):
+        # 25 walks in 1000-byte blocks: blocks of 2 steps, so step 2
+        # opens a block and step 3 ends one, with the next block being
+        # drawn on the helper thread (forced on) when the hook raises.
+        graph = hypercube(3)
+        starts = np.random.default_rng(2).integers(0, 8, size=25)
+        next_draws = []
+        for overlap_walks in (0, engine._OVERLAP_WALKS):
+            rng = np.random.default_rng(6)
+            threads = len(threading.enumerate())
+            with _patched_engine(1000, overlap_walks):
+                with pytest.raises(RuntimeError, match=f"step {fail_at}"):
+                    engine.run_lazy_walks(
+                        graph, starts, 12, rng, on_step=_RaiseAt(fail_at)
+                    )
+            assert len(threading.enumerate()) == threads
+            next_draws.append(rng.random())
+        # The sequential engine drew every block up to the failing one.
+        expected = np.random.default_rng(6)
+        expected.random((fail_at // 2 + 1) * 2 * 2 * 25)
+        assert next_draws == [expected.random()] * 2
+
+    def test_one_core_keeps_the_sequential_fill(self):
+        graph = hypercube(3)
+        starts = np.repeat(np.arange(8), 4)
+        with _patched_engine(100, 0), mock.patch.multiple(
+            engine, _SPARE_CORE=False, _Fill=mock.DEFAULT
+        ) as patched:
+            _assert_walks_match(
+                engine.run_lazy_walks, _oracle_lazy, graph, starts, 9, 3
+            )
+        patched["_Fill"].assert_not_called()
+
+    @pytest.mark.parametrize("overlap_walks", [0, engine._OVERLAP_WALKS])
+    def test_no_helper_thread_outlives_a_run(self, overlap_walks):
+        graph = hypercube(3)
+        starts = np.repeat(np.arange(8), 4)
+        threads = threading.enumerate()
+        with _patched_engine(100, overlap_walks):
+            run = engine.run_lazy_walks(
+                graph, starts, 9, np.random.default_rng(0)
+            )
+        assert threading.enumerate() == threads
+        assert len(run.edge_congestion) == 9
 
     @pytest.mark.parametrize("block_bytes", [16, 100, engine._BLOCK_BYTES])
     def test_scalar_coin_with_gathered_keys(self, block_bytes):
