@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .analysis.report import build_report
 from .baselines import kruskal
@@ -430,8 +431,7 @@ def _cmd_serve(args) -> int:
     import json
 
     graph = load_graph(args.graph)
-    config = _make_config(args)
-    policy = _serve_policy(args)
+    config = replace(_make_config(args), resilience=_serve_policy(args))
     if args.recover and args.journal is None:
         raise ValueError("--recover needs --journal PATH")
 
@@ -458,9 +458,7 @@ def _cmd_serve(args) -> int:
     skip = 0
     try:
         if args.recover:
-            session = Session.recover(
-                graph, config, journal=args.journal, policy=policy
-            )
+            session = Session.recover(graph, config, journal=args.journal)
             assert session.journal is not None
             skip = session.journal.record_mark
             print(
@@ -469,9 +467,7 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
         else:
-            session = Session.open(
-                graph, config, policy=policy, journal=args.journal
-            )
+            session = Session.open(graph, config, journal=args.journal)
         with session:
             print(
                 f"session ready: n={graph.num_nodes} "

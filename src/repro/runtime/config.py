@@ -76,11 +76,14 @@ class RunConfig:
             with the same ``cache`` is also how a run restarts after a
             crash: the hit resumes from the stored build.
         resilience: optional
-            :class:`~repro.runtime.resilience.ResiliencePolicy` the
-            serving layer governs requests under (deadlines, retry
-            budget, admission control, circuit breaker).  ``None``
-            (default) serves ungoverned — bit-identical to configs
-            from before the policy existed.
+            :class:`~repro.runtime.resilience.ResiliencePolicy`, the
+            one place a session's serve policy is set: a session
+            opened under it serves records through a
+            :class:`~repro.runtime.resilience.Governor` (deadlines,
+            retry budget, admission control, circuit breaker).
+            ``None`` (default) serves ungoverned — bit-identical to
+            configs from before the policy existed.  It is not part
+            of the store key.
     """
 
     seed: int = 0
@@ -227,6 +230,13 @@ def run(
 ) -> RunOutcome:
     """Execute one of the paper's operations under a :class:`RunConfig`.
 
+    A run is a one-request session: :meth:`Session.open
+    <repro.runtime.Session.open>` (announcing ``op``), then one
+    :meth:`~repro.runtime.Session.submit`, never governed.  Its trace is
+    ``run_start``, the build's events (or ``serve/cache-hit``), the
+    ``serve/request`` / ``serve/response`` bookends around the op's own
+    events, then ``run_end``.
+
     Args:
         op: ``"build"``, ``"route"``, ``"mst"``, ``"mincut"``, or
             ``"clique"``.
@@ -262,16 +272,12 @@ def run(
     # One-shot = open a (possibly cached) session, serve one request.
     # The session restores its warm RNG/router snapshot before the
     # request, so the outcome is bit-identical to the historical
-    # build-inline path; ``quiet`` keeps the trace free of per-request
-    # session bookends.
+    # build-inline path.
     session = Session.open(graph, config, announce=op)
     context = session.context
     backend = session.backend
     try:
-        response = session.submit(
-            Request(op=op, args=op_args), quiet=True
-        )
-        result = response.result
+        result = session.submit(Request(op=op, args=op_args)).result
     finally:
         context.emit(
             "run_end",

@@ -3,8 +3,8 @@ and a circuit breaker.
 
 The session layer (PR 8) made serving cheap; the workload engine (PR 9)
 made overload observable.  This module makes it *governable*: a
-:class:`ResiliencePolicy` attached to :class:`~repro.runtime.Session`
-(directly or through ``RunConfig(resilience=...)``) turns unbounded
+:class:`ResiliencePolicy` attached to a :class:`~repro.runtime.Session`
+through ``RunConfig(resilience=...)`` turns unbounded
 serving into SLO-bounded serving —
 
 * **deadlines** — a per-request round budget (and optional wall-clock
@@ -244,13 +244,21 @@ class Governor:
         request: "Request",
         *,
         arrival_s: Optional[float] = None,
-        quiet: bool = False,
     ) -> dict[str, Any]:
         """Serve one request under the policy; return a summary dict.
 
-        ``arrival_s`` is the request's open-loop arrival second (the
-        admission controller and the virtual clock need it; without it
-        admission is skipped and the clock free-runs).
+        The governed counterpart of ``session.submit(request).summary()``
+        and the way :func:`~repro.runtime.serve_jsonl` serves every
+        request of a governed session: breaker fast-fail, admission
+        control, the retry loop around
+        :meth:`~repro.runtime.Session.submit`, then the deadline check.
+        The return value is a response summary (plus ``service_s`` and,
+        when known, ``sojourn_s`` / ``retry_backoff_s``) or a structured
+        error record (``kind`` in ``{"shed", "deadline_exceeded",
+        "circuit_open", "delivery_timeout"}``).  ``arrival_s`` is the
+        request's open-loop arrival second (the admission controller
+        and the virtual clock need it; without it admission is skipped
+        and the clock free-runs).
         """
         policy = self.policy
         try:
@@ -260,7 +268,7 @@ class Governor:
             self._observe_rejection(session, rejection, request.id)
             return rejection.record(request.id)
 
-        backoff_s, outcome = self._attempt(session, request, quiet=quiet)
+        backoff_s, outcome = self._attempt(session, request)
         if isinstance(outcome, DeliveryTimeout):
             self._record_failure(session)
             self.counters["served"] += 1
@@ -321,7 +329,7 @@ class Governor:
         return summary
 
     def _attempt(
-        self, session: "Session", request: "Request", *, quiet: bool
+        self, session: "Session", request: "Request"
     ) -> "tuple[float, Any]":
         """The retry loop: serve, retrying recoverable timeouts.
 
@@ -339,7 +347,7 @@ class Governor:
         try:
             while True:
                 try:
-                    return backoff_s, session.submit(request, quiet=quiet)
+                    return backoff_s, session.submit(request)
                 except DeliveryTimeout as error:
                     attempt += 1
                     if attempt > policy.retry_budget:

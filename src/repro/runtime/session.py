@@ -38,9 +38,11 @@ context + backend and skips the build phase entirely;
 re-persists under the updated content hash.
 
 Two optional robustness layers ride on top (see ``docs/robustness.md``):
-a :class:`~repro.runtime.resilience.ResiliencePolicy` (deadlines, retry
-budget, admission control, circuit breaker — enforced by
-:meth:`Session.serve`), and a :class:`~repro.runtime.journal.Journal`
+a :class:`~repro.runtime.resilience.ResiliencePolicy` from
+``RunConfig(resilience=...)`` (deadlines, retry budget, admission
+control, circuit breaker — enforced by the session's
+:class:`~repro.runtime.resilience.Governor`), and a
+:class:`~repro.runtime.journal.Journal`
 (crash-safe write-ahead log of applied updates + the served high-water
 mark) that :meth:`Session.recover` replays deterministically.  Both
 layers are additive for *request serving*: with neither attached,
@@ -57,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Iterable,
@@ -84,7 +86,7 @@ from .ops import (
     summarize_result,
     validate_request,
 )
-from .resilience import Governor, ResiliencePolicy
+from .resilience import Governor
 from .store import HierarchyStore, open_store, store_key
 
 __all__ = [
@@ -97,7 +99,8 @@ __all__ = [
 ]
 
 #: Fraction of virtual nodes that may be touched by incremental updates
-#: before :meth:`Session.apply_update` falls back to a full rebuild.
+#: before :meth:`Session.apply_update` falls back to a full rebuild;
+#: every session's :attr:`Session.staleness_bound` starts here.
 DEFAULT_STALENESS_BOUND = 0.25
 
 
@@ -225,8 +228,6 @@ class Session:
         store: Optional[HierarchyStore] = None,
         cache_key: Optional[str] = None,
         from_cache: bool = False,
-        staleness_bound: float = DEFAULT_STALENESS_BOUND,
-        policy: Optional[ResiliencePolicy] = None,
         journal: Optional[Journal] = None,
     ) -> None:
         self.graph = graph
@@ -236,8 +237,8 @@ class Session:
         self.store = store
         self.cache_key = cache_key
         self.from_cache = from_cache
-        self.staleness_bound = float(staleness_bound)
-        self.policy = policy
+        self.staleness_bound = DEFAULT_STALENESS_BOUND
+        policy = config.resilience
         self.governor = Governor(policy) if policy is not None else None
         self.journal = journal
         self.lineage = ""
@@ -265,8 +266,6 @@ class Session:
         *,
         store: Optional[HierarchyStore] = None,
         announce: Optional[str] = None,
-        staleness_bound: float = DEFAULT_STALENESS_BOUND,
-        policy: Optional[ResiliencePolicy] = None,
         journal: "Union[None, str, Journal]" = None,
     ) -> "Session":
         """Open a warm session: cache hit, or build + persist.
@@ -274,17 +273,16 @@ class Session:
         Args:
             graph: the topology to serve.
             config: a :class:`~repro.runtime.RunConfig` (default:
-                ``RunConfig()``); its ``cache`` field selects the store
-                unless ``store`` is passed explicitly.
+                ``RunConfig()``).  Its ``cache`` field selects the store
+                unless ``store`` is passed explicitly, and its
+                ``resilience`` policy, when set, governs serving through
+                :attr:`governor`.
             store: explicit :class:`HierarchyStore` (overrides
                 ``config.cache``).
             announce: operation name for the ``run_start`` trace event
                 (the one-shot path passes its op; servers leave the
                 default ``"session"``).  When given, backend support is
                 checked *before* any build work.
-            staleness_bound: see :meth:`apply_update`.
-            policy: serve-path SLO governance (defaults to
-                ``config.resilience``); see :meth:`serve`.
             journal: crash-safe write-ahead journal — a
                 :class:`~repro.runtime.journal.Journal` or a path to
                 open one at.  Applied updates and the served high-water
@@ -295,8 +293,6 @@ class Session:
 
         if config is None:
             config = RunConfig()
-        if policy is None:
-            policy = getattr(config, "resilience", None)
         # A journal opened here from a path is ours to close if the
         # open fails; a caller's Journal object stays open.
         owned_journal = None
@@ -306,24 +302,26 @@ class Session:
             )
         if store is None:
             store = open_store(config.cache)
-        key = store_key(graph, config) if store is not None else None
-        op_name = announce or "session"
-
+        key: Optional[str] = None
         payload = None
-        if store is not None and key is not None:
+        if store is not None:
+            key = store_key(graph, config)
             payload = store.load(key, graph)
 
         if payload is not None:
             context = payload["context"]
-            backend = payload["backend"]
             sink: EventSink
             if isinstance(config.trace, str):
                 sink = JsonlSink(config.trace)
             else:
                 sink = config.trace or NullSink()
             context.sink = sink
-            try:
-                cls._emit_run_start(context, config, op_name)
+        else:
+            context = config.make_context()
+        try:
+            cls._emit_run_start(context, config, announce or "session")
+            if payload is not None:
+                backend = payload["backend"]
                 context.emit(
                     "cache",
                     "serve/cache-hit",
@@ -336,43 +334,10 @@ class Session:
                 runner = backend._walk_runner()
                 if backend._router is not None:
                     backend._router._walk_runner = runner
-            except BaseException:
-                if isinstance(config.trace, str):
-                    context.close()
-                if owned_journal is not None:
-                    owned_journal.close()
-                raise
-            session = cls(
-                graph,
-                config,
-                context,
-                backend,
-                store=store,
-                cache_key=key,
-                from_cache=True,
-                staleness_bound=staleness_bound,
-                policy=policy,
-                journal=journal,
-            )
-            session._take_warm_snapshot()
-            return session
-
-        context = config.make_context()
-        try:
-            cls._emit_run_start(context, config, op_name)
-            backend = config.make_backend(graph, context)
-            if announce is not None:
-                # Reject an impossible (op, backend) pair before paying
-                # for a build it could never use.
-                check_backend_support(backend, announce)
-            if store is not None:
-                context.emit("cache", "serve/cache-miss", key=key)
-            backend.build()
-            if "route" in backend.supported_ops:
-                # Warm the router too: portal election draws from the
-                # "router" stream, and the warm snapshot must sit after
-                # every construction-time draw.
-                backend.router
+            else:
+                if key is not None:
+                    context.emit("cache", "serve/cache-miss", key=key)
+                backend = cls._construct(graph, config, context, announce)
         except BaseException:
             if isinstance(config.trace, str):
                 context.close()
@@ -386,14 +351,35 @@ class Session:
             backend,
             store=store,
             cache_key=key,
-            staleness_bound=staleness_bound,
-            policy=policy,
+            from_cache=payload is not None,
             journal=journal,
         )
         session._take_warm_snapshot()
-        if store is not None and key is not None:
+        if payload is None and key is not None:
             session._persist(key)
         return session
+
+    @staticmethod
+    def _construct(
+        graph: Graph,
+        config: Any,
+        context: RunContext,
+        announce: Optional[str] = None,
+    ) -> Backend:
+        """Make the configured backend over ``graph``, build it, and
+        warm its router: the one construction every warm snapshot is
+        taken after."""
+        backend = config.make_backend(graph, context)
+        if announce is not None:
+            # Reject an impossible (op, backend) pair before paying
+            # for a build it could never use.
+            check_backend_support(backend, announce)
+        backend.build()
+        if "route" in backend.supported_ops:
+            # Portal election draws from the "router" stream, and the
+            # warm snapshot must sit after every construction-time draw.
+            backend.router
+        return backend
 
     @staticmethod
     def _journal_identity(graph: Graph, config: Any) -> dict[str, Any]:
@@ -412,8 +398,6 @@ class Session:
         *,
         journal: "Union[str, Journal]",
         store: Optional[HierarchyStore] = None,
-        policy: Optional[ResiliencePolicy] = None,
-        staleness_bound: float = DEFAULT_STALENESS_BOUND,
     ) -> "Session":
         """Rebuild a crashed session from its write-ahead journal.
 
@@ -425,7 +409,10 @@ class Session:
         session is bit-identical to the uninterrupted one: same warm
         structure, same store keys, same responses to the remaining
         requests.  The served high-water mark is restored so response
-        indices continue where the dead process stopped.
+        indices continue where the dead process stopped.  The new
+        session gets a fresh :attr:`governor` from
+        ``config.resilience``; a caller that carries the SLO timeline
+        across processes assigns its old governor back.
         """
         from .config import RunConfig
 
@@ -437,13 +424,7 @@ class Session:
                 journal, identity=cls._journal_identity(graph, config)
             )
         try:
-            session = cls.open(
-                graph,
-                config,
-                store=store,
-                staleness_bound=staleness_bound,
-                policy=policy,
-            )
+            session = cls.open(graph, config, store=store)
         except BaseException:
             if owned_journal is not None:
                 owned_journal.close()
@@ -558,41 +539,18 @@ class Session:
         :meth:`submit`)."""
         return self.submit(Request(op=op, args=args))
 
-    def serve(
-        self,
-        request: Request,
-        *,
-        arrival_s: Optional[float] = None,
-        quiet: bool = False,
-    ) -> dict[str, Any]:
-        """Serve one request under the session's resilience policy.
-
-        With a :class:`~repro.runtime.resilience.ResiliencePolicy`
-        attached, the request runs through the governor — breaker
-        fast-fail, admission control, the retry loop, and the deadline
-        check — and the return value is either a response summary or a
-        structured error record (``kind`` in ``{"shed",
-        "deadline_exceeded", "circuit_open", "delivery_timeout"}``).
-        Without a policy this is exactly ``submit(...).summary()``.
-        ``arrival_s`` is the request's open-loop arrival second, which
-        admission control and the deterministic sojourn clock need.
-        """
-        if self.governor is not None:
-            return self.governor.serve(
-                self, request, arrival_s=arrival_s, quiet=quiet
-            )
-        return self.submit(request, quiet=quiet).summary()
-
-    def submit(
-        self, request: Request, *, quiet: bool = False
-    ) -> SessionResponse:
+    def submit(self, request: Request) -> SessionResponse:
         """Serve one :class:`Request` against the warm structure.
 
         Restores the warm RNG/router/fault-plan snapshot first, so the
         outcome is bit-identical to a cold ``repro.run()`` of the same
-        request — regardless of what was served before it.  ``quiet``
-        suppresses the per-request trace bookends (the one-shot path
-        uses it to keep traces identical to pre-session runs).
+        request — regardless of what was served before it.  The request
+        takes the next response index and is bracketed in the trace by
+        ``serve/request`` and ``serve/response`` events.  This is the
+        one request path: :meth:`route_batch`, the governor
+        (:meth:`Governor.serve
+        <repro.runtime.resilience.Governor.serve>`) and the one-shot
+        :func:`~repro.runtime.run` all serve through it.
         """
         self._ensure_serving()
         spec = validate_request(request.op, request.args)
@@ -600,14 +558,13 @@ class Session:
         start = self._begin_request()
         index = self.served
         self.served += 1
-        if not quiet:
-            self.context.emit(
-                "session",
-                "serve/request",
-                op=request.op,
-                index=index,
-                id=request.id,
-            )
+        self.context.emit(
+            "session",
+            "serve/request",
+            op=request.op,
+            index=index,
+            id=request.id,
+        )
         began = time.perf_counter()  # reprolint: disable=R003 (latency)
         result = spec.runner(
             self.backend, self.context, self.graph, dict(request.args)
@@ -615,15 +572,14 @@ class Session:
         wall_s = time.perf_counter() - began  # reprolint: disable=R003
         ledger = self.context.ledger.slice_from(start)
         rounds = float(ledger.total())
-        if not quiet:
-            self.context.emit(
-                "session",
-                "serve/response",
-                op=request.op,
-                index=index,
-                rounds=rounds,
-                wall_s=round(wall_s, 6),
-            )
+        self.context.emit(
+            "session",
+            "serve/response",
+            op=request.op,
+            index=index,
+            rounds=rounds,
+            wall_s=round(wall_s, 6),
+        )
         return SessionResponse(
             op=request.op,
             result=result,
@@ -639,69 +595,60 @@ class Session:
     ) -> list[SessionResponse]:
         """Serve several explicit-demand route requests as one instance.
 
-        Batched admission: the demands are concatenated and forwarded
-        through a single router invocation, so the batch pays one
+        Batched admission: the demands are concatenated and served as
+        one route request through :meth:`submit`, so the batch pays one
         preparation-walk phase instead of ``len(requests)``.  Every
-        request must be ``op="route"`` with explicit
-        ``sources``/``destinations`` (random demands need their own
-        stream draws and are served individually).  A batch is one
-        routing instance: per-request responses share the batch result
-        and report amortized rounds via :meth:`SessionResponse.summary`.
+        request must be ``op="route"`` with aligned explicit
+        ``sources``/``destinations`` and no other argument (random
+        demands need their own stream draws and are served
+        individually); anything else is refused with ``ValueError``
+        before any work.  A batch is one routing instance: it takes
+        one response index per request, its responses share the batch
+        result, and :meth:`SessionResponse.summary` reports amortized
+        rounds.  The trace shows a ``serve/batch`` event (size, packets,
+        ids) before the merged request's ``serve/request`` /
+        ``serve/response`` bookends.
         """
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [self.submit(requests[0])]
-        self._ensure_serving()
-        sources_parts: list[np.ndarray] = []
-        dest_parts: list[np.ndarray] = []
         for request in requests:
-            if request.op != "route":
+            if not _batchable(request):
                 raise ValueError(
-                    "route_batch only serves route requests, got "
-                    f"{request.op!r}"
+                    "route_batch only serves route requests with "
+                    "aligned explicit sources and destinations and no "
+                    f"other arguments, got op={request.op!r} with "
+                    f"{sorted(request.args)}"
                 )
-            args = dict(request.args)
-            sources = args.pop("sources", None)
-            destinations = args.pop("destinations", None)
-            args.pop("trace_hops", None)
-            if args:
-                raise ValueError(
-                    "route_batch requests cannot carry "
-                    f"{sorted(args)} arguments"
-                )
-            if sources is None or destinations is None:
-                raise ValueError(
-                    "route_batch requires explicit sources and "
-                    "destinations on every request"
-                )
-            sources_parts.append(np.asarray(sources, dtype=np.int64))
-            dest_parts.append(np.asarray(destinations, dtype=np.int64))
-        start = self._begin_request()
-        first = self.served
-        self.served += len(requests)
+        if len(requests) <= 1:
+            return [self.submit(request) for request in requests]
+        self._ensure_serving()
+        sources = np.concatenate(
+            [np.asarray(r.args["sources"], dtype=np.int64) for r in requests]
+        )
+        destinations = np.concatenate(
+            [
+                np.asarray(r.args["destinations"], dtype=np.int64)
+                for r in requests
+            ]
+        )
         self.context.emit(
             "session",
             "serve/batch",
             size=len(requests),
-            packets=int(sum(part.size for part in sources_parts)),
+            packets=int(sources.size),
+            ids=[request.id for request in requests],
         )
-        began = time.perf_counter()  # reprolint: disable=R003 (latency)
-        self.backend.build()
-        result = self.backend.route(
-            np.concatenate(sources_parts), np.concatenate(dest_parts)
+        merged = Request(
+            op="route",
+            args={"sources": sources, "destinations": destinations},
         )
-        wall_s = time.perf_counter() - began  # reprolint: disable=R003
-        ledger = self.context.ledger.slice_from(start)
-        rounds = float(ledger.total())
+        try:
+            response = self.submit(merged)
+        finally:
+            # The batch takes one index per request, served or not.
+            self.served += len(requests) - 1
         return [
-            SessionResponse(
-                op="route",
-                result=result,
-                ledger=ledger,
-                rounds=rounds,
-                wall_s=wall_s,
-                index=first + position,
+            replace(
+                response,
+                index=response.index + position,
                 request_id=request.id,
                 batch_size=len(requests),
             )
@@ -816,8 +763,8 @@ class Session:
                 },
                 record=self._journal_record,
             )
-        new_graph = self._updated_graph(added, removed)
         removed_eids = self._edge_ids(removed)
+        new_graph = self._updated_graph(added, removed_eids)
         virtual = self.backend.hierarchy.g0.virtual
         dead_mask = np.isin(virtual.graph.arc_edge, removed_eids)
         if down:
@@ -894,71 +841,59 @@ class Session:
         )
 
     def _updated_graph(
-        self, added: tuple, removed: tuple
+        self, added: tuple, removed_eids: np.ndarray
     ) -> Graph:
-        """The post-churn topology (same node count; edge list edited)."""
-        weighted = isinstance(self.graph, WeightedGraph)
-        edges = [
-            (int(u), int(v)) for u, v in self.graph.edge_array
-        ]
-        weights = (
-            [float(w) for w in self.graph.weights] if weighted else None
-        )
-        for u, v in removed:
-            try:
-                position = edges.index((u, v))
-            except ValueError:
-                try:
-                    position = edges.index((v, u))
-                except ValueError:
-                    raise ValueError(
-                        f"cannot remove edge ({u}, {v}): not present"
-                    ) from None
-            edges.pop(position)
-            if weights is not None:
-                weights.pop(position)
+        """The post-churn topology: the current graph without the edges
+        ``removed_eids``, plus ``added`` (same node count)."""
+        graph = self.graph
+        weighted = isinstance(graph, WeightedGraph)
         for edge in added:
-            if weighted:
-                if len(edge) != 3:
-                    raise ValueError(
-                        "weighted sessions need (u, v, weight) "
-                        f"additions, got {edge!r}"
-                    )
-                edges.append((int(edge[0]), int(edge[1])))
-                assert weights is not None
-                weights.append(float(edge[2]))
-            else:
-                edges.append((int(edge[0]), int(edge[1])))
-        if weighted:
-            return WeightedGraph(
-                self.graph.num_nodes, edges, np.asarray(weights)
+            if weighted and len(edge) != 3:
+                raise ValueError(
+                    "weighted sessions need (u, v, weight) additions, "
+                    f"got {edge!r}"
+                )
+        edges = np.concatenate(
+            [
+                np.delete(graph.edge_array, removed_eids, axis=0),
+                np.asarray(
+                    [(int(e[0]), int(e[1])) for e in added], dtype=np.int64
+                ).reshape(-1, 2),
+            ]
+        )
+        if isinstance(graph, WeightedGraph):
+            weights = np.concatenate(
+                [
+                    np.delete(graph.weights, removed_eids),
+                    np.asarray([float(e[2]) for e in added]),
+                ]
             )
-        return Graph(self.graph.num_nodes, edges)
+            return WeightedGraph(graph.num_nodes, edges, weights)
+        return Graph(graph.num_nodes, edges)
 
     def _edge_ids(self, removed: tuple) -> np.ndarray:
-        """Edge ids (in the *current* built graph) of removed edges."""
+        """Edge ids (in the *current* graph) of removed edges: each
+        removal takes the lowest unused id of an edge joining its two
+        endpoints, in either orientation."""
         if not removed:
             return np.empty(0, dtype=np.int64)
-        pairs = [
-            (int(u), int(v)) for u, v in self.graph.edge_array
-        ]
-        ids = []
-        used: set[int] = set()
+        wanted = {(min(u, v), max(u, v)) for u, v in removed}
+        candidates: dict[tuple[int, int], list[int]] = {}
+        for eid, (u, v) in enumerate(self.graph.edge_array.tolist()):
+            pair = (u, v) if u < v else (v, u)
+            if pair in wanted:
+                candidates.setdefault(pair, []).append(eid)
+        for ids in candidates.values():
+            ids.reverse()  # pop() then yields the lowest id first
+        picked = []
         for u, v in removed:
-            eid = None
-            for candidate, pair in enumerate(pairs):
-                if candidate in used:
-                    continue
-                if pair == (u, v) or pair == (v, u):
-                    eid = candidate
-                    break
-            if eid is None:
+            ids = candidates.get((min(u, v), max(u, v)))
+            if not ids:
                 raise ValueError(
                     f"cannot remove edge ({u}, {v}): not present"
                 )
-            used.add(eid)
-            ids.append(eid)
-        return np.asarray(ids, dtype=np.int64)
+            picked.append(ids.pop())
+        return np.asarray(picked, dtype=np.int64)
 
     def _reelect_dead_portals(
         self, dead_vnodes: np.ndarray, rng: np.random.Generator
@@ -1029,18 +964,8 @@ class Session:
         what the equivalence tests assert.
         """
         self.context.emit("session", "serve/rebuild", n=new_graph.num_nodes)
-        sink = self.context.sink
-        context = RunContext(
-            seed=self.config.seed,
-            params=self.config.params,
-            sink=sink,
-            faults=self.config.faults,
-            recovery=self.config.recovery,
-        )
-        backend = self.config.make_backend(new_graph, context)
-        backend.build()
-        if "route" in backend.supported_ops:
-            backend.router
+        context = replace(self.config, trace=self.context.sink).make_context()
+        backend = self._construct(new_graph, self.config, context)
         self.graph = new_graph
         self.context = context
         self.backend = backend
@@ -1050,6 +975,22 @@ class Session:
         if self.store is not None:
             self._persist(store_key(new_graph, self.config))
         return float(context.ledger.total())
+
+
+def _batchable(request: Request) -> bool:
+    """Whether ``request`` may share a routing instance with others: a
+    route whose only arguments are aligned 1-D integer ``sources`` and
+    ``destinations``.  Anything else would fail, or be paired with a
+    neighbour's demands, once concatenated."""
+    args = request.args
+    if request.op != "route" or set(args) != {"sources", "destinations"}:
+        return False
+    try:
+        sources = np.asarray(args["sources"], dtype=np.int64)
+        destinations = np.asarray(args["destinations"], dtype=np.int64)
+    except (ValueError, TypeError):
+        return False
+    return sources.ndim == 1 and sources.shape == destinations.shape
 
 
 def serve_jsonl(
@@ -1064,17 +1005,21 @@ def serve_jsonl(
     (optionally carrying ``"arrival_s"``, the open-loop arrival second
     the admission controller keys on); update records are ``{"update":
     {"edges_added": [...], "edges_removed": [...], "nodes_down":
-    [...]}}``.  A malformed record — and a request a live fault plan
-    defeats (:class:`~repro.congest.faults.DeliveryTimeout`) — yields
-    an ``{"error": ...}`` response carrying the request ``id`` (and,
-    for delivery timeouts, the ``culprits`` triples) and serving
-    continues: the loop outlives any single record.  With ``batch >
-    0``, consecutive explicit-demand route requests are grouped (up to
-    ``batch``) into one routing instance; a session governed by a
-    :class:`~repro.runtime.resilience.ResiliencePolicy` serves requests
-    individually instead (admission is per-request).  When the session
-    carries a journal, the served high-water mark is advanced after
-    every fully consumed record.
+    [...]}}``.  One response comes back per record, in record order.  A
+    malformed record — and a request a live fault plan defeats
+    (:class:`~repro.congest.faults.DeliveryTimeout`) — yields an
+    ``{"error": ...}`` response carrying the request ``id`` (and, for
+    delivery timeouts, the ``culprits`` triples) and serving continues:
+    the loop outlives any single record.  With ``batch > 0``,
+    consecutive route requests with aligned explicit ``sources`` /
+    ``destinations`` and no other argument are grouped (up to
+    ``batch``) into one routing instance (:meth:`Session.route_batch`);
+    any other record is served on its own, after the pending group.  A
+    session governed by a
+    :class:`~repro.runtime.resilience.ResiliencePolicy` serves every
+    request on its own through its governor (admission is
+    per-request).  When the session carries a journal, the served
+    high-water mark is advanced after every fully consumed record.
     """
     from ..congest.faults import DeliveryTimeout
 
@@ -1123,77 +1068,68 @@ def serve_jsonl(
     consumed = 0
     for record in records:
         consumed += 1
+        if "update" not in record:
+            try:
+                request = Request(
+                    op=record.get("op", ""),
+                    args=dict(record.get("args", {})),
+                    id=record.get("id"),
+                )
+            except (ValueError, TypeError) as error:
+                yield from flush()
+                yield error_record(
+                    error, id=record.get("id"), record=dict(record)
+                )
+                mark(consumed)
+                continue
+            if (
+                batch > 0
+                and session.governor is None
+                and _batchable(request)
+            ):
+                pending.append(request)
+                if len(pending) >= batch:
+                    yield from flush()
+                    mark(consumed)
+                continue
+        yield from flush()
+        outcome: dict[str, Any]
         if "update" in record:
-            yield from flush()
             update = dict(record["update"])
             # Stamp the journaled update with this record's index so a
             # torn tail can never double-apply it (replay + re-consume).
             session._journal_record = base_record + consumed
             try:
-                report = session.apply_update(
+                outcome = session.apply_update(
                     edges_added=update.get("edges_added", ()),
                     edges_removed=update.get("edges_removed", ()),
                     nodes_down=update.get("nodes_down", ()),
-                )
+                ).summary()
             except recoverable as error:
-                yield error_record(error, record=dict(record))
-                mark(consumed)
-                continue
+                outcome = error_record(error, record=dict(record))
             finally:
                 session._journal_record = 0
-            yield report.summary()
-            mark(consumed)
-            continue
-        try:
-            request = Request(
-                op=record.get("op", ""),
-                args=dict(record.get("args", {})),
-                id=record.get("id"),
-            )
-        except (ValueError, TypeError) as error:
-            yield error_record(
-                error, id=record.get("id"), record=dict(record)
-            )
-            mark(consumed)
-            continue
-        if session.governor is not None:
-            yield from flush()
-            arrival = record.get("arrival_s")
-            # The governor only absorbs DeliveryTimeout; a bad request
-            # (unsupported op/backend pair, malformed args) still
-            # raises and must not kill the loop, same as ungoverned.
+        else:
+            # The governor absorbs DeliveryTimeout itself; a bad request
+            # (unsupported op/backend pair, malformed args) still raises
+            # and must not kill the loop, governed or not.
             try:
-                yield session.serve(
-                    request,
-                    arrival_s=(
-                        float(arrival) if arrival is not None else None
-                    ),
-                )
+                if session.governor is not None:
+                    arrival = record.get("arrival_s")
+                    outcome = session.governor.serve(
+                        session,
+                        request,
+                        arrival_s=(
+                            float(arrival) if arrival is not None else None
+                        ),
+                    )
+                else:
+                    outcome = session.submit(request).summary()
             except recoverable as error:
-                yield error_record(
+                outcome = error_record(
                     error, id=request.id, record=dict(record)
                 )
-            mark(consumed)
-            continue
-        batchable = (
-            batch > 0
-            and request.op == "route"
-            and "sources" in request.args
-            and "destinations" in request.args
-        )
-        if batchable:
-            pending.append(request)
-            if len(pending) >= batch:
-                yield from flush()
-                mark(consumed)
-            continue
-        yield from flush()
-        try:
-            yield session.submit(request).summary()
-        except recoverable as error:
-            yield error_record(
-                error, id=request.id, record=dict(record)
-            )
+        yield outcome
         mark(consumed)
     yield from flush()
     mark(consumed)

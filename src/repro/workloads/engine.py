@@ -259,13 +259,11 @@ class _ChaosFeed:
         self,
         graph: Graph,
         config: RunConfig,
-        policy: Optional[ResiliencePolicy],
         spec: ChaosSpec,
         records: Sequence[Mapping[str, Any]],
     ) -> None:
         self.graph = graph
         self.config = config
-        self.policy = policy
         self.spec = spec
         self.records = records
         self.plan = ChaosPlan(
@@ -295,8 +293,7 @@ class _ChaosFeed:
                 store = HierarchyStore(os.path.join(tmp, "store"))
                 journal = os.path.join(tmp, "journal.jsonl")
             session = Session.open(
-                self.graph, self.config, store=store, journal=journal,
-                policy=self.policy,
+                self.graph, self.config, store=store, journal=journal
             )
             self.governor = session.governor
             try:
@@ -311,7 +308,7 @@ class _ChaosFeed:
                     began = time.perf_counter()  # reprolint: disable=R003
                     session = Session.recover(
                         self.graph, self.config, journal=journal,
-                        store=store, policy=self.policy,
+                        store=store,
                     )
                     session.governor = self.governor
                     self._reapply_lost_updates(session)
@@ -428,10 +425,10 @@ def run_workload(
             faults=resolved.faults,
             recovery=resolved.recovery,
         )
-    if policy is None:
-        policy = config.resilience
+    if policy is not None:
+        config = replace(config, resilience=policy)
     chaos = chaos or ChaosSpec()
-    governed = policy is not None or not chaos.is_null
+    governed = config.resilience is not None or not chaos.is_null
     workload = generate_workload(graph, resolved, seed=seed)
     records: list[Mapping[str, Any]] = [
         dict(record, arrival_s=float(second)) if "op" in record else record
@@ -446,7 +443,7 @@ def run_workload(
     sojourn_values: list[float] = []
     served = errors = timeouts = updates = rebuilds = 0
     total_rounds = total_wall = clock = 0.0
-    feed = _ChaosFeed(graph, config, policy, chaos, records)
+    feed = _ChaosFeed(graph, config, chaos, records)
     for summary in feed.serve(batch=0 if governed else resolved.batch):
         if "error" in summary:
             errors += 1

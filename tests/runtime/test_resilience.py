@@ -228,13 +228,13 @@ class TestRetries:
         real = session.submit
         state = {"left": failures}
 
-        def submit(request, *, quiet=False):
+        def submit(request):
             if state["left"] > 0:
                 state["left"] -= 1
                 raise DeliveryTimeout(
                     "injected timeout", culprits=((3, 7, 2),)
                 )
-            return real(request, quiet=quiet)
+            return real(request)
 
         return submit
 
@@ -277,7 +277,9 @@ class TestSessionIntegration:
         )
         with Session.open(graph, config) as session:
             assert session.governor is not None
-            record = session.serve(_route(), arrival_s=0.0)
+            record = session.governor.serve(
+                session, _route(), arrival_s=0.0
+            )
             assert record["kind"] == "deadline_exceeded"
 
     def test_null_policy_means_no_governor(self, graph):

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, random_regular
+from repro.graphs import Graph, WeightedGraph, random_regular
 from repro.rng import derive_rng
 from repro.runtime import (
     Journal,
+    MemorySink,
     Request,
     RunConfig,
     Session,
@@ -218,6 +219,41 @@ class TestRouteBatch:
         )
 
 
+    def test_batch_refuses_ineligible_requests(self, oracle_session):
+        explicit = Request(
+            op="route", args={"sources": [0], "destinations": [1]}
+        )
+        random_demand = Request(op="route", args={"packets": 2})
+        served = oracle_session.served
+        with pytest.raises(ValueError, match="route_batch"):
+            oracle_session.route_batch([explicit, random_demand])
+        assert oracle_session.served == served
+
+    def test_batch_is_one_request_in_the_trace(self, graph):
+        sink = MemorySink()
+        config = RunConfig(seed=SEED, trace=sink)
+        requests = [
+            Request(
+                op="route",
+                args={"sources": [i], "destinations": [i + 1]},
+                id=f"b{i}",
+            )
+            for i in range(3)
+        ]
+        with Session.open(graph, config) as session:
+            start = len(sink.events)
+            responses = session.route_batch(requests)
+            assert session.served == 3
+            names = [
+                event.name
+                for event in sink.events[start:]
+                if event.kind == "session"
+            ]
+        assert names == ["serve/batch", "serve/request", "serve/response"]
+        assert [r.index for r in responses] == [0, 1, 2]
+        assert [r.request_id for r in responses] == ["b0", "b1", "b2"]
+
+
 class TestApplyUpdate:
     def test_repair_path_keeps_serving(self, graph):
         with Session.open(graph, RunConfig(seed=SEED)) as session:
@@ -234,9 +270,8 @@ class TestApplyUpdate:
 
     def test_forced_rebuild_matches_fresh_session(self, graph):
         config = RunConfig(seed=SEED)
-        with Session.open(
-            graph, config, staleness_bound=1e-9
-        ) as session:
+        with Session.open(graph, config) as session:
+            session.staleness_bound = 1e-9
             u = 0
             v = int(graph.indices[graph.indptr[0]])
             report = session.apply_update(edges_removed=[(u, v)])
@@ -291,6 +326,25 @@ class TestApplyUpdate:
         )
         assert booked.total() == pytest.approx(report.cost_rounds)
 
+    def test_weighted_update_keeps_weights_aligned(self):
+        base = random_regular(32, 6, derive_rng(0, 32))
+        weights = np.arange(1.0, base.num_edges + 1.0)
+        graph = WeightedGraph(base.num_nodes, base.edge_array, weights)
+        u, v = (int(x) for x in graph.edge_array[5])
+        with Session.open(graph, RunConfig(seed=1)) as session:
+            with pytest.raises(ValueError, match="weight"):
+                session.apply_update(edges_added=[(2, 9)])
+            session.apply_update(
+                edges_removed=[(v, u)], edges_added=[(2, 9, 0.5)]
+            )
+            updated = session.graph
+        keep = [eid for eid in range(graph.num_edges) if eid != 5]
+        assert isinstance(updated, WeightedGraph)
+        assert updated.edge_array.tolist() == (
+            graph.edge_array[keep].tolist() + [[2, 9]]
+        )
+        assert updated.weights.tolist() == weights[keep].tolist() + [0.5]
+
     @pytest.mark.xfail(
         strict=True,
         reason="Session._edge_ids numbers removed edges in the current "
@@ -322,6 +376,35 @@ class TestApplyUpdate:
             session.apply_update(edges_removed=[second])
         expected = np.flatnonzero(virtual.graph.arc_edge == 100).tolist()
         assert killed[1] == expected
+
+
+    def test_parallel_edge_removal_kills_the_removed_edge(self, monkeypatch):
+        """With a reversed parallel copy of an edge, the edge that leaves
+        the graph is the one whose virtual nodes die: the first edge
+        joining the two endpoints, in either orientation."""
+        import repro.runtime.session as session_module
+
+        base = random_regular(32, 6, derive_rng(0, 32))
+        edges = [tuple(int(x) for x in edge) for edge in base.edge_array]
+        assert (17, 23) in edges
+        edges.insert(3, (23, 17))
+        graph = Graph(base.num_nodes, edges)
+        killed: list[list[int]] = []
+        repair = session_module.repair_overlay
+
+        def recording_repair(hierarchy, dead_vnodes, *args, **kwargs):
+            killed.append(sorted(int(v) for v in dead_vnodes))
+            return repair(hierarchy, dead_vnodes, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "repair_overlay", recording_repair)
+        with Session.open(graph, RunConfig(seed=1)) as session:
+            virtual = session.backend.hierarchy.g0.virtual
+            report = session.apply_update(edges_removed=[(17, 23)])
+            remaining = session.graph.edge_array.tolist()
+        assert not report.rebuilt
+        assert remaining == [list(e) for i, e in enumerate(edges) if i != 3]
+        expected = np.flatnonzero(virtual.graph.arc_edge == 3).tolist()
+        assert expected and killed == [expected]
 
 
 class TestJournalOwnership:
@@ -418,3 +501,56 @@ class TestServeJsonl:
         assert all(r["batch_size"] == 2 for r in responses)
         assert all(r["rounds"] > 0 for r in responses)
         assert oracle_session.served == served + 4
+
+    @staticmethod
+    def _route_record(record_id, **args):
+        return {
+            "op": "route",
+            "args": args or {"sources": [0, 1], "destinations": [5, 9]},
+            "id": record_id,
+        }
+
+    @pytest.mark.parametrize(
+        "bad_args",
+        [
+            {"sources": [0], "destinations": [1], "packets": 1},
+            {"sources": [0, 1], "destinations": [1]},
+            {"sources": [[0], [1, 2]], "destinations": [1, 2]},
+        ],
+        ids=["extra-arg", "misaligned", "ragged"],
+    )
+    def test_ineligible_record_is_served_alone(
+        self, oracle_session, bad_args
+    ):
+        """A route that is not plain aligned explicit demands is not
+        grouped: it fails on its own and its neighbours are served."""
+        records = [
+            self._route_record("ok1"),
+            self._route_record("bad", **bad_args),
+            self._route_record("ok2"),
+        ]
+        batched = list(serve_jsonl(oracle_session, records, batch=4))
+        plain = list(serve_jsonl(oracle_session, records))
+        assert [r.get("id") for r in batched] == ["ok1", "bad", "ok2"]
+        assert "error" in batched[1] and "error" in plain[1]
+        for response, reference in zip(batched[::2], plain[::2]):
+            assert "error" not in response
+            assert response["result"] == reference["result"]
+
+    def test_batched_responses_follow_record_order(self, oracle_session):
+        records = [
+            self._route_record("ok1"),
+            dict(self._route_record("bad"), args={"bogus": 1}),
+            self._route_record("ok2"),
+            {"op": "route", "id": "random"},
+            self._route_record("ok3"),
+            self._route_record("ok4"),
+        ]
+        responses = list(serve_jsonl(oracle_session, records, batch=4))
+        assert [r.get("id") for r in responses] == [
+            "ok1", "bad", "ok2", "random", "ok3", "ok4",
+        ]
+        assert [("error" in r) for r in responses] == [
+            False, True, False, False, False, False,
+        ]
+        assert responses[-1]["batch_size"] == 2
