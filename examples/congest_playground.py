@@ -29,7 +29,7 @@ from repro.congest import (
     replay_walk_run,
 )
 from repro.graphs import random_regular, with_random_weights
-from repro.walks import WalkRun, run_lazy_walks
+from repro.walks import run_lazy_walks
 
 
 def main() -> None:
@@ -60,14 +60,15 @@ def main() -> None:
 
     print("=== 4. Walks as messages: forward, then back to the origins")
     starts = rng.integers(0, n, size=3 * n)
+    rows = [starts]  # a step hook records the trajectory
     run = run_lazy_walks(
-        graph, starts, 10, np.random.default_rng(31), record_trajectory=True
+        graph, starts, 10, np.random.default_rng(31),
+        on_step=lambda _before, after: rows.append(after),
     )
-    forward = replay_walk_run(graph, run)
+    trajectory = np.stack(rows)
+    forward = replay_walk_run(graph, trajectory)
     # The reverse pass retraces every token's arcs, last step first.
-    back = WalkRun(starts=run.positions, positions=starts, steps=run.steps)
-    back.trajectory = run.trajectory[::-1]
-    reverse = replay_walk_run(graph, back)
+    reverse = replay_walk_run(graph, trajectory[::-1])
     print(f"    {3 * n} tokens, 10 steps: forward {forward.rounds} rounds "
           f"(Lemma 2.5 charges {run.schedule_rounds()}), reverse "
           f"{reverse.rounds} rounds")

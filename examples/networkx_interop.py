@@ -44,10 +44,12 @@ def main() -> None:
 
     print("=== Walks as messages (Section 3.1.1's mechanic)")
     starts = rng.integers(0, n, size=40)
+    rows = [starts]  # a step hook records the trajectory
     run = run_lazy_walks(
-        graph, starts, 12, np.random.default_rng(5), record_trajectory=True
+        graph, starts, 12, np.random.default_rng(5),
+        on_step=lambda _before, after: rows.append(after),
     )
-    replay = replay_walk_run(graph, run)
+    replay = replay_walk_run(graph, np.stack(rows))
     print(f"    40 tokens, 12 steps: {replay.rounds} rounds and "
           f"{replay.messages} messages executed; Lemma 2.5 charges "
           f"{run.schedule_rounds()} rounds")

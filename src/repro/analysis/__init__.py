@@ -22,15 +22,7 @@ from .experiments import (
 from .export import rows_to_csv, write_csv
 from .fits import is_subpolynomial_consistent, power_law_exponent
 from .tables import format_number, format_table
-from .workloads import (
-    all_to_one_demand,
-    bipartite_demand,
-    circulation_paths,
-    hotspot_demand,
-    neighbor_demand,
-    permutation_demand,
-    random_demand,
-)
+from .workloads import circulation_paths
 
 __all__ = [
     "beta_ablation",
@@ -56,11 +48,5 @@ __all__ = [
     "is_subpolynomial_consistent",
     "power_law_exponent",
     "write_csv",
-    "all_to_one_demand",
-    "bipartite_demand",
     "circulation_paths",
-    "hotspot_demand",
-    "neighbor_demand",
-    "permutation_demand",
-    "random_demand",
 ]

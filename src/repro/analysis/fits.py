@@ -44,12 +44,11 @@ def power_law_exponent(
 def is_subpolynomial_consistent(
     ns: Sequence[float],
     ys: Sequence[float],
-    envelope_c: float = 4.0,
 ) -> bool:
     """Whether a series is consistent with the paper's envelope.
 
     Checks that every normalized value sits below
-    ``envelope_c``-scaled ``2^{envelope_c * sqrt(log n log log n)}`` —
+    ``2^{4 sqrt(log n log log n)}`` —
     a loose necessary condition, useful as a bench smoke test (a truly
     polynomial ``n^eps`` series escapes any fixed envelope as ``n``
     grows, but at bench sizes this is a sanity check, not a proof).
@@ -57,6 +56,6 @@ def is_subpolynomial_consistent(
     from ..theory import subpolynomial_envelope
 
     for n, y in zip(ns, ys):
-        if y > subpolynomial_envelope(int(n), c=envelope_c):
+        if y > subpolynomial_envelope(int(n), c=4.0):
             return False
     return True

@@ -45,7 +45,6 @@ class TwoHopRelayResult:
 def two_hop_relay_emulation(
     graph: Graph,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
 ) -> TwoHopRelayResult:
     """Emulate one clique round by two-hop relays, measuring congestion.
 
@@ -54,7 +53,7 @@ def two_hop_relay_emulation(
         pair has neither an edge nor a common neighbour (possible below
         the ``G(n, p)`` density the baseline assumes).
     """
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     n = graph.num_nodes
     adjacency = np.zeros((n, n), dtype=bool)
     for u, v in graph.edges():

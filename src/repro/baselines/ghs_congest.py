@@ -255,14 +255,14 @@ class _Relabel(NodeAlgorithm):
         return self.new_fragment
 
 
-def congest_ghs_mst(
-    graph: WeightedGraph,
-    max_iterations: int | None = None,
-) -> CongestGhsResult:
+def congest_ghs_mst(graph: WeightedGraph) -> CongestGhsResult:
     """Run message-passing Boruvka to completion on ``graph``.
 
     Every phase runs on :meth:`repro.congest.network.Network.run`, which
     checks each node's outbox against the CONGEST contract every round.
+    Each Boruvka iteration at least halves the fragment count, so
+    ``4 log2 n + 8`` iterations bound the run; a run that has not
+    converged by then raises.
     """
     if not isinstance(graph, WeightedGraph):
         raise TypeError("congest_ghs_mst needs a WeightedGraph")
@@ -278,8 +278,7 @@ def congest_ghs_mst(
     edge_ids: set[int] = set()
     rounds = 0
     messages = 0
-    if max_iterations is None:
-        max_iterations = 4 * max(2, n).bit_length() + 8
+    max_iterations = 4 * max(2, n).bit_length() + 8
 
     def run_phase(cls) -> None:
         nonlocal rounds, messages

@@ -61,26 +61,23 @@ def bfs_store_and_forward(
     sources: np.ndarray,
     destinations: np.ndarray,
     rng: np.random.Generator | None = None,
-    max_rounds: int = 1_000_000,
-    seed: int | None = None,
 ) -> StoreAndForwardResult:
     """Route packets along BFS shortest paths with unit edge capacity.
 
     Each directed edge forwards at most one packet per round; contended
     packets queue FIFO (arrival order randomized by ``rng``).
     """
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     paths = _shortest_paths(graph, sources, destinations)
-    return schedule_paths(paths, rng=rng, max_rounds=max_rounds)
+    return schedule_paths(paths, rng=rng)
 
 
 def schedule_paths(
     paths: list[list[int]],
     rng: np.random.Generator | None = None,
     max_rounds: int = 1_000_000,
-    seed: int | None = None,
 ) -> StoreAndForwardResult:
     """Store-and-forward scheduling of *explicit* packet paths.
 
@@ -99,7 +96,7 @@ def schedule_paths(
     on the same seed (one ``rng.permutation`` is the entire randomness
     of both implementations).
     """
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     num_packets = len(paths)
     lengths = np.fromiter(map(len, paths), dtype=np.int64, count=num_packets)
     offsets = np.zeros(num_packets + 1, dtype=np.int64)
@@ -117,7 +114,6 @@ def schedule_paths_csr(
     offsets: np.ndarray,
     rng: np.random.Generator | None = None,
     max_rounds: int = 1_000_000,
-    seed: int | None = None,
 ) -> StoreAndForwardResult:
     """:func:`schedule_paths` on paths already in CSR form.
 
@@ -129,7 +125,7 @@ def schedule_paths_csr(
     ``rng.permutation(num_packets)`` draw — so both entries produce the
     same result on the same packet set and seed.
     """
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     nodes = np.asarray(nodes)
     offsets = np.asarray(offsets, dtype=np.int64)
     num_packets = int(offsets.shape[0]) - 1
@@ -368,10 +364,9 @@ def random_walk_delivery(
     destinations: np.ndarray,
     rng: np.random.Generator | None = None,
     max_steps: int = 100_000,
-    seed: int | None = None,
 ) -> RandomWalkDeliveryResult:
     """Let each packet walk blindly until it hits its destination."""
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     positions = sources.copy()

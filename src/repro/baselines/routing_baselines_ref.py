@@ -36,14 +36,13 @@ def schedule_paths_ref(
     paths: list[list[int]],
     rng: np.random.Generator | None = None,
     max_rounds: int = 1_000_000,
-    seed: int | None = None,
 ) -> StoreAndForwardResult:
     """Scalar store-and-forward scheduling of explicit packet paths.
 
     Semantics are the contract; see the module docstring.  Consumes
     exactly one ``rng.permutation`` call, like the vectorized version.
     """
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     total_hops = sum(len(path) - 1 for path in paths)
     # Queue per directed edge (u -> v), keyed by (u, v).
     queues: dict[tuple[int, int], deque] = {}

@@ -200,18 +200,20 @@ def _simulator(seed: int, quick: bool) -> list[dict]:
     rows = []
     for n, length in [(48, 8)] if quick else [(64, 16), (128, 16)]:
         graph = _regular(seed, n)
+        steps = []
+
+        def keep_moves(before, after):
+            moved = before != after
+            if moved.any():
+                steps.append((before[moved], after[moved]))
+
         run = run_lazy_walks(
             graph,
             np.repeat(np.arange(n), 2),
             length,
             derive_rng(seed, n, 6),
-            record_trajectory=True,
+            on_step=keep_moves,
         )
-        steps = []
-        for before, after in zip(run.trajectory, run.trajectory[1:]):
-            moved = before != after
-            if moved.any():
-                steps.append((before[moved], after[moved]))
         wall, executed = _timed(
             lambda: sum(
                 _forward_demands_scalar(graph, *step)[0] for step in steps

@@ -168,15 +168,9 @@ class HeartbeatNode(NodeAlgorithm):
     """Broadcast a 1-word heartbeat each round; suspect silent
     neighbours after :data:`MISS_THRESHOLD` missed rounds."""
 
-    def __init__(
-        self,
-        context,
-        duration: int,
-        miss_threshold: int = MISS_THRESHOLD,
-    ) -> None:
+    def __init__(self, context, duration: int) -> None:
         super().__init__(context)
         self.duration = duration
-        self.miss_threshold = miss_threshold
         self.last_heard: Dict[int, int] = {
             v: 0 for v in context.neighbors
         }
@@ -200,7 +194,7 @@ class HeartbeatNode(NodeAlgorithm):
             self.last_heard[sender] = round_number
         for v in self.context.neighbors:
             silent = round_number - self.last_heard[v]
-            if silent >= self.miss_threshold and v not in self.suspected:
+            if silent >= MISS_THRESHOLD and v not in self.suspected:
                 self.suspected[v] = round_number
         return self._beat(round_number)
 
@@ -213,7 +207,6 @@ class DetectionReport:
     suspected: Dict[int, int]
     stats: RunStats
     duration: int
-    miss_threshold: int = MISS_THRESHOLD
     extra: Dict[str, float] = field(default_factory=dict)
 
 
@@ -222,12 +215,11 @@ def run_heartbeat_detector(
     *,
     duration: int,
     faults: Optional[FaultPlan] = None,
-    miss_threshold: int = MISS_THRESHOLD,
 ) -> DetectionReport:
     """Run the heartbeat protocol on the (possibly faulty) wire."""
     network = Network(graph)
     algorithms = [
-        HeartbeatNode(network.context(v), duration, miss_threshold)
+        HeartbeatNode(network.context(v), duration)
         for v in range(graph.num_nodes)
     ]
     stats = network.run(algorithms, max_rounds=duration + 2, faults=faults)
@@ -241,5 +233,4 @@ def run_heartbeat_detector(
         suspected=suspected,
         stats=stats,
         duration=duration,
-        miss_threshold=miss_threshold,
     )

@@ -4,11 +4,12 @@ The fastest paths in this library treat overlay graphs abstractly and
 charge measured emulation costs.  This module builds the level-zero
 overlay the way the distributed algorithm actually does, end to end:
 
-1. the construction walks are sampled by the walk engine with their
-   trajectories recorded (the reverse pass and the embedded paths read
-   the whole batch back), and :func:`replay_walk_run` executes them as
-   messages twice: the forward pass, then the reverse pass that brings
-   every endpoint back to its origin along the same arcs;
+1. the construction walks are sampled by the walk engine, whose step
+   hook records their trajectories (the reverse pass and the embedded
+   paths read the whole batch back), and :func:`replay_walk_run`
+   executes them as messages twice: the forward pass, then the reverse
+   pass that brings every endpoint back to its origin along the same
+   arcs;
 2. every overlay edge *keeps the walk path that created it* — the
    embedded route its messages will travel;
 3. delivering one message per overlay edge (one native ``G0`` round) is
@@ -107,9 +108,9 @@ def build_native_g0(
     """Build a native ``G0`` with embedded paths and measure one round.
 
     The construction walks are sampled by
-    :func:`repro.walks.run_lazy_walks` from ``derive_rng(seed)`` with
-    their trajectories recorded.  :func:`replay_walk_run` executes the
-    forward pass (whose rounds equal the batch's Lemma 2.5
+    :func:`repro.walks.run_lazy_walks` from ``derive_rng(seed)``, a
+    step hook recording their trajectory.  :func:`replay_walk_run`
+    executes the forward pass (whose rounds equal the batch's Lemma 2.5
     ``schedule_rounds()``) and then the reverse pass on the same
     trajectory backwards, which returns every endpoint to its origin.
     Each virtual node keeps up to ``degree`` distinct endpoints with
@@ -130,17 +131,16 @@ def build_native_g0(
     starts = np.repeat(virtual.host, walks_per_vnode)
     owners = np.repeat(np.arange(virtual.count), walks_per_vnode)
     rng = derive_rng(seed)
-    run = run_lazy_walks(graph, starts, length, rng, record_trajectory=True)
-    forward = replay_walk_run(graph, run)
+    rows = [starts]
+    run = run_lazy_walks(
+        graph, starts, length, rng,
+        on_step=lambda _before, after: rows.append(after),
+    )
+    trajectory = np.stack(rows)
+    forward = replay_walk_run(graph, trajectory)
     # The reverse pass: each token retraces its arcs, last step first,
     # carrying its endpoint home.
-    back = WalkRun(
-        starts=run.positions,
-        positions=starts,
-        steps=run.steps,
-        trajectory=run.trajectory[::-1],
-    )
-    reverse = replay_walk_run(graph, back)
+    reverse = replay_walk_run(graph, trajectory[::-1])
 
     # Endpoints land degree-proportionally on real nodes; a uniform
     # virtual node of the endpoint is then uniform over virtual nodes.
@@ -154,7 +154,7 @@ def build_native_g0(
             walk_keys[order], edges[:, 0] * virtual.count + edges[:, 1]
         )
     ]
-    edge_paths = _moving_paths(run.trajectory[:, edge_walks])
+    edge_paths = _moving_paths(trajectory[:, edge_walks])
     # One native overlay round: a message along every edge, both ways.
     both_ways = edge_paths + [list(reversed(p)) for p in edge_paths]
     native_round = schedule_paths(
@@ -444,7 +444,7 @@ class _StepReplay:
 
 def replay_walk_run(
     graph: Graph,
-    run: Union[WalkRun, WalkBatch],
+    run: Union[np.ndarray, WalkBatch],
     faults=None,
     context=None,
 ) -> WalkReplay:
@@ -460,8 +460,9 @@ def replay_walk_run(
 
     ``run`` is either a :class:`WalkBatch`, sampled by its engine and
     executed step by step as the engine takes each step (no trajectory
-    is ever held), or a :class:`repro.walks.engine.WalkRun` recorded
-    with ``record_trajectory=True``, whose rows are fed through the
+    is ever held), or a recorded ``(steps + 1, W)`` trajectory — the
+    positions before the first step and after each step, as a
+    recording step hook collects them — whose rows are fed through the
     same per-step executor.
 
     On a clean wire each step runs on the array executor of
@@ -473,7 +474,7 @@ def replay_walk_run(
     Args:
         graph: the base graph the walks run on.
         run: a :class:`WalkBatch` to run live, or a recorded
-            :class:`repro.walks.engine.WalkRun`.
+            ``(steps + 1, W)`` trajectory array.
         faults: optional :class:`~repro.congest.faults.FaultPlan`; with
             an active plan each step's tokens travel the reliable ARQ
             path instead — the structure stays identical (retries, not
@@ -490,7 +491,7 @@ def replay_walk_run(
         for a :class:`WalkBatch` its ``run`` is the sampled batch.
 
     Raises:
-        ValueError: if a :class:`WalkRun` has no recorded trajectory.
+        ValueError: if a recorded trajectory is not two-dimensional.
         CongestViolation: if a step moves a token along a non-edge.
         ReplayMismatch: if a sampled step's simulator run disagrees with
             the array executor.
@@ -504,14 +505,14 @@ def replay_walk_run(
             graph, run.starts, run.steps, run.rng, on_step=replay
         )
         return replay.result(walked)
-    trajectory = run.trajectory
-    if trajectory is None:
+    trajectory = np.asarray(run)
+    if trajectory.ndim != 2:
         raise ValueError(
-            "replay_walk_run needs a WalkRun recorded with "
-            "record_trajectory=True"
+            "replay_walk_run needs a WalkBatch or a (steps + 1, W) "
+            f"trajectory, got an array of shape {trajectory.shape}"
         )
     replay = _StepReplay(
-        graph, run.steps, run.num_walks, faults, context
+        graph, trajectory.shape[0] - 1, trajectory.shape[1], faults, context
     )
     for before, after in zip(trajectory[:-1], trajectory[1:]):
         replay(before, after)

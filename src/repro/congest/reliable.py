@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..graphs.graph import Graph
-from .detector import MAX_WAIT_ROUNDS, CrashView, crash_view
+from .detector import CrashView, crash_view
 from .faults import (
     BACKOFF_CAP,
     DEFAULT_MAX_ATTEMPTS,
@@ -218,12 +218,8 @@ def reliable_forward_demands(
     targets,
     *,
     faults: Optional[FaultPlan] = None,
-    max_attempts: Optional[int] = None,
     context=None,
-    label: str = "forward",
     recovery: str = "fail-fast",
-    view: Optional[CrashView] = None,
-    max_wait: int = MAX_WAIT_ROUNDS,
 ) -> DeliveryReport:
     """Deliver one-hop demands reliably, or raise :class:`DeliveryTimeout`.
 
@@ -237,13 +233,13 @@ def reliable_forward_demands(
         graph: the network.
         origins / targets: demand endpoints (same length).
         faults: :class:`FaultPlan` to run under; ``None`` or a null plan
-            runs the clean wire (and then ``retry_rounds`` is 0).
-        max_attempts: per-token transmission budget; defaults to the
-            plan's spec (or :data:`DEFAULT_MAX_ATTEMPTS`).
+            runs the clean wire (and then ``retry_rounds`` is 0).  Its
+            spec's ``max_attempts`` is the per-token transmission budget
+            (:data:`DEFAULT_MAX_ATTEMPTS` on a clean wire).
         context: optional :class:`repro.runtime.RunContext`; when given
             and faults are active, the overhead is charged as
-            ``faults/retry-rounds``.
-        label: stage name used in charges and timeout diagnostics.
+            ``faults/retry-rounds`` (stage ``"forward"`` in charges and
+            timeout diagnostics).
         recovery: ``"fail-fast"`` (PR-4 behaviour: crash windows that
             outlive the retry budget raise) or ``"self-heal"`` — the
             failure detector's crash view parks tokens through
@@ -251,10 +247,10 @@ def reliable_forward_demands(
             permanently down to the origin's lowest-ID live neighbour,
             and records demands from permanently dead origins as
             ``orphaned`` instead of raising.  The surplus rounds are
-            charged to ``recovery/wait``.
-        view: pre-built :class:`CrashView` (optional); under self-heal
-            one is derived from ``context`` or the plan when absent.
-        max_wait: windows ending after this round count as permanent.
+            charged to ``recovery/wait``.  The crash view comes from
+            ``context`` (else from the plan); windows ending after
+            :data:`~repro.congest.detector.MAX_WAIT_ROUNDS` count as
+            permanent.
 
     Returns:
         a :class:`DeliveryReport`; ``delivered == expected`` always
@@ -277,11 +273,10 @@ def reliable_forward_demands(
         )
     if faults is not None and faults.spec.is_null:
         faults = None
-    if max_attempts is None:
-        max_attempts = (
-            faults.spec.max_attempts if faults is not None
-            else DEFAULT_MAX_ATTEMPTS
-        )
+    max_attempts = (
+        faults.spec.max_attempts if faults is not None
+        else DEFAULT_MAX_ATTEMPTS
+    )
     self_heal = (
         recovery == "self-heal"
         and faults is not None
@@ -289,14 +284,14 @@ def reliable_forward_demands(
     )
     rehomed: list[tuple[int, int, int]] = []
     orphaned: list[tuple[int, int]] = []
+    view: Optional[CrashView] = None
     if self_heal:
-        if view is None:
-            getter = getattr(context, "crash_view_for", None)
-            if getter is not None:
-                view = getter(graph.num_nodes)
-            else:
-                view = crash_view(faults, graph.num_nodes)
-        dead = view.permanently_down(max_wait)
+        getter = getattr(context, "crash_view_for", None)
+        if getter is not None:
+            view = getter(graph.num_nodes)
+        else:
+            view = crash_view(faults, graph.num_nodes)
+        dead = view.permanently_down()
         if dead:
             kept_origins: list[int] = []
             kept_targets: list[int] = []
@@ -321,8 +316,6 @@ def reliable_forward_demands(
                 kept_origins.append(origin)
                 kept_targets.append(target)
             origins, targets = kept_origins, kept_targets
-    else:
-        view = None
     network = Network(graph)
     per_node: list[list[int]] = [[] for _ in range(graph.num_nodes)]
     link_load: dict[tuple[int, int], int] = {}
@@ -348,7 +341,7 @@ def reliable_forward_demands(
     budget = 100 + max(1, max_mult) * max_attempts * (BACKOFF_CAP + 2)
     if view is not None:
         # Parked tokens legitimately wait out waitable crash windows.
-        budget += view.waitable_end(max_wait)
+        budget += view.waitable_end()
     try:
         stats = network.run(algorithms, max_rounds=budget, faults=faults)
     except CongestViolation:
@@ -361,12 +354,12 @@ def reliable_forward_demands(
         ]
         culprits = _culprits(algorithms, max_attempts)
         raise DeliveryTimeout(
-            f"{label}: network round budget ({budget}) exhausted with "
+            f"forward: network round budget ({budget}) exhausted with "
             f"{len(undelivered)} demand(s) undelivered: "
             f"{undelivered[:8]}{'...' if len(undelivered) > 8 else ''}"
             f"{_worst_link(culprits)}",
             undelivered=undelivered,
-            stage=label,
+            stage="forward",
             culprits=culprits,
         ) from error
     failed = [
@@ -381,13 +374,13 @@ def reliable_forward_demands(
             (v, target, max_attempts) for v, target in failed
         )
         raise DeliveryTimeout(
-            f"{label}: delivered {delivered}/{expected} demands; "
+            f"forward: delivered {delivered}/{expected} demands; "
             f"{len(failed)} token(s) exhausted the {max_attempts}-attempt "
             f"retry budget: {failed[:8]}"
             f"{'...' if len(failed) > 8 else ''}"
             f"{_worst_link(culprits)}",
             undelivered=failed,
-            stage=label,
+            stage="forward",
             culprits=culprits,
         )
     retry_rounds = max(0, stats.rounds - ideal_rounds)
@@ -402,7 +395,7 @@ def reliable_forward_demands(
             context.charge(
                 "recovery/wait",
                 float(recovery_rounds),
-                stage=label,
+                stage="forward",
                 rounds_total=stats.rounds,
                 ideal_rounds=ideal_rounds,
                 parked=parked,
@@ -415,7 +408,7 @@ def reliable_forward_demands(
             context.charge(
                 "faults/retry-rounds",
                 float(retry_rounds),
-                stage=label,
+                stage="forward",
                 rounds_total=stats.rounds,
                 ideal_rounds=ideal_rounds,
                 retransmissions=retransmissions,

@@ -60,7 +60,6 @@ def emulate_clique(
     rng: np.random.Generator | None = None,
     router: Router | None = None,
     sample_fraction: float = 1.0,
-    seed: int | None = None,
     context=None,
 ) -> CliqueEmulationResult:
     """Emulate one congested-clique round on the hierarchy's base graph.
@@ -85,10 +84,10 @@ def emulate_clique(
     """
     if context is not None:
         params = params or context.params
-        if rng is None and seed is None:
+        if rng is None:
             rng = context.stream("clique")
     params = params or Params.default()
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     if router is None:
         router = Router(
             hierarchy,

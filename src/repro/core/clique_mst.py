@@ -64,7 +64,6 @@ def clique_boruvka_mst(
     params: Params | None = None,
     rng: np.random.Generator | None = None,
     hierarchy: Hierarchy | None = None,
-    seed: int | None = None,
 ) -> CliqueMstResult:
     """Compute the MST of ``graph`` through emulated clique rounds.
 
@@ -82,7 +81,7 @@ def clique_boruvka_mst(
     if not isinstance(graph, WeightedGraph):
         raise TypeError("clique_boruvka_mst needs a WeightedGraph")
     params = params or Params.default()
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     hierarchy = hierarchy or build_hierarchy(graph, params, rng)
     router = Router(hierarchy, params=params, rng=rng)
     # Measure what one emulated clique round costs on this graph.

@@ -144,8 +144,6 @@ def build_hierarchy(
     rng: np.random.Generator | None = None,
     beta: int | None = None,
     depth: int | None = None,
-    tau_mix: int | None = None,
-    seed: int | None = None,
     context=None,
     walk_runner=None,
 ) -> Hierarchy:
@@ -154,11 +152,10 @@ def build_hierarchy(
     Args:
         graph: connected base graph.
         params: construction constants (default :meth:`Params.default`).
-        rng: randomness source (else seeded from ``seed``).
-        seed: seed for a fresh generator when ``rng`` is not given.
+        rng: randomness source (else the context's ``"hierarchy"``
+            stream, else :data:`~repro.rng.DEFAULT_SEED`).
         beta: branching-factor override.
         depth: level-count override.
-        tau_mix: mixing-time override (else estimated from the graph).
         context: optional :class:`repro.runtime.RunContext`.  Supplies
             default ``params`` and the ``"hierarchy"`` RNG stream, and
             absorbs the construction ledger (one ``ledger_charge`` trace
@@ -173,15 +170,12 @@ def build_hierarchy(
     """
     if context is not None:
         params = params or context.params
-        if rng is None and seed is None:
+        if rng is None:
             rng = context.stream("hierarchy")
     params = params or Params.default()
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     ledger = RoundLedger()
-    g0 = build_g0(
-        graph, params, rng, ledger=ledger, tau_mix=tau_mix,
-        walk_runner=walk_runner,
-    )
+    g0 = build_g0(graph, params, rng, ledger=ledger, walk_runner=walk_runner)
     partition = build_partition(
         g0.virtual, params, rng, beta=beta, depth=depth
     )
@@ -366,6 +360,7 @@ def repair_overlay(
     hierarchy: Hierarchy,
     dead_vnodes,
     rng: np.random.Generator,
+    params: Params,
 ) -> RepairReport:
     """Re-embed overlay edges incident to dead virtual nodes, in place.
 
@@ -376,9 +371,11 @@ def repair_overlay(
     used — and only those edges are rebuilt.  Untouched parts keep
     their overlay arrays bit-identical (no global rebuild).
 
-    Each replacement edge costs one ``level_walk_length``-step walk on
-    the previous overlay (forward + reverse); the per-level cost is
-    returned in :attr:`RepairReport.costs`, not charged.
+    Each replacement edge costs one walk of
+    ``params.level_walk_length(N)`` steps on the previous overlay
+    (forward + reverse), ``N`` the number of virtual nodes, as for the
+    router's portal re-election; the per-level cost is returned in
+    :attr:`RepairReport.costs`, not charged.
     """
     dead = frozenset(int(v) for v in dead_vnodes)
     replaced: dict[int, int] = {}
@@ -387,7 +384,7 @@ def repair_overlay(
     if not dead:
         return RepairReport((), replaced, dropped, costs)
     num_vnodes = hierarchy.g0.virtual.count
-    walk_length = max(4, int(round(3.0 * np.log2(max(2, num_vnodes)))))
+    walk_length = params.level_walk_length(num_vnodes)
     for level in hierarchy.levels:
         edges = level.overlay.edge_array
         if edges.size == 0:

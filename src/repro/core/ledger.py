@@ -84,11 +84,11 @@ class RoundLedger:
             table[charge.label] = table.get(charge.label, 0.0) + charge.rounds
         return table
 
-    def by_prefix(self, separator: str = "/") -> "OrderedDict[str, float]":
-        """Total rounds per top-level label prefix (before ``separator``)."""
+    def by_prefix(self) -> "OrderedDict[str, float]":
+        """Total rounds per top-level label prefix (before the first ``/``)."""
         table: OrderedDict[str, float] = OrderedDict()
         for charge in self._charges:
-            prefix = charge.label.split(separator, 1)[0]
+            prefix = charge.label.split("/", 1)[0]
             table[prefix] = table.get(prefix, 0.0) + charge.rounds
         return table
 

@@ -60,7 +60,6 @@ def approximate_min_cut(
     num_trees: int | None = None,
     two_respecting: bool = True,
     use_weights: bool = False,
-    seed: int | None = None,
     context=None,
 ) -> MinCutResult:
     """Approximate the minimum cut of ``graph``.
@@ -89,10 +88,10 @@ def approximate_min_cut(
     """
     if context is not None:
         params = params or context.params
-        if rng is None and seed is None:
+        if rng is None:
             rng = context.stream("mincut")
     params = params or Params.default()
-    rng = resolve_rng(rng, seed)
+    rng = resolve_rng(rng)
     n = graph.num_nodes
     capacities = None
     if use_weights:

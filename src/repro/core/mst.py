@@ -97,7 +97,6 @@ class MstRunner:
         hierarchy: Hierarchy | None = None,
         params: Params | None = None,
         rng: np.random.Generator | None = None,
-        seed: int | None = None,
         context=None,
     ):
         if not isinstance(graph, WeightedGraph):
@@ -106,10 +105,10 @@ class MstRunner:
         self._context = context
         if context is not None:
             params = params or context.params
-            if rng is None and seed is None:
+            if rng is None:
                 rng = context.stream("mst")
         self.params = params or Params.default()
-        self.rng = resolve_rng(rng, seed)
+        self.rng = resolve_rng(rng)
         self.hierarchy = hierarchy or build_hierarchy(
             graph, self.params, self.rng
         )

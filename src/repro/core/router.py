@@ -133,7 +133,6 @@ class Router:
         portals: PortalTable | None = None,
         params: Params | None = None,
         rng: np.random.Generator | None = None,
-        seed: int | None = None,
         context=None,
         walk_runner=None,
         faults: FaultPlan | None = None,
@@ -146,8 +145,7 @@ class Router:
             params: routing constants (default from ``context`` or
                 :meth:`Params.default`).
             rng: randomness source (else the context's ``"router"``
-                stream, else seeded from ``seed``).
-            seed: seed for a fresh generator when ``rng`` is not given.
+                stream, else :data:`~repro.rng.DEFAULT_SEED`).
             context: optional :class:`repro.runtime.RunContext`; routing
                 charges and walk-batch/scheduler events go through it.
             walk_runner: optional walk-execution override for the
@@ -180,7 +178,7 @@ class Router:
         self._walk_runner = walk_runner
         if context is not None:
             params = params or context.params
-            if rng is None and seed is None:
+            if rng is None:
                 rng = context.stream("router")
             if faults is None:
                 faults = context.fault_plan
@@ -198,7 +196,7 @@ class Router:
         self._faults = faults
         self._warned_unmodeled = False
         self.params = params or Params.default()
-        self.rng = resolve_rng(rng, seed)
+        self.rng = resolve_rng(rng)
         self.recovery = recovery
         # Everything self-heal draws comes from streams separate from
         # self.rng, so fail-fast stays bit-identical draw for draw.

@@ -190,9 +190,12 @@ def edge_expansion_spectral_lower(graph: Graph) -> float:
     return float(low * graph.degrees.min())
 
 
+#: Steps after which an exact mixing-time search gives up.
+_MAX_MIX_STEPS = 1 << 22
+
+
 def _mixing_time_from_matrix(
-    matrix: np.ndarray, stationary: np.ndarray, tolerance: np.ndarray,
-    max_steps: int,
+    matrix: np.ndarray, stationary: np.ndarray, tolerance: np.ndarray
 ) -> int:
     """Smallest ``t`` with ``|P_v^t(u) - pi(u)| <= tol(u)`` for all ``v, u``.
 
@@ -212,14 +215,16 @@ def _mixing_time_from_matrix(
     step = 1
     history = [(1, matrix)]
     # Double until mixed.
-    while step < max_steps:
+    while step < _MAX_MIX_STEPS:
         if mixed(power):
             break
         power = power @ power
         step *= 2
         history.append((step, power))
     else:
-        raise RuntimeError(f"walk did not mix within {max_steps} steps")
+        raise RuntimeError(
+            f"walk did not mix within {_MAX_MIX_STEPS} steps"
+        )
     if step == 1:
         return 1
     # P^base is not mixed and P^(2 base) is: add each smaller power,
@@ -232,7 +237,7 @@ def _mixing_time_from_matrix(
     return base_step + 1
 
 
-def mixing_time(graph: Graph, max_steps: int = 1 << 22) -> int:
+def mixing_time(graph: Graph) -> int:
     """Exact ``tau_mix(G)`` per Definition 2.1 for the lazy walk.
 
     The minimum ``t`` such that for all ``v, u``:
@@ -249,10 +254,10 @@ def mixing_time(graph: Graph, max_steps: int = 1 << 22) -> int:
     matrix = lazy_transition_matrix(graph)
     stationary = graph.degrees / (2.0 * graph.num_edges)
     tolerance = stationary / n
-    return _mixing_time_from_matrix(matrix, stationary, tolerance, max_steps)
+    return _mixing_time_from_matrix(matrix, stationary, tolerance)
 
 
-def regular_mixing_time(graph: Graph, max_steps: int = 1 << 22) -> int:
+def regular_mixing_time(graph: Graph) -> int:
     """Exact ``tau_bar_mix(G)`` of the ``2*Delta``-regular walk.
 
     The stationary distribution is uniform; Lemma 2.3 upper-bounds this by
@@ -266,7 +271,7 @@ def regular_mixing_time(graph: Graph, max_steps: int = 1 << 22) -> int:
     matrix = regular_transition_matrix(graph)
     stationary = np.full(n, 1.0 / n)
     tolerance = stationary / n
-    return _mixing_time_from_matrix(matrix, stationary, tolerance, max_steps)
+    return _mixing_time_from_matrix(matrix, stationary, tolerance)
 
 
 def fiedler_cut(graph: Graph) -> tuple[np.ndarray, float]:

@@ -5,7 +5,8 @@ unseeded RNG.  ``reprolint`` (rule R001) forbids the old
 ``rng or np.random.default_rng()`` fallback; this module provides the
 replacement: an explicit resolution step whose no-argument default is a
 *fixed* seed, so a caller that passes nothing still gets a deterministic
-stream — and a caller that wants a distinct stream passes ``seed=``.
+stream — and a caller that wants a distinct stream passes
+``rng=np.random.default_rng(seed)``.
 
 This module is also the single place where *composite* seed material may
 be turned into a generator.  Rule R006 forbids the historical ad-hoc
@@ -24,7 +25,7 @@ import numpy as np
 
 __all__ = ["DEFAULT_SEED", "derive_rng", "resolve_rng", "stream_entropy"]
 
-#: Seed used when a caller supplies neither ``rng`` nor ``seed``.
+#: Seed used when a caller supplies no ``rng``.
 DEFAULT_SEED = 0
 
 
@@ -55,21 +56,19 @@ def stream_entropy(name: str) -> int:
 
 def resolve_rng(
     rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
 ) -> np.random.Generator:
-    """Return ``rng`` if given, else a generator seeded with ``seed``.
+    """Return ``rng`` if given, else a generator seeded with
+    :data:`DEFAULT_SEED`.
 
     Args:
-        rng: an already-seeded generator; returned unchanged when given
-            (``seed`` is then ignored).
-        seed: seed for a fresh generator (default :data:`DEFAULT_SEED`).
+        rng: an already-seeded generator; returned unchanged when given.
+            A caller that wants a distinct stream passes
+            ``np.random.default_rng(seed)``.
 
     Returns:
         A :class:`numpy.random.Generator` that is deterministic for a
-        fixed ``(rng, seed)`` choice — never an OS-entropy stream.
+        fixed ``rng`` choice — never an OS-entropy stream.
     """
     if rng is not None:
         return rng
-    return np.random.default_rng(
-        DEFAULT_SEED if seed is None else seed
-    )
+    return np.random.default_rng(DEFAULT_SEED)

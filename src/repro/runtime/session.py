@@ -804,7 +804,8 @@ class Session:
             f"serve-update-{self.updates_applied}"
         )
         report = repair_overlay(
-            self.backend.hierarchy, dead_vnodes, repair_rng
+            self.backend.hierarchy, dead_vnodes, repair_rng,
+            self.context.params,
         )
         # A planned update is maintenance, not failure recovery: its
         # repair books under serve/.

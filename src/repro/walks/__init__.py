@@ -12,7 +12,6 @@ from .mixing import (
     empirical_tv_distance,
     estimate_mixing_time,
     estimate_regular_mixing_time,
-    walk_length,
 )
 from .parallel import (
     ParallelWalkReport,
@@ -32,7 +31,6 @@ __all__ = [
     "empirical_tv_distance",
     "estimate_mixing_time",
     "estimate_regular_mixing_time",
-    "walk_length",
     "ParallelWalkReport",
     "degree_proportional_starts",
     "run_parallel_walks",

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.graph import Graph
-from .engine import StepHook, WalkRun, _Recorder
+from .engine import StepHook, WalkRun
 
 __all__ = ["run_correlated_walks"]
 
@@ -43,7 +43,6 @@ def run_correlated_walks(
     starts: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    record_trajectory: bool = False,
     *,
     on_step: Optional[StepHook] = None,
 ) -> WalkRun:
@@ -59,7 +58,6 @@ def run_correlated_walks(
         starts: start node per token.
         steps: synchronous steps.
         rng: randomness source.
-        record_trajectory: attach a ``(steps+1, W)`` trajectory array.
         on_step: optional per-step ``(before, after)`` hook, as for
             :func:`repro.walks.engine.run_lazy_walks`.
 
@@ -70,8 +68,6 @@ def run_correlated_walks(
     starts = np.asarray(starts, dtype=np.int64)
     positions = starts.copy()
     run = WalkRun(starts=starts, positions=positions, steps=steps)
-    recorder = _Recorder(starts, on_step) if record_trajectory else None
-    hook = recorder if recorder is not None else on_step
     indptr = graph.indptr
     indices = graph.indices
     degrees = graph.degrees
@@ -107,12 +103,8 @@ def run_correlated_walks(
             congestion = int(arc_counts.max())
         else:
             congestion = 0
-        node_counts = np.bincount(positions, minlength=graph.num_nodes)
         run.edge_congestion.append(congestion)
-        run.max_node_load.append(int(node_counts.max()))
-        if hook is not None:
-            hook(before, positions)
+        if on_step is not None:
+            on_step(before, positions)
     run.positions = positions
-    if recorder is not None:
-        run.trajectory = recorder.stack()
     return run

@@ -185,19 +185,15 @@ class WalkRun:
         steps: number of synchronous steps performed.
         edge_congestion: per step, the max number of tokens crossing any
             single edge (0 if no token moved that step).
-        max_node_load: per step, the max number of tokens resident at any
-            single node *after* the step (Lemma 2.4's quantity); empty
-            unless the engine was asked for node loads.
-        trajectory: ``(steps + 1, W)`` positions before the first step
-            and after each step, or ``None`` unless recorded.
+
+    Anything else about the steps (positions, node loads) is observed
+    through the engines' ``on_step`` hook (:data:`StepHook`).
     """
 
     starts: np.ndarray
     positions: np.ndarray
     steps: int
     edge_congestion: list[int] = field(default_factory=list)
-    max_node_load: list[int] = field(default_factory=list)
-    trajectory: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def num_walks(self) -> int:
@@ -211,28 +207,6 @@ class WalkRun:
         (at least 1, since the step itself takes a round even if short).
         """
         return int(sum(max(1, c) for c in self.edge_congestion))
-
-    def peak_node_load(self) -> int:
-        """Worst per-node token load over all steps (Lemma 2.4)."""
-        return max(self.max_node_load) if self.max_node_load else 0
-
-
-class _Recorder:
-    """The ``record_trajectory`` step hook: keeps every step's positions
-    and passes the step on to the caller's own hook, if any."""
-
-    def __init__(self, starts: np.ndarray, then: Optional[StepHook]):
-        self.rows = [starts]
-        self.then = then
-
-    def __call__(self, before: np.ndarray, after: np.ndarray) -> None:
-        self.rows.append(after)
-        if self.then is not None:
-            self.then(before, after)
-
-    def stack(self) -> np.ndarray:
-        """The ``(steps + 1, W)`` trajectory."""
-        return np.stack(self.rows)
 
 
 class _Fill(threading.Thread):
@@ -279,9 +253,7 @@ def run_lazy_walks(
     starts: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    record_trajectory: bool = False,
     *,
-    node_loads: bool = False,
     on_step: Optional[StepHook] = None,
 ) -> WalkRun:
     """Run lazy random walks (stay w.p. 1/2, else uniform incident edge).
@@ -291,27 +263,19 @@ def run_lazy_walks(
         starts: start node per walk, shape ``(W,)``.
         steps: number of synchronous steps.
         rng: randomness source.
-        record_trajectory: if True, attach ``run.trajectory`` of shape
-            ``(steps + 1, W)``, the positions before the first step and
-            after each step.  Memory-heavy (``steps + 1`` position
-            arrays); :func:`repro.congest.build_native_g0` records it
-            because its reverse pass and embedded paths read the whole
-            batch back.
-        node_loads: if True, also record ``run.max_node_load`` per step.
         on_step: optional :data:`StepHook` called with each step's
             ``(before, after)`` positions as the step is taken — how the
-            native backend executes a batch as messages without holding
-            its trajectory.  It must draw nothing from ``rng``, which a
-            helper thread may be drawing the next block from.
+            native backend executes a batch as messages, and how a
+            caller records a trajectory (append each ``after`` to a
+            list that starts with ``starts``) or per-step node loads.
+            It must draw nothing from ``rng``, which a helper thread may
+            be drawing the next block from.
 
     Returns:
         A :class:`WalkRun` with measured per-step congestion.
     """
     move_probability = np.where(graph.degrees > 0, 0.5, 0.0)
-    return _run_walks(
-        graph, starts, steps, rng, move_probability,
-        record_trajectory, node_loads, on_step,
-    )
+    return _run_walks(graph, starts, steps, rng, move_probability, on_step)
 
 
 def run_regular_walks(
@@ -319,22 +283,18 @@ def run_regular_walks(
     starts: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    record_trajectory: bool = False,
     *,
-    node_loads: bool = False,
+    on_step: Optional[StepHook] = None,
 ) -> WalkRun:
     """Run ``2*Delta``-regular walks (Definition 2.2).
 
     Each token moves to each incident edge w.p. ``1/(2*Delta)`` and stays
     otherwise, giving a uniform stationary distribution.  Arguments as
-    for :func:`run_lazy_walks` (no ``on_step``).
+    for :func:`run_lazy_walks`.
     """
     delta = max(1, graph.max_degree)
     move_probability = graph.degrees / (2.0 * delta)
-    return _run_walks(
-        graph, starts, steps, rng, move_probability,
-        record_trajectory, node_loads, None,
-    )
+    return _run_walks(graph, starts, steps, rng, move_probability, on_step)
 
 
 def _run_walks(
@@ -343,8 +303,6 @@ def _run_walks(
     steps: int,
     rng: np.random.Generator,
     move_probability: np.ndarray,
-    record_trajectory: bool,
-    node_loads: bool,
     on_step: Optional[StepHook],
 ) -> WalkRun:
     """Walks that move w.p. ``move_probability[node]`` per step.
@@ -367,8 +325,6 @@ def _run_walks(
     starts = np.asarray(starts, dtype=np.int64)
     positions = starts.copy()
     run = WalkRun(starts=starts, positions=positions, steps=steps)
-    recorder = _Recorder(starts, on_step) if record_trajectory else None
-    hook = recorder if recorder is not None else on_step
     table = StepTable.of(graph)
     num_arcs = table.num_arcs
     num_walks = positions.shape[0]
@@ -417,18 +373,11 @@ def _run_walks(
                     )
                 else:
                     run.edge_congestion.append(0)
-                if node_loads:
-                    node_counts = np.bincount(
-                        positions, minlength=graph.num_nodes
-                    )
-                    run.max_node_load.append(int(node_counts.max()))
-                if hook is not None:
-                    hook(before, positions)
+                if on_step is not None:
+                    on_step(before, positions)
     except BaseException:
         if fill is not None:
             fill.rewind()
         raise
     run.positions = positions
-    if recorder is not None:
-        run.trajectory = recorder.stack()
     return run

@@ -26,7 +26,6 @@ __all__ = [
     "EXACT_LIMIT",
     "estimate_mixing_time",
     "estimate_regular_mixing_time",
-    "walk_length",
     "empirical_tv_distance",
 ]
 
@@ -58,15 +57,6 @@ def estimate_regular_mixing_time(graph: Graph) -> int:
     if graph.num_nodes <= EXACT_LIMIT:
         return regular_mixing_time(graph)
     return _spectral_estimate(graph, regular=True)
-
-
-def walk_length(graph: Graph, slack: float = 2.0) -> int:
-    """Walk length used by the construction: ``slack * tau_mix``.
-
-    The paper's remark after Definition 2.1: running ``O(tau_mix)`` steps
-    sharpens the stationarity deviation to ``1/n^c``.
-    """
-    return max(1, int(math.ceil(slack * estimate_mixing_time(graph))))
 
 
 def empirical_tv_distance(

@@ -29,7 +29,8 @@ class ParallelWalkReport:
         k: walks-per-degree multiplicity of the batch.
         measured_rounds: Lemma 2.5 schedule length on measured congestion.
         predicted_rounds: the ``(k + log2 n) * T`` bound (constant 1).
-        measured_peak_load: Lemma 2.4's max per-node token count, measured.
+        measured_peak_load: Lemma 2.4's quantity, measured: the max number
+            of tokens resident at one node after any step (0 for no steps).
         predicted_peak_load: ``k * Delta + log2 n`` (constant 1).
     """
 
@@ -85,14 +86,21 @@ def run_parallel_walks(
     counts = np.bincount(starts, minlength=graph.num_nodes)
     degrees = np.maximum(graph.degrees, 1)
     k = float(np.max(counts / degrees)) if starts.size else 0.0
+    peak_load = 0
+
+    def track_load(_before: np.ndarray, after: np.ndarray) -> None:
+        nonlocal peak_load
+        load = int(np.bincount(after, minlength=graph.num_nodes).max())
+        peak_load = max(peak_load, load)
+
     runner = run_regular_walks if regular else run_lazy_walks
-    run = runner(graph, starts, steps, rng, node_loads=True)
+    run = runner(graph, starts, steps, rng, on_step=track_load)
     log_n = math.log2(max(2, graph.num_nodes))
     return ParallelWalkReport(
         run=run,
         k=k,
         measured_rounds=run.schedule_rounds(),
         predicted_rounds=(k + log_n) * steps,
-        measured_peak_load=run.peak_node_load(),
+        measured_peak_load=peak_load,
         predicted_peak_load=k * graph.max_degree + log_n,
     )

@@ -20,10 +20,6 @@ something under *load*.  This package turns the PR 8
   multi-epoch runs and reports p50/p95/p99 delivery rounds and wall
   latency, plus throughput-vs-fault-rate and throughput-vs-offered-load
   curves.
-
-The legacy single-shot demand shapes live on in
-:mod:`repro.analysis.workloads`; this package is about *streams* of
-them.
 """
 
 from .engine import (

@@ -511,8 +511,6 @@ def fault_rate_curve(
     rates: Sequence[float],
     *,
     seed: int = 0,
-    mode: str = "session",
-    backend: str = "oracle",
 ) -> list[dict[str, Any]]:
     """Throughput vs. wire fault rate: one run per drop probability.
 
@@ -529,8 +527,6 @@ def fault_rate_curve(
             graph,
             replace(resolved, faults=spec),
             seed=seed,
-            mode=mode,
-            backend=backend,
         )
         point = {"fault_rate": float(rate)}
         point.update(report.summary())
@@ -544,8 +540,6 @@ def offered_load_curve(
     rates_rps: Sequence[float],
     *,
     seed: int = 0,
-    mode: str = "session",
-    backend: str = "oracle",
 ) -> list[dict[str, Any]]:
     """Throughput and sojourn latency vs. offered load.
 
@@ -561,8 +555,6 @@ def offered_load_curve(
             graph,
             replace(resolved, rate=float(rate)),
             seed=seed,
-            mode=mode,
-            backend=backend,
         )
         point = {"offered_rate": float(rate)}
         point.update(report.summary())

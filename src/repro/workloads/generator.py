@@ -313,24 +313,22 @@ def generate_workload(
     graph: Graph,
     spec: WorkloadSpec,
     seed: int = 0,
-    *,
-    stream: str = "workload",
 ) -> Workload:
     """Generate the full request stream for ``(graph, spec, seed)``.
 
     Three derived streams, one per concern, so e.g. enabling churn can
     never change which demands the requests carry:
 
-    * ``<stream>/arrivals`` — the open-loop arrival schedule;
-    * ``<stream>/keys`` — demand sources and destinations;
-    * ``<stream>/churn`` — which edges/nodes each update touches.
+    * ``workload/arrivals`` — the open-loop arrival schedule;
+    * ``workload/keys`` — demand sources and destinations;
+    * ``workload/churn`` — which edges/nodes each update touches.
 
     The result is bit-identical for the same inputs on any backend and
     in any process (streams are SHA-derived, hash-seed independent).
     """
-    arrivals_rng = derive_rng(seed, stream_entropy(f"{stream}/arrivals"))
-    keys_rng = derive_rng(seed, stream_entropy(f"{stream}/keys"))
-    churn_rng = derive_rng(seed, stream_entropy(f"{stream}/churn"))
+    arrivals_rng = derive_rng(seed, stream_entropy("workload/arrivals"))
+    keys_rng = derive_rng(seed, stream_entropy("workload/keys"))
+    churn_rng = derive_rng(seed, stream_entropy("workload/churn"))
 
     times = _arrival_times(spec, arrivals_rng)
     tracker = _EdgeTracker(graph) if spec.churn else None

@@ -1,18 +1,10 @@
-"""Tests for the demand and path generators and CSV export."""
+"""Tests for the path generator, routed demand shapes and CSV export."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.export import rows_to_csv, write_csv
-from repro.analysis.workloads import (
-    all_to_one_demand,
-    bipartite_demand,
-    circulation_paths,
-    hotspot_demand,
-    neighbor_demand,
-    permutation_demand,
-    random_demand,
-)
+from repro.analysis.workloads import circulation_paths
 from repro.core import Router, build_hierarchy
 from repro.graphs import Graph, hypercube, random_regular
 from repro.params import Params
@@ -30,47 +22,6 @@ def small_router():
     graph = random_regular(48, 4, rng)
     hierarchy = build_hierarchy(graph, params, rng)
     return graph, Router(hierarchy, params=params, rng=rng)
-
-
-class TestGenerators:
-    def test_permutation_is_permutation(self, rng):
-        g = hypercube(4)
-        sources, destinations = permutation_demand(g, rng)
-        assert sorted(destinations.tolist()) == list(range(16))
-        assert np.array_equal(sources, np.arange(16))
-
-    def test_random_demand_shape(self, rng):
-        g = hypercube(4)
-        sources, destinations = random_demand(g, 37, rng)
-        assert sources.shape == destinations.shape == (37,)
-        assert destinations.max() < 16
-
-    def test_hotspot_skew(self, rng):
-        g = hypercube(5)
-        __, destinations = hotspot_demand(g, 400, rng, hotspots=2, skew=0.9)
-        counts = np.bincount(destinations, minlength=32)
-        top_two = np.sort(counts)[-2:].sum()
-        assert top_two > 0.7 * 400
-
-    def test_neighbor_demand_adjacent(self, rng):
-        g = hypercube(4)
-        sources, destinations = neighbor_demand(g, rng)
-        for s, d in zip(sources, destinations):
-            assert g.has_edge(int(s), int(d))
-
-    def test_bipartite_crosses_halves(self, rng):
-        g = hypercube(4)
-        sources, destinations = bipartite_demand(g, rng)
-        half = 8
-        low_sources = sources < half
-        assert np.all(destinations[low_sources] >= half)
-        assert np.all(destinations[~low_sources] < half)
-
-    def test_all_to_one(self):
-        g = hypercube(3)
-        sources, destinations = all_to_one_demand(g, target=5)
-        assert np.all(destinations == 5)
-        assert sources.shape == (8,)
 
 
 class TestCirculationPaths:
@@ -101,16 +52,48 @@ class TestCirculationPaths:
             circulation_paths(Graph(4, [(0, 1), (2, 3)]), 1, 2)
 
 
+def _hotspot(graph, rng):
+    """60 packets, 80% of them aimed at two hot nodes."""
+    n = graph.num_nodes
+    destinations = rng.integers(0, n, size=60)
+    hot = rng.random(60) < 0.8
+    destinations[hot] = rng.choice(n, size=2, replace=False)[
+        rng.integers(0, 2, size=int(hot.sum()))
+    ]
+    return rng.integers(0, n, size=60), destinations
+
+
+def _neighbors(graph, rng):
+    """Each node sends to a uniform neighbour."""
+    offsets = (rng.random(graph.num_nodes) * graph.degrees).astype(np.int64)
+    return (
+        np.arange(graph.num_nodes),
+        graph.indices[graph.indptr[:-1] + offsets],
+    )
+
+
+def _halves(graph, rng):
+    """The two halves of the node ids exchange packets."""
+    half = graph.num_nodes // 2
+    high = half + rng.permutation(graph.num_nodes - half)[:half]
+    low = np.arange(half)
+    return np.concatenate([low, high]), np.concatenate([high, low])
+
+
 class TestWorkloadsThroughRouter:
+    # Every entry is a lambda, so the test ids stay <lambda>0..5.
     @pytest.mark.parametrize(
         "generator",
         [
-            lambda g, rng: permutation_demand(g, rng),
-            lambda g, rng: random_demand(g, 60, rng),
-            lambda g, rng: hotspot_demand(g, 60, rng),
-            lambda g, rng: neighbor_demand(g, rng),
-            lambda g, rng: bipartite_demand(g, rng),
-            lambda g, rng: all_to_one_demand(g),
+            lambda g, rng: (np.arange(g.num_nodes),
+                            rng.permutation(g.num_nodes)),
+            lambda g, rng: (rng.integers(0, g.num_nodes, size=60),
+                            rng.integers(0, g.num_nodes, size=60)),
+            lambda g, rng: _hotspot(g, rng),
+            lambda g, rng: _neighbors(g, rng),
+            lambda g, rng: _halves(g, rng),
+            lambda g, rng: (np.arange(g.num_nodes),
+                            np.zeros(g.num_nodes, dtype=np.int64)),
         ],
     )
     def test_every_workload_delivers(self, small_router, rng, generator):
@@ -123,8 +106,9 @@ class TestWorkloadsThroughRouter:
         self, small_router, rng
     ):
         graph, router = small_router
-        perm = router.route(*permutation_demand(graph, rng))
-        hot = router.route(*all_to_one_demand(graph))
+        n = graph.num_nodes
+        perm = router.route(np.arange(n), rng.permutation(n))
+        hot = router.route(np.arange(n), np.zeros(n, dtype=np.int64))
         assert hot.num_phases >= perm.num_phases
 
 

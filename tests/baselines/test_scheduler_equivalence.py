@@ -102,24 +102,19 @@ class TestDegenerateInputs:
         schedule_paths_ref(paths, rng=rng_ref)
         assert rng_vec.integers(1 << 30) == rng_ref.integers(1 << 30)
 
-    def test_seed_keyword_matches(self):
-        paths = [[0, 1, 2, 1], [1, 2, 0], [2, 0]] * 4
-        assert schedule_paths(paths, seed=411) == schedule_paths_ref(
-            paths, seed=411
-        )
-
 
 class TestPipelineWorkloads:
     def test_walk_trajectory_workload(self):
         """Compressed lazy-walk trajectories — the native-G0 shape."""
         graph = random_regular(64, 6, np.random.default_rng(412))
         starts = degree_proportional_starts(graph, 2)
-        run = run_lazy_walks(
+        rows = [starts]
+        run_lazy_walks(
             graph, starts, 24, np.random.default_rng(413),
-            record_trajectory=True,
+            on_step=lambda _before, after: rows.append(after),
         )
         paths = []
-        for col in run.trajectory.T:
+        for col in np.stack(rows).T:
             keep = np.ones(col.shape[0], dtype=bool)
             keep[1:] = col[1:] != col[:-1]
             paths.append(col[keep].tolist())
@@ -138,6 +133,10 @@ class TestPipelineWorkloads:
     def test_round_budget_exceeded_matches(self):
         paths = [[0, 1, 2, 3, 4]] * 10
         with pytest.raises(RuntimeError, match="round budget"):
-            schedule_paths(paths, seed=417, max_rounds=3)
+            schedule_paths(
+                paths, rng=np.random.default_rng(417), max_rounds=3
+            )
         with pytest.raises(RuntimeError, match="round budget"):
-            schedule_paths_ref(paths, seed=417, max_rounds=3)
+            schedule_paths_ref(
+                paths, rng=np.random.default_rng(417), max_rounds=3
+            )

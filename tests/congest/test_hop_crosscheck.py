@@ -205,8 +205,12 @@ class TestReplayCrossRun:
         graph = random_regular(24, 4, derive_rng(6))
         rng = derive_rng(7)
         starts = rng.integers(0, graph.num_nodes, size=300)
-        run = run_lazy_walks(graph, starts, 40, rng, record_trajectory=True)
-        replay = replay_walk_run(graph, run)
+        rows = [starts]
+        run = run_lazy_walks(
+            graph, starts, 40, rng,
+            on_step=lambda _before, after: rows.append(after),
+        )
+        replay = replay_walk_run(graph, np.stack(rows))
         assert 1 <= len(checked) <= 40 and all(checked)
         assert replay.rounds == run.schedule_rounds()
 

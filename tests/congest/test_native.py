@@ -39,20 +39,28 @@ class TestNativeConstruction:
         reverse pass retraces it, and both are counted in the build."""
         import repro.congest.native as native_module
 
-        replayed = []
+        replayed, walked = [], []
         replay = native_module.replay_walk_run
+        walk = native_module.run_lazy_walks
 
         def spy(graph, run, **kwargs):
             replayed.append(run)
             return replay(graph, run, **kwargs)
 
+        def walk_spy(*args, **kwargs):
+            walked.append(walk(*args, **kwargs))
+            return walked[-1]
+
         monkeypatch.setattr(native_module, "replay_walk_run", spy)
+        monkeypatch.setattr(native_module, "run_lazy_walks", walk_spy)
         graph = random_regular(16, 4, np.random.default_rng(334))
         g0 = build_native_g0(graph, 8, 4, 2 * mixing_time(graph), seed=335)
         assert len(replayed) == 2, "forward and reverse pass each replay"
-        batch, back = replayed
+        trajectory, back = replayed
+        (batch,) = walked
         assert g0.forward.rounds == batch.schedule_rounds()
-        assert np.array_equal(back.trajectory, batch.trajectory[::-1])
+        assert np.array_equal(trajectory[-1], batch.positions)
+        assert np.array_equal(back, trajectory[::-1])
         assert g0.reverse.per_step == g0.forward.per_step[::-1]
         assert g0.reverse.messages == g0.forward.messages
         assert g0.build_rounds == g0.forward.rounds + g0.reverse.rounds
@@ -249,21 +257,24 @@ class TestLiveReplay:
             if live:
                 batch = WalkBatch(run_lazy_walks, starts, 12, rng)
             else:
-                batch = run_lazy_walks(
-                    graph, starts, 12, rng, record_trajectory=True
+                rows = [starts]
+                run = run_lazy_walks(
+                    graph, starts, 12, rng,
+                    on_step=lambda _before, after: rows.append(after),
                 )
+                batch = np.stack(rows)
             replay = replay_walk_run(
                 graph, batch, faults=context.fault_plan, context=context
             )
             replays.append(replay)
-            runs.append(replay.run if live else batch)
+            runs.append(replay.run if live else run)
         return replays, runs
 
     @pytest.mark.parametrize("faults", [None, "drop=0.2"])
     def test_live_equals_recorded(self, faults):
         graph = random_regular(16, 4, np.random.default_rng(336))
         (live, recorded), (walked, batch) = self._both(graph, faults)
-        assert live.run is walked and walked.trajectory is None
+        assert live.run is walked
         assert recorded.run is None
         assert np.array_equal(walked.positions, batch.positions)
         assert walked.edge_congestion == batch.edge_congestion

@@ -75,11 +75,13 @@ def test_schedule_matches_congest_execution(factory, walks, steps):
     graph = factory()
     rng = np.random.default_rng(42)
     starts = rng.integers(0, graph.num_nodes, size=walks)
-    run = run_lazy_walks(graph, starts, steps, rng, record_trajectory=True)
+    seen = []
+    run = run_lazy_walks(
+        graph, starts, steps, rng,
+        on_step=lambda before, after: seen.append((before, after)),
+    )
     total = 0
-    for t in range(steps):
-        before = run.trajectory[t]
-        after = run.trajectory[t + 1]
+    for t, (before, after) in enumerate(seen):
         moved = before != after
         if moved.any():
             rounds = _congest_rounds_for_step(

@@ -240,7 +240,7 @@ class TestMixingSearch:
         ):
             tolerance = stationary / n
             assert _mixing_time_from_matrix(
-                matrix, stationary, tolerance, 1 << 22
+                matrix, stationary, tolerance
             ) == _scan_mixing_time(matrix, stationary, tolerance)
 
 

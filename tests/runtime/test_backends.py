@@ -210,7 +210,7 @@ class TestNativeMemory:
             finally:
                 tracemalloc.stop()
         assert peaks["native"] <= 2 * peaks["oracle"], peaks
-        assert runs and all(run.trajectory is None for run in runs)
+        assert runs
 
 
 class TestNativeCorrelatedWalks:
@@ -222,11 +222,9 @@ class TestNativeCorrelatedWalks:
 
         hooked = []
 
-        def spy(graph, starts, steps, rng, record_trajectory=False, **kw):
-            hooked.append((record_trajectory, kw.get("on_step") is not None))
-            return run_correlated_walks(
-                graph, starts, steps, rng, record_trajectory, **kw
-            )
+        def spy(graph, starts, steps, rng, **kw):
+            hooked.append(kw.get("on_step") is not None)
+            return run_correlated_walks(graph, starts, steps, rng, **kw)
 
         monkeypatch.setattr(backends, "run_correlated_walks", spy)
         runs = _spy_native_runs(monkeypatch)
@@ -237,6 +235,6 @@ class TestNativeCorrelatedWalks:
         with Session.open(_small_graph(n=32), config) as session:
             assert session.request("route").result.delivered
             executed = session.backend.executed_rounds
-        assert hooked and set(hooked) == {(False, True)}
+        assert hooked and set(hooked) == {True}
         assert len(runs) == len(hooked)
         assert executed == sum(run.schedule_rounds() for run in runs)

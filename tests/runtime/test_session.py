@@ -326,6 +326,30 @@ class TestApplyUpdate:
         )
         assert booked.total() == pytest.approx(report.cost_rounds)
 
+    def test_repair_walks_the_level_walk_length(self):
+        """A repair charges each re-embedded edge one forward and one
+        reverse walk of the session's ``Params.level_walk_length`` over
+        the virtual nodes, not of a hard-coded ``3 log2 N``."""
+        from repro.params import Params
+
+        graph = random_regular(64, 6, derive_rng(0, 64))
+        params = Params.default().with_overrides(level_walk_length_factor=2.0)
+        config = RunConfig(seed=0, cache="off", beta=2, params=params)
+        with Session.open(graph, config) as session:
+            hierarchy = session.backend.hierarchy
+            length = params.level_walk_length(hierarchy.g0.virtual.count)
+            start = len(session.context.ledger)
+            report = session.apply_update(nodes_down=[5])
+            booked = session.context.ledger.slice_from(start).by_label()
+        assert length != Params.default().level_walk_length(
+            hierarchy.g0.virtual.count
+        )
+        assert report.repaired
+        for level, replaced in report.repaired.items():
+            assert booked[f"serve/repair-level-{level}"] == (
+                2.0 * replaced * length * hierarchy.emulation_to_g(level - 1)
+            )
+
     def test_weighted_update_keeps_weights_aligned(self):
         base = random_regular(32, 6, derive_rng(0, 32))
         weights = np.arange(1.0, base.num_edges + 1.0)

@@ -1,6 +1,8 @@
 """The tutorial's code blocks must run (like the README's), every
-``repro`` command line the docs show must parse, and every subcommand
-and flag the ``repro.cli`` module docstring names must exist.
+keyword argument the docs' Python blocks pass to a ``repro`` name must
+be one of its parameters, every ``repro`` command line the docs show
+must parse, and every subcommand and flag the ``repro.cli`` module
+docstring names must exist.
 
 Tutorial blocks share one namespace in order, mirroring a reader
 following along.  Sizes in the tutorial are moderate, so this is the
@@ -8,6 +10,9 @@ slowest doc test — still well under a minute.
 """
 
 import argparse
+import ast
+import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -41,6 +46,106 @@ class TestTutorial:
         # The walkthrough must have produced a delivered routing result.
         assert namespace["result"].delivered
         assert namespace["cut"].cut_value >= 1
+
+
+def _python_blocks() -> list[tuple[str, str]]:
+    """``(source, code)`` of every Python block in README.md and
+    docs/*.md."""
+    found = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        blocks = re.findall(
+            r"```python\n(.*?)```", path.read_text(), flags=re.DOTALL
+        )
+        found += [
+            (f"{path.name} block {index}", block)
+            for index, block in enumerate(blocks)
+        ]
+    return found
+
+
+def _repro_bindings(tree: ast.AST) -> dict:
+    """Name -> object for every name a block imports from ``repro``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module or ""
+        ).split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = getattr(
+                    module, alias.name
+                )
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "repro":
+                    continue
+                if alias.asname:
+                    bound[alias.asname] = importlib.import_module(alias.name)
+                else:
+                    bound["repro"] = importlib.import_module("repro")
+    return bound
+
+
+def _resolve(func: ast.expr, bound: dict):
+    """The ``repro`` object a call's function names, or ``None`` (e.g. a
+    method of a local variable)."""
+    if isinstance(func, ast.Name):
+        return bound.get(func.id)
+    if isinstance(func, ast.Attribute):
+        owner = _resolve(func.value, bound)
+        if owner is None:
+            return None
+        return getattr(owner, func.attr, None)
+    return None
+
+
+def _unknown_keywords(source: str, code: str) -> list[str]:
+    """``source: name(keyword=)`` for every keyword argument a block
+    passes to a ``repro`` callable that has no such parameter."""
+    tree = ast.parse(code, filename=source)
+    bound = _repro_bindings(tree)
+    unknown = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve(node.func, bound)
+        if target is None or not callable(target):
+            continue
+        parameters = inspect.signature(target).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in parameters):
+            continue
+        names = {p.name for p in parameters}
+        unknown += [
+            f"{source}: {ast.unparse(node.func)}({keyword.arg}=)"
+            for keyword in node.keywords
+            if keyword.arg is not None and keyword.arg not in names
+        ]
+    return unknown
+
+
+class TestDocumentedKeywords:
+    def test_every_documented_keyword_is_a_parameter(self):
+        blocks = _python_blocks()
+        assert {source.split()[0] for source, _ in blocks} >= {
+            "README.md", "service.md", "tutorial.md", "workloads.md",
+        }
+        unknown = [
+            entry
+            for source, code in blocks
+            for entry in _unknown_keywords(source, code)
+        ]
+        assert not unknown, "no such parameter: " + "; ".join(unknown)
+
+    def test_removed_keyword_is_caught(self):
+        code = (
+            "from repro.walks import run_lazy_walks\n"
+            "import repro\n"
+            "run_lazy_walks(g, s, 3, rng, record_trajectory=True)\n"
+            "repro.walks.run_lazy_walks(g, s, 3, rng, on_step=None)\n"
+        )
+        assert _unknown_keywords("snippet", code) == [
+            "snippet: run_lazy_walks(record_trajectory=)"
+        ]
 
 
 def _command_lines() -> list[tuple[str, list[str]]]:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_number, format_table
-from repro.analysis.workloads import hotspot_demand
 from repro.core import RoundLedger, all_pairs_demand
 from repro.graphs import Graph, hypercube, path_graph, ring_graph
 from repro.params import Params
@@ -44,9 +43,13 @@ class TestWalkEdgeCases:
     def test_walk_from_isolated_node_stays(self):
         g = Graph(3, [(0, 1)])
         rng = np.random.default_rng(0)
-        run = run_lazy_walks(g, np.array([2]), 5, rng, node_loads=True)
+        seen = []
+        run = run_lazy_walks(
+            g, np.array([2]), 5, rng,
+            on_step=lambda _before, after: seen.append(int(after[0])),
+        )
         assert run.positions[0] == 2
-        assert run.peak_node_load() == 1
+        assert seen == [2] * 5
 
     def test_empty_walk_batch(self):
         g = ring_graph(4)
@@ -82,14 +85,6 @@ class TestFormattingEdgeCases:
 
 
 class TestWorkloadEdgeCases:
-    def test_hotspot_more_hotspots_than_nodes(self):
-        g = ring_graph(4)
-        rng = np.random.default_rng(2)
-        sources, destinations = hotspot_demand(
-            g, 20, rng, hotspots=100, skew=1.0
-        )
-        assert destinations.max() < 4
-
     def test_all_pairs_n2(self):
         sources, destinations = all_pairs_demand(2)
         assert sorted(zip(sources.tolist(), destinations.tolist())) == [

@@ -66,7 +66,7 @@ class TestKernelSpeed:
 
         paths = circulation_paths(big_graph, 4096, 64)
         begin = time.perf_counter()  # reprolint: disable=R003 (measurement)
-        result = schedule_paths(paths, seed=316)
+        result = schedule_paths(paths, rng=np.random.default_rng(316))
         elapsed = time.perf_counter() - begin  # reprolint: disable=R003
         assert result.rounds == 64
         assert elapsed < 2.0, f"scheduler too slow: {elapsed:.1f}s"
@@ -79,16 +79,17 @@ class TestKernelSpeed:
 
         graph = random_regular(128, 6, np.random.default_rng(317))
         starts = np.repeat(np.arange(128), 2)
+        steps = []
         run = run_lazy_walks(
             graph, starts, 16, np.random.default_rng(318),
-            record_trajectory=True,
+            on_step=lambda before, after: steps.append((before, after)),
         )
         begin = time.perf_counter()  # reprolint: disable=R003 (measurement)
         executed = [
             _forward_demands_scalar(
                 graph, before[before != after], after[before != after]
             )[0]
-            for before, after in zip(run.trajectory, run.trajectory[1:])
+            for before, after in steps
         ]
         elapsed = time.perf_counter() - begin  # reprolint: disable=R003
         assert executed == run.edge_congestion

@@ -24,13 +24,14 @@ class TestMechanics:
 
     def test_steps_are_edges_or_stays(self, rng):
         g = hypercube(3)
-        run = run_correlated_walks(
-            g, np.arange(8), 6, rng, record_trajectory=True
+        steps = []
+        run_correlated_walks(
+            g, np.arange(8), 6, rng,
+            on_step=lambda before, after: steps.append((before, after)),
         )
-        for t in range(6):
-            for w in range(8):
-                a = int(run.trajectory[t, w])
-                b = int(run.trajectory[t + 1, w])
+        assert len(steps) == 6
+        for before, after in steps:
+            for a, b in zip(before.tolist(), after.tolist()):
                 assert a == b or g.has_edge(a, b)
 
     def test_zero_steps(self, rng):

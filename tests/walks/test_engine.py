@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from repro.graphs import complete_graph, hypercube, ring_graph, star_graph
-from repro.walks import run_lazy_walks, run_regular_walks
+from repro.walks import run_lazy_walks, run_parallel_walks, run_regular_walks
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(11)
+
+
+def _recorded(runner, graph, starts, steps, rng):
+    """Run ``runner`` with a step hook that records the trajectory."""
+    rows = [np.asarray(starts)]
+    run = runner(
+        graph, starts, steps, rng,
+        on_step=lambda _before, after: rows.append(after),
+    )
+    return run, np.stack(rows)
 
 
 class TestLazyWalks:
@@ -28,17 +38,14 @@ class TestLazyWalks:
 
     def test_steps_recorded(self, rng):
         g = ring_graph(8)
-        run = run_lazy_walks(g, np.arange(8), 7, rng, node_loads=True)
+        run, trajectory = _recorded(run_lazy_walks, g, np.arange(8), 7, rng)
         assert run.steps == 7
         assert len(run.edge_congestion) == 7
-        assert len(run.max_node_load) == 7
+        assert len(trajectory) == 8
 
     def test_single_step_moves_to_neighbors(self, rng):
         g = star_graph(5)
-        run = run_lazy_walks(
-            g, np.full(1000, 1, dtype=np.int64), 1, rng,
-            record_trajectory=True,
-        )
+        run = run_lazy_walks(g, np.full(1000, 1, dtype=np.int64), 1, rng)
         # From leaf 1, a lazy step stays (p=1/2) or goes to hub 0.
         assert set(np.unique(run.positions)) <= {0, 1}
         fraction_moved = np.mean(run.positions == 0)
@@ -46,20 +53,16 @@ class TestLazyWalks:
 
     def test_trajectory_shape(self, rng):
         g = ring_graph(6)
-        run = run_lazy_walks(
-            g, np.arange(6), 4, rng, record_trajectory=True
-        )
-        assert run.trajectory.shape == (5, 6)
-        assert np.array_equal(run.trajectory[0], np.arange(6))
+        _, trajectory = _recorded(run_lazy_walks, g, np.arange(6), 4, rng)
+        assert trajectory.shape == (5, 6)
+        assert np.array_equal(trajectory[0], np.arange(6))
 
     def test_trajectory_steps_are_edges_or_stays(self, rng):
         g = hypercube(3)
-        run = run_lazy_walks(
-            g, np.arange(8), 6, rng, record_trajectory=True
-        )
+        _, trajectory = _recorded(run_lazy_walks, g, np.arange(8), 6, rng)
         for t in range(6):
             for w in range(8):
-                a, b = int(run.trajectory[t, w]), int(run.trajectory[t + 1, w])
+                a, b = int(trajectory[t, w]), int(trajectory[t + 1, w])
                 assert a == b or g.has_edge(a, b)
 
     def test_stationary_degree_proportional(self, rng):
@@ -107,17 +110,15 @@ class TestRegularWalks:
 
     def test_trajectory(self, rng):
         g = hypercube(3)
-        run = run_regular_walks(
-            g, np.arange(8), 3, rng, record_trajectory=True
-        )
-        assert run.trajectory.shape == (4, 8)
+        _, trajectory = _recorded(run_regular_walks, g, np.arange(8), 3, rng)
+        assert trajectory.shape == (4, 8)
 
     def test_peak_node_load(self, rng):
         g = complete_graph(6)
-        run = run_regular_walks(
-            g, np.zeros(30, dtype=np.int64), 5, rng, node_loads=True
+        report = run_parallel_walks(
+            g, np.zeros(30, dtype=np.int64), 5, rng, regular=True
         )
-        assert run.peak_node_load() >= 5  # 30 walks over 6 nodes
+        assert report.measured_peak_load >= 5  # 30 walks over 6 nodes
 
     def test_stays_within_component(self, rng):
         from repro.graphs import Graph

@@ -10,6 +10,7 @@ bad edge.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from unittest import mock
 
@@ -22,7 +23,7 @@ from repro.core.hierarchy import _clique_edges
 from repro.core.portals import _boundary_nodes, _sampled_portals
 from repro.core.sampling import group_select, sample_within_parts
 from repro.graphs import Graph, hypercube, random_regular, ring_graph
-from repro.walks import engine
+from repro.walks import engine, run_correlated_walks, run_parallel_walks
 from repro.walks.engine import StepTable, keyed_step
 
 kernel_settings = settings(
@@ -71,12 +72,16 @@ def _oracle_lazy(graph, starts, steps, rng):
     return positions, congestion, loads
 
 
-def _oracle_lazy_trajectory(graph, starts, steps, seed):
+def _oracle_trajectory(oracle, graph, starts, steps, seed):
     rng = np.random.default_rng(seed)
     rows = [starts]
     for _ in range(steps):
-        rows.append(_oracle_lazy(graph, rows[-1], 1, rng)[0])
+        rows.append(oracle(graph, rows[-1], 1, rng)[0])
     return np.stack(rows)
+
+
+def _oracle_lazy_trajectory(graph, starts, steps, seed):
+    return _oracle_trajectory(_oracle_lazy, graph, starts, steps, seed)
 
 
 def _oracle_regular(graph, starts, steps, rng):
@@ -297,14 +302,33 @@ def walk_cases(draw):
 # -- walk kernels --------------------------------------------------------
 
 
+class _Recorder:
+    """A step hook that records the trajectory and per-step node loads."""
+
+    def __init__(self, graph, starts):
+        self.num_nodes = graph.num_nodes
+        self.rows = [np.asarray(starts)]
+        self.loads = []
+
+    def __call__(self, before, after):
+        assert np.array_equal(before, self.rows[-1])
+        self.rows.append(after)
+        counts = np.bincount(after, minlength=self.num_nodes)
+        self.loads.append(int(counts.max()))
+
+    def trajectory(self):
+        return np.stack(self.rows)
+
+
 def _assert_walks_match(runner, oracle, graph, starts, steps, seed):
     rng_new = np.random.default_rng(seed)
     rng_old = np.random.default_rng(seed)
-    run = runner(graph, starts, steps, rng_new, node_loads=True)
+    recorder = _Recorder(graph, starts)
+    run = runner(graph, starts, steps, rng_new, on_step=recorder)
     positions, congestion, loads = oracle(graph, starts, steps, rng_old)
     assert np.array_equal(run.positions, positions)
     assert run.edge_congestion == congestion
-    assert run.max_node_load == loads
+    assert recorder.loads == loads
     assert rng_new.random() == rng_old.random()
 
 
@@ -424,35 +448,37 @@ class TestWalkKernels:
         _assert_walks_match(runner, oracle, graph, starts, 20, seed=9)
 
     def test_node_loads_off_by_default(self):
+        # The engine keeps only the per-step arc congestion Lemma 2.5
+        # charges; node loads and positions are the step hook's to see.
         graph = Graph(3, [(0, 1), (1, 2)])
         run = engine.run_lazy_walks(
             graph, np.arange(3), 4, np.random.default_rng(0)
         )
-        assert run.max_node_load == []
+        assert {f.name for f in dataclasses.fields(run)} == {
+            "starts", "positions", "steps", "edge_congestion",
+        }
         assert len(run.edge_congestion) == 4
 
     def test_trajectory_matches_positions(self):
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 3)])
         starts = np.array([0, 1, 2, 3, 4, 4])
         seed = 5
-        run = engine.run_lazy_walks(
-            graph, starts, 6, np.random.default_rng(seed),
-            record_trajectory=True,
+        recorder = _Recorder(graph, starts)
+        engine.run_lazy_walks(
+            graph, starts, 6, np.random.default_rng(seed), on_step=recorder
         )
         expected = _oracle_lazy_trajectory(graph, starts, 6, seed)
-        assert np.array_equal(run.trajectory, expected)
+        assert np.array_equal(recorder.trajectory(), expected)
 
     def test_trajectory_and_hook_on_regular_graph(self):
         graph = hypercube(3)
         starts = np.repeat(np.arange(8), 3)
         seen = []
-        run = engine.run_lazy_walks(
+        engine.run_lazy_walks(
             graph, starts, 7, np.random.default_rng(11),
-            record_trajectory=True,
             on_step=lambda before, after: seen.append((before, after)),
         )
         expected = _oracle_lazy_trajectory(graph, starts, 7, 11)
-        assert np.array_equal(run.trajectory, expected)
         assert len(seen) == 7
         for step, (before, after) in enumerate(seen):
             assert np.array_equal(before, expected[step])
@@ -576,6 +602,40 @@ class TestGraphBuild:
         graph = Graph(3, [(0, 1), (1, 2)])
         graph.arc_tails[0] = 2
         assert graph.arc_tails.tolist() == [0, 1, 1, 2]
+
+
+class TestStepHook:
+    @pytest.mark.parametrize(
+        "runner, oracle",
+        _RUNNERS + [(run_correlated_walks, None)],
+        ids=["lazy", "regular", "correlated"],
+    )
+    def test_hook_observes_every_step(self, runner, oracle):
+        graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                          (1, 4)])
+        starts = np.random.default_rng(7).integers(0, 6, size=30)
+        recorder = _Recorder(graph, starts)
+        run = runner(
+            graph, starts, 9, np.random.default_rng(8), on_step=recorder
+        )
+        # Once per step and in order: the recorder checks that each
+        # step's `before` is the previous step's `after`.
+        assert len(recorder.rows) == run.steps + 1 == 10
+        assert np.array_equal(recorder.rows[-1], run.positions)
+        trajectory = recorder.trajectory()
+        if oracle is None:
+            for before, after in zip(trajectory, trajectory[1:]):
+                for u, v in zip(before.tolist(), after.tolist()):
+                    assert u == v or graph.has_edge(u, v)
+            return
+        expected = _oracle_trajectory(oracle, graph, starts, 9, seed=8)
+        assert np.array_equal(trajectory, expected)
+        report = run_parallel_walks(
+            graph, starts, 9, np.random.default_rng(8),
+            regular=runner is engine.run_regular_walks,
+        )
+        assert report.measured_peak_load == max(recorder.loads)
+        assert np.array_equal(report.run.positions, run.positions)
 
 
 # -- edge-list builders --------------------------------------------------

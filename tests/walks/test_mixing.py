@@ -8,7 +8,6 @@ from repro.walks import (
     empirical_tv_distance,
     estimate_mixing_time,
     estimate_regular_mixing_time,
-    walk_length,
 )
 from repro.walks.mixing import EXACT_LIMIT, _spectral_estimate
 
@@ -37,17 +36,6 @@ class TestEstimates:
 
     def test_exact_limit_is_reasonable(self):
         assert EXACT_LIMIT >= 256
-
-
-class TestWalkLength:
-    def test_slack_multiplies(self):
-        g = hypercube(4)
-        tau = estimate_mixing_time(g)
-        assert walk_length(g, slack=2.0) == int(np.ceil(2.0 * tau))
-
-    def test_at_least_one(self):
-        g = hypercube(2)
-        assert walk_length(g, slack=0.01) >= 1
 
 
 class TestEmpiricalTV:
