@@ -283,18 +283,16 @@ def run_regular_walks(
     starts: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    *,
-    on_step: Optional[StepHook] = None,
 ) -> WalkRun:
     """Run ``2*Delta``-regular walks (Definition 2.2).
 
     Each token moves to each incident edge w.p. ``1/(2*Delta)`` and stays
     otherwise, giving a uniform stationary distribution.  Arguments as
-    for :func:`run_lazy_walks`.
+    for :func:`run_lazy_walks` (no ``on_step``).
     """
     delta = max(1, graph.max_degree)
     move_probability = graph.degrees / (2.0 * delta)
-    return _run_walks(graph, starts, steps, rng, move_probability, on_step)
+    return _run_walks(graph, starts, steps, rng, move_probability, None)
 
 
 def _run_walks(

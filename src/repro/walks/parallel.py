@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
-from .engine import WalkRun, run_lazy_walks, run_regular_walks
+from .engine import WalkRun, run_lazy_walks
 
 __all__ = ["ParallelWalkReport", "degree_proportional_starts", "run_parallel_walks"]
 
@@ -67,16 +67,14 @@ def run_parallel_walks(
     starts: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    regular: bool = False,
 ) -> ParallelWalkReport:
-    """Run a batch of parallel walks and report measured vs. bound.
+    """Run a batch of parallel lazy walks and report measured vs. bound.
 
     Args:
         graph: graph to walk on.
         starts: start node per walk.
         steps: synchronous steps ``T``.
         rng: randomness source.
-        regular: use the ``2*Delta``-regular walk instead of the lazy walk.
 
     Returns:
         A :class:`ParallelWalkReport`; its ratios should stay ``O(1)`` for
@@ -93,8 +91,7 @@ def run_parallel_walks(
         load = int(np.bincount(after, minlength=graph.num_nodes).max())
         peak_load = max(peak_load, load)
 
-    runner = run_regular_walks if regular else run_lazy_walks
-    run = runner(graph, starts, steps, rng, on_step=track_load)
+    run = run_lazy_walks(graph, starts, steps, rng, on_step=track_load)
     log_n = math.log2(max(2, graph.num_nodes))
     return ParallelWalkReport(
         run=run,

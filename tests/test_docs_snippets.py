@@ -1,6 +1,7 @@
 """The tutorial's code blocks must run (like the README's), every
 keyword argument the docs' Python blocks pass to a ``repro`` name must
-be one of its parameters, every ``repro`` command line the docs show
+be one of its parameters, every inline ``repro.`` call in their prose
+must bind to its signature, every ``repro`` command line the docs show
 must parse, and every subcommand and flag the ``repro.cli`` module
 docstring names must exist.
 
@@ -48,11 +49,15 @@ class TestTutorial:
         assert namespace["cut"].cut_value >= 1
 
 
+def _doc_paths() -> list[Path]:
+    return [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+
 def _python_blocks() -> list[tuple[str, str]]:
     """``(source, code)`` of every Python block in README.md and
     docs/*.md."""
     found = []
-    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+    for path in _doc_paths():
         blocks = re.findall(
             r"```python\n(.*?)```", path.read_text(), flags=re.DOTALL
         )
@@ -123,6 +128,48 @@ def _unknown_keywords(source: str, code: str) -> list[str]:
     return unknown
 
 
+def _import_dotted(dotted: str):
+    """The object a dotted name such as ``repro.rng.resolve_rng`` names:
+    its longest importable prefix, then attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(dotted)
+
+
+def _unbound_inline_calls(source: str, text: str) -> list[str]:
+    """Every inline code span of ``text`` outside its fenced blocks that
+    calls a dotted ``repro.`` name (`repro.rng.resolve_rng(rng)`) with
+    arguments that name's signature cannot bind.  A ``...`` argument
+    stands for arguments the prose leaves out."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    unbound = []
+    for span in re.findall(r"`(repro\.[^`\n]*\))`", prose):
+        try:
+            call = ast.parse(span, mode="eval").body
+        except SyntaxError:
+            continue
+        if not isinstance(call, ast.Call):
+            continue
+        target = _import_dotted(ast.unparse(call.func))
+        args = [
+            arg for arg in call.args
+            if not (isinstance(arg, ast.Constant) and arg.value is ...)
+        ]
+        keywords = {k.arg: k.value for k in call.keywords if k.arg}
+        try:
+            inspect.signature(target).bind_partial(*args, **keywords)
+        except TypeError as exc:
+            unbound.append(f"{source}: {span} ({exc})")
+    return unbound
+
+
 class TestDocumentedKeywords:
     def test_every_documented_keyword_is_a_parameter(self):
         blocks = _python_blocks()
@@ -146,6 +193,22 @@ class TestDocumentedKeywords:
         assert _unknown_keywords("snippet", code) == [
             "snippet: run_lazy_walks(record_trajectory=)"
         ]
+
+    def test_every_inline_repro_call_binds(self):
+        unbound = [
+            entry
+            for path in _doc_paths()
+            for entry in _unbound_inline_calls(path.name, path.read_text())
+        ]
+        assert not unbound, "; ".join(unbound)
+
+    def test_removed_inline_argument_is_caught(self):
+        text = (
+            "Use `repro.rng.resolve_rng(rng, seed)`, or "
+            "`repro.run(op, graph, ...)`.\n"
+            "```python\nrepro.rng.resolve_rng(rng, seed)\n```\n"
+        )
+        assert len(_unbound_inline_calls("doc", text)) == 1
 
 
 def _command_lines() -> list[tuple[str, list[str]]]:

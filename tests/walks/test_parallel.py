@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.graphs import hypercube, random_regular, star_graph
-from repro.walks import degree_proportional_starts, run_parallel_walks
+from repro.walks import (
+    degree_proportional_starts,
+    run_parallel_walks,
+    run_regular_walks,
+)
 
 
 @pytest.fixture()
@@ -71,10 +75,8 @@ class TestLemma25Schedule:
 
     def test_regular_variant(self, rng):
         g = star_graph(16)
-        report = run_parallel_walks(
-            g, degree_proportional_starts(g, 2), 20, rng, regular=True
-        )
-        assert report.measured_rounds >= 20
+        run = run_regular_walks(g, degree_proportional_starts(g, 2), 20, rng)
+        assert run.schedule_rounds() >= 20
 
     def test_empty_batch(self, rng):
         g = hypercube(3)
