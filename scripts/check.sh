@@ -40,8 +40,8 @@ echo "== bench regression gate (quick tier vs committed baselines)"
 # compares the seed-deterministic columns (rounds, served/error counts,
 # round percentiles, every EXPERIMENTS.md table cell) exactly against
 # benchmarks/results/<suite>.quick.json;
-# the tripwire suite also enforces three wall budgets:
-# native_embedded_build, native_open and warm_route.
+# the tripwire suite also enforces four wall budgets:
+# native_embedded_build, native_open, warm_route and native_warm_route.
 # Refresh a baseline with: python -m repro bench <suite> --quick
 python -m repro bench --check
 

@@ -55,6 +55,11 @@ NATIVE_OPEN_BUDGET_S = 2.0
 #: measured p50 request (2.1–3.3 ms on a shared 2-core host).
 WARM_ROUTE_BUDGET_S = 0.006
 
+#: The native warm-route tripwire budget: about twice the grouped step
+#: replay's measured p50 request (2.5–3.1 ms on a shared 2-core host),
+#: below the 6.6–7.0 ms of one executor pass per walk step.
+NATIVE_WARM_ROUTE_BUDGET_S = 0.006
+
 #: Deterministic workload metrics the gate compares exactly (wall-clock
 #: metrics are reported but never gated).
 _WORKLOAD_EXACT_METRICS = (
@@ -167,7 +172,8 @@ SUITES: dict[str, Suite] = {
             title="wall-budget canaries (native embedded build n=256, "
             f"{TRIPWIRE_BUDGET_S}s; native open n=128, "
             f"{NATIVE_OPEN_BUDGET_S}s; warm route p50 n=512, "
-            f"{WARM_ROUTE_BUDGET_S}s)",
+            f"{WARM_ROUTE_BUDGET_S}s; native warm route p50 n=128, "
+            f"{NATIVE_WARM_ROUTE_BUDGET_S}s)",
             runner=suites.tripwire,
             gate=GatePolicy(
                 exact=("rounds",),
@@ -176,6 +182,7 @@ SUITES: dict[str, Suite] = {
                     "native_embedded_build": TRIPWIRE_BUDGET_S,
                     "native_open": NATIVE_OPEN_BUDGET_S,
                     "warm_route": WARM_ROUTE_BUDGET_S,
+                    "native_warm_route": NATIVE_WARM_ROUTE_BUDGET_S,
                 },
             ),
         ),

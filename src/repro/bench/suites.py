@@ -34,6 +34,7 @@ from ..congest.native import build_native_g0, build_native_level1
 from ..congest.reliable import reliable_forward_demands
 from ..core import MstRunner, Router, build_hierarchy
 from ..graphs import (
+    Graph,
     hypercube,
     mixing_time,
     random_regular,
@@ -504,15 +505,18 @@ def _native_open_row(seed: int, n: int = 128) -> dict:
         )
 
 
-def _warm_route_row(seed: int, dim: int = 9) -> dict:
-    """A fixed 64-request route script on one warm oracle session.
+def _warm_route_row(
+    seed: int, kernel: str, graph: Graph, backend: str
+) -> dict:
+    """A fixed 64-request route script on one warm ``backend`` session.
 
     One request in four is a full permutation, the rest 1..32-packet
     batches.  ``rounds`` is the exact sum of the script's route rounds;
     ``wall_s`` is the p50 request wall time, which trips the budget if
-    per-request work scales with the graph instead of the request.
+    per-request work scales with the graph instead of the request (or,
+    on the native backend, with the walk steps instead of their
+    demands).
     """
-    graph = hypercube(dim)
     n = graph.num_nodes
     rng = derive_rng(seed, n)
     script = []
@@ -524,7 +528,8 @@ def _warm_route_row(seed: int, dim: int = 9) -> dict:
             sources = rng.integers(0, n, size=size)
             destinations = rng.integers(0, n, size=size)
         script.append((sources.tolist(), destinations.tolist()))
-    with Session.open(graph, RunConfig(seed=seed, cache="off")) as session:
+    config = RunConfig(seed=seed, backend=backend, cache="off")
+    with Session.open(graph, config) as session:
         timed = [
             _timed(
                 lambda: session.request(
@@ -534,7 +539,7 @@ def _warm_route_row(seed: int, dim: int = 9) -> dict:
             for sources, destinations in script
         ]
     return _row(
-        "warm_route",
+        kernel,
         n,
         seed,
         round(float(np.median([wall for wall, _ in timed])), 6),
@@ -548,7 +553,10 @@ def tripwire(seed: int, quick: bool) -> list[dict]:
     return [
         _native_embedded_build_row(seed, 256),
         _native_open_row(seed),
-        _warm_route_row(seed),
+        _warm_route_row(seed, "warm_route", hypercube(9), "oracle"),
+        _warm_route_row(
+            seed, "native_warm_route", _regular(seed, 128), "native"
+        ),
     ]
 
 

@@ -19,10 +19,11 @@ overlay the way the distributed algorithm actually does, end to end:
 The walk replay is the one the native backend runs for every walk
 batch, so this module and :class:`repro.runtime.NativeBackend` share a
 single message-passing walk executor, checked on a clean wire by the
-per-node simulator on sampled steps.  The
-backend runs it live: each step is executed inside the walk engine's
-step loop (a :class:`WalkBatch`), so it never holds a trajectory.  The
-native round cost is compared against the vectorized calibration of
+per-node simulator on sampled steps.  The backend runs it live (a
+:class:`WalkBatch`): the walk engine hands each step to the executor as
+it takes it, so no trajectory is recorded; on a clean wire the moving
+steps run a few thousand demands per array pass.  The native round
+cost is compared against the vectorized calibration of
 :func:`repro.core.embedding.build_g0` (experiment E15).  The level-1
 construction batches its sampling walks over the overlay CSR and
 assembles the embedded chains with array ops.
@@ -42,7 +43,7 @@ from ..core.sampling import group_select
 from ..graphs.graph import Graph
 from ..rng import derive_rng
 from ..walks.engine import WalkRun, run_lazy_walks
-from .forwarding import _forward_demands_scalar, forward_demands
+from .forwarding import _forward_demands_scalar, _forward_steps_array
 from .reliable import reliable_forward_demands
 
 __all__ = [
@@ -302,6 +303,11 @@ class ReplayMismatch(RuntimeError):
 #: with any movement) is re-run through the per-node simulator.
 _ORACLE_SAMPLE_EVERY = 32
 
+#: On a clean wire, moving steps are held until this many demands wait,
+#: then run in one array pass.  Kept small: a native open moves 8k–32k
+#: demands a step, and a larger buffer shows in peak memory.
+_HELD_DEMANDS = 4096
+
 
 @dataclass
 class WalkReplay:
@@ -345,17 +351,28 @@ class WalkBatch:
 
 
 class _StepReplay:
-    """Executes walk steps as messages, one ``(before, after)`` at a time.
+    """Executes walk steps as messages, fed one ``(before, after)`` at
+    a time.
 
     The step hook behind both forms of :func:`replay_walk_run`: the live
     form hands it to the walk engine, the recorded form feeds it the
-    rows of a trajectory, so the two execute through one code path.  On
-    a clean wire, the steps the per-node simulator re-runs are drawn up front from a generator seeded by the
-    batch shape ``(steps, walks)`` alone — never from a run's named
-    streams, so the cross-run leaves every built structure bit-identical
-    — and each is checked as it is taken.  If no sampled step moved a
-    token, the batch's last moving step is checked instead, so every
-    batch with movement is cross-run at least once.
+    rows of a trajectory, so the two execute through one code path.
+
+    On a clean wire each moving step's ``(origins, targets)`` is held
+    until :data:`_HELD_DEMANDS` demands wait; the held steps then run in
+    one pass of the array executor (a step over the cap runs alone, not
+    copied), and :meth:`result` runs what is still held.  A non-edge
+    raises when its group runs, before that group's sampled steps are
+    cross-run.  A faulty wire runs each step on the ARQ path as it is
+    taken.
+
+    The steps the per-node simulator re-runs are drawn up front from a
+    generator seeded by the batch shape ``(steps, walks)`` alone — never
+    from a run's named streams, so the cross-run leaves every built
+    structure bit-identical — and are checked in step order once their
+    pass has run.  If no sampled step moved a token, the batch's last
+    moving step is checked instead, so every batch with movement is
+    cross-run at least once.
     """
 
     def __init__(self, graph, steps, walks, faults, context):
@@ -368,23 +385,26 @@ class _StepReplay:
         self.sample: frozenset[int] = frozenset()
         if self.faults is None and steps:
             count = max(1, steps // _ORACLE_SAMPLE_EVERY)
-            picks = derive_rng(steps, walks).choice(steps, count, replace=False)
+            picks = derive_rng(steps, walks).choice(
+                steps, count, replace=False
+            )
             self.sample = frozenset(int(step) for step in picks)
         self.checked = False
         # The last moving step, kept until some step has been cross-run.
         self.unchecked: Optional[tuple] = None
+        # Moving steps not yet executed: (step, origins, targets).
+        self.held: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self.held_demands = 0
 
-    def __call__(self, before: np.ndarray, after: np.ndarray) -> int:
-        """Execute one walk step; returns its executed rounds."""
+    def __call__(self, before: np.ndarray, after: np.ndarray) -> None:
+        """Take one walk step: execute it, or hold it for the next pass."""
         step = len(self.per_step)
+        self.per_step.append(0)
         moved = before != after
         if not moved.any():
-            self.per_step.append(0)
-            return 0
+            return
         origins, targets = before[moved], after[moved]
-        if self.faults is None:
-            rounds, sent = forward_demands(self.graph, origins, targets)
-        else:
+        if self.faults is not None:
             report = reliable_forward_demands(
                 self.graph,
                 origins,
@@ -394,16 +414,49 @@ class _StepReplay:
                 recovery=getattr(self.context, "recovery", None)
                 or "fail-fast",
             )
-            rounds, sent = report.rounds, report.messages
+            self.per_step[step] = report.rounds
+            self.messages += report.messages
             if self.context is not None:
-                self.step_booked += report.retry_rounds + report.recovery_rounds
-        self.per_step.append(rounds)
-        self.messages += sent
-        if step in self.sample:
-            self._cross_check(step, origins, targets, rounds, sent)
-        elif self.sample and not self.checked:
-            self.unchecked = (step, origins, targets, rounds, sent)
-        return rounds
+                self.step_booked += (
+                    report.retry_rounds + report.recovery_rounds
+                )
+            return
+        if self.held_demands + origins.shape[0] > _HELD_DEMANDS:
+            self._run_held()
+        self.held.append((step, origins, targets))
+        self.held_demands += origins.shape[0]
+
+    def _run_held(self) -> None:
+        """Run the held steps in one array pass, then cross-run the
+        sampled ones (or keep the last as the fallback)."""
+        held, self.held, self.held_demands = self.held, [], 0
+        if not held:
+            return
+        sizes = [origins.shape[0] for _, origins, _ in held]
+        bounds = np.zeros(len(held) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        if len(held) == 1:
+            _, origins, targets = held[0]
+        else:
+            origins = np.concatenate([entry[1] for entry in held])
+            targets = np.concatenate([entry[2] for entry in held])
+        # The pass's rounds land in per_step, which result() returns.
+        rounds, sent = _forward_steps_array(  # reprolint: disable=R009
+            self.graph, bounds, origins, targets
+        )
+        for entry, step_rounds, step_sent in zip(
+            held, rounds.tolist(), sent.tolist()
+        ):
+            step = entry[0]
+            self.per_step[step] = step_rounds
+            self.messages += step_sent
+            if step in self.sample:
+                # Re-runs the step just executed (see _cross_check).
+                self._cross_check(  # reprolint: disable=R009
+                    *entry, step_rounds, step_sent
+                )
+            elif self.sample and not self.checked:
+                self.unchecked = (*entry, step_rounds, step_sent)
 
     def _cross_check(self, step, origins, targets, rounds, sent) -> None:
         """Re-run one executed step on the per-node simulator.
@@ -429,7 +482,10 @@ class _StepReplay:
             )
 
     def result(self, run: Optional[WalkRun] = None) -> WalkReplay:
-        """The batch's replay, after its fallback cross-run (if due)."""
+        """The batch's replay, after its last pass and its fallback
+        cross-run (if due)."""
+        # The pass fills per_step, summed into the replay's rounds.
+        self._run_held()  # reprolint: disable=R009
         if self.unchecked is not None:
             # Re-runs an executed step; its rounds are in per_step.
             self._cross_check(*self.unchecked)  # reprolint: disable=R009
@@ -458,18 +514,22 @@ def replay_walk_run(
     (Lemma 2.5 guarantees they equal the engine's ``schedule_rounds()``
     charge; callers assert that).
 
-    ``run`` is either a :class:`WalkBatch`, sampled by its engine and
-    executed step by step as the engine takes each step (no trajectory
-    is ever held), or a recorded ``(steps + 1, W)`` trajectory — the
-    positions before the first step and after each step, as a
-    recording step hook collects them — whose rows are fed through the
-    same per-step executor.
+    ``run`` is either a :class:`WalkBatch`, sampled by its engine with
+    each step handed to the executor as the engine takes it (the batch's
+    trajectory is never recorded), or a recorded ``(steps + 1, W)``
+    trajectory — the positions before the first step and after each
+    step, as a recording step hook collects them — whose rows are fed
+    through the same executor.
 
-    On a clean wire each step runs on the array executor of
-    :func:`repro.congest.forwarding.forward_demands`, and a seeded
-    sample of steps (at least one per batch with any movement) is re-run through the per-node simulator, and
-    the two must agree on ``(rounds, messages)`` — a check independent
-    of both the executor's and the engine's arithmetic.
+    On a clean wire the moving steps are held in small groups (at most
+    :data:`_HELD_DEMANDS` demands, or one larger step alone) and each
+    group runs in one pass of the array executor behind
+    :func:`repro.congest.forwarding.forward_demands`.  A seeded sample of
+    steps (at least one per batch with any movement) is re-run through
+    the per-node simulator, and the two must agree on ``(rounds,
+    messages)`` — a check independent of both the executor's and the
+    engine's arithmetic.  Every group has run, and every check has
+    passed, before this returns.
 
     Args:
         graph: the base graph the walks run on.

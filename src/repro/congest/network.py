@@ -11,9 +11,10 @@ small graphs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from ..graphs.graph import Graph, WeightedGraph
 from .faults import FaultPlan, FaultRecord
@@ -107,41 +108,76 @@ class RunStats:
     crash_dropped: int = 0
 
 
-class Network:
-    """Synchronous executor for a set of :class:`NodeAlgorithm` instances."""
+class _Wiring(NamedTuple):
+    """A graph's per-node wiring, as :class:`Network` reads it.
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._neighbor_lists = [
-            tuple(int(w) for w in graph.neighbors(v))
-            for v in range(graph.num_nodes)
-        ]
-        # O(1) membership for outbox validation (the lists stay around
-        # for NodeContext, which promises a stable neighbour order).
-        self._neighbor_sets = [
-            frozenset(neighbors) for neighbors in self._neighbor_lists
-        ]
-        # neighbour id -> arc index, per node: lets delivery and weight
-        # lookups resolve a target to its arc without scanning.
-        self._neighbor_arcs: list[dict[int, int]] = [
+    Holds no reference to the graph, so the weak cache entry keyed by
+    the graph dies with it.
+    """
+
+    #: Per node, its neighbour ids (the stable order NodeContext gives).
+    neighbor_lists: list[tuple[int, ...]]
+    #: Per node, the same ids as a set, for O(1) outbox validation.
+    neighbor_sets: list[frozenset[int]]
+    #: Per node, neighbour id -> arc index.
+    neighbor_arcs: list[dict[int, int]]
+    #: Per node, the weight of each incident edge (None if unweighted).
+    weight_lists: list[Optional[tuple[float, ...]]]
+
+
+#: Per graph, its :class:`_Wiring`; the entry dies with the graph.
+_WIRING: "weakref.WeakKeyDictionary[Graph, _Wiring]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _wiring_of(graph: Graph) -> _Wiring:
+    """The graph's wiring, built on first use (graphs are immutable)."""
+    wiring = _WIRING.get(graph)
+    if wiring is not None:
+        return wiring
+    n = graph.num_nodes
+    neighbor_lists = [
+        tuple(int(w) for w in graph.neighbors(v)) for v in range(n)
+    ]
+    weighted = isinstance(graph, WeightedGraph)
+    wiring = _WIRING[graph] = _Wiring(
+        neighbor_lists=neighbor_lists,
+        neighbor_sets=[frozenset(ids) for ids in neighbor_lists],
+        neighbor_arcs=[
             {
                 int(graph.indices[a]): int(a)
                 for a in range(graph.indptr[v], graph.indptr[v + 1])
             }
-            for v in range(graph.num_nodes)
-        ]
-        weighted = isinstance(graph, WeightedGraph)
-        self._weight_lists: list[Optional[tuple[float, ...]]] = []
-        for v in range(graph.num_nodes):
-            if weighted:
-                arcs = graph.arcs_of(v)
-                self._weight_lists.append(
-                    tuple(
-                        float(graph.weights[graph.arc_edge[a]]) for a in arcs
-                    )
-                )
-            else:
-                self._weight_lists.append(None)
+            for v in range(n)
+        ],
+        weight_lists=[
+            tuple(
+                float(graph.weights[graph.arc_edge[a]])
+                for a in graph.arcs_of(v)
+            )
+            if weighted
+            else None
+            for v in range(n)
+        ],
+    )
+    return wiring
+
+
+class Network:
+    """Synchronous executor for a set of :class:`NodeAlgorithm` instances.
+
+    Building one is cheap after the first on a graph: the per-node
+    wiring is built once per graph and shared.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        wiring = _wiring_of(graph)
+        self._neighbor_lists = wiring.neighbor_lists
+        self._neighbor_sets = wiring.neighbor_sets
+        self._neighbor_arcs = wiring.neighbor_arcs
+        self._weight_lists = wiring.weight_lists
 
     def context(self, v: int) -> NodeContext:
         """Initial knowledge of node ``v``."""

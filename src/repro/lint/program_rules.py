@@ -160,12 +160,12 @@ class LedgerCoverageRule(ProgramRule):
     # op and slices afterwards hands every executed round to the
     # per-request ledger view — same contract as charging directly.
     _CHARGE_ATTRS = {"charge", "absorb_ledger", "slice_from"}
-    # _forward_demands_array is the array round executor (one-hop
+    # _forward_steps_array is the array round executor (one-hop
     # forwarding): it plays the queue/wire dynamics without a Network,
     # so its rounds need the same coverage as a simulator run.
     _RUN_EXECUTORS = (
         "replay_walk_run",
-        "_forward_demands_array",
+        "_forward_steps_array",
     )
     # Serving ops invoked on a backend execute rounds behind an attribute
     # call the call graph cannot resolve; treat them as round sites so

@@ -9,7 +9,7 @@ cut, clique emulation) behind one interface:
 * :class:`NativeBackend` — the same *random process*, executed as real
   message passing: every construction / preparation walk batch is
   executed token-by-token through :func:`repro.congest.replay_walk_run`
-  as the engine takes each step (one message per directed edge per
+  as the engine takes its steps (one message per directed edge per
   round, on the array executor, with a sample of clean-wire steps
   re-run on :meth:`repro.congest.network.Network.run`), and the executed
   round count is asserted equal to the engine's Lemma 2.5 charge.
@@ -220,15 +220,15 @@ class NativeBackend(Backend):
 
     Covers hierarchy/G0 build and routing.  Each walk batch is sampled
     by the same engine as the oracle (hence bit-identical structures)
-    and executed by :func:`repro.congest.replay_walk_run` one step at a
-    time, inside the engine's step loop, so no batch trajectory is ever
-    held: on a clean wire each step runs on the array executor of
-    :func:`repro.congest.forward_demands`, and a seeded sample of steps
-    is re-run on the per-node simulator.  :class:`BackendMismatch` is raised if the
-    executed rounds differ from the engine's ``schedule_rounds()``
-    charge, or if a sampled step's simulator run disagrees with the
-    executor.  MST / min-cut / clique raise
-    :class:`UnsupportedOnBackend`.
+    and executed by :func:`repro.congest.replay_walk_run`, which takes
+    each step from the engine's step loop (no trajectory is recorded).
+    On a clean wire the moving steps run in small groups, one array
+    pass of the :func:`repro.congest.forward_demands` executor per
+    group, and a seeded sample of steps is re-run on the per-node
+    simulator.  :class:`BackendMismatch` is raised if the executed
+    rounds differ from the engine's ``schedule_rounds()`` charge, or if
+    a sampled step's simulator run disagrees with the executor.  MST /
+    min-cut / clique raise :class:`UnsupportedOnBackend`.
 
     The simulator keys each outbox by neighbour, so two parallel edges
     would share one wire while the engine charges congestion per arc:

@@ -432,18 +432,26 @@ class Session:
         from ..congest.faults import DeliveryTimeout
 
         replayed = failed = 0
-        for update in list(journal.updates):
-            try:
-                session.apply_update(
-                    edges_added=update.get("edges_added", ()),
-                    edges_removed=update.get("edges_removed", ()),
-                    nodes_down=update.get("nodes_down", ()),
-                )
-                replayed += 1
-            except (ValueError, TypeError, DeliveryTimeout):
-                # The original session saw the same deterministic
-                # failure; the update changed nothing then either.
-                failed += 1
+        try:
+            for update in list(journal.updates):
+                try:
+                    session.apply_update(
+                        edges_added=update.get("edges_added", ()),
+                        edges_removed=update.get("edges_removed", ()),
+                        nodes_down=update.get("nodes_down", ()),
+                    )
+                    replayed += 1
+                except (ValueError, TypeError, DeliveryTimeout):
+                    # The original session saw the same deterministic
+                    # failure; the update changed nothing then either.
+                    failed += 1
+        except BaseException:
+            # Any other failure (a BackendMismatch, say) ends the
+            # recovery: release the session and a journal opened here.
+            session.close()
+            if owned_journal is not None:
+                owned_journal.close()
+            raise
         session.served = journal.served
         session.journal = journal
         session.context.emit(

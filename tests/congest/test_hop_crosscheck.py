@@ -13,9 +13,15 @@ against here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import CongestViolation
-from repro.congest.forwarding import _forward_demands_scalar, forward_demands
+from repro.congest.forwarding import (
+    _forward_demands_scalar,
+    _forward_steps_array,
+    forward_demands,
+)
 from repro.graphs import Graph, path_graph, random_regular, star_graph
 from repro.rng import derive_rng
 
@@ -149,6 +155,129 @@ class TestArrayMatchesScalarOracle:
             executor(graph, [1, 0], [2, target])
 
 
+#: Graphs for the multi-step executor's property tests: an expander, a
+#: hub every demand contends for, and a multigraph (shared queue).
+STEP_GRAPHS = [
+    random_regular(16, 4, derive_rng(11)),
+    star_graph(7),
+    Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3)]),
+]
+
+
+@st.composite
+def step_runs(draw, min_steps=1):
+    """A graph and a run of steps, each a (possibly empty) list of
+    demands along drawn arcs of that graph."""
+    graph = draw(st.sampled_from(STEP_GRAPHS))
+    arcs = st.lists(st.integers(0, graph.num_arcs - 1), max_size=40)
+    steps = draw(st.lists(arcs, min_size=min_steps, max_size=6))
+    tails = graph.arc_tails
+    return graph, [
+        (tails[np.array(step, dtype=np.int64)],
+         graph.indices[np.array(step, dtype=np.int64)])
+        for step in steps
+    ]
+
+
+def _steps_array(graph, steps):
+    """Run ``steps`` through the multi-step executor in one pass."""
+    sizes = [origins.shape[0] for origins, _ in steps]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    origins = np.concatenate([origins for origins, _ in steps])
+    targets = np.concatenate([targets for _, targets in steps])
+    return _forward_steps_array(graph, bounds, origins, targets)
+
+
+def _insert(steps, at, position, demand):
+    """``steps`` with ``demand`` inserted in step ``at``."""
+    origins, targets = steps[at]
+    position = min(position, origins.shape[0])
+    steps = list(steps)
+    steps[at] = (
+        np.insert(origins, position, demand[0]),
+        np.insert(targets, position, demand[1]),
+    )
+    return steps
+
+
+class TestStepsExecutor:
+    """One array pass over many steps equals the per-node simulator run
+    on each step alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=step_runs())
+    def test_each_step_matches_the_oracle(self, run):
+        graph, steps = run
+        rounds, messages = _steps_array(graph, steps)
+        assert list(zip(rounds.tolist(), messages.tolist())) == [
+            _forward_demands_scalar(graph, origins, targets)
+            for origins, targets in steps
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        run=step_runs(min_steps=3),
+        position=st.integers(0, 40),
+        data=st.data(),
+    )
+    def test_non_edge_names_its_steps_first_bad_demand(
+        self, run, position, data
+    ):
+        graph, steps = run
+        at = data.draw(st.integers(1, len(steps) - 2), label="bad step")
+        n = graph.num_nodes
+        non_edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and not graph.has_edge(u, v)
+        ]
+        first = data.draw(st.sampled_from(non_edges), label="non-edge")
+        later = data.draw(st.sampled_from(non_edges), label="later one")
+        steps = _insert(steps, at, position, first)
+        steps = _insert(steps, at + 1, 0, later)
+        with pytest.raises(CongestViolation) as alone:
+            forward_demands(graph, *steps[at])
+        assert f"node {first[0]} sent to non-neighbor {first[1]};" in str(
+            alone.value
+        )
+        with pytest.raises(CongestViolation) as batched:
+            _steps_array(graph, steps)
+        assert str(batched.value) == str(alone.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        run=step_runs(min_steps=2),
+        position=st.integers(0, 40),
+        data=st.data(),
+    )
+    def test_out_of_range_ids_are_rejected(self, run, position, data):
+        graph, steps = run
+        n = graph.num_nodes
+        # Ids just past either end, and one whose key would alias a
+        # pair of the next step.
+        bad = data.draw(st.sampled_from([-1, n, n * n]), label="bad id")
+        demand = data.draw(
+            st.sampled_from([(0, bad), (bad, 0)]), label="demand"
+        )
+        at = data.draw(st.integers(0, len(steps) - 1), label="bad step")
+        steps = _insert(steps, at, position, demand)
+        with pytest.raises(
+            CongestViolation,
+            match=f"node {demand[0]} sent to non-neighbor {demand[1]};",
+        ):
+            _steps_array(graph, steps)
+
+    def test_empty_steps_take_no_rounds(self):
+        graph = path_graph(3)
+        bounds = np.array([0, 0, 2, 2, 3, 3], dtype=np.int64)
+        rounds, messages = _forward_steps_array(
+            graph, bounds, np.array([0, 0, 1]), np.array([1, 1, 2])
+        )
+        assert rounds.tolist() == [0, 2, 0, 1, 0]
+        assert messages.tolist() == [0, 2, 0, 1, 0]
+
+
 class TestDemandInputs:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_mismatched_lengths_rejected(self, executor):
@@ -213,6 +342,131 @@ class TestReplayCrossRun:
         replay = replay_walk_run(graph, np.stack(rows))
         assert 1 <= len(checked) <= 40 and all(checked)
         assert replay.rounds == run.schedule_rounds()
+
+    @staticmethod
+    def _trajectory(walks, steps, seed):
+        """A recorded lazy-walk trajectory on a 24-node expander."""
+        from repro.walks import run_lazy_walks
+
+        graph = random_regular(24, 4, derive_rng(6))
+        rng = derive_rng(seed)
+        starts = rng.integers(0, graph.num_nodes, size=walks)
+        rows = [starts]
+        run_lazy_walks(
+            graph, starts, steps, rng,
+            on_step=lambda _before, after: rows.append(after),
+        )
+        return graph, np.stack(rows)
+
+    @pytest.mark.parametrize(
+        "walks, steps, seed, expected",
+        [
+            # Six sampled steps, spread over several held groups.
+            (300, 200, 7, [38, 52, 148, 157, 194, 195]),
+            # The one sampled step moved a token.
+            (1, 40, 5, [9]),
+            # It did not: the last moving step is cross-run instead.
+            (1, 40, 1, [37]),
+        ],
+    )
+    def test_the_simulator_reruns_the_same_steps(
+        self, monkeypatch, walks, steps, seed, expected
+    ):
+        """Holding steps for one array pass changes neither which steps
+        the per-node simulator re-runs (the lists are those the
+        step-at-a-time replay checked) nor any step's rounds."""
+        from repro.congest import native, replay_walk_run
+
+        graph, trajectory = self._trajectory(walks, steps, seed)
+        moves = []
+        for before, after in zip(trajectory[:-1], trajectory[1:]):
+            moved = before != after
+            moves.append((before[moved], after[moved]))
+        oracle = native._forward_demands_scalar
+        checked = []
+
+        def spy(graph, origins, targets):
+            checked.append(
+                next(
+                    step
+                    for step, (o, t) in enumerate(moves)
+                    if np.array_equal(o, origins)
+                    and np.array_equal(t, targets)
+                )
+            )
+            return oracle(graph, origins, targets)
+
+        monkeypatch.setattr(native, "_forward_demands_scalar", spy)
+        replay = replay_walk_run(graph, trajectory)
+        assert checked == expected
+        assert replay.per_step == [
+            forward_demands(graph, o, t)[0] for o, t in moves
+        ]
+        assert replay.messages == sum(o.shape[0] for o, _ in moves)
+
+    def test_groups_stay_under_the_demand_cap(self, monkeypatch):
+        """Held steps run in groups of at most ``_HELD_DEMANDS``
+        demands; a step over the cap runs alone."""
+        from repro.congest import native, replay_walk_run
+
+        graph, trajectory = self._trajectory(1_500, 12, 7)
+        # 4,500 more tokens that stay put, except for two inserted
+        # steps in which all 6,000 go to a neighbour and back.
+        still = np.tile(trajectory[:1], (trajectory.shape[0], 3))
+        trajectory = np.hstack([trajectory, still])
+        there = graph.indices[graph.indptr[trajectory[5]]]
+        trajectory = np.concatenate(
+            [trajectory[:6], there[None], trajectory[5:]]
+        )
+        run = native._forward_steps_array
+        groups = []
+
+        def spy(graph, bounds, origins, targets):
+            groups.append((bounds.shape[0] - 1, origins.shape[0]))
+            return run(graph, bounds, origins, targets)
+
+        monkeypatch.setattr(native, "_forward_steps_array", spy)
+        replay = replay_walk_run(graph, trajectory)
+        assert sum(steps for steps, _ in groups) == len(replay.per_step)
+        assert any(steps > 1 for steps, _ in groups)
+        assert [
+            demands for _, demands in groups if demands > native._HELD_DEMANDS
+        ] == [6_000, 6_000]
+        for steps, demands in groups:
+            assert steps == 1 or demands <= native._HELD_DEMANDS
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_a_held_non_edge_raises_before_the_replay_returns(self, live):
+        """A non-edge in a step that is held (the whole batch fits one
+        group) still raises, naming that step's bad demand."""
+        from repro.congest import WalkBatch, replay_walk_run
+        from repro.walks.engine import WalkRun
+
+        graph, trajectory = self._trajectory(300, 10, 7)
+        trajectory = trajectory.copy()
+        walk = 0
+        origin = int(trajectory[3, walk])
+        bad = next(
+            v for v in range(graph.num_nodes)
+            if v != origin and not graph.has_edge(origin, v)
+        )
+        trajectory[4, walk] = bad
+        message = f"node {origin} sent to non-neighbor {bad};"
+        if not live:
+            with pytest.raises(CongestViolation, match=message):
+                replay_walk_run(graph, trajectory)
+            return
+
+        def engine(graph, starts, steps, rng, on_step):
+            for before, after in zip(trajectory[:-1], trajectory[1:]):
+                on_step(before, after)
+            return WalkRun(starts, trajectory[-1], steps)
+
+        batch = WalkBatch(
+            engine, trajectory[0], trajectory.shape[0] - 1, derive_rng(0)
+        )
+        with pytest.raises(CongestViolation, match=message):
+            replay_walk_run(graph, batch)
 
     def test_sampling_leaves_built_structures_identical(self):
         """The cross-run draws from no named stream, so a native build

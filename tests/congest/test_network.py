@@ -1,5 +1,8 @@
 """Tests for the CONGEST simulator and its primitives."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro.graphs import (
     ring_graph,
     with_random_weights,
 )
+from repro.congest import network as network_module
 from repro.rng import derive_rng
 
 #: A crash window far past any run here: the plan is not null, so runs
@@ -71,6 +75,25 @@ class TestNetworkMechanics:
         assert stats.messages == 2
         assert 0 in algorithms[1].received
         assert 0 in algorithms[5].received
+
+    def test_wiring_is_built_once_per_graph(self):
+        graph = with_random_weights(ring_graph(5), np.random.default_rng(0))
+        first, second = Network(graph), Network(graph)
+        assert first._neighbor_sets is second._neighbor_sets
+        assert first.context(2) == second.context(2)
+        assert first.context(2).edge_weights is not None
+
+    def test_wiring_cache_entry_dies_with_its_graph(self):
+        graph = ring_graph(7)
+        Network(graph)
+        assert graph in network_module._WIRING
+        entries = len(network_module._WIRING)
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        # A cached value that referenced its graph would keep it alive.
+        assert alive() is None
+        assert len(network_module._WIRING) == entries - 1
 
     def test_wrong_algorithm_count(self):
         net = Network(ring_graph(6))

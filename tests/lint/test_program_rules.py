@@ -77,19 +77,19 @@ class TestLedgerCoverage:
         ``Network``; a caller that drops its count is still flagged."""
         root = make_tree({
             "proj/congest/forwarding.py": """
-                def _forward_demands_array(graph, origins, targets):
-                    return 1, len(origins)
+                def _forward_steps_array(graph, bounds, origins, targets):
+                    return [1], [len(origins)]
             """,
             "proj/congest/mod.py": """
-                from .forwarding import _forward_demands_array
+                from .forwarding import _forward_steps_array
 
-                def drops(graph, origins, targets):
-                    _forward_demands_array(graph, origins, targets)
+                def drops(graph, bounds, origins, targets):
+                    _forward_steps_array(graph, bounds, origins, targets)
                     return 0
 
-                def forwards(graph, origins, targets):
-                    rounds, messages = _forward_demands_array(
-                        graph, origins, targets
+                def forwards(graph, bounds, origins, targets):
+                    rounds, messages = _forward_steps_array(
+                        graph, bounds, origins, targets
                     )
                     return rounds
             """,

@@ -489,6 +489,45 @@ class TestJournalOwnership:
                 )
             journal.mark_served(0, record=0)
 
+    def test_failed_replay_closes_the_session_and_journal(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """An update replay that raises what recover does not absorb (a
+        ``RuntimeError``, like ``BackendMismatch``) closes the session
+        recover opened and the journal it opened, then re-raises."""
+        path = str(tmp_path / "j.jsonl")
+        config = RunConfig(
+            seed=SEED, cache="off", trace=str(tmp_path / "trace.jsonl")
+        )
+        edge = tuple(int(x) for x in graph.edge_array[0])
+        with Session.open(graph, config, journal=path) as session:
+            session.apply_update(edges_removed=[edge])
+
+        def diverge(self, **_update):
+            raise RuntimeError("replay diverged")
+
+        closed = []
+        close = Session.close
+
+        def spy_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(Session, "apply_update", diverge)
+        monkeypatch.setattr(Session, "close", spy_close)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(RuntimeError, match="replay diverged"):
+                Session.recover(graph, config, journal=path)
+            gc.collect()
+        assert len(closed) == 1 and closed[0]._closed
+        leaks = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+        assert not leaks, leaks
+
 
 class TestServeJsonl:
     def test_stream_with_errors_keeps_serving(self, oracle_session):
