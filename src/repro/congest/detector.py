@@ -168,6 +168,13 @@ class HeartbeatNode(NodeAlgorithm):
     """Broadcast a 1-word heartbeat each round; suspect silent
     neighbours after :data:`MISS_THRESHOLD` missed rounds."""
 
+    # Heartbeating is a daemon protocol: it stops at `duration` on its
+    # own, and a permanently crashed node must not keep the network
+    # alive, so the node is "finished" from the start, is called every
+    # round all the same, and the run ends when no beats remain in
+    # flight.
+    daemon = True
+
     def __init__(self, context, duration: int) -> None:
         super().__init__(context)
         self.duration = duration
@@ -175,10 +182,6 @@ class HeartbeatNode(NodeAlgorithm):
             v: 0 for v in context.neighbors
         }
         self.suspected: Dict[int, int] = {}
-        # Heartbeating is a daemon protocol: it stops at `duration` on
-        # its own, and a permanently crashed node must not keep the
-        # network alive, so the node is "finished" from the start and
-        # the run ends when no beats remain in flight.
         self.finished = True
 
     def _beat(self, round_number: int):

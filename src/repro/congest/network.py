@@ -14,7 +14,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, ClassVar, Mapping, NamedTuple, Optional, Sequence
 
 from ..graphs.graph import Graph, WeightedGraph
 from .faults import FaultPlan, FaultRecord
@@ -35,9 +35,11 @@ class CongestViolation(RuntimeError):
     """An algorithm broke a CONGEST constraint (bandwidth or addressing)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeContext:
     """What a node knows initially (the KT1 variant: neighbour IDs).
+
+    Built once per graph and shared by every :class:`Network` on it.
 
     Attributes:
         node_id: this node's ID.
@@ -67,7 +69,20 @@ class NodeAlgorithm:
     :data:`MESSAGE_WORD_LIMIT` words (ints/floats/short strings).  Set
     :attr:`finished` once the node has terminated; the network stops when
     every node is finished and no message is in flight.
+
+    Calling rule: :meth:`initialize` is called once on every node.  In
+    each round, :meth:`receive` is called on every node that is
+    unfinished or got mail that round, in ascending node id (crashed
+    nodes are skipped).  A finished node is called again only in a round
+    that brings it mail, so on an empty inbox a finished node must have
+    nothing to send and nothing to change.  A node that acts every round
+    while finished sets :attr:`daemon`.
     """
+
+    #: A daemon node is called every round until the run ends, finished
+    #: or not: it is finished from the start so that it never keeps the
+    #: run alive, yet acts on its own schedule (a heartbeat).
+    daemon: ClassVar[bool] = False
 
     def __init__(self, context: NodeContext):
         self.context = context
@@ -115,14 +130,13 @@ class _Wiring(NamedTuple):
     the graph dies with it.
     """
 
-    #: Per node, its neighbour ids (the stable order NodeContext gives).
-    neighbor_lists: list[tuple[int, ...]]
-    #: Per node, the same ids as a set, for O(1) outbox validation.
+    #: Per node, its :class:`NodeContext` (neighbour ids in arc order,
+    #: and the incident edge weights if the graph is weighted).
+    contexts: list[NodeContext]
+    #: Per node, its neighbour ids as a set, for O(1) outbox validation.
     neighbor_sets: list[frozenset[int]]
     #: Per node, neighbour id -> arc index.
     neighbor_arcs: list[dict[int, int]]
-    #: Per node, the weight of each incident edge (None if unweighted).
-    weight_lists: list[Optional[tuple[float, ...]]]
 
 
 #: Per graph, its :class:`_Wiring`; the entry dies with the graph.
@@ -142,22 +156,26 @@ def _wiring_of(graph: Graph) -> _Wiring:
     ]
     weighted = isinstance(graph, WeightedGraph)
     wiring = _WIRING[graph] = _Wiring(
-        neighbor_lists=neighbor_lists,
+        contexts=[
+            NodeContext(
+                node_id=v,
+                num_nodes=n,
+                neighbors=neighbor_lists[v],
+                edge_weights=tuple(
+                    float(graph.weights[graph.arc_edge[a]])
+                    for a in graph.arcs_of(v)
+                )
+                if weighted
+                else None,
+            )
+            for v in range(n)
+        ],
         neighbor_sets=[frozenset(ids) for ids in neighbor_lists],
         neighbor_arcs=[
             {
                 int(graph.indices[a]): int(a)
                 for a in range(graph.indptr[v], graph.indptr[v + 1])
             }
-            for v in range(n)
-        ],
-        weight_lists=[
-            tuple(
-                float(graph.weights[graph.arc_edge[a]])
-                for a in graph.arcs_of(v)
-            )
-            if weighted
-            else None
             for v in range(n)
         ],
     )
@@ -168,25 +186,20 @@ class Network:
     """Synchronous executor for a set of :class:`NodeAlgorithm` instances.
 
     Building one is cheap after the first on a graph: the per-node
-    wiring is built once per graph and shared.
+    wiring and contexts are built once per graph and shared.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         wiring = _wiring_of(graph)
-        self._neighbor_lists = wiring.neighbor_lists
+        self._contexts = wiring.contexts
         self._neighbor_sets = wiring.neighbor_sets
         self._neighbor_arcs = wiring.neighbor_arcs
-        self._weight_lists = wiring.weight_lists
 
     def context(self, v: int) -> NodeContext:
-        """Initial knowledge of node ``v``."""
-        return NodeContext(
-            node_id=v,
-            num_nodes=self.graph.num_nodes,
-            neighbors=self._neighbor_lists[v],
-            edge_weights=self._weight_lists[v],
-        )
+        """Initial knowledge of node ``v`` (the graph's shared, frozen
+        context)."""
+        return self._contexts[v]
 
     def arc_of(self, v: int, neighbor: int) -> int:
         """Arc index of the directed edge ``v -> neighbor``.
@@ -198,8 +211,10 @@ class Network:
 
     def _validate_outbox(
         self, sender: int, outbox: Mapping[int, tuple], round_number: int
-    ) -> None:
-        """The CONGEST contract checks on one node's outbox."""
+    ) -> dict[int, tuple]:
+        """A copy of one node's outbox, checked against the CONGEST
+        contract."""
+        outbox = dict(outbox)
         neighbors = self._neighbor_sets[sender]
         for target, payload in outbox.items():
             if target not in neighbors:
@@ -220,6 +235,7 @@ class Network:
                     f"{MESSAGE_WORD_LIMIT}-word message budget to {target}: "
                     f"{len(payload)} words in {payload!r}"
                 )
+        return outbox
 
     def run(
         self,
@@ -229,8 +245,14 @@ class Network:
     ) -> RunStats:
         """Run all nodes to completion (or ``max_rounds``).
 
-        Every outbox is checked against the CONGEST contract every
-        round, so the contract stays machine-enforced.
+        Event-driven: each round calls :meth:`NodeAlgorithm.receive`
+        only on the nodes that are unfinished or got mail that round
+        (and on daemon nodes), in ascending node id, so a round costs
+        work where tokens are, not at every node.  Senders are delivered
+        in ascending id, so a fault plan's draws follow a fixed order
+        whichever nodes were called.  Every outbox is checked against
+        the CONGEST contract in the round it is produced, so the
+        contract stays machine-enforced.
 
         Args:
             algorithms: one :class:`NodeAlgorithm` per node.
@@ -258,31 +280,39 @@ class Network:
 
         Returns round/message statistics.  Raises
         :class:`CongestViolation` on any bandwidth/addressing violation
-        and ``RuntimeError`` if ``max_rounds`` is exhausted.  The run
-        terminates only once no delayed copy is pending either, so one
-        is never silently discarded at shutdown.
+        (naming the lowest offending node id of its round) and
+        ``RuntimeError`` if ``max_rounds`` is exhausted.  The run ends
+        when no node is unfinished and nothing is in flight, pending
+        delayed copies included, so a delayed copy is never silently
+        discarded at shutdown.
         """
         if len(algorithms) != self.graph.num_nodes:
             raise ValueError("need exactly one algorithm per node")
         if faults is not None and faults.spec.is_null:
             faults = None
         stats = RunStats()
-        outboxes: list[Mapping[int, tuple]] = []
+        # Per sender that sent something, in ascending id, its outbox.
+        outboxes: dict[int, dict[int, tuple]] = {}
+        unfinished: set[int] = set()
+        daemons: list[int] = []
         for v, algorithm in enumerate(algorithms):
-            outbox = dict(algorithm.initialize())
-            self._validate_outbox(v, outbox, round_number=1)
-            outboxes.append(outbox)
+            outbox = algorithm.initialize()
+            if outbox:
+                outboxes[v] = self._validate_outbox(v, outbox, round_number=1)
+            if not algorithm.finished:
+                unfinished.add(v)
+            if algorithm.daemon:
+                daemons.append(v)
         # Fault-scheduled copies: delivery round -> [(sender, target,
         # payload)].  Fresh outbox messages with offset 0 never pass
         # through here, and a clean wire never fills it.
         pending: dict[int, list[tuple[int, int, tuple]]] = {}
         down: frozenset[int] = frozenset()
         while True:
-            in_flight = sum(len(outbox) for outbox in outboxes) + sum(
-                len(copies) for copies in pending.values()
+            in_flight = sum(map(len, outboxes.values())) + sum(
+                map(len, pending.values())
             )
-            all_done = all(algorithm.finished for algorithm in algorithms)
-            if in_flight == 0 and all_done:
+            if in_flight == 0 and not unfinished:
                 return stats
             if stats.rounds >= max_rounds:
                 raise RuntimeError(
@@ -302,26 +332,26 @@ class Network:
                 stats.max_messages_per_round, transmitted
             )
             stats.per_round_messages.append(transmitted)
-            next_outboxes: list[Mapping[int, tuple]] = []
-            for v, algorithm in enumerate(algorithms):
-                if v in down:
-                    next_outboxes.append({})
-                    continue
-                outbox = dict(
-                    algorithm.receive(
-                        stats.rounds, inboxes.get(v, _EMPTY_INBOX)
+            awake = unfinished.union(inboxes, daemons)
+            awake.difference_update(down)
+            outboxes = {}
+            for v in sorted(awake):
+                algorithm = algorithms[v]
+                outbox = algorithm.receive(
+                    stats.rounds, inboxes.get(v, _EMPTY_INBOX)
+                )
+                if outbox:
+                    outboxes[v] = self._validate_outbox(
+                        v, outbox, round_number=stats.rounds + 1
                     )
-                    or {}
-                )
-                self._validate_outbox(
-                    v, outbox, round_number=stats.rounds + 1
-                )
-                next_outboxes.append(outbox)
-            outboxes = next_outboxes
+                if algorithm.finished:
+                    unfinished.discard(v)
+                else:
+                    unfinished.add(v)
 
     @staticmethod
     def _deliver(
-        outboxes: Sequence[Mapping[int, tuple]],
+        outboxes: Mapping[int, Mapping[int, tuple]],
     ) -> dict[int, dict[int, tuple]]:
         """Clean-wire delivery: every outbox message arrives this round.
 
@@ -329,7 +359,7 @@ class Network:
         else shares the one immutable empty mapping.
         """
         inboxes: dict[int, dict[int, tuple]] = {}
-        for sender, outbox in enumerate(outboxes):
+        for sender, outbox in outboxes.items():
             for target, payload in outbox.items():
                 box = inboxes.get(target)
                 if box is None:
@@ -339,7 +369,7 @@ class Network:
 
     @staticmethod
     def _deliver_faulty(
-        outboxes: Sequence[Mapping[int, tuple]],
+        outboxes: Mapping[int, Mapping[int, tuple]],
         pending: dict[int, list[tuple[int, int, tuple]]],
         down: frozenset[int],
         faults: FaultPlan,
@@ -354,7 +384,7 @@ class Network:
         round_number = stats.rounds
         deliveries: list[tuple[int, int, tuple]] = []
         transmitted = 0
-        for sender, outbox in enumerate(outboxes):
+        for sender, outbox in outboxes.items():
             if sender in down:
                 for target in outbox:
                     stats.crash_dropped += 1

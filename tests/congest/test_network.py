@@ -1,5 +1,6 @@
 """Tests for the CONGEST simulator and its primitives."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -15,6 +16,7 @@ from repro.congest import (
     NodeAlgorithm,
     broadcast_value,
     build_bfs_tree,
+    reliable_forward_demands,
 )
 from repro.graphs import (
     grid_torus,
@@ -85,15 +87,31 @@ class TestNetworkMechanics:
 
     def test_wiring_cache_entry_dies_with_its_graph(self):
         graph = ring_graph(7)
-        Network(graph)
+        held = Network(graph).context(2)
+        dropped = weakref.ref(Network(graph).context(3))
         assert graph in network_module._WIRING
         entries = len(network_module._WIRING)
         alive = weakref.ref(graph)
         del graph
         gc.collect()
-        # A cached value that referenced its graph would keep it alive.
+        # A cached value that referenced its graph would keep it alive;
+        # a context held past the graph does not.
         assert alive() is None
         assert len(network_module._WIRING) == entries - 1
+        assert dropped() is None
+        assert held.neighbors == (1, 3)
+
+    def test_context_is_shared_across_networks(self):
+        graph = random_regular(16, 4, np.random.default_rng(3))
+        for v in (0, 7, 15):
+            assert Network(graph).context(v) is Network(graph).context(v)
+
+    def test_context_is_frozen(self):
+        context = Network(ring_graph(5)).context(0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            context.node_id = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            context.neighbors = ()
 
     def test_wrong_algorithm_count(self):
         net = Network(ring_graph(6))
@@ -342,3 +360,131 @@ class TestEveryRoundChecked:
         assert (clean_stats.rounds, clean_stats.messages) == (5, 321)
         assert faulty_stats == clean_stats
         assert faulty_tree == clean_tree
+
+
+class _Logged(NodeAlgorithm):
+    """Logs the rounds it is called in; unfinished for ``busy`` rounds,
+    sending ``mail`` (round -> outbox) from its ``receive``."""
+
+    def __init__(self, context, busy=0, mail=None):
+        super().__init__(context)
+        self.busy = busy
+        self.mail = mail or {}
+        self.calls = []
+
+    def initialize(self):
+        self.finished = not self.busy
+        return {}
+
+    def receive(self, round_number, inbox):
+        self.calls.append(round_number)
+        self.finished = round_number >= self.busy
+        return self.mail.get(round_number, {})
+
+
+class _Daemon(_Logged):
+    daemon = True
+
+
+class TestCallingRule:
+    """A node is called in a round only if it is unfinished, got mail,
+    or is a daemon; in ascending id."""
+
+    def test_finished_node_without_mail_is_not_called(self):
+        net = Network(ring_graph(6))
+        algorithms = [_Logged(net.context(0), busy=3)] + [
+            _Logged(net.context(v)) for v in range(1, 6)
+        ]
+        stats = net.run(algorithms)
+        assert stats.rounds == 3
+        assert algorithms[0].calls == [1, 2, 3]
+        assert all(a.calls == [] for a in algorithms[1:])
+
+    def test_mail_wakes_a_finished_node(self):
+        net = Network(ring_graph(6))
+        algorithms = [
+            _Logged(net.context(0), busy=3, mail={1: {1: ("hi",)}})
+        ] + [_Logged(net.context(v)) for v in range(1, 6)]
+        stats = net.run(algorithms)
+        assert (stats.rounds, stats.messages) == (3, 1)
+        assert algorithms[1].calls == [2]
+        assert all(a.calls == [] for a in algorithms[2:])
+
+    def test_daemon_is_called_every_round_until_the_run_ends(self):
+        net = Network(ring_graph(6))
+        algorithms = [_Logged(net.context(0), busy=4)] + [
+            _Daemon(net.context(v)) if v == 3 else _Logged(net.context(v))
+            for v in range(1, 6)
+        ]
+        assert net.run(algorithms).rounds == 4
+        assert algorithms[3].calls == [1, 2, 3, 4]
+        assert algorithms[3].finished
+
+    def test_finished_daemons_alone_end_the_run(self):
+        net = Network(ring_graph(4))
+        algorithms = [_Daemon(net.context(v)) for v in range(4)]
+        assert net.run(algorithms).rounds == 0
+        assert all(a.calls == [] for a in algorithms)
+
+    @pytest.mark.parametrize("bad_round", [0, 1])
+    def test_violation_names_the_lower_id(self, bad_round):
+        """Nodes 4 and 2 both over-send in one round; the lower id is
+        reported, whichever is called later."""
+
+        class Offender(NodeAlgorithm):
+            def _outbox(self, round_number):
+                self.finished = round_number >= 1
+                v = self.context.node_id
+                if round_number == bad_round and v in (2, 4):
+                    return {v - 1: tuple(range(5))}  # reprolint: disable=R002
+                return {}
+
+            def initialize(self):
+                return self._outbox(0)
+
+            def receive(self, round_number, inbox):
+                return self._outbox(round_number)
+
+        net = Network(ring_graph(6))
+        algorithms = [Offender(net.context(v)) for v in range(6)]
+        with pytest.raises(CongestViolation) as info:
+            net.run(algorithms)
+        text = str(info.value)
+        assert f"round {bad_round + 1}: node 2 " in text
+
+    def test_faulty_wire_delivers_in_ascending_sender_order(self):
+        """A lossy ARQ run on a ring draws its fault stream sender by
+        sender; its stats and fault records are pinned to the values of
+        a run that called every node every round."""
+        origins = [v for v in range(6) for _ in range(2)]
+        targets = [(v + side) % 6 for v in range(6) for side in (1, -1)]
+        plan = FaultPlan(FaultSpec.parse("drop=0.3"), derive_rng(1))
+        report = reliable_forward_demands(
+            ring_graph(6), origins, targets, faults=plan
+        )
+        per_round = (
+            [12, 11, 0, 5, 3, 0, 0, 0, 2, 1] + [0] * 7 + [1, 1]
+            + [0] * 15 + [1] + [0] * 32 + [1, 1]
+        )
+        assert report.stats == network_module.RunStats(
+            rounds=69,
+            messages=39,
+            max_messages_per_round=12,
+            per_round_messages=per_round,
+            dropped=10,
+        )
+        assert [
+            (r.kind, r.round, r.sender, r.target, r.detail)
+            for r in plan.records
+        ] == [
+            ("drop", 1, 0, 5, {}),
+            ("drop", 2, 0, 1, {}),
+            ("drop", 2, 1, 2, {}),
+            ("drop", 2, 3, 4, {}),
+            ("drop", 2, 5, 4, {}),
+            ("drop", 4, 0, 5, {}),
+            ("drop", 4, 1, 0, {}),
+            ("drop", 9, 0, 5, {}),
+            ("drop", 19, 5, 0, {}),
+            ("drop", 35, 0, 5, {}),
+        ]
