@@ -10,16 +10,20 @@ Run:  python examples/scaling_study.py [max_n]
         (max_n in {128, 256, 512}; default 256)
 """
 
+import csv
 import os
 import sys
 
-from repro.analysis import (
-    format_table,
-    mst_scaling,
-    routing_scaling,
-    write_csv,
-)
+from repro.analysis import format_table, mst_scaling, routing_scaling
 from repro.params import Params
+
+
+def write_csv(rows, path: str) -> None:
+    """Write experiment rows to ``path`` as CSV (header from row one)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def main() -> None:

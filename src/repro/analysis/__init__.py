@@ -19,8 +19,7 @@ from .experiments import (
     stretch_profile,
     virtual_tree_trace,
 )
-from .export import rows_to_csv, write_csv
-from .fits import is_subpolynomial_consistent, power_law_exponent
+from .fits import power_law_exponent
 from .tables import format_number, format_table
 from .workloads import circulation_paths
 
@@ -44,9 +43,6 @@ __all__ = [
     "virtual_tree_trace",
     "format_number",
     "format_table",
-    "rows_to_csv",
-    "is_subpolynomial_consistent",
     "power_law_exponent",
-    "write_csv",
     "circulation_paths",
 ]

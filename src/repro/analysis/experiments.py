@@ -43,7 +43,6 @@ from ..params import Params
 from ..rng import derive_rng
 from ..walks import (
     degree_proportional_starts,
-    estimate_mixing_time,
     run_correlated_walks,
     run_parallel_walks,
 )

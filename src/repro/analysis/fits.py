@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["power_law_exponent", "is_subpolynomial_consistent"]
+__all__ = ["power_law_exponent"]
 
 
 def power_law_exponent(
@@ -39,23 +39,3 @@ def power_law_exponent(
     log_y = np.log(ys)
     alpha, log_c = np.polyfit(log_x, log_y, 1)
     return float(alpha), float(math.exp(log_c))
-
-
-def is_subpolynomial_consistent(
-    ns: Sequence[float],
-    ys: Sequence[float],
-) -> bool:
-    """Whether a series is consistent with the paper's envelope.
-
-    Checks that every normalized value sits below
-    ``2^{4 sqrt(log n log log n)}`` —
-    a loose necessary condition, useful as a bench smoke test (a truly
-    polynomial ``n^eps`` series escapes any fixed envelope as ``n``
-    grows, but at bench sizes this is a sanity check, not a proof).
-    """
-    from ..theory import subpolynomial_envelope
-
-    for n, y in zip(ns, ys):
-        if y > subpolynomial_envelope(int(n), c=4.0):
-            return False
-    return True

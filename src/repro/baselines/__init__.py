@@ -5,13 +5,11 @@ from .clique_baseline import TwoHopRelayResult, two_hop_relay_emulation
 from .ghs import GhsResult, ghs_mst
 from .ghs_congest import CongestGhsResult, congest_ghs_mst
 from .gkp import GkpResult, gkp_mst
-from .mincut_oracle import exact_min_cut, karger_min_cut
+from .mincut_oracle import exact_min_cut
 from .mst_verify import MstCertificate, verify_mst
 from .routing_baselines import (
-    RandomWalkDeliveryResult,
     StoreAndForwardResult,
     bfs_store_and_forward,
-    random_walk_delivery,
     schedule_paths,
     schedule_paths_csr,
 )
@@ -31,13 +29,10 @@ __all__ = [
     "GkpResult",
     "gkp_mst",
     "exact_min_cut",
-    "karger_min_cut",
     "MstCertificate",
     "verify_mst",
-    "RandomWalkDeliveryResult",
     "StoreAndForwardResult",
     "bfs_store_and_forward",
-    "random_walk_delivery",
     "schedule_paths",
     "schedule_paths_csr",
     "schedule_paths_ref",

@@ -1,21 +1,16 @@
-"""Centralized min-cut oracles: exact (small n) and Karger contraction.
+"""Centralized min-cut oracle: exact enumeration for small ``n``.
 
-Verification references for :mod:`repro.core.mincut`.  The exact oracle
-enumerates cuts (``n <= 22``); the randomized oracle runs Karger's
-contraction ``O(n^2 log n)`` times for a w.h.p.-exact answer at the sizes
-we test (and is itself validated against the exact oracle).
+The verification reference for :mod:`repro.core.mincut`: it enumerates
+every cut (``n <= 22``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.properties import cut_size
 
-__all__ = ["exact_min_cut", "karger_min_cut"]
+__all__ = ["exact_min_cut"]
 
 
 def exact_min_cut(graph: Graph) -> tuple[int, np.ndarray]:
@@ -26,7 +21,7 @@ def exact_min_cut(graph: Graph) -> tuple[int, np.ndarray]:
     """
     n = graph.num_nodes
     if n > 22:
-        raise ValueError("exact min cut is exponential; use karger_min_cut")
+        raise ValueError("exact min cut is exponential in n; n <= 22")
     if n < 2:
         raise ValueError("min cut needs at least two nodes")
     best_value = graph.num_edges + 1
@@ -42,66 +37,3 @@ def exact_min_cut(graph: Graph) -> tuple[int, np.ndarray]:
             best_value = value
             best_side = side
     return best_value, best_side
-
-
-def karger_min_cut(
-    graph: Graph,
-    rng: np.random.Generator,
-    trials: int | None = None,
-) -> tuple[int, np.ndarray]:
-    """Karger's randomized contraction, repeated to w.h.p. exactness.
-
-    Args:
-        graph: connected graph with at least 2 nodes.
-        rng: randomness source.
-        trials: contraction runs (default ``ceil(n^2 ln n / 2)``-capped
-            budget suitable for ``n <= ~100``).
-
-    Returns:
-        ``(cut value, membership mask of one side)``.
-    """
-    n = graph.num_nodes
-    if n < 2:
-        raise ValueError("min cut needs at least two nodes")
-    if trials is None:
-        trials = min(4000, int(math.ceil(n * n * math.log(max(2, n)) / 2)))
-    edges = graph.edge_array
-    best_value = graph.num_edges + 1
-    best_side = None
-    for _ in range(trials):
-        side = _one_contraction(n, edges, rng)
-        value = int(np.sum(side[edges[:, 0]] != side[edges[:, 1]]))
-        if value < best_value:
-            best_value = value
-            best_side = side
-    assert best_side is not None
-    assert cut_size(graph, best_side) == best_value
-    return best_value, best_side
-
-
-def _one_contraction(
-    n: int, edges: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One run of random contraction down to two super-nodes."""
-    parent = np.arange(n)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    remaining = n
-    order = rng.permutation(edges.shape[0])
-    for eid in order:
-        if remaining == 2:
-            break
-        u, v = find(int(edges[eid, 0])), find(int(edges[eid, 1]))
-        if u != v:
-            parent[u] = v
-            remaining -= 1
-    roots = np.fromiter((find(v) for v in range(n)), dtype=np.int64, count=n)
-    side_root = roots[0]
-    return roots == side_root

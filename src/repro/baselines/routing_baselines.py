@@ -1,15 +1,10 @@
-"""Naive routing baselines for the E1 comparison.
+"""Naive routing baseline for the E1 comparison.
 
-Two contrast points for the hierarchical router:
-
-* **BFS store-and-forward**: each packet follows a shortest path; edges
-  carry one packet per direction per round (FIFO with random priorities).
-  Simple and good when congestion is low, but hot edges serialize —
-  no load-balancing structure.
-* **Blind random-walk delivery**: each packet walks until it happens to
-  hit its destination.  Demonstrates why raw walks do not route (the
-  paper's opening observation): expected hitting time ``Theta(m / d(t))``
-  per packet.
+**BFS store-and-forward** is the contrast point for the hierarchical
+router: each packet follows a shortest path; edges carry one packet per
+direction per round (FIFO with random priorities).  Simple and good when
+congestion is low, but hot edges serialize — no load-balancing
+structure.
 
 The scheduler here is the *vectorized* implementation (packets as CSR
 arrays, per-round winner selection with numpy); the original scalar
@@ -27,15 +22,12 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..rng import resolve_rng
-from ..walks.engine import run_lazy_walks
 
 __all__ = [
     "StoreAndForwardResult",
     "bfs_store_and_forward",
     "schedule_paths",
     "schedule_paths_csr",
-    "RandomWalkDeliveryResult",
-    "random_walk_delivery",
 ]
 
 
@@ -341,48 +333,3 @@ def _bfs_parents(graph: Graph, source: int) -> np.ndarray:
         frontier = nxt
     parents[source] = source
     return parents
-
-
-@dataclass
-class RandomWalkDeliveryResult:
-    """Outcome of blind random-walk delivery.
-
-    Attributes:
-        rounds: walk steps until the last packet was absorbed (or cap).
-        delivered: fraction of packets that reached their destination.
-        mean_hitting_time: average absorption step over delivered packets.
-    """
-
-    rounds: int
-    delivered: float
-    mean_hitting_time: float
-
-
-def random_walk_delivery(
-    graph: Graph,
-    sources: np.ndarray,
-    destinations: np.ndarray,
-    rng: np.random.Generator | None = None,
-    max_steps: int = 100_000,
-) -> RandomWalkDeliveryResult:
-    """Let each packet walk blindly until it hits its destination."""
-    rng = resolve_rng(rng)
-    sources = np.asarray(sources, dtype=np.int64)
-    destinations = np.asarray(destinations, dtype=np.int64)
-    positions = sources.copy()
-    absorbed = positions == destinations
-    hit_time = np.zeros(sources.shape[0], dtype=np.int64)
-    step = 0
-    while not absorbed.all() and step < max_steps:
-        step += 1
-        active = ~absorbed
-        batch = run_lazy_walks(graph, positions[active], 1, rng)
-        positions[active] = batch.positions
-        newly = active & (positions == destinations)
-        hit_time[newly] = step
-        absorbed |= newly
-    delivered = float(absorbed.mean()) if absorbed.size else 1.0
-    mean_hit = float(hit_time[absorbed].mean()) if absorbed.any() else 0.0
-    return RandomWalkDeliveryResult(
-        rounds=step, delivered=delivered, mean_hitting_time=mean_hit
-    )

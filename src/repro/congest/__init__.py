@@ -1,6 +1,5 @@
-"""Synchronous CONGEST-model simulator and standard primitives."""
+"""Synchronous CONGEST-model simulator and the protocols run on it."""
 
-from .aggregation import pipelined_min_collect
 from .detector import (
     MAX_WAIT_ROUNDS,
     CrashView,
@@ -17,7 +16,7 @@ from .faults import (
     FaultSpec,
 )
 from .forwarding import TokenForwarder, forward_demands
-from .leader import disseminate_seed, elect_leader
+from .leader import elect_leader
 from .native import (
     NativeG0,
     NativeLevel,
@@ -36,7 +35,6 @@ from .network import (
     NodeContext,
     RunStats,
 )
-from .primitives import BfsNode, broadcast_value, build_bfs_tree
 from .reliable import (
     DeliveryReport,
     ReliableForwarder,
@@ -64,7 +62,6 @@ __all__ = [
     "NodeAlgorithm",
     "NodeContext",
     "RunStats",
-    "pipelined_min_collect",
     "NativeG0",
     "NativeLevel",
     "WalkBatch",
@@ -75,9 +72,5 @@ __all__ = [
     "ReplayMismatch",
     "TokenForwarder",
     "forward_demands",
-    "disseminate_seed",
     "elect_leader",
-    "BfsNode",
-    "broadcast_value",
-    "build_bfs_tree",
 ]

@@ -1,23 +1,18 @@
-"""Leader election by min-ID flooding, and the shared-seed setup.
+"""Leader election by min-ID flooding.
 
 Section 3.1.2 has "the leader of the network pick ``Theta(log^2 n)``
-random bits" for the partition hash and deliver them to all nodes in
-``O(D log n)`` rounds.  This module provides that step as real message
-passing: a flooding leader election (every node floods the smallest ID it
-has seen; ``O(D)`` rounds), followed by a broadcast of the seed words
-from the winner.
+random bits" for the partition hash.  This module elects that leader as
+real message passing: every node floods the smallest ID it has seen, and
+the flood stabilises in ``O(D)`` rounds.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from .network import Network, NodeAlgorithm
-from .primitives import broadcast_value
 
-__all__ = ["elect_leader", "disseminate_seed"]
+__all__ = ["elect_leader"]
 
 
 class _MinIdFlood(NodeAlgorithm):
@@ -67,27 +62,3 @@ def elect_leader(network: Network) -> tuple[int, int]:
     if len(leaders) != 1:
         raise RuntimeError(f"leader election did not converge: {leaders}")
     return leaders.pop(), stats.rounds
-
-
-def disseminate_seed(
-    network: Network, rng: np.random.Generator, words: int = 4
-) -> tuple[tuple[int, ...], int]:
-    """Elect a leader, draw seed words there, broadcast them to everyone.
-
-    The modelled step of Section 3.1.2: the seed is ``words`` 31-bit
-    values (``Theta(log^2 n)`` bits at simulable sizes fit a handful of
-    words; larger seeds would pipeline over ``O(log n)`` broadcasts).
-
-    Returns:
-        ``(seed words, total rounds)``.
-    """
-    leader, election_rounds = elect_leader(network)
-    seed = tuple(int(x) for x in rng.integers(0, 2**31 - 1, size=words))
-    total = election_rounds
-    # One broadcast per word keeps each message within the word budget.
-    for word in seed:
-        values, rounds = broadcast_value(network, leader, word)
-        total += rounds
-        if any(value != word for value in values):
-            raise RuntimeError("seed broadcast corrupted a word")
-    return seed, total

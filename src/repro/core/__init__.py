@@ -1,7 +1,6 @@
 """The paper's primary contribution: hierarchical routing, MST, and friends."""
 
 from .clique import CliqueEmulationResult, all_pairs_demand, emulate_clique
-from .clique_mst import CliqueMstResult, clique_boruvka_mst
 from .dense_clique import DenseCliqueResult, dense_clique_emulation
 from .embedding import G0Embedding, VirtualNodes, build_g0
 from .hierarchy import (
@@ -24,8 +23,6 @@ __all__ = [
     "CliqueEmulationResult",
     "all_pairs_demand",
     "emulate_clique",
-    "CliqueMstResult",
-    "clique_boruvka_mst",
     "DenseCliqueResult",
     "dense_clique_emulation",
     "G0Embedding",

@@ -15,7 +15,6 @@ import numpy as np
 from .graph import Graph, WeightedGraph
 
 __all__ = [
-    "caveman_graph",
     "complete_graph",
     "ring_graph",
     "path_graph",
@@ -133,40 +132,6 @@ def lollipop_graph(clique_size: int, tail_length: int) -> Graph:
         edges.append((previous, clique_size + i))
         previous = clique_size + i
     return Graph(clique_size + tail_length, edges)
-
-
-def caveman_graph(
-    num_caves: int, cave_size: int, rng: np.random.Generator
-) -> Graph:
-    """Connected caveman graph: cliques in a ring, one rewired edge each.
-
-    A standard community-structure family: good local density, weak
-    global expansion (conductance ``~1/cave_size``).
-    """
-    if num_caves < 2 or cave_size < 3:
-        raise ValueError("need num_caves >= 2 and cave_size >= 3")
-    n = num_caves * cave_size
-    edges = set()
-    for cave in range(num_caves):
-        base = cave * cave_size
-        for u in range(cave_size):
-            for v in range(u + 1, cave_size):
-                edges.add((base + u, base + v))
-    # Link consecutive caves by rewiring one internal edge to a member of
-    # the next cave.
-    for cave in range(num_caves):
-        base = cave * cave_size
-        next_base = ((cave + 1) % num_caves) * cave_size
-        u = base
-        v = base + 1
-        edges.discard((min(u, v), max(u, v)))
-        w = next_base + int(rng.integers(0, cave_size))
-        edges.add((min(u, w), max(u, w)))
-    graph = Graph(n, sorted(edges))
-    if not graph.is_connected():
-        # Extremely unlikely (rewire collision); retry deterministically.
-        return caveman_graph(num_caves, cave_size, rng)
-    return graph
 
 
 def erdos_renyi(

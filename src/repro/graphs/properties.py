@@ -1,16 +1,14 @@
-"""Expansion, conductance, spectra, and exact mixing times.
+"""Expansion, spectra, and exact mixing times.
 
 Implements the quantities of Section 2 of the paper:
 
 * edge expansion ``h(G) = min_{|S| <= n/2} e(S, V-S) / |S|``,
-* conductance ``phi(G) = min_{vol(S) <= m} e(S, V-S) / vol(S)``,
+* the spectral gap of the lazy and the ``2*Delta``-regular walks,
 * the exact mixing time of Definition 2.1 for lazy walks,
-* the ``2*Delta``-regular walk of Definition 2.2 and its mixing time,
-* the Cheeger upper bound of Lemma 2.3.
+* the ``2*Delta``-regular walk of Definition 2.2 and its mixing time.
 
-Exact ``h``/``phi`` enumerate all cuts and are exponential; they are only
-for graphs with ``n <= ~20``.  For larger graphs use the spectral
-(Cheeger-inequality) estimates.
+Exact ``h`` enumerates all cuts and is exponential; it is only for
+graphs with ``n <= ~20``.
 """
 
 from __future__ import annotations
@@ -23,11 +21,7 @@ from .graph import Graph
 
 __all__ = [
     "edge_expansion_exact",
-    "fiedler_cut",
-    "conductance_exact",
     "spectral_gap",
-    "conductance_spectral_bounds",
-    "edge_expansion_spectral_lower",
     "lazy_transition_matrix",
     "regular_transition_matrix",
     "mixing_time",
@@ -65,24 +59,6 @@ def edge_expansion_exact(graph: Graph) -> float:
     best = np.inf
     for mask in _all_cuts(graph):
         best = min(best, cut_size(graph, mask) / mask.sum())
-    return float(best)
-
-
-def conductance_exact(graph: Graph) -> float:
-    """Exact ``phi(G)`` by cut enumeration (only for ``n <= 22``)."""
-    n = graph.num_nodes
-    if n > _EXACT_LIMIT:
-        raise ValueError(
-            f"exact conductance is exponential; n={n} > {_EXACT_LIMIT}"
-        )
-    degrees = graph.degrees
-    m = graph.num_edges
-    best = np.inf
-    for mask in _all_cuts(graph):
-        volume = degrees[mask].sum()
-        volume = min(volume, 2 * m - volume)
-        if volume > 0:
-            best = min(best, cut_size(graph, mask) / volume)
     return float(best)
 
 
@@ -171,25 +147,6 @@ def _spectral_gap_sparse(graph: Graph, regular: bool) -> float:
     return float(1.0 - eigenvalues[0])
 
 
-def conductance_spectral_bounds(graph: Graph) -> tuple[float, float]:
-    """Cheeger sandwich ``gap/2 <= phi <= sqrt(2 gap)`` for the lazy walk.
-
-    The returned pair ``(low, high)`` brackets ``phi(G)``; the gap here is
-    that of the *non-lazy* normalized walk, i.e. twice the lazy gap.
-    """
-    gap = 2.0 * spectral_gap(graph)
-    return gap / 2.0, float(np.sqrt(2.0 * gap))
-
-
-def edge_expansion_spectral_lower(graph: Graph) -> float:
-    """A Cheeger-type lower bound on ``h(G)``: ``phi_low * min_degree``.
-
-    Uses ``e(S, V-S)/|S| >= e(S, V-S)/vol(S) * min_deg``.
-    """
-    low, _ = conductance_spectral_bounds(graph)
-    return float(low * graph.degrees.min())
-
-
 #: Steps after which an exact mixing-time search gives up.
 _MAX_MIX_STEPS = 1 << 22
 
@@ -272,45 +229,3 @@ def regular_mixing_time(graph: Graph) -> int:
     stationary = np.full(n, 1.0 / n)
     tolerance = stationary / n
     return _mixing_time_from_matrix(matrix, stationary, tolerance)
-
-
-def fiedler_cut(graph: Graph) -> tuple[np.ndarray, float]:
-    """A low-conductance cut from the spectral sweep (Cheeger rounding).
-
-    Sorts nodes by the lazy walk matrix's second eigenvector and scans
-    all prefix cuts, returning the one with the best conductance — the
-    constructive half of Cheeger's inequality, guaranteeing conductance
-    at most ``sqrt(2 * gap)``.
-
-    Returns:
-        ``(membership mask of one side, its conductance)``.
-    """
-    n = graph.num_nodes
-    if n < 2:
-        raise ValueError("need at least two nodes to cut")
-    matrix = lazy_transition_matrix(graph)
-    degrees = graph.degrees.astype(float)
-    scale = np.sqrt(np.maximum(degrees, 1e-12))
-    sym = matrix * scale[:, None] / scale[None, :]
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    fiedler = eigenvectors[:, -2] / scale
-    order = np.argsort(fiedler)
-    total_volume = float(degrees.sum())
-    best_mask = None
-    best_conductance = np.inf
-    side = np.zeros(n, dtype=bool)
-    volume = 0.0
-    edges = graph.edge_array
-    for node in order[:-1]:
-        side[node] = True
-        volume += degrees[node]
-        crossing = int(np.sum(side[edges[:, 0]] != side[edges[:, 1]]))
-        denominator = min(volume, total_volume - volume)
-        if denominator <= 0:
-            continue
-        conductance = crossing / denominator
-        if conductance < best_conductance:
-            best_conductance = conductance
-            best_mask = side.copy()
-    assert best_mask is not None
-    return best_mask, float(best_conductance)

@@ -10,7 +10,7 @@ fast paths (``core/``, ``walks/``) are covered too.
 
 Two layers of analysis:
 
-* per-file rules (R001–R008) judge one module's AST at a time;
+* per-file rules (R001–R008, R013) judge one module's AST at a time;
 * whole-program rules (R009–R012, :mod:`.program`) build a project-wide
   symbol table and call graph, then check interprocedural contracts —
   ledger coverage, RNG provenance, message-size flow, and internal use
@@ -19,22 +19,14 @@ Two layers of analysis:
 Usage::
 
     python -m repro.lint src/repro tests
-    python -m repro.lint --format=sarif src/repro
-    python -m repro.lint --update-baseline
+    python -m repro.lint --format=json src/repro
 
-Findings can be suppressed per line with ``# reprolint: disable=R001``
-(comma-separated rule ids, or ``all``), or accepted wholesale in the
-committed ``.reprolint-baseline.json`` (see :mod:`.baseline`).  See
-``docs/linting.md`` for the rule catalogue and the baseline workflow.
+The gate is zero findings.  A deliberate exception is suppressed on its
+own line with ``# reprolint: disable=R001`` (comma-separated rule ids,
+or ``all``) and a comment giving the reason.  See ``docs/linting.md``
+for the rule catalogue.
 """
 
-from .baseline import (
-    fingerprint_findings,
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
-from .cache import LintCache
 from .engine import Finding, LintModule, Rule, lint_paths, lint_source
 from .program import Program, ProgramRule, build_program, lint_program
 from .program_rules import PROGRAM_RULES, get_program_rules
@@ -43,20 +35,15 @@ from .rules import RULES, get_rules
 __all__ = [
     "Finding",
     "LintModule",
-    "LintCache",
     "Program",
     "ProgramRule",
     "PROGRAM_RULES",
     "RULES",
     "Rule",
     "build_program",
-    "fingerprint_findings",
     "get_program_rules",
     "get_rules",
     "lint_paths",
     "lint_program",
     "lint_source",
-    "load_baseline",
-    "partition_findings",
-    "write_baseline",
 ]

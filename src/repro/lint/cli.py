@@ -1,21 +1,15 @@
 """``reprolint`` command line: ``python -m repro.lint [paths...]``.
 
-Runs the per-file rules (R001–R008) and, unless ``--no-program`` is
-given, the whole-program rules (R009–R012) over the same tree.  Exit
-status: 0 when clean (or every finding is baselined), 1 when *new*
-findings were reported, 2 on usage errors (bad paths, malformed
-baseline).  Defaults can be set in ``pyproject.toml``::
+Runs the per-file rules (R001–R008, R013) and, unless ``--no-program``
+is given, the whole-program rules (R009–R012) over the same tree.  Exit
+status: 0 when clean, 1 when any finding was reported, 2 on a bad path.
+Defaults can be set in ``pyproject.toml``::
 
     [tool.reprolint]
     paths = ["src/repro", "tests"]
     disable = []
-    baseline = ".reprolint-baseline.json"
 
-Command-line arguments override the configuration file.  The baseline
-gate compares structural fingerprints (see :mod:`.baseline`), so a
-committed ``.reprolint-baseline.json`` accepts today's findings while
-new code is held to the full rule set; refresh it with
-``--update-baseline`` after deliberately accepting a finding.
+Command-line arguments override the configuration file.
 """
 
 from __future__ import annotations
@@ -23,37 +17,23 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Optional, Sequence
 
-from .baseline import load_baseline, partition_findings, write_baseline
-from .cache import LintCache, file_digest
-from .engine import Finding, iter_python_files, lint_source
+from .engine import lint_paths
 from .program import lint_program
 from .program_rules import PROGRAM_RULES, get_program_rules
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 from .rules import RULES, get_rules
 
 __all__ = ["main"]
 
-# Mirrors the project version in pyproject.toml; kept literal so the
-# linter never has to import the (numpy-heavy) ``repro`` package itself.
-TOOL_VERSION = "1.0.0"
 
-DEFAULT_BASELINE = ".reprolint-baseline.json"
-DEFAULT_CACHE = ".reprolint-cache.json"
-
-
-def _load_config(start: Path) -> Tuple[dict, Path]:
-    """``[tool.reprolint]`` from the nearest ``pyproject.toml`` upward.
-
-    Returns ``(config, root)`` where ``root`` is the directory holding
-    the ``pyproject.toml`` (the repo root for fingerprint-relative
-    paths), or ``start`` when none was found.
-    """
+def _load_config(start: Path) -> dict:
+    """``[tool.reprolint]`` from the nearest ``pyproject.toml`` upward."""
     try:
         import tomllib
     except ImportError:  # Python < 3.11
-        return {}, start
+        return {}
     for directory in [start, *start.parents]:
         pyproject = directory / "pyproject.toml"
         if pyproject.is_file():
@@ -61,9 +41,9 @@ def _load_config(start: Path) -> Tuple[dict, Path]:
                 with open(pyproject, "rb") as handle:
                     data = tomllib.load(handle)
             except (OSError, tomllib.TOMLDecodeError):
-                return {}, directory
-            return data.get("tool", {}).get("reprolint", {}), directory
-    return {}, start
+                return {}
+            return data.get("tool", {}).get("reprolint", {})
+    return {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths from pyproject.toml, else src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
@@ -89,71 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-program", action="store_true",
-        help="skip the whole-program rules (R009+); per-file only",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="accepted-findings file to gate against (default: "
-        "[tool.reprolint] baseline, else .reprolint-baseline.json "
-        "when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline; report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to accept the current findings, "
-        "then exit 0",
-    )
-    parser.add_argument(
-        "--cache", metavar="PATH", nargs="?", const=DEFAULT_CACHE,
-        default=None,
-        help="reuse findings for content-unchanged files via a JSON "
-        f"cache (default path: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the findings cache even if configured",
+        help="skip the whole-program rules (R009–R012); per-file only",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
     return parser
-
-
-def _lint_files(
-    paths: Sequence[str],
-    rules,
-    cache: Optional[LintCache],
-) -> Tuple[List[Finding], Dict[str, str]]:
-    """Per-file pass; returns findings + content digests per file.
-
-    The digests feed the program pass's cache key, so they are computed
-    whenever a cache is active — one read per file either way.
-    """
-    findings: List[Finding] = []
-    digests: Dict[str, str] = {}
-    for file_path in iter_python_files(paths):
-        key = str(file_path)
-        try:
-            raw = file_path.read_bytes()
-        except OSError:
-            continue
-        if cache is None:
-            source = raw.decode("utf-8", errors="replace")
-            findings.extend(lint_source(source, key, rules))
-            continue
-        digest = file_digest(raw)
-        digests[key] = digest
-        cached = cache.get_file(key, digest)
-        if cached is None:
-            source = raw.decode("utf-8", errors="replace")
-            cached = lint_source(source, key, rules)
-            cache.put_file(key, digest, cached)
-        findings.extend(cached)
-    return findings, digests
 
 
 def main(
@@ -170,7 +92,7 @@ def main(
             print(f"{rule_id} {rule.name}: {rule.description}", file=stdout)
         return 0
 
-    config, root = _load_config(Path.cwd())
+    config = _load_config(Path.cwd())
     disable = [
         token.strip() for token in args.disable.split(",") if token.strip()
     ] or list(config.get("disable", []))
@@ -185,86 +107,18 @@ def main(
               file=sys.stderr)
         return 2
 
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        cache_setting = args.cache
-        if cache_setting is None:
-            configured = config.get("cache")
-            if configured is True:
-                cache_setting = DEFAULT_CACHE
-            elif isinstance(configured, str):
-                cache_setting = configured
-        if cache_setting is not None:
-            cache = LintCache(root / cache_setting)
-
     rules = get_rules(disable)
-    findings, digests = _lint_files(paths, rules, cache)
-
+    findings = lint_paths(paths, rules)
     program_rules = [] if args.no_program else get_program_rules(disable)
     if program_rules:
-        if cache is not None:
-            input_hash = LintCache.program_input_hash(digests)
-            program_findings = cache.get_program(input_hash)
-            if program_findings is None:
-                program_findings = lint_program(paths, program_rules)
-                cache.put_program(input_hash, program_findings)
-        else:
-            program_findings = lint_program(paths, program_rules)
-        findings = findings + program_findings
-    if cache is not None:
-        cache.save()
+        findings += lint_program(paths, program_rules)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        elif isinstance(config.get("baseline"), str):
-            baseline_path = root / config["baseline"]
-        elif (root / DEFAULT_BASELINE).is_file():
-            baseline_path = root / DEFAULT_BASELINE
-
-    if args.update_baseline:
-        target = baseline_path or root / DEFAULT_BASELINE
-        count = write_baseline(target, findings, root)
-        print(
-            f"reprolint: baseline {target} updated "
-            f"({count} accepted finding(s))",
-            file=stdout,
-        )
-        return 0
-
-    baselined: List[Finding] = []
-    if baseline_path is not None:
-        try:
-            accepted = load_baseline(baseline_path)
-        except ValueError as error:
-            print(f"reprolint: {error}", file=sys.stderr)
-            return 2
-        findings, baselined = partition_findings(findings, accepted, root)
-
-    all_rules = list(rules) + list(program_rules)
     if args.format == "json":
+        all_rules = list(rules) + list(program_rules)
         print(render_json(findings, all_rules), file=stdout)
-    elif args.format == "sarif":
-        print(
-            render_sarif(
-                findings,
-                all_rules,
-                root=root,
-                version=TOOL_VERSION,
-                baselined=baselined,
-            ),
-            file=stdout,
-        )
     else:
         print(render_text(findings), file=stdout)
-        if baselined:
-            print(
-                f"reprolint: {len(baselined)} baselined finding(s) "
-                "suppressed",
-                file=stdout,
-            )
     return 1 if findings else 0
 
 

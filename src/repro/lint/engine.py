@@ -31,22 +31,13 @@ _SUPPRESS_RE = re.compile(
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``scope`` (the enclosing ``Class.method`` chain) and ``snippet``
-    (the stripped source line) exist so a finding can be identified
-    *structurally*: the baseline keys findings by a fingerprint over
-    them, which survives the line drift that pure ``(path, line)`` keys
-    churn on (see :mod:`repro.lint.baseline`).
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    scope: str = ""
-    snippet: str = ""
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (consumed by ``--format=json``)."""
@@ -56,8 +47,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "scope": self.scope,
-            "snippet": self.snippet,
         }
 
     def render(self) -> str:
@@ -86,7 +75,6 @@ class LintModule:
         self.tree = ast.parse(source, filename=path)
         self.aliases = self._collect_aliases(self.tree)
         self.suppressions = self._collect_suppressions(self.lines)
-        self._scopes: Optional[list[tuple[int, int, str]]] = None
 
     @staticmethod
     def _collect_aliases(tree: ast.Module) -> dict[str, str]:
@@ -157,48 +145,6 @@ class LintModule:
             return None
         return self.resolve(node)
 
-    def scope_at(self, line: int) -> str:
-        """Innermost ``Class.method`` chain enclosing ``line`` ('' at
-        module level).  Used to key findings structurally (baseline
-        fingerprints survive line drift because of it)."""
-        if self._scopes is None:
-            scopes: list[tuple[int, int, str]] = []
-
-            def visit(node: ast.AST, prefix: str) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(
-                        child,
-                        (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef),
-                    ):
-                        name = (
-                            f"{prefix}.{child.name}" if prefix
-                            else child.name
-                        )
-                        end = getattr(child, "end_lineno", child.lineno)
-                        scopes.append((child.lineno, end or child.lineno,
-                                       name))
-                        visit(child, name)
-                    else:
-                        visit(child, prefix)
-
-            visit(self.tree, "")
-            self._scopes = scopes
-        best = ""
-        best_span = None
-        for start, end, name in self._scopes:
-            if start <= line <= end:
-                span = end - start
-                if best_span is None or span <= best_span:
-                    best, best_span = name, span
-        return best
-
-    def snippet_at(self, line: int) -> str:
-        """The stripped source text of ``line`` (1-based), or ''."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
     def is_suppressed(self, finding: Finding) -> bool:
         rules = self.suppressions.get(finding.line)
         if not rules:
@@ -223,15 +169,12 @@ class Rule:
     def finding(
         self, module: LintModule, node: ast.AST, message: str
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
         return Finding(
             rule=self.rule_id,
             path=module.path,
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            scope=module.scope_at(line),
-            snippet=module.snippet_at(line),
         )
 
 
@@ -282,6 +225,10 @@ def lint_paths(
     rules = list(rules) if rules is not None else None
     findings: list[Finding] = []
     for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
+        try:
+            raw = file_path.read_bytes()
+        except OSError:
+            continue
+        source = raw.decode("utf-8", errors="replace")
         findings.extend(lint_source(source, str(file_path), rules))
     return findings

@@ -1,19 +1,20 @@
 """Whole-program model for ``reprolint``: symbols, imports, call graph.
 
-The per-file rules (R001–R008) judge one module at a time; the contracts
-they enforce, though, are *global* properties — "every executed round is
-charged to the ledger" and "every generator traces back to a seed" hold
-or fail across call boundaries.  This module builds the project-wide
-view the interprocedural rules (R009–R012, :mod:`.program_rules`) need:
+The per-file rules (R001–R008, R013) judge one module at a time; the
+contracts they enforce, though, are *global* properties — "every
+executed round is charged to the ledger" and "every generator traces
+back to a seed" hold or fail across call boundaries.  This module
+builds the project-wide view the interprocedural rules (R009–R012,
+:mod:`.program_rules`) need:
 
 * a **module table** mapping files to dotted module names (derived from
   the package layout, so ``src/repro/congest/leader.py`` is
   ``repro.congest.leader``);
 * a **symbol table** of every function, method, and class, keyed by
-  qualified name (``repro.congest.primitives.build_bfs_tree``,
+  qualified name (``repro.congest.leader.elect_leader``,
   ``repro.core.router.Router.route``);
 * per-module **import resolution** including relative imports
-  (``from .primitives import build_bfs_tree``) and re-exports through
+  (``from .leader import elect_leader``) and re-exports through
   package ``__init__`` files;
 * a **call graph**: each function's call sites resolved to symbol-table
   entries where statically possible — plain calls, aliased imports,
@@ -260,8 +261,8 @@ class Program:
     ) -> Optional[str]:
         """Canonicalise ``dotted`` against the symbol table.
 
-        Follows re-export chains (``repro.congest.build_bfs_tree`` ->
-        ``repro.congest.primitives.build_bfs_tree``) up to a small
+        Follows re-export chains (``repro.congest.elect_leader`` ->
+        ``repro.congest.leader.elect_leader``) up to a small
         depth.
         """
         if _depth > 8:
@@ -451,7 +452,7 @@ class ProgramRule:
 
     Like :class:`~repro.lint.engine.Rule` but ``check`` receives the
     :class:`Program`; findings still carry the module path/line of the
-    offending site so suppressions and baselines work identically.
+    offending site so suppressions work identically.
     """
 
     rule_id: str = "R900"
@@ -464,15 +465,12 @@ class ProgramRule:
     def finding(
         self, module: LintModule, node: ast.AST, message: str
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
         return Finding(
             rule=self.rule_id,
             path=module.path,
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            scope=module.scope_at(line),
-            snippet=module.snippet_at(line),
         )
 
 

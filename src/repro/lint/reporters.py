@@ -1,22 +1,18 @@
-"""Finding renderers: human text, machine JSON, and SARIF 2.1.0.
+"""Finding renderers: human text and machine JSON.
 
-The JSON shape is part of the tool's contract (CI annotations and the
-benchmarks dashboard consume it): a top-level object with ``count``,
-``findings`` (list of ``rule``/``path``/``line``/``col``/``message``),
-and ``rules`` (the catalogue the run used).  The SARIF output targets
-GitHub code scanning (``--format=sarif`` + the upload-sarif action), so
-every finding becomes an inline annotation on the PR diff.
+The JSON shape is part of the tool's contract: a top-level object with
+``count``, ``findings`` (list of ``rule``/``path``/``line``/``col``/
+``message``), and ``rules`` (the catalogue the run used).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path, PurePath
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .engine import Finding
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_json"]
 
 
 class RuleLike(Protocol):
@@ -26,13 +22,6 @@ class RuleLike(Protocol):
     rule_id: str
     name: str
     description: str
-
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -61,110 +50,3 @@ def render_json(
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_uri(path: str, root: Optional[Path]) -> str:
-    """Repo-relative POSIX path for SARIF's artifactLocation."""
-    pure = Path(path)
-    if root is not None:
-        try:
-            pure = pure.resolve().relative_to(Path(root).resolve())
-        except ValueError:
-            pass
-    return PurePath(pure).as_posix()
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    rules: Iterable[RuleLike] = (),
-    root: Optional[Path] = None,
-    version: str = "0",
-    baselined: Sequence[Finding] = (),
-) -> str:
-    """SARIF 2.1.0 log for GitHub code-scanning upload.
-
-    ``findings`` become ``results`` with level ``error``; ``baselined``
-    findings are included too but demoted to ``note`` with
-    ``baselineState: "unchanged"``, so the code-scanning UI shows the
-    accepted backlog without failing the gate.  Fingerprints ride in
-    ``partialFingerprints`` under the same scheme the baseline file
-    uses, which keeps annotations stable across line drift.
-    """
-    from .baseline import fingerprint_findings
-
-    rule_list = list(rules)
-    rule_index = {
-        rule.rule_id: index for index, rule in enumerate(rule_list)
-    }
-    results = []
-    for level, batch in (("error", findings), ("note", baselined)):
-        for finding, digest in fingerprint_findings(list(batch), root):
-            result = {
-                "ruleId": finding.rule,
-                "level": level,
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": _sarif_uri(finding.path, root),
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {
-                                "startLine": max(finding.line, 1),
-                                "startColumn": finding.col + 1,
-                            },
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reprolintFingerprint/v1": digest,
-                },
-            }
-            if finding.rule in rule_index:
-                result["ruleIndex"] = rule_index[finding.rule]
-            if level == "note":
-                result["baselineState"] = "unchanged"
-            results.append(result)
-    log = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "version": version,
-                        "informationUri": (
-                            "https://pypi.org/project/repro/"
-                        ),
-                        "rules": [
-                            {
-                                "id": rule.rule_id,
-                                "name": rule.name,
-                                "shortDescription": {
-                                    "text": rule.description
-                                },
-                                "defaultConfiguration": {
-                                    "level": "error"
-                                },
-                            }
-                            for rule in rule_list
-                        ],
-                    }
-                },
-                "originalUriBaseIds": {
-                    "SRCROOT": {
-                        "uri": (
-                            Path(root).resolve().as_uri() + "/"
-                            if root is not None
-                            else "file:///"
-                        )
-                    }
-                },
-                "results": results,
-                "columnKind": "utf16CodeUnits",
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)

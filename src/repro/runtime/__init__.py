@@ -21,7 +21,7 @@ from .backends import (
 from .chaos import ChaosPlan, ChaosSpec
 from .config import OPS, RunConfig, RunOutcome, run
 from .context import RECOVERY_MODES, RunContext
-from .journal import JOURNAL_VERSION, Journal, read_journal
+from .journal import JOURNAL_VERSION, Journal
 from .ops import OP_TABLE, OpSpec, check_backend_support, validate_request
 from .events import (
     EVENT_KINDS,
@@ -91,7 +91,6 @@ __all__ = [
     "check_backend_support",
     "make_backend",
     "open_store",
-    "read_journal",
     "read_jsonl_trace",
     "run",
     "serve_jsonl",

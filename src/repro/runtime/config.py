@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
-import numpy as np
-
 from ..congest.faults import FaultSpec
 from ..graphs.graph import Graph
 from ..params import Params

@@ -46,7 +46,7 @@ import json
 import os
 from typing import Any, Optional, TextIO
 
-__all__ = ["JOURNAL_VERSION", "Journal", "read_journal"]
+__all__ = ["JOURNAL_VERSION", "Journal"]
 
 #: Format version stamped into every journal header line.
 JOURNAL_VERSION = 1
@@ -119,26 +119,6 @@ def _scan_lines(lines: list[str]) -> tuple[JournalState, int]:
         intact = index + 1
     state = (header, updates, update_records, served, record_mark)
     return state, intact
-
-
-def read_journal(path: str) -> JournalState:
-    """Parse a journal file, tolerating a torn tail.
-
-    Returns ``(header, updates, update_records, served_high_water,
-    record_high_water)``.  The header is ``None`` for an empty/new
-    file; ``update_records[i]`` is the input-record stamp of
-    ``updates[i]`` (0 = applied outside a record stream).  Parsing
-    stops at the first malformed line (a crash mid-append), discarding
-    the tail — a journal is never *invalid*, only shorter than hoped.
-    The record high-water mark covers update stamps, so a replayed
-    update's input record is never re-consumed (exactly-once).
-    """
-    if not os.path.exists(path):
-        return None, [], [], 0, 0
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
-    state, _ = _scan_lines(raw.split("\n"))
-    return state
 
 
 class Journal:

@@ -1,7 +1,5 @@
 """Smoke tests for the experiment runners and table formatting."""
 
-import pytest
-
 from repro.analysis import (
     format_number,
     format_table,

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.analysis.fits import (
-    is_subpolynomial_consistent,
-    power_law_exponent,
-)
+from repro.analysis.fits import power_law_exponent
 
 
 class TestFits:
@@ -22,9 +19,3 @@ class TestFits:
         with pytest.raises(ValueError):
             power_law_exponent([1.0, -2.0], [1.0, 2.0])
 
-    def test_subpolynomial_consistency(self):
-        ns = [64, 256, 1024]
-        flat = [10.0, 12.0, 13.0]
-        assert is_subpolynomial_consistent(ns, flat)
-        explosive = [1e9, 1e10, 1e11]
-        assert not is_subpolynomial_consistent(ns, explosive)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.export import rows_to_csv, write_csv
 from repro.analysis.workloads import circulation_paths
 from repro.core import Router, build_hierarchy
-from repro.graphs import Graph, hypercube, random_regular
+from repro.graphs import Graph, random_regular
 from repro.params import Params
 
 
@@ -110,24 +109,3 @@ class TestWorkloadsThroughRouter:
         perm = router.route(np.arange(n), rng.permutation(n))
         hot = router.route(np.arange(n), np.zeros(n, dtype=np.int64))
         assert hot.num_phases >= perm.num_phases
-
-
-class TestCsvExport:
-    def test_rows_to_csv(self):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        text = rows_to_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,x"
-
-    def test_empty_rows(self):
-        assert rows_to_csv([]) == ""
-
-    def test_write_csv(self, tmp_path):
-        rows = [{"n": 64, "rounds": 1.5}]
-        path = str(tmp_path / "out.csv")
-        write_csv(rows, path)
-        with open(path) as handle:
-            content = handle.read()
-        assert "n,rounds" in content
-        assert "64,1.5" in content

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import bfs_store_and_forward, random_walk_delivery
+from repro.baselines import bfs_store_and_forward
 from repro.graphs import (
-    complete_graph,
-    hypercube,
     path_graph,
     random_regular,
     ring_graph,
@@ -69,43 +67,3 @@ class TestStoreAndForward:
         with pytest.raises(ValueError, match="unreachable"):
             bfs_store_and_forward(g, np.array([0]), np.array([3]), rng)
 
-
-class TestRandomWalkDelivery:
-    def test_complete_graph_fast(self, rng):
-        g = complete_graph(8)
-        result = random_walk_delivery(
-            g, np.arange(8), np.roll(np.arange(8), 1), rng
-        )
-        assert result.delivered == 1.0
-        assert result.mean_hitting_time > 0
-
-    def test_cap_respected(self, rng):
-        g = ring_graph(64)
-        result = random_walk_delivery(
-            g, np.array([0]), np.array([32]), rng, max_steps=5
-        )
-        assert result.rounds <= 5
-        assert result.delivered in (0.0, 1.0)
-
-    def test_already_there(self, rng):
-        g = hypercube(3)
-        result = random_walk_delivery(
-            g, np.array([2]), np.array([2]), rng
-        )
-        assert result.delivered == 1.0
-        assert result.rounds == 0
-
-    def test_hitting_time_grows_with_graph(self, rng):
-        small = random_walk_delivery(
-            complete_graph(8),
-            np.zeros(40, dtype=np.int64),
-            np.full(40, 7, dtype=np.int64),
-            rng,
-        )
-        large = random_walk_delivery(
-            complete_graph(32),
-            np.zeros(40, dtype=np.int64),
-            np.full(40, 31, dtype=np.int64),
-            rng,
-        )
-        assert large.mean_hitting_time > small.mean_hitting_time

@@ -1,10 +1,10 @@
-"""Tests for leader election and seed dissemination."""
+"""Tests for leader election by min-ID flooding."""
 
 import numpy as np
 import pytest
 
 from repro.congest import Network
-from repro.congest.leader import disseminate_seed, elect_leader
+from repro.congest.leader import elect_leader
 from repro.graphs import hypercube, path_graph, random_regular, ring_graph
 
 
@@ -36,34 +36,3 @@ class TestElection:
         leader, rounds = elect_leader(Network(Graph(1, [])))
         assert leader == 0
 
-
-class TestSeedDissemination:
-    def test_everyone_gets_words(self):
-        g = hypercube(4)
-        network = Network(g)
-        seed, rounds = disseminate_seed(
-            network, np.random.default_rng(1), words=3
-        )
-        assert len(seed) == 3
-        assert all(0 <= word < 2**31 for word in seed)
-        assert rounds >= 3  # election + 3 broadcasts
-
-    def test_rounds_scale_with_words(self):
-        g = ring_graph(16)
-        __, rounds_small = disseminate_seed(
-            Network(g), np.random.default_rng(2), words=1
-        )
-        __, rounds_large = disseminate_seed(
-            Network(g), np.random.default_rng(2), words=6
-        )
-        assert rounds_large > rounds_small
-
-    def test_deterministic_given_rng(self):
-        g = hypercube(3)
-        seed_a, __ = disseminate_seed(
-            Network(g), np.random.default_rng(3), words=2
-        )
-        seed_b, __ = disseminate_seed(
-            Network(g), np.random.default_rng(3), words=2
-        )
-        assert seed_a == seed_b

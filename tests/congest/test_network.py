@@ -1,21 +1,24 @@
-"""Tests for the CONGEST simulator and its primitives."""
+"""Tests for the CONGEST simulator.
+
+Flooding BFS and broadcast serve as sample protocols: their round counts
+are the graph distances, which pins the simulator's round semantics.
+"""
 
 import dataclasses
 import gc
 import weakref
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
 
 from repro.congest import (
-    BfsNode,
     CongestViolation,
     FaultPlan,
     FaultSpec,
     Network,
     NodeAlgorithm,
-    broadcast_value,
-    build_bfs_tree,
+    NodeContext,
     reliable_forward_demands,
 )
 from repro.graphs import (
@@ -59,6 +62,109 @@ class _SendOnce(NodeAlgorithm):
     def receive(self, round_number, inbox):
         self.received.update(inbox)
         return {}
+
+
+class BfsNode(NodeAlgorithm):
+    """Flooding BFS from a root; each node learns its parent and depth."""
+
+    def __init__(self, context: NodeContext, root: int):
+        super().__init__(context)
+        self.root = root
+        self.parent: Optional[int] = None
+        self.depth: Optional[int] = None
+
+    def initialize(self) -> Mapping[int, tuple]:
+        if self.context.node_id == self.root:
+            self.parent = self.context.node_id
+            self.depth = 0
+            self.finished = True
+            return {w: ("bfs", 0) for w in self.context.neighbors}
+        return {}
+
+    def receive(
+        self, round_number: int, inbox: Mapping[int, tuple]
+    ) -> Mapping[int, tuple]:
+        if self.depth is not None:
+            return {}
+        offers = [
+            (payload[1], sender)
+            for sender, payload in inbox.items()
+            if payload[0] == "bfs"
+        ]
+        if not offers:
+            return {}
+        depth, parent = min(offers)
+        self.parent = parent
+        self.depth = depth + 1
+        self.finished = True
+        return {
+            w: ("bfs", self.depth)
+            for w in self.context.neighbors
+            if w != parent
+        }
+
+
+def build_bfs_tree(
+    network: Network, root: int
+) -> tuple[list[Optional[int]], list[Optional[int]], int]:
+    """Build a BFS tree from ``root``.
+
+    Returns:
+        ``(parents, depths, rounds)`` — parent and depth per node (the
+        root is its own parent), and the round count of the run.
+    """
+    algorithms = [
+        BfsNode(network.context(v), root)
+        for v in range(network.graph.num_nodes)
+    ]
+    stats = network.run(algorithms)
+    parents = [algorithm.parent for algorithm in algorithms]
+    depths = [algorithm.depth for algorithm in algorithms]
+    return parents, depths, stats.rounds
+
+
+class _BroadcastNode(NodeAlgorithm):
+    """Flood a single value from a source to every node."""
+
+    def __init__(self, context: NodeContext, source: int, value):
+        super().__init__(context)
+        self.source = source
+        self.value = value if context.node_id == source else None
+
+    def initialize(self) -> Mapping[int, tuple]:
+        if self.context.node_id == self.source:
+            self.finished = True
+            return {w: ("val", self.value) for w in self.context.neighbors}
+        return {}
+
+    def receive(
+        self, round_number: int, inbox: Mapping[int, tuple]
+    ) -> Mapping[int, tuple]:
+        if self.value is not None or not inbox:
+            return {}
+        sender, payload = next(iter(inbox.items()))
+        self.value = payload[1]
+        self.finished = True
+        return {
+            w: ("val", self.value)
+            for w in self.context.neighbors
+            if w != sender
+        }
+
+
+def broadcast_value(network: Network, source: int, value) -> tuple[list, int]:
+    """Flood ``value`` from ``source``; returns (values per node, rounds).
+
+    This is how the ``Theta(log^2 n)`` shared hash-seed bits reach every
+    node in ``O(D log n)`` rounds (a constant number of words per round
+    here, since the seed fits a few words at simulable sizes).
+    """
+    algorithms = [
+        _BroadcastNode(network.context(v), source, value)
+        for v in range(network.graph.num_nodes)
+    ]
+    stats = network.run(algorithms)
+    return [algorithm.value for algorithm in algorithms], stats.rounds
 
 
 class TestNetworkMechanics:

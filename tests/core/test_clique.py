@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import all_pairs_demand, emulate_clique
 from repro.graphs import erdos_renyi
-from repro.params import Params
 
 
 class TestDemandGenerator:

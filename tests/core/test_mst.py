@@ -15,7 +15,6 @@ from repro.graphs import (
     with_random_weights,
     with_weights,
 )
-from repro.params import Params
 from repro.rng import derive_rng
 from repro.runtime import RunConfig, RunContext, run
 

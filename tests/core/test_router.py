@@ -8,7 +8,6 @@ import pytest
 from repro.core import Router, build_hierarchy
 from repro.core.router import RoutingError
 from repro.graphs import Graph, grid_torus, hypercube, random_regular
-from repro.params import Params
 
 
 class TestDelivery:

@@ -1,7 +1,6 @@
 """Tests for the structure validators."""
 
 import numpy as np
-import pytest
 
 from repro.core import build_portals
 from repro.core.validate import validate_hierarchy, validate_portals

@@ -1,7 +1,5 @@
 """Unit tests for the graph family generators."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -209,35 +207,3 @@ class TestStressFamilies:
             lollipop_graph(2, 5)
         with pytest.raises(ValueError):
             lollipop_graph(5, 0)
-
-    def test_lollipop_hitting_time_extreme(self):
-        from repro.graphs import lollipop_graph
-        from repro.walks import expected_hitting_time
-
-        g = lollipop_graph(10, 6)
-        tail_end = 15
-        into_clique = expected_hitting_time(g, tail_end, 0)
-        out_to_tail = expected_hitting_time(g, 0, tail_end)
-        # Escaping the clique is far harder than entering it.
-        assert out_to_tail > 4 * into_clique
-
-    def test_caveman_structure(self):
-        from repro.graphs import caveman_graph
-
-        g = caveman_graph(4, 5, np.random.default_rng(10))
-        assert g.num_nodes == 20
-        assert g.is_connected()
-
-    def test_caveman_validation(self):
-        from repro.graphs import caveman_graph
-
-        with pytest.raises(ValueError):
-            caveman_graph(1, 5, np.random.default_rng(0))
-
-    def test_caveman_weak_expansion(self):
-        from repro.graphs import caveman_graph, spectral_gap, random_regular
-
-        rng = np.random.default_rng(11)
-        caves = caveman_graph(6, 6, rng)
-        expander = random_regular(36, 5, rng)
-        assert spectral_gap(caves) < spectral_gap(expander)

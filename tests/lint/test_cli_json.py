@@ -1,7 +1,8 @@
-"""CLI behaviour: exit codes, text output, and the JSON contract.
+"""CLI behaviour: exit codes, text output, the JSON contract, and the
+whole-program pass.
 
-Future tooling (CI annotations, the benchmarks dashboard) parses the
-``--format=json`` payload, so its shape is pinned here.
+Tooling parses the ``--format=json`` payload, so its shape is pinned
+here.
 """
 
 import io
@@ -25,6 +26,12 @@ DIRTY = textwrap.dedent(
         return random.choice(items)
     """
 )
+
+UNCHARGED_RUN = """
+def spin(network, steps):
+    for _ in range(steps):
+        network.run(None, max_rounds=1)
+"""
 
 CLEAN = textwrap.dedent(
     """
@@ -116,3 +123,21 @@ class TestListRules:
         assert code == 0
         for rule_id in ("R001", "R002", "R003", "R004", "R005"):
             assert rule_id in out
+
+
+class TestProgramPass:
+    def test_cli_reports_program_findings(self, make_tree):
+        root = make_tree({"proj/congest/mod.py": UNCHARGED_RUN})
+        code, out = run_cli(str(root / "proj"))
+        assert code == 1
+        assert "R009" in out
+
+    def test_no_program_skips_them(self, make_tree):
+        root = make_tree({"proj/congest/mod.py": UNCHARGED_RUN})
+        code, out = run_cli(str(root / "proj"), "--no-program")
+        assert code == 0
+
+    def test_disable_covers_program_rules(self, make_tree):
+        root = make_tree({"proj/congest/mod.py": UNCHARGED_RUN})
+        code, __ = run_cli(str(root / "proj"), "--disable", "R009")
+        assert code == 0

@@ -7,8 +7,6 @@ base classes, constructor-to-``__init__`` edges, and
 ``functools.partial``.
 """
 
-from pathlib import Path
-
 from repro.lint.program import build_program, module_dotted_name
 
 

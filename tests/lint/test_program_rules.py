@@ -25,7 +25,7 @@ class TestLedgerCoverage:
         })
         findings = lint_program([root / "proj"])
         assert _rules_of(findings) == ["R009"]
-        assert findings[0].scope == "spin"
+        assert findings[0].line == 4  # spin's network.run call
 
     def test_exporting_rounds_passes(self, make_tree):
         root = make_tree({
@@ -68,7 +68,7 @@ class TestLedgerCoverage:
         })
         findings = lint_program([root / "proj"])
         assert _rules_of(findings) == ["R009"]
-        assert findings[0].scope == "discards"
+        assert findings[0].line == 7  # discards' helper call
 
     def test_dropping_the_array_forwarders_rounds_is_flagged(
         self, make_tree
@@ -96,7 +96,7 @@ class TestLedgerCoverage:
         })
         findings = lint_program([root / "proj"])
         assert _rules_of(findings) == ["R009"]
-        assert findings[0].scope == "drops"
+        assert findings[0].line == 5  # drops' executor call
 
     def test_transitive_charge_covers_the_caller(self, make_tree):
         root = make_tree({
@@ -155,7 +155,7 @@ class TestRngProvenance:
         })
         findings = lint_program([root / "proj"])
         assert _rules_of(findings) == ["R010"]
-        assert findings[0].scope == "top"
+        assert findings[0].line == 12  # top's default_rng call
         assert "numpy.random.default_rng" in findings[0].message
 
     def test_direct_mint_in_call_argument_is_flagged(self, make_tree):

@@ -1,25 +1,26 @@
 """The repo must pass its own linter — this is the CI contract.
 
-``src/repro`` must be completely clean; the test tree may only contain
-violations that are explicitly suppressed (they are deliberate fixtures,
-e.g. the over-width payloads the simulator tests reject).
+The gate is zero findings, per-file and whole-program rules alike, over
+the ``[tool.reprolint] paths`` that ``scripts/check.sh`` lints.  A
+deliberate exception (a fixture the simulator tests must reject, say)
+carries an inline ``# reprolint: disable=RULE`` with its reason.
 """
 
 from pathlib import Path
 
-from repro.lint import (
-    lint_paths,
-    lint_program,
-    load_baseline,
-    partition_findings,
-)
+from repro.lint import lint_paths, lint_program
+from repro.lint.cli import _load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / ".reprolint-baseline.json"
 
 
 def _render(findings):
     return "\n".join(finding.render() for finding in findings)
+
+
+def _gate_paths():
+    """The paths the CLI lints when run from the repo root."""
+    return [REPO_ROOT / path for path in _load_config(REPO_ROOT)["paths"]]
 
 
 class TestSelfCheck:
@@ -41,39 +42,14 @@ class TestSelfCheck:
         findings = lint_paths([REPO_ROOT / "src" / "repro" / "lint"])
         assert findings == []
 
-    def test_program_rules_have_no_unbaselined_findings(self):
-        """The interprocedural rules (R009–R012) gate the tree too.
-
-        Any finding must either be fixed or deliberately accepted into
-        the committed ``.reprolint-baseline.json`` (with review) — a
-        new finding outside the baseline fails CI.
-        """
-        findings = lint_program([REPO_ROOT / "src" / "repro"])
-        baseline = load_baseline(BASELINE)
-        new, _baselined = partition_findings(
-            findings, baseline, REPO_ROOT
-        )
-        assert new == [], (
-            "new whole-program reprolint findings in src/repro — fix "
-            "them or accept them via `python -m repro.lint "
-            "--update-baseline`:\n" + _render(new)
-        )
-
-    def test_baseline_entries_are_still_live(self):
-        """Every baseline entry must match a current finding.
-
-        A stale entry means the violation it accepted was fixed (or the
-        code moved): regenerate the baseline so the accepted set never
-        over-approximates reality.
-        """
-        baseline = load_baseline(BASELINE)
-        findings = lint_program(
-            [REPO_ROOT / "src" / "repro"]
-        ) + lint_paths([REPO_ROOT / "src" / "repro"])
-        _new, baselined = partition_findings(
-            findings, baseline, REPO_ROOT
-        )
-        assert len(baselined) == len(baseline), (
-            "stale baseline entries — regenerate with "
-            "`python -m repro.lint --update-baseline`"
+    def test_gate_paths_have_no_findings(self):
+        """Per-file and whole-program rules (R001–R013) over the paths
+        the gate lints, as one tree, exactly as the CLI runs them."""
+        paths = _gate_paths()
+        assert REPO_ROOT / "src" / "repro" in paths
+        findings = lint_paths(paths) + lint_program(paths)
+        assert findings == [], (
+            "reprolint findings on the gate paths — fix them, or "
+            "suppress one line with `# reprolint: disable=RULE` and its "
+            "reason:\n" + _render(findings)
         )

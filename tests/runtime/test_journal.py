@@ -17,19 +17,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import random_regular
-from repro.runtime import (
-    Journal,
-    RunConfig,
-    Session,
-    read_journal,
-    serve_jsonl,
-)
+from repro.runtime import Journal, RunConfig, Session, serve_jsonl
+from repro.runtime.journal import _scan_lines
 
 SEED = 17
 N = 32
 
 #: Wall-clock response fields, never compared.
 TRANSIENT = ("wall_s", "service_s", "sojourn_s", "retry_backoff_s")
+
+
+def read_journal(path):
+    """The journal state a reopen would replay, read without writing.
+
+    Returns ``(header, updates, update_records, served, record_mark)``.
+    """
+    with open(path, encoding="utf-8") as handle:
+        return _scan_lines(handle.read().split("\n"))[0]
 
 
 def scrub(response):

@@ -334,7 +334,7 @@ class TestServe:
         import os
 
         from repro.rng import derive_rng
-        from repro.runtime import read_journal
+        from repro.runtime.journal import _scan_lines
         from repro.runtime.chaos import truncate_journal_tail
 
         graph_path = self._expander(tmp_path)
@@ -399,7 +399,9 @@ class TestServe:
         with open(journal, "rb") as handle:
             last_line = handle.read().splitlines(keepends=True)[-1]
         assert truncate_journal_tail(journal, len(last_line))
-        _, updates, stamps, _, mark = read_journal(journal)
+        with open(journal, encoding="utf-8") as handle:
+            state, __ = _scan_lines(handle.read().split("\n"))
+        _, updates, stamps, _, mark = state
         assert (len(updates), stamps, mark) == (1, [5], 5)
 
         rest, err = serve(

@@ -18,8 +18,6 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
-
 import repro.cli
 from repro.cli import _build_parser
 

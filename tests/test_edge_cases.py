@@ -1,7 +1,6 @@
 """Edge-case sweep across modules: small inputs, odd shapes, accessors."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_number, format_table
 from repro.core import RoundLedger, all_pairs_demand

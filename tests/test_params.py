@@ -1,7 +1,5 @@
 """Tests for the Params presets and derived quantities."""
 
-import math
-
 import pytest
 
 from repro.params import Params
