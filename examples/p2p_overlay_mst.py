@@ -18,7 +18,7 @@ import numpy as np
 from repro import Params
 from repro.core import minimum_spanning_tree
 from repro.baselines import ghs_mst, gkp_mst, kruskal
-from repro.graphs import random_regular, with_random_weights
+from repro.graphs import random_regular, with_weights
 from repro.theory import das_sarma_lower_bound
 
 
@@ -28,9 +28,8 @@ def main() -> None:
     params = Params.default()
 
     print(f"=== P2P overlay: {n} peers, 8 random links each, latency weights")
-    overlay = with_random_weights(
-        random_regular(n, 8, rng), rng, low=1.0, high=50.0
-    )
+    links = random_regular(n, 8, rng)
+    overlay = with_weights(links, rng.uniform(1.0, 50.0, size=links.num_edges))
     diameter = overlay.diameter()
     print(f"    diameter {diameter}, edges {overlay.num_edges}")
 

@@ -57,10 +57,11 @@ def kruskal(graph: WeightedGraph) -> list[int]:
     return sorted(chosen)
 
 
-def prim(graph: WeightedGraph, root: int = 0) -> list[int]:
-    """MST edge ids by Prim's algorithm (``(weight, id)`` ties)."""
+def prim(graph: WeightedGraph) -> list[int]:
+    """MST edge ids by Prim's algorithm from node 0 (``(weight, id)``
+    ties)."""
     visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[root] = True
+    visited[0] = True
     heap: list[tuple[float, int, int]] = []
 
     def push(node: int) -> None:
@@ -70,7 +71,7 @@ def prim(graph: WeightedGraph, root: int = 0) -> list[int]:
             if not visited[other]:
                 heapq.heappush(heap, (float(graph.weights[eid]), eid, other))
 
-    push(root)
+    push(0)
     chosen: list[int] = []
     while heap and len(chosen) < graph.num_nodes - 1:
         _w, eid, node = heapq.heappop(heap)

@@ -251,9 +251,6 @@ class _Relabel(NodeAlgorithm):
             }
         return {}
 
-    def result(self):
-        return self.new_fragment
-
 
 def congest_ghs_mst(graph: WeightedGraph) -> CongestGhsResult:
     """Run message-passing Boruvka to completion on ``graph``.

@@ -24,11 +24,16 @@ from ..graphs.graph import Graph
 from ..rng import resolve_rng
 
 __all__ = [
+    "MAX_SCHEDULE_ROUNDS",
     "StoreAndForwardResult",
     "bfs_store_and_forward",
     "schedule_paths",
     "schedule_paths_csr",
 ]
+
+#: Round budget of one store-and-forward schedule; a schedule still
+#: running past it is wedged, and raises instead of spinning.
+MAX_SCHEDULE_ROUNDS = 1_000_000
 
 
 @dataclass
@@ -69,7 +74,6 @@ def bfs_store_and_forward(
 def schedule_paths(
     paths: list[list[int]],
     rng: np.random.Generator | None = None,
-    max_rounds: int = 1_000_000,
 ) -> StoreAndForwardResult:
     """Store-and-forward scheduling of *explicit* packet paths.
 
@@ -96,16 +100,13 @@ def schedule_paths(
     nodes = np.fromiter(
         chain.from_iterable(paths), dtype=np.int64, count=int(offsets[-1])
     )
-    return schedule_paths_csr(
-        nodes, offsets, rng=rng, max_rounds=max_rounds
-    )
+    return schedule_paths_csr(nodes, offsets, rng=rng)
 
 
 def schedule_paths_csr(
     nodes: np.ndarray,
     offsets: np.ndarray,
     rng: np.random.Generator | None = None,
-    max_rounds: int = 1_000_000,
 ) -> StoreAndForwardResult:
     """:func:`schedule_paths` on paths already in CSR form.
 
@@ -174,7 +175,7 @@ def schedule_paths_csr(
     rounds = 0
     while pending:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_SCHEDULE_ROUNDS:
             raise RuntimeError("store-and-forward exceeded the round budget")
         movers = state.pop_heads()  # dict-insertion (drain) order
         moved_to = ptr[movers] + 1

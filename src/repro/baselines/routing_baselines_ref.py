@@ -27,7 +27,7 @@ from collections import deque
 import numpy as np
 
 from ..rng import resolve_rng
-from .routing_baselines import StoreAndForwardResult
+from .routing_baselines import MAX_SCHEDULE_ROUNDS, StoreAndForwardResult
 
 __all__ = ["schedule_paths_ref"]
 
@@ -35,7 +35,6 @@ __all__ = ["schedule_paths_ref"]
 def schedule_paths_ref(
     paths: list[list[int]],
     rng: np.random.Generator | None = None,
-    max_rounds: int = 1_000_000,
 ) -> StoreAndForwardResult:
     """Scalar store-and-forward scheduling of explicit packet paths.
 
@@ -58,7 +57,7 @@ def schedule_paths_ref(
     max_queue = max((len(q) for q in queues.values()), default=0)
     while pending:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_SCHEDULE_ROUNDS:
             raise RuntimeError("store-and-forward exceeded the round budget")
         moves: list[tuple[tuple[int, int], int]] = []
         for key, queue in queues.items():

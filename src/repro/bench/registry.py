@@ -229,9 +229,9 @@ def get_suite(name: str) -> Suite:
         ) from None
 
 
-def default_results_dir(root: Optional[str] = None) -> str:
-    """``<root>/benchmarks/results`` (root defaults to the cwd)."""
-    return os.path.join(root or os.getcwd(), RESULTS_DIR)
+def default_results_dir() -> str:
+    """``benchmarks/results`` under the cwd."""
+    return os.path.join(os.getcwd(), RESULTS_DIR)
 
 
 def baseline_path(

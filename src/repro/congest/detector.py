@@ -86,19 +86,6 @@ class CrashView:
         """Nodes that are down during at least one window."""
         return self._ever_down
 
-    def down_at(self, round_number: int) -> FrozenSet[int]:
-        down: FrozenSet[int] = frozenset()
-        for start, end, nodes in self.windows:
-            if start <= round_number <= end:
-                down = down | nodes
-        return down
-
-    def is_down(self, node: int, round_number: int) -> bool:
-        for start, end, nodes in self.windows:
-            if start <= round_number <= end and node in nodes:
-                return True
-        return False
-
     def down_until(self, node: int, round_number: int) -> int:
         """Last round of the window covering ``node`` at
         ``round_number`` (-1 when the node is up)."""
@@ -110,19 +97,17 @@ class CrashView:
 
     # -- recovery classification --------------------------------------
 
-    def permanently_down(
-        self, max_wait: int = MAX_WAIT_ROUNDS
-    ) -> FrozenSet[int]:
+    def permanently_down(self) -> FrozenSet[int]:
         """Nodes in a window too long to wait out."""
         dead: FrozenSet[int] = frozenset()
         for _, end, nodes in self.windows:
-            if end > max_wait:
+            if end > MAX_WAIT_ROUNDS:
                 dead = dead | nodes
         return dead
 
-    def waitable_end(self, max_wait: int = MAX_WAIT_ROUNDS) -> int:
+    def waitable_end(self) -> int:
         """Largest end round among waitable windows (0 if none)."""
-        ends = [end for _, end, _ in self.windows if end <= max_wait]
+        ends = [end for _, end, _ in self.windows if end <= MAX_WAIT_ROUNDS]
         return max(ends) if ends else 0
 
 

@@ -411,8 +411,10 @@ class _StepReplay:
                 targets,
                 faults=self.faults,
                 context=self.context,
-                recovery=getattr(self.context, "recovery", None)
-                or "fail-fast",
+                recovery=(
+                    self.context.recovery if self.context is not None
+                    else "fail-fast"
+                ),
             )
             self.per_step[step] = report.rounds
             self.messages += report.messages

@@ -14,7 +14,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, ClassVar, Mapping, NamedTuple, Optional, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Optional, Sequence
 
 from ..graphs.graph import Graph, WeightedGraph
 from .faults import FaultPlan, FaultRecord
@@ -98,10 +98,6 @@ class NodeAlgorithm:
         """Handle this round's inbox; return next round's outbox."""
         raise NotImplementedError
 
-    def result(self) -> Any:
-        """Algorithm-specific output, read after the run completes."""
-        return None
-
 
 @dataclass
 class RunStats:
@@ -135,8 +131,6 @@ class _Wiring(NamedTuple):
     contexts: list[NodeContext]
     #: Per node, its neighbour ids as a set, for O(1) outbox validation.
     neighbor_sets: list[frozenset[int]]
-    #: Per node, neighbour id -> arc index.
-    neighbor_arcs: list[dict[int, int]]
 
 
 #: Per graph, its :class:`_Wiring`; the entry dies with the graph.
@@ -171,13 +165,6 @@ def _wiring_of(graph: Graph) -> _Wiring:
             for v in range(n)
         ],
         neighbor_sets=[frozenset(ids) for ids in neighbor_lists],
-        neighbor_arcs=[
-            {
-                int(graph.indices[a]): int(a)
-                for a in range(graph.indptr[v], graph.indptr[v + 1])
-            }
-            for v in range(n)
-        ],
     )
     return wiring
 
@@ -194,20 +181,11 @@ class Network:
         wiring = _wiring_of(graph)
         self._contexts = wiring.contexts
         self._neighbor_sets = wiring.neighbor_sets
-        self._neighbor_arcs = wiring.neighbor_arcs
 
     def context(self, v: int) -> NodeContext:
         """Initial knowledge of node ``v`` (the graph's shared, frozen
         context)."""
         return self._contexts[v]
-
-    def arc_of(self, v: int, neighbor: int) -> int:
-        """Arc index of the directed edge ``v -> neighbor``.
-
-        Raises:
-            KeyError: if ``neighbor`` is not adjacent to ``v``.
-        """
-        return self._neighbor_arcs[v][neighbor]
 
     def _validate_outbox(
         self, sender: int, outbox: Mapping[int, tuple], round_number: int

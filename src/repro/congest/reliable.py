@@ -286,9 +286,8 @@ def reliable_forward_demands(
     orphaned: list[tuple[int, int]] = []
     view: Optional[CrashView] = None
     if self_heal:
-        getter = getattr(context, "crash_view_for", None)
-        if getter is not None:
-            view = getter(graph.num_nodes)
+        if context is not None:
+            view = context.crash_view_for(graph.num_nodes)
         else:
             view = crash_view(faults, graph.num_nodes)
         dead = view.permanently_down()

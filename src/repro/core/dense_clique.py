@@ -30,6 +30,9 @@ from ..graphs.graph import Graph
 
 __all__ = ["DenseCliqueResult", "dense_clique_emulation"]
 
+#: Phase-2 passes before the residual messages are given up on.
+MAX_RETRIES = 30
+
 
 @dataclass
 class DenseCliqueResult:
@@ -54,7 +57,6 @@ class DenseCliqueResult:
 def dense_clique_emulation(
     graph: Graph,
     rng: np.random.Generator,
-    max_retries: int = 30,
 ) -> DenseCliqueResult:
     """Emulate one clique round on a dense, well-expanding graph.
 
@@ -63,7 +65,6 @@ def dense_clique_emulation(
             expansion ``Omega(Delta)``; works on anything connected but
             the round count degrades off-regime).
         rng: randomness source.
-        max_retries: phase-2 passes before giving up on residuals.
 
     Returns:
         A :class:`DenseCliqueResult` with measured round counts.
@@ -104,7 +105,7 @@ def dense_clique_emulation(
     pending = np.ones(sources.shape[0], dtype=bool)
     # Messages already at their target after phase 1 are done.
     pending &= current != targets
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if not pending.any():
             break
         idx = np.flatnonzero(pending)

@@ -68,10 +68,6 @@ class VirtualNodes:
         local = vnode - self.graph.indptr[host]
         return host * self.graph.num_nodes + local
 
-    def canonical_uid(self, real_node) -> np.ndarray:
-        """UID of the canonical virtual node of a real node: ``v * n``."""
-        return np.asarray(real_node, dtype=np.int64) * self.graph.num_nodes
-
     def random_vnode_of(
         self, real_nodes: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

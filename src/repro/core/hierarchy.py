@@ -143,7 +143,6 @@ def build_hierarchy(
     params: Params | None = None,
     rng: np.random.Generator | None = None,
     beta: int | None = None,
-    depth: int | None = None,
     context=None,
     walk_runner=None,
 ) -> Hierarchy:
@@ -155,7 +154,6 @@ def build_hierarchy(
         rng: randomness source (else the context's ``"hierarchy"``
             stream, else :data:`~repro.rng.DEFAULT_SEED`).
         beta: branching-factor override.
-        depth: level-count override.
         context: optional :class:`repro.runtime.RunContext`.  Supplies
             default ``params`` and the ``"hierarchy"`` RNG stream, and
             absorbs the construction ledger (one ``ledger_charge`` trace
@@ -176,9 +174,7 @@ def build_hierarchy(
     rng = resolve_rng(rng)
     ledger = RoundLedger()
     g0 = build_g0(graph, params, rng, ledger=ledger, walk_runner=walk_runner)
-    partition = build_partition(
-        g0.virtual, params, rng, beta=beta, depth=depth
-    )
+    partition = build_partition(g0.virtual, params, rng, beta=beta)
     # Disseminating the Theta(log^2 n) shared hash-seed bits costs
     # O(D log n) <= O(tau_mix log n) base-graph rounds.
     seed_words = max(1, partition.hash_fn.seed_bits() // 31)

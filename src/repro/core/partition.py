@@ -45,11 +45,6 @@ class HierarchicalPartition:
     hash_fn: KWiseHash
     leaf: np.ndarray
 
-    @property
-    def num_leaves(self) -> int:
-        """Total number of leaves, ``beta^depth``."""
-        return self.beta**self.depth
-
     def parts_at_level(self, level: int) -> int:
         """Number of parts at ``level`` (``beta^level``)."""
         if not 0 <= level <= self.depth:
@@ -66,15 +61,6 @@ class HierarchicalPartition:
     def all_parts_at_level(self, level: int) -> np.ndarray:
         """Part id at ``level`` of every virtual node (vectorized)."""
         return self.leaf // (self.beta ** (self.depth - level))
-
-    def leaf_of_real_destination(self, real_nodes) -> np.ndarray:
-        """Leaf of the canonical virtual node of each real node.
-
-        This is property (P2) in action: computed from the destination's
-        ID alone via the shared hash, with no communication.
-        """
-        uids = self.virtual.canonical_uid(real_nodes)
-        return self.hash_fn(uids)
 
     def part_sizes(self, level: int) -> np.ndarray:
         """Size of every part at ``level``."""
@@ -96,7 +82,6 @@ def build_partition(
     params: Params,
     rng: np.random.Generator,
     beta: int | None = None,
-    depth: int | None = None,
 ) -> HierarchicalPartition:
     """Draw the shared hash and label all virtual nodes.
 
@@ -105,8 +90,6 @@ def build_partition(
         params: construction constants (hash independence, bottom size).
         rng: source of the ``Theta(log^2 n)`` shared seed bits.
         beta: branching factor override (default: the paper's optimum).
-        depth: level-count override (default: until parts reach the
-            bottom size).
 
     Returns:
         The :class:`HierarchicalPartition`.
@@ -126,9 +109,8 @@ def build_partition(
             )
     if beta < 2:
         raise ValueError(f"beta must be at least 2, got {beta}")
-    if depth is None:
-        depth = num_levels(virtual.count, beta, params.bottom_size(n))
-    depth = max(1, depth)
+    # Levels until parts reach the bottom size.
+    depth = max(1, num_levels(virtual.count, beta, params.bottom_size(n)))
     hash_fn = KWiseHash(params.hash_wise(n), beta**depth, rng)
     uids = virtual.uid(np.arange(virtual.count))
     leaf = hash_fn(uids)

@@ -127,7 +127,6 @@ def build_portals(
     params: Params,
     rng: np.random.Generator,
     redundancy_rng: np.random.Generator | None = None,
-    redundancy: int | None = None,
 ) -> PortalTable:
     """Build portal tables for all levels of ``hierarchy``.
 
@@ -144,8 +143,8 @@ def build_portals(
             discovery rounds are charged to ``recovery/portal-redundancy``.
             Kept out of ``rng`` so turning redundancy on cannot shift
             the primary portal draws (or anything sampled after them).
-        redundancy: override for ``k`` (default
-            ``params.portal_redundancy(num_vnodes)``).
+            There are ``k = params.portal_redundancy(num_vnodes)``
+            portals per (node, sibling) in all.
 
     Returns:
         The :class:`PortalTable`.
@@ -156,8 +155,7 @@ def build_portals(
     redundant: list[np.ndarray] = []
     beta = hierarchy.beta
     num_vnodes = hierarchy.g0.virtual.count
-    if redundancy_rng is not None and redundancy is None:
-        redundancy = params.portal_redundancy(num_vnodes)
+    redundancy = params.portal_redundancy(num_vnodes)
     for level in range(1, hierarchy.depth + 1):
         parts = hierarchy.parts_at(level)
         boundary = _boundary_nodes(

@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..congest.detector import crash_view as build_crash_view
 from ..congest.faults import FaultPlan, FaultRecord
 from ..params import Params
-from ..rng import derive_rng, resolve_rng
+from ..rng import resolve_rng
 from ..walks.correlated import run_correlated_walks
 from ..walks.engine import run_lazy_walks
 from .hierarchy import Hierarchy
-from .portals import PortalTable, build_portals
+from .portals import build_portals
 
 __all__ = ["RoutingError", "LevelCost", "RoutingResult", "Router"]
 
@@ -110,12 +109,6 @@ class RoutingResult:
     fault_rounds: float = 0.0
     recovery_rounds: float = 0.0
 
-    @property
-    def stretch_vs_tau_mix(self) -> float:
-        """Total rounds divided by the instance's mixing time is reported
-        by callers that know ``tau_mix``; kept here for convenience."""
-        return self.cost_rounds
-
 
 def _max_multiplicity(values: np.ndarray) -> int:
     """The largest number of times one value occurs (0 when empty)."""
@@ -130,24 +123,29 @@ class Router:
     def __init__(
         self,
         hierarchy: Hierarchy,
-        portals: PortalTable | None = None,
         params: Params | None = None,
         rng: np.random.Generator | None = None,
         context=None,
         walk_runner=None,
         faults: FaultPlan | None = None,
-        recovery: str | None = None,
-        crash_view=None,
     ):
         """Args:
             hierarchy: the built routing structure.
-            portals: pre-built portal table (else built here).
             params: routing constants (default from ``context`` or
                 :meth:`Params.default`).
             rng: randomness source (else the context's ``"router"``
                 stream, else :data:`~repro.rng.DEFAULT_SEED`).
             context: optional :class:`repro.runtime.RunContext`; routing
                 charges and walk-batch/scheduler events go through it.
+                Its ``recovery`` mode picks the portal-failure policy:
+                ``"fail-fast"`` (identical to the PR-4 behaviour, draw
+                for draw; also the mode without a context) or
+                ``"self-heal"`` — portal lookups fail over to the next
+                live redundant portal, re-electing from the part's
+                boundary set when all ``k`` are dead, with the failover
+                cost charged under ``recovery/*``.  A self-healing
+                router reads crashes through the context's
+                :meth:`~repro.runtime.RunContext.crash_view_for`.
             walk_runner: optional walk-execution override for the
                 preparation walks (same contract as in
                 :func:`~repro.core.embedding.build_g0`).
@@ -162,80 +160,41 @@ class Router:
                 raises :class:`~repro.congest.faults.DeliveryTimeout`.
                 Duplication/delay cost nothing here (acks dedup and
                 absorb them); crash windows only act on the native wire.
-            recovery: ``"fail-fast"`` (default; identical to the PR-4
-                behaviour, draw for draw) or ``"self-heal"`` — portal
-                lookups fail over to the next live redundant portal,
-                re-electing from the part's boundary set when all ``k``
-                are dead, with the failover cost charged under
-                ``recovery/*``.  Defaults to the context's mode.
-            crash_view: pre-built
-                :class:`~repro.congest.detector.CrashView`; under
-                self-heal one is derived from the context or the plan
-                when absent.
         """
         self.hierarchy = hierarchy
         self._context = context
         self._walk_runner = walk_runner
+        view = None
         if context is not None:
             params = params or context.params
             if rng is None:
                 rng = context.stream("router")
             if faults is None:
                 faults = context.fault_plan
-            if recovery is None:
-                recovery = getattr(context, "recovery", None)
-        if recovery is None:
-            recovery = "fail-fast"
-        if recovery not in ("fail-fast", "self-heal"):
-            raise ValueError(
-                f"recovery must be 'fail-fast' or 'self-heal', "
-                f"got {recovery!r}"
-            )
+            if context.recovery == "self-heal":
+                view = context.crash_view_for(
+                    hierarchy.g0.base_graph.num_nodes
+                )
         if faults is not None and faults.spec.is_null:
             faults = None
         self._faults = faults
         self._warned_unmodeled = False
         self.params = params or Params.default()
         self.rng = resolve_rng(rng)
-        self.recovery = recovery
         # Everything self-heal draws comes from streams separate from
         # self.rng, so fail-fast stays bit-identical draw for draw.
-        view = crash_view
-        if recovery == "self-heal" and view is None:
-            num_real = hierarchy.g0.base_graph.num_nodes
-            if context is not None:
-                view = context.crash_view_for(num_real)
-            elif faults is not None and faults.spec.crashes:
-                view = build_crash_view(faults, num_real)
-        self._crash_view = view
-        self._self_heal = (
-            recovery == "self-heal"
-            and view is not None
-            and not view.is_null
-        )
+        self._self_heal = view is not None and not view.is_null
         redundancy_rng = None
-        recovery_rng = None
+        self._recovery_rng = None
         if self._self_heal:
-            if context is not None:
-                redundancy_rng = context.fresh_stream("portals-redundant")
-                recovery_rng = context.fresh_stream("recovery")
-            else:
-                redundancy_rng = derive_rng(
-                    int(self.rng.integers(0, 2**62))
-                )
-                recovery_rng = derive_rng(
-                    int(self.rng.integers(0, 2**62))
-                )
-        self._recovery_rng = recovery_rng
-        if portals is not None:
-            self.portals = portals
-        else:
-            self.portals = build_portals(
-                hierarchy,
-                self.params,
-                self.rng,
-                redundancy_rng=redundancy_rng,
-            )
+            redundancy_rng = context.fresh_stream("portals-redundant")
+            self._recovery_rng = context.fresh_stream("recovery")
+        self.portals = build_portals(
+            hierarchy,
+            self.params,
+            self.rng,
+            redundancy_rng=redundancy_rng,
+        )
         if self._self_heal:
             host = hierarchy.g0.virtual.host
             dead_hosts = np.fromiter(

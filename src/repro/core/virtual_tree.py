@@ -82,10 +82,6 @@ class VirtualTree:
         """Number of virtual tree edges at ``node`` towards children."""
         return len(self.children[node])
 
-    def max_in_degree(self) -> int:
-        """Max children count over all nodes."""
-        return max(len(kids) for kids in self.children.values())
-
     def pairs_to_parent(self) -> list[tuple[int, int]]:
         """The ``(node, parent)`` routing pairs of one upcast step."""
         return [

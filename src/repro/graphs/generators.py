@@ -92,26 +92,20 @@ def hypercube(dim: int) -> Graph:
     return Graph(n, edges)
 
 
-def barbell_graph(clique_size: int, bridge_length: int = 1) -> Graph:
-    """Two cliques joined by a path: near-zero conductance.
+def barbell_graph(clique_size: int) -> Graph:
+    """Two cliques joined by one bridge edge: near-zero conductance.
 
     The canonical slow-mixing graph — mixing time ``Theta(n^2)`` or worse —
     used to stress-test behaviour when ``tau_mix`` dominates.
     """
     k = clique_size
-    n = 2 * k + max(0, bridge_length - 1)
     edges = []
-    for u in range(k):
-        for v in range(u + 1, k):
-            edges.append((u, v))
-    offset = k + max(0, bridge_length - 1)
-    for u in range(k):
-        for v in range(u + 1, k):
-            edges.append((offset + u, offset + v))
-    chain = [k - 1] + [k + i for i in range(bridge_length - 1)] + [offset]
-    for a, b in zip(chain, chain[1:]):
-        edges.append((a, b))
-    return Graph(n, edges)
+    for offset in (0, k):
+        for u in range(k):
+            for v in range(u + 1, k):
+                edges.append((offset + u, offset + v))
+    edges.append((k - 1, k))
+    return Graph(2 * k, edges)
 
 
 def lollipop_graph(clique_size: int, tail_length: int) -> Graph:
@@ -134,10 +128,8 @@ def lollipop_graph(clique_size: int, tail_length: int) -> Graph:
     return Graph(clique_size + tail_length, edges)
 
 
-def erdos_renyi(
-    n: int, p: float, rng: np.random.Generator, require_connected: bool = True
-) -> Graph:
-    """``G(n, p)``; retries until connected when requested.
+def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """``G(n, p)``, redrawn until connected.
 
     Above the connectivity threshold ``p = Omega(log n / n)`` the retry
     loop terminates quickly w.h.p.
@@ -149,7 +141,7 @@ def erdos_renyi(
         upper = np.triu(mask, k=1)
         us, vs = np.nonzero(upper)
         graph = Graph(n, list(zip(us.tolist(), vs.tolist())))
-        if not require_connected or graph.is_connected():
+        if graph.is_connected():
             return graph
     raise RuntimeError(
         f"G({n}, {p}) was never connected in 200 attempts; "
@@ -241,11 +233,9 @@ def watts_strogatz(
     return graph
 
 
-def with_random_weights(
-    graph: Graph, rng: np.random.Generator, low: float = 0.0, high: float = 1.0
-) -> WeightedGraph:
-    """Attach i.i.d. uniform weights (distinct w.p. 1) to a graph."""
-    weights = rng.uniform(low, high, size=graph.num_edges)
+def with_random_weights(graph: Graph, rng: np.random.Generator) -> WeightedGraph:
+    """Attach i.i.d. uniform ``[0, 1)`` weights (distinct w.p. 1)."""
+    weights = rng.uniform(0.0, 1.0, size=graph.num_edges)
     return WeightedGraph(graph.num_nodes, list(graph.edges()), weights)
 
 

@@ -225,18 +225,6 @@ class Graph:
             best = max(best, int(dist.max()))
         return best
 
-    def connected_components(self) -> list[list[int]]:
-        """Connected components as lists of nodes."""
-        seen = np.zeros(self._num_nodes, dtype=bool)
-        components = []
-        for v in range(self._num_nodes):
-            if not seen[v]:
-                comp = self.bfs_order(v)
-                for u in comp:
-                    seen[u] = True
-                components.append(comp)
-        return components
-
     def __repr__(self) -> str:
         return f"Graph(n={self._num_nodes}, m={self._num_edges})"
 
@@ -262,14 +250,6 @@ class WeightedGraph(Graph):
                 f"expected {self.num_edges} weights, got {weights.shape}"
             )
         self.weights = weights
-
-    def edge_weight(self, eid: int) -> float:
-        """Weight of the undirected edge with id ``eid``."""
-        return float(self.weights[eid])
-
-    def edge_key(self, eid: int) -> tuple[float, int]:
-        """Total-order key making all edge weights distinct."""
-        return (float(self.weights[eid]), int(eid))
 
     def total_weight(self, edge_ids: Iterable[int]) -> float:
         """Sum of weights over the given edge ids."""

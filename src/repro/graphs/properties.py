@@ -91,17 +91,19 @@ def regular_transition_matrix(graph: Graph) -> np.ndarray:
     return matrix
 
 
-def spectral_gap(
-    graph: Graph, regular: bool = False, sparse_threshold: int = 800
-) -> float:
+#: Above this many nodes :func:`spectral_gap` takes the sparse path.
+SPARSE_THRESHOLD = 800
+
+
+def spectral_gap(graph: Graph, regular: bool = False) -> float:
     """Spectral gap ``1 - lambda_2`` of the (lazy or regular) walk matrix.
 
     The lazy/regular walk matrices are similar to symmetric matrices, so
-    the spectrum is real.  Above ``sparse_threshold`` nodes, a sparse
+    the spectrum is real.  Above :data:`SPARSE_THRESHOLD` nodes, a sparse
     Lanczos solve (scipy) replaces the dense eigendecomposition when
     scipy is available.
     """
-    if graph.num_nodes > sparse_threshold:
+    if graph.num_nodes > SPARSE_THRESHOLD:
         try:
             return _spectral_gap_sparse(graph, regular)
         except ImportError:

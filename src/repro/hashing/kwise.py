@@ -57,7 +57,3 @@ class KWiseHash:
         for coefficient in self.coefficients:
             acc = (acc * keys + int(coefficient)) % PRIME
         return acc % self.range_size
-
-    def hash_one(self, key: int) -> int:
-        """Hash a single key."""
-        return int(self(np.array([key], dtype=np.int64))[0])

@@ -112,16 +112,6 @@ class FunctionInfo:
         names += [a.arg for a in args.args]
         return names
 
-    def all_param_names(self) -> Set[str]:
-        args = self.node.args
-        names = set(self.param_names())
-        names.update(a.arg for a in args.kwonlyargs)
-        if args.vararg:
-            names.add(args.vararg.arg)
-        if args.kwarg:
-            names.add(args.kwarg.arg)
-        return names
-
 
 @dataclass
 class ClassInfo:
@@ -479,7 +469,9 @@ def build_program(paths: Iterable["str | Path"]) -> Program:
     program = Program()
     for file_path in iter_python_files(paths):
         try:
-            source = file_path.read_text(encoding="utf-8")
+            # Decoded as lint_paths does, so a non-UTF-8 file fails to
+            # parse here and gets the per-file pass's E000.
+            source = file_path.read_bytes().decode("utf-8", errors="replace")
             module = LintModule(source, str(file_path))
         except (OSError, SyntaxError):
             continue  # per-file linting already reports E000

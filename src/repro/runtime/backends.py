@@ -96,11 +96,6 @@ class Backend:
         self._hierarchy: Optional[Hierarchy] = None
         self._router: Optional[Router] = None
 
-    @property
-    def built(self) -> bool:
-        """Whether the hierarchy has been constructed (or adopted)."""
-        return self._hierarchy is not None
-
     # -- walk execution strategy (the backend difference) --------------------
 
     def _walk_runner(self):

@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import math
 
+#: Largest ``beta`` :func:`optimal_beta` returns.
+BETA_CAP = 64
+
+#: :func:`crossover_n` searches ``n = 2^4 .. 2^MAX_CROSSOVER_LOG_N``.
+MAX_CROSSOVER_LOG_N = 400
+
 
 def subpolynomial_envelope(n: int, c: float = 1.0) -> float:
     """The paper's ``2^{c * sqrt(log n * log log n)}`` factor.
@@ -26,21 +32,20 @@ def subpolynomial_envelope(n: int, c: float = 1.0) -> float:
     return 2.0 ** (c * math.sqrt(log_n * log_log_n))
 
 
-def optimal_beta(n: int, cap: int | None = 64) -> int:
+def optimal_beta(n: int) -> int:
     """The paper's branching factor ``beta = 2^{O(sqrt(log n log log n))}``.
 
-    We take ``beta = 2^{ceil(sqrt(log2 n * log2 log2 n))}``, optionally
-    capped (a large ``beta`` blows up the ``O(beta^2)`` portal-construction
-    term at simulable sizes without improving anything measurable).
+    We take ``beta = 2^{ceil(sqrt(log2 n * log2 log2 n))}``, capped at
+    :data:`BETA_CAP` (a large ``beta`` blows up the ``O(beta^2)``
+    portal-construction term at simulable sizes without improving
+    anything measurable).
     """
     if n < 4:
         return 2
     log_n = math.log2(n)
     log_log_n = max(1.0, math.log2(log_n))
     beta = 2 ** math.ceil(math.sqrt(log_n * log_log_n))
-    if cap is not None:
-        beta = min(beta, cap)
-    return max(2, int(beta))
+    return max(2, int(min(beta, BETA_CAP)))
 
 
 def num_levels(num_overlay_nodes: int, beta: int, bottom_size: int) -> int:
@@ -162,31 +167,24 @@ def fitted_envelope_constant(n: int, normalized_cost: float) -> float:
     return math.log2(normalized_cost) / math.sqrt(log_n * log_log_n)
 
 
-def crossover_n(
-    envelope_c: float,
-    tau_mix_exponent: float = 0.0,
-    max_log_n: int = 400,
-) -> float | None:
+def crossover_n(envelope_c: float) -> float | None:
     """Estimated ``n`` where the paper's bound beats ``D + sqrt(n)``.
 
-    Compares ``n^{tau_mix_exponent} * 2^{envelope_c sqrt(log n loglog n)}``
-    (our cost, with ``tau_mix ~ n^{tau_mix_exponent}``; 0 for polylog-
-    mixing expanders) against ``sqrt(n)`` (the ``tilde-Theta(D + sqrt n)``
-    algorithms on low-diameter graphs).
+    Compares ``2^{envelope_c sqrt(log n loglog n)}`` (our cost on a
+    polylog-mixing expander, where ``tau_mix`` adds no power of ``n``)
+    against ``sqrt(n)`` (the ``tilde-Theta(D + sqrt n)`` algorithms on
+    low-diameter graphs).
 
     Returns:
         The smallest power of two where ours wins, or ``None`` if no
-        crossover occurs below ``2^max_log_n``.  With measured
+        crossover occurs below ``2^MAX_CROSSOVER_LOG_N``.  With measured
         ``envelope_c`` around 14 (this simulator's constants), the
         crossover sits far beyond practical sizes — quantifying just how
         asymptotic the paper's advantage is.
     """
-    for log_n in range(4, max_log_n + 1):
+    for log_n in range(4, MAX_CROSSOVER_LOG_N + 1):
         log_log_n = max(1.0, math.log2(log_n))
-        ours_log2 = (
-            tau_mix_exponent * log_n
-            + envelope_c * math.sqrt(log_n * log_log_n)
-        )
+        ours_log2 = envelope_c * math.sqrt(log_n * log_log_n)
         general_log2 = 0.5 * log_n
         if ours_log2 < general_log2:
             return 2.0**log_n

@@ -390,8 +390,6 @@ def run_workload(
     *,
     seed: int = 0,
     mode: str = "session",
-    backend: str = "oracle",
-    config: Optional[RunConfig] = None,
     policy: Optional[ResiliencePolicy] = None,
     chaos: Optional[ChaosSpec] = None,
 ) -> WorkloadReport:
@@ -401,12 +399,10 @@ def run_workload(
     scenario's full deterministic stream against the warm structure
     through :func:`~repro.runtime.serve_jsonl`, each request record
     stamped with its ``arrival_s``.  The scenario's ``faults`` /
-    ``recovery`` / ``batch`` knobs configure the serving side unless an
-    explicit ``config`` overrides them.
+    ``recovery`` / ``batch`` knobs configure the serving side.
 
     With a ``policy``
-    (:class:`~repro.runtime.resilience.ResiliencePolicy`, or
-    ``config.resilience``) and/or a ``chaos``
+    (:class:`~repro.runtime.resilience.ResiliencePolicy`) and/or a ``chaos``
     (:class:`~repro.runtime.chaos.ChaosSpec`) campaign, the run is
     *governed*: requests are served one at a time, chaos kills sever
     and recover the session through its write-ahead journal, and the
@@ -418,17 +414,14 @@ def run_workload(
             f"mode must be one of {MODES}, got {mode!r}"
         )
     resolved = _as_scenario(scenario)
-    if config is None:
-        config = RunConfig(
-            seed=seed,
-            backend=backend,
-            faults=resolved.faults,
-            recovery=resolved.recovery,
-        )
-    if policy is not None:
-        config = replace(config, resilience=policy)
+    config = RunConfig(
+        seed=seed,
+        faults=resolved.faults,
+        recovery=resolved.recovery,
+        resilience=policy,
+    )
     chaos = chaos or ChaosSpec()
-    governed = config.resilience is not None or not chaos.is_null
+    governed = policy is not None or not chaos.is_null
     workload = generate_workload(graph, resolved, seed=seed)
     records: list[Mapping[str, Any]] = [
         dict(record, arrival_s=float(second)) if "op" in record else record

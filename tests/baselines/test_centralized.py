@@ -55,10 +55,6 @@ class TestKruskal:
 
 
 class TestPrim:
-    def test_root_choice_irrelevant(self, rng):
-        g = with_random_weights(hypercube(4), rng)
-        assert prim(g, root=0) == prim(g, root=7)
-
     def test_disconnected_raises(self):
         g = WeightedGraph(4, [(0, 1), (2, 3)], [1.0, 1.0])
         with pytest.raises(ValueError, match="disconnected"):

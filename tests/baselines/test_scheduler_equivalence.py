@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.workloads import circulation_paths
+from repro.baselines import routing_baselines, routing_baselines_ref
 from repro.baselines.routing_baselines import schedule_paths
 from repro.baselines.routing_baselines_ref import schedule_paths_ref
 from repro.graphs import random_regular
@@ -130,13 +131,11 @@ class TestPipelineWorkloads:
         assert vec.rounds == 20
         assert vec.max_queue == 1
 
-    def test_round_budget_exceeded_matches(self):
+    def test_round_budget_exceeded_matches(self, monkeypatch):
+        monkeypatch.setattr(routing_baselines, "MAX_SCHEDULE_ROUNDS", 3)
+        monkeypatch.setattr(routing_baselines_ref, "MAX_SCHEDULE_ROUNDS", 3)
         paths = [[0, 1, 2, 3, 4]] * 10
         with pytest.raises(RuntimeError, match="round budget"):
-            schedule_paths(
-                paths, rng=np.random.default_rng(417), max_rounds=3
-            )
+            schedule_paths(paths, rng=np.random.default_rng(417))
         with pytest.raises(RuntimeError, match="round budget"):
-            schedule_paths_ref(
-                paths, rng=np.random.default_rng(417), max_rounds=3
-            )
+            schedule_paths_ref(paths, rng=np.random.default_rng(417))

@@ -36,11 +36,9 @@ class TestCrashView:
         view = CrashView(
             8, ((2, 10, frozenset({1, 4})),), detection_rounds(1, 8)
         )
-        assert view.is_down(1, 2) and view.is_down(4, 10)
-        assert not view.is_down(1, 1) and not view.is_down(1, 11)
-        assert not view.is_down(2, 5)
-        assert view.down_at(5) == frozenset({1, 4})
-        assert view.down_until(1, 5) == 10
+        assert view.down_until(1, 2) == view.down_until(4, 10) == 10
+        assert view.down_until(1, 1) == view.down_until(1, 11) == -1
+        assert view.down_until(1, 5) == view.down_until(4, 5) == 10
         assert view.down_until(2, 5) == -1
 
     def test_overlapping_windows_take_latest_end(self):
@@ -62,9 +60,12 @@ class TestCrashView:
         )
         assert view.permanently_down() == frozenset({5})
         assert view.waitable_end() == 40
-        # A tighter patience bound reclassifies the first window too.
-        assert view.permanently_down(max_wait=10) == frozenset({2, 5})
-        assert view.waitable_end(max_wait=10) == 0
+        # A window ending on the patience bound itself is still waited out.
+        edge = CrashView(
+            8, ((1, MAX_WAIT_ROUNDS, frozenset({2})),), detection_rounds(1, 8)
+        )
+        assert edge.permanently_down() == frozenset()
+        assert edge.waitable_end() == MAX_WAIT_ROUNDS
 
     def test_detection_cost_model(self):
         assert detection_rounds(0, 64) == 0.0

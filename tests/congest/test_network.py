@@ -283,15 +283,6 @@ class TestNetworkMechanics:
         net = Network(ring_graph(5))
         assert net.context(0).edge_weights is None
 
-    def test_arc_of_lookup(self):
-        g = random_regular(16, 4, np.random.default_rng(62))
-        net = Network(g)
-        for v in range(g.num_nodes):
-            for a in range(int(g.indptr[v]), int(g.indptr[v + 1])):
-                assert net.arc_of(v, int(g.indices[a])) == a
-        with pytest.raises(KeyError):
-            net.arc_of(0, int(g.num_nodes))
-
 
 class TestViolationDiagnostics:
     """CongestViolation messages carry the payload and round number."""

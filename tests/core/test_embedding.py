@@ -45,9 +45,6 @@ class TestVirtualNodes:
         # node that knows only the ID v (property P2).
         canon = virtual.canonical(np.arange(8))
         assert np.array_equal(virtual.uid(canon), np.arange(8) * 8)
-        assert np.array_equal(
-            virtual.canonical_uid(np.arange(8)), np.arange(8) * 8
-        )
 
     def test_uid_unique(self):
         g = hypercube(3)

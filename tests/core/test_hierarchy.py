@@ -127,13 +127,6 @@ class TestVariants:
             degrees = level.overlay.degrees
             assert degrees.min() >= 1
 
-    def test_depth_override(self, expander64):
-        h = build_hierarchy(
-            expander64, Params.default(), np.random.default_rng(51),
-            beta=4, depth=2,
-        )
-        assert h.depth <= 2
-
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):

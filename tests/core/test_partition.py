@@ -14,7 +14,7 @@ def setup():
     g0 = build_g0(graph, Params.default(), np.random.default_rng(11))
     partition = build_partition(
         g0.virtual, Params.default(), np.random.default_rng(12),
-        beta=4, depth=3,
+        beta=3,
     )
     return g0, partition
 
@@ -22,19 +22,19 @@ def setup():
 class TestStructure:
     def test_depth_and_beta(self, setup):
         __, partition = setup
-        assert partition.beta == 4
+        # 768 virtual nodes at beta=3 reach the bottom size at level 3.
+        assert partition.beta == 3
         assert partition.depth == 3
-        assert partition.num_leaves == 64
 
     def test_leaf_range(self, setup):
         __, partition = setup
         assert partition.leaf.min() >= 0
-        assert partition.leaf.max() < 64
+        assert partition.leaf.max() < 27
 
     def test_parts_at_level_counts(self, setup):
         __, partition = setup
         assert partition.parts_at_level(0) == 1
-        assert partition.parts_at_level(2) == 16
+        assert partition.parts_at_level(2) == 9
 
     def test_level_out_of_range(self, setup):
         __, partition = setup
@@ -90,7 +90,7 @@ class TestP2Computability:
         g0, partition = setup
         n = g0.base_graph.num_nodes
         reals = np.arange(n)
-        predicted = partition.leaf_of_real_destination(reals)
+        predicted = partition.hash_fn(reals * n)
         actual = partition.leaf[g0.virtual.canonical(reals)]
         assert np.array_equal(predicted, actual)
 

@@ -110,14 +110,18 @@ class TestPortalTables:
         )
 
 
-def _redundant(hierarchy, params, seed, k=None):
+def _redundant(hierarchy, params, seed):
+    """Primary plus redundant portals; ``k`` comes from ``params``."""
     return build_portals(
         hierarchy,
         params,
         derive_rng(seed, 1),
         redundancy_rng=derive_rng(seed, 2),
-        redundancy=k,
     )
+
+
+#: 0.45 * log2(384 vnodes of hierarchy64) rounds to 4 portals.
+_K4_FACTOR = 0.45
 
 
 class TestRedundantPortals:
@@ -139,9 +143,9 @@ class TestRedundantPortals:
         extra = _redundant(hierarchy64, params, seed=9)
         num_vnodes = hierarchy64.g0.virtual.count
         assert extra.redundancy == params.portal_redundancy(num_vnodes)
-        assert _redundant(
-            hierarchy64, params, seed=9, k=5
-        ).redundancy == 5
+        # 0.6 * log2(384 vnodes) rounds to 5 portals per (node, sibling).
+        tuned = params.with_overrides(portal_redundancy_factor=0.6)
+        assert _redundant(hierarchy64, tuned, seed=9).redundancy == 5
 
     def test_candidates_lie_on_the_boundary(self, hierarchy64, params):
         """Every failover candidate is a legal portal: a boundary node
@@ -178,8 +182,10 @@ class TestRedundantPortals:
     def test_build_is_deterministic(self, hierarchy64, params, seed):
         """Crash-then-recover twice: two builds from the same seed are
         bit-identical, so re-running a healed run reproduces it."""
-        a = _redundant(hierarchy64, params, seed=seed, k=4)
-        b = _redundant(hierarchy64, params, seed=seed, k=4)
+        four = params.with_overrides(portal_redundancy_factor=_K4_FACTOR)
+        a = _redundant(hierarchy64, four, seed=seed)
+        b = _redundant(hierarchy64, four, seed=seed)
+        assert a.redundancy == 4
         for level in range(1, hierarchy64.depth + 1):
             assert np.array_equal(
                 a.redundant[level - 1], b.redundant[level - 1]
@@ -194,11 +200,12 @@ class TestRedundantPortals:
         counts: dict[int, int] = {}
         slot_pairs_equal = 0
         total_pairs = 0
+        four = params.with_overrides(portal_redundancy_factor=_K4_FACTOR)
         boundary = None
         target = None
         members = None
         for seed in range(5):
-            extra = _redundant(hierarchy64, params, seed=20 + seed, k=4)
+            extra = _redundant(hierarchy64, four, seed=20 + seed)
             if boundary is None:
                 sets = extra.boundary_sets[0]
                 # Pick the densest electorate for stable statistics.

@@ -107,13 +107,12 @@ class TestCostAccounting:
         for level, cost in result.level_costs.items():
             assert cost.invocations <= 2**level
 
-    def test_ledger_charge(self, router64, hierarchy64, params):
+    def test_ledger_charge(self, hierarchy64, params):
         from repro.runtime import RunContext
 
         context = RunContext(seed=76, params=params)
         router = Router(
             hierarchy64,
-            portals=router64.portals,
             rng=np.random.default_rng(76),
             context=context,
         )
@@ -177,10 +176,10 @@ class TestMissingPortalPath:
     def test_lost_boundary_edge_raises(self, hierarchy64, params):
         """Portals whose G0 boundary arcs to other level-1 parts are
         deleted strand the hop itself, not the portal lookup."""
-        portals = Router(
+        router = Router(
             hierarchy64, params=params, rng=np.random.default_rng(81)
-        ).portals
-        table = portals.tables[0]
+        )
+        table = router.portals.tables[0]
         portal_set = np.unique(table[table >= 0])
         parts = hierarchy64.parts_at(1)
         edges = hierarchy64.g0.overlay.edge_array
@@ -194,10 +193,10 @@ class TestMissingPortalPath:
         pruned.g0.overlay = Graph(
             hierarchy64.g0.overlay.num_nodes, edges[~boundary]
         )
-        router = Router(
-            pruned, portals=portals, params=params,
-            rng=np.random.default_rng(81),
-        )
+        # Keep the portals elected on the intact overlay, so the hop
+        # (not the lookup) is what finds the boundary edge gone.
+        router.hierarchy = pruned
+        router.rng = np.random.default_rng(81)
         rng = np.random.default_rng(82)
         with pytest.raises(
             RoutingError, match="lost its boundary edge to part"

@@ -10,6 +10,7 @@ consumption (the generator's next draw).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from unittest import mock
@@ -24,6 +25,7 @@ from repro.core import Router, RoutingError, build_hierarchy
 from repro.core.router import _max_multiplicity
 from repro.graphs import grid_torus, hypercube, random_regular
 from repro.params import Params
+from repro.runtime import RunContext
 
 kernel_settings = settings(
     max_examples=60,
@@ -100,11 +102,22 @@ def _hierarchy(family):
 
 
 @functools.lru_cache(maxsize=None)
-def _portals(family):
+def _fail_fast_router(family):
     return Router(
         _hierarchy(family), params=Params.default(),
         rng=np.random.default_rng(6),
-    ).portals
+    )
+
+
+class _CrashedContext(RunContext):
+    """A self-healing run whose detector reports ``view``."""
+
+    def __init__(self, view):
+        super().__init__(recovery="self-heal")
+        self._view = view
+
+    def crash_view_for(self, num_nodes):
+        return self._view
 
 
 def _router(family, seed, victims=frozenset()):
@@ -112,17 +125,19 @@ def _router(family, seed, victims=frozenset()):
     (real nodes crashed for the whole run) is non-empty."""
     hierarchy = _hierarchy(family)
     if not victims:
-        return Router(
-            hierarchy, portals=_portals(family), params=Params.default(),
-            rng=np.random.default_rng(seed),
-        )
+        # A copy of one cached router, so the portal table is built once
+        # per family; only its generator is fresh.
+        router = copy.copy(_fail_fast_router(family))
+        router.rng = np.random.default_rng(seed)
+        return router
     n = hierarchy.g0.base_graph.num_nodes
     return Router(
         hierarchy,
         params=Params.default(),
         rng=np.random.default_rng(seed),
-        recovery="self-heal",
-        crash_view=CrashView(n, ((1, 10**6, frozenset(victims)),), 1.0),
+        context=_CrashedContext(
+            CrashView(n, ((1, 10**6, frozenset(victims)),), 1.0)
+        ),
     )
 
 

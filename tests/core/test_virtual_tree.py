@@ -35,15 +35,6 @@ class TestBasics:
         tree = chain_tree([0, 1, 2])
         assert sorted(tree.pairs_to_parent()) == [(1, 0), (2, 1)]
 
-    def test_max_in_degree(self):
-        tree = VirtualTree.singleton(0)
-        for child in (1, 2, 3):
-            tree.parent[child] = 0
-            tree.children[0].add(child)
-            tree.children[child] = set()
-            tree.depth[child] = 1
-        assert tree.max_in_degree() == 3
-
 
 class TestAbsorb:
     def test_absorb_under_attach_node(self):

@@ -83,12 +83,6 @@ class TestDeterministicFamilies:
         ]
         assert len(bridges) == 1
 
-    def test_barbell_long_bridge(self):
-        g = barbell_graph(4, bridge_length=3)
-        assert g.num_nodes == 10
-        assert g.is_connected()
-        assert g.diameter() >= 4
-
 
 class TestRandomFamilies:
     def test_erdos_renyi_connected(self):
@@ -108,12 +102,6 @@ class TestRandomFamilies:
     def test_erdos_renyi_subcritical_fails(self):
         with pytest.raises(RuntimeError, match="never connected"):
             erdos_renyi(200, 0.001, np.random.default_rng(0))
-
-    def test_erdos_renyi_allow_disconnected(self):
-        g = erdos_renyi(
-            200, 0.001, np.random.default_rng(0), require_connected=False
-        )
-        assert g.num_nodes == 200
 
     def test_random_regular_degrees(self):
         g = random_regular(30, 4, np.random.default_rng(2))
@@ -164,16 +152,14 @@ class TestWeights:
         assert len(set(g.weights.tolist())) == g.num_edges
 
     def test_with_random_weights_range(self):
-        g = with_random_weights(
-            ring_graph(16), np.random.default_rng(7), low=5.0, high=6.0
-        )
-        assert g.weights.min() >= 5.0
-        assert g.weights.max() <= 6.0
+        g = with_random_weights(ring_graph(16), np.random.default_rng(7))
+        assert g.weights.min() >= 0.0
+        assert g.weights.max() < 1.0
 
     def test_with_weights(self):
         base = path_graph(3)
         g = with_weights(base, [2.0, 3.0])
-        assert g.edge_weight(1) == 3.0
+        assert g.weights[1] == 3.0
 
     def test_topology_preserved(self):
         base = hypercube(3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import hypercube, random_regular, ring_graph, spectral_gap
-from repro.graphs.properties import _spectral_gap_sparse
+from repro.graphs.properties import SPARSE_THRESHOLD, _spectral_gap_sparse
 
 
 class TestSparseGap:
@@ -12,7 +12,8 @@ class TestSparseGap:
     def test_matches_dense(self, regular):
         rng = np.random.default_rng(0)
         g = random_regular(96, 6, rng)
-        dense = spectral_gap(g, regular=regular, sparse_threshold=10**9)
+        assert g.num_nodes <= SPARSE_THRESHOLD
+        dense = spectral_gap(g, regular=regular)  # the dense path
         sparse = _spectral_gap_sparse(g, regular=regular)
         assert sparse == pytest.approx(dense, rel=1e-6, abs=1e-9)
 
@@ -23,13 +24,14 @@ class TestSparseGap:
 
         edges = list(g.edges()) + [(0, 32), (0, 16), (8, 40)]
         g2 = Graph(64, edges)
-        dense = spectral_gap(g2, sparse_threshold=10**9)
+        dense = spectral_gap(g2)  # the dense path
         sparse = _spectral_gap_sparse(g2, regular=False)
         assert sparse == pytest.approx(dense, rel=1e-6, abs=1e-9)
 
     def test_auto_dispatch_large(self):
         rng = np.random.default_rng(1)
         g = random_regular(1024, 8, rng)
+        assert g.num_nodes > SPARSE_THRESHOLD
         gap = spectral_gap(g)  # takes the sparse path
         assert 0.05 < gap < 0.5
 

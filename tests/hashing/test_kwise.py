@@ -23,10 +23,6 @@ class TestBasics:
         keys = np.arange(100)
         assert np.array_equal(h(keys), h(keys))
 
-    def test_hash_one_matches_batch(self, rng):
-        h = KWiseHash(4, 64, rng)
-        assert h.hash_one(42) == h(np.array([42]))[0]
-
     def test_different_seeds_differ(self):
         h1 = KWiseHash(6, 1024, np.random.default_rng(0))
         h2 = KWiseHash(6, 1024, np.random.default_rng(1))
@@ -52,7 +48,8 @@ class TestBasics:
 
     def test_keys_beyond_prime_wrap(self, rng):
         h = KWiseHash(4, 100, rng)
-        assert h.hash_one(PRIME + 5) == h.hash_one(5)
+        wrapped, plain = h(np.array([PRIME + 5, 5]))
+        assert wrapped == plain
 
 
 class TestDistribution:
@@ -70,7 +67,8 @@ class TestDistribution:
         trials = 3000
         for seed in range(trials):
             h = KWiseHash(2, 4, np.random.default_rng(seed))
-            if h.hash_one(12345) == 1 and h.hash_one(67890) == 2:
+            first, second = h(np.array([12345, 67890]))
+            if first == 1 and second == 2:
                 hits += 1
         expected = trials / 16
         assert abs(hits - expected) < 4 * np.sqrt(expected) + 5

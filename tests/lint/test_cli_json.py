@@ -80,6 +80,16 @@ class TestExitCodes:
         code, __ = run_cli(str(dirty_file), "--disable", "R001")
         assert code == 0
 
+    def test_non_utf8_file_is_a_finding(self, tmp_path):
+        """Undecodable bytes fail the parse like any syntax error: an
+        E000 finding and exit 1, in both the per-file and the
+        whole-program pass."""
+        path = tmp_path / "latin.py"
+        path.write_bytes(b"x = 1\n\xff\xfe\n")
+        code, out = run_cli(str(path))
+        assert code == 1
+        assert "E000" in out
+
 
 class TestJsonFormat:
     def test_payload_shape(self, dirty_file):

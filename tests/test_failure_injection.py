@@ -161,6 +161,17 @@ def _plan(text: str, label: int = 0) -> FaultPlan:
     return FaultPlan(FaultSpec.parse(text), rng=derive_rng(1234, label))
 
 
+class _CrashedContext(RunContext):
+    """A self-healing run whose failure detector reports ``view``."""
+
+    def __init__(self, view, params=None):
+        super().__init__(params=params, recovery="self-heal")
+        self._view = view
+
+    def crash_view_for(self, num_nodes):
+        return self._view
+
+
 def _neighbor_demands(graph):
     """Single-hop demands: every node sends to its first neighbour."""
     origins = np.arange(graph.num_nodes)
@@ -557,10 +568,10 @@ class TestSelfHealCompletion:
             live = np.array([v for v in range(n) if v not in victims])
             router = Router(
                 hierarchy,
-                params=clean.backend.context.params,
                 rng=derive_rng(7, 100 + level),
-                recovery="self-heal",
-                crash_view=view,
+                context=_CrashedContext(
+                    view, params=clean.backend.context.params
+                ),
             )
             result = router.route(live, np.roll(live, 3))
             assert result.delivered, f"level {level} failover"

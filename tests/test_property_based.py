@@ -200,9 +200,7 @@ class TestPartitionBalanceProperty:
         rng = np.random.default_rng(seed)
         graph = random_regular(64, 6, np.random.default_rng(7))
         virtual = VirtualNodes(graph=graph, host=graph.arc_tails)
-        partition = build_partition(
-            virtual, Params.default(), rng, beta=beta, depth=1
-        )
+        partition = build_partition(virtual, Params.default(), rng, beta=beta)
         sizes = partition.part_sizes(1)
         assert sizes.sum() == virtual.count
         assert sizes.min() > 0

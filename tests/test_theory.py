@@ -40,16 +40,15 @@ class TestEnvelope:
 class TestOptimalBeta:
     def test_power_of_two(self):
         for n in (64, 256, 1024, 4096):
-            beta = theory.optimal_beta(n, cap=None)
+            beta = theory.optimal_beta(n)
             assert beta & (beta - 1) == 0
 
     def test_monotone(self):
-        assert theory.optimal_beta(4096, cap=None) >= theory.optimal_beta(
-            64, cap=None
-        )
+        assert theory.optimal_beta(1024) > theory.optimal_beta(64)
+        assert theory.optimal_beta(4096) >= theory.optimal_beta(1024)
 
     def test_cap(self):
-        assert theory.optimal_beta(2**30, cap=64) == 64
+        assert theory.optimal_beta(2**30) == theory.BETA_CAP
 
     def test_minimum_two(self):
         assert theory.optimal_beta(2) >= 2
@@ -158,16 +157,10 @@ class TestCrossover:
         assert a < b
 
     def test_crossover_none_when_too_costly(self):
-        assert theory.crossover_n(6.0, max_log_n=300) is None
+        assert theory.crossover_n(6.0) is None
 
     def test_crossover_verifies_inequality(self):
         c = 1.5
         n = theory.crossover_n(c)
         assert n is not None
         assert theory.subpolynomial_envelope(int(n), c=c) < n**0.5
-
-    def test_tau_exponent_delays_crossover(self):
-        fast_mixing = theory.crossover_n(1.0, tau_mix_exponent=0.0)
-        slow_mixing = theory.crossover_n(1.0, tau_mix_exponent=0.2)
-        assert fast_mixing is not None and slow_mixing is not None
-        assert slow_mixing > fast_mixing

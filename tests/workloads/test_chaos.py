@@ -16,7 +16,7 @@ import pytest
 
 from repro.graphs import random_regular
 from repro.rng import derive_rng
-from repro.runtime import ChaosSpec, ResiliencePolicy, RunConfig
+from repro.runtime import ChaosSpec, ResiliencePolicy
 from repro.workloads import get_scenario, run_workload
 
 #: Virtual seconds per round: the deterministic clock every governed
@@ -56,16 +56,6 @@ class TestGovernedEquivalence:
         assert not report.governed
         assert "goodput" not in report.summary()
         assert "kills" not in report.summary()
-
-    def test_policy_defaults_from_config(self, graph):
-        config = RunConfig(
-            seed=0,
-            resilience=ResiliencePolicy(round_time_s=ROUND_TIME_S),
-        )
-        report = run_workload(
-            graph, _quick("steady"), seed=0, config=config
-        )
-        assert report.governed
 
 
 class TestChaosCampaign:
