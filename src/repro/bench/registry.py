@@ -55,9 +55,9 @@ NATIVE_OPEN_BUDGET_S = 2.0
 #: measured p50 request (2.1–3.3 ms on a shared 2-core host).
 WARM_ROUTE_BUDGET_S = 0.006
 
-#: The native warm-route tripwire budget: about twice the grouped step
-#: replay's measured p50 request (2.5–3.1 ms on a shared 2-core host),
-#: below the 6.6–7.0 ms of one executor pass per walk step.
+#: The native warm-route tripwire budget: the held-row replay's
+#: measured p50 request is 1.22–1.25 ms on a shared 2-core host; the
+#: budget stays below the 6.6–7.0 ms of one executor pass per walk step.
 NATIVE_WARM_ROUTE_BUDGET_S = 0.006
 
 #: Deterministic workload metrics the gate compares exactly (wall-clock

@@ -40,6 +40,21 @@ _PAIR_INDEX: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = (
 )
 
 
+class _Idle(NodeAlgorithm):
+    """A node no demand touches: finished and stateless, so one
+    instance fills every such slot of a cross-run."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.finished = True
+
+    def receive(self, round_number, inbox) -> Mapping[int, tuple]:
+        raise RuntimeError("a node no demand touches received mail")
+
+
+_IDLE = _Idle()
+
+
 class TokenForwarder(NodeAlgorithm):
     """Sends queued single-hop demands, one per directed edge per round."""
 
@@ -122,6 +137,18 @@ def _non_edge(
     )
 
 
+def _check_range(
+    graph: Graph, origins: np.ndarray, targets: np.ndarray
+) -> None:
+    """Raise :func:`_non_edge` if a demand names a node outside
+    ``[0, n)``, which could alias another node or pair."""
+    if origins.shape[0] and (
+        min(origins.min(), targets.min()) < 0
+        or max(origins.max(), targets.max()) >= graph.num_nodes
+    ):
+        raise _non_edge(graph, origins, targets)
+
+
 def _forward_steps_array(
     graph: Graph, bounds: np.ndarray, origins: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +178,7 @@ def _forward_steps_array(
     if origins.shape[0] == 0:
         return rounds, messages
     # An out-of-range id could alias another pair's key: check it first.
-    if (
-        min(origins.min(), targets.min()) < 0
-        or max(origins.max(), targets.max()) >= n
-    ):
-        raise _non_edge(graph, origins, targets)
+    _check_range(graph, origins, targets)
     keys = origins * n
     keys += targets
     keys += np.repeat(
@@ -172,22 +195,32 @@ def _forward_steps_array(
 
 
 def _forward_demands_scalar(graph: Graph, origins, targets) -> tuple[int, int]:
-    """The oracle: one :class:`TokenForwarder` per node on
+    """The oracle: :class:`TokenForwarder` nodes on
     :meth:`~repro.congest.network.Network.run`, clean wire only.
 
-    Returns ``(rounds, messages)`` of the simulated execution.
+    Only the demands' origins and targets get a forwarder; every other
+    slot holds the shared idle node, so set-up costs O(demands), not
+    O(n).  Returns ``(rounds, messages)`` of the simulated execution;
+    raises :class:`CongestViolation` on a demand that is not an edge.
     """
     origins, targets = _demand_arrays(origins, targets)
+    _check_range(graph, origins, targets)
     network = Network(graph)
-    per_node: list[list[int]] = [[] for _ in range(graph.num_nodes)]
-    for origin, target in zip(origins.tolist(), targets.tolist()):
+    origin_ids, target_ids = origins.tolist(), targets.tolist()
+    per_node: dict[int, list[int]] = {
+        v: [] for v in sorted({*origin_ids, *target_ids})
+    }
+    for origin, target in zip(origin_ids, target_ids):
         per_node[origin].append(target)
-    algorithms = [
-        TokenForwarder(network.context(v), per_node[v])
-        for v in range(graph.num_nodes)
+    forwarders = [
+        TokenForwarder(network.context(v), queue)
+        for v, queue in per_node.items()
     ]
+    algorithms: list[NodeAlgorithm] = [_IDLE] * graph.num_nodes
+    for forwarder in forwarders:
+        algorithms[forwarder.context.node_id] = forwarder
     stats = network.run(algorithms, max_rounds=10 * origins.shape[0] + 100)
-    delivered = sum(algorithm.received for algorithm in algorithms)
+    delivered = sum(forwarder.received for forwarder in forwarders)
     if delivered != origins.shape[0]:
         raise RuntimeError(
             f"forwarding lost messages: {delivered} != {origins.shape[0]}"

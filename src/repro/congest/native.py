@@ -21,8 +21,9 @@ batch, so this module and :class:`repro.runtime.NativeBackend` share a
 single message-passing walk executor, checked on a clean wire by the
 per-node simulator on sampled steps.  The backend runs it live (a
 :class:`WalkBatch`): the walk engine hands each step to the executor as
-it takes it, so no trajectory is recorded; on a clean wire the moving
-steps run a few thousand demands per array pass.  The native round
+it takes it, so no trajectory is recorded; on a clean wire its
+position rows are held and run a few thousand positions per array
+pass.  The native round
 cost is compared against the vectorized calibration of
 :func:`repro.core.embedding.build_g0` (experiment E15).  The level-1
 construction batches its sampling walks over the overlay CSR and
@@ -303,10 +304,11 @@ class ReplayMismatch(RuntimeError):
 #: with any movement) is re-run through the per-node simulator.
 _ORACLE_SAMPLE_EVERY = 32
 
-#: On a clean wire, moving steps are held until this many demands wait,
-#: then run in one array pass.  Kept small: a native open moves 8k–32k
-#: demands a step, and a larger buffer shows in peak memory.
-_HELD_DEMANDS = 4096
+#: On a clean wire, walk steps are held until this many positions wait
+#: (held steps times walks), then run in one array pass.  Kept small: a
+#: native open moves 8k–32k demands a step, and a larger buffer shows
+#: in peak memory; a step wider than this runs alone.
+_HELD_POSITIONS = 8192
 
 
 @dataclass
@@ -358,10 +360,13 @@ class _StepReplay:
     form hands it to the walk engine, the recorded form feeds it the
     rows of a trajectory, so the two execute through one code path.
 
-    On a clean wire each moving step's ``(origins, targets)`` is held
-    until :data:`_HELD_DEMANDS` demands wait; the held steps then run in
-    one pass of the array executor (a step over the cap runs alone, not
-    copied), and :meth:`result` runs what is still held.  A non-edge
+    On a clean wire each step's ``after`` row (the next step's
+    ``before``) is held, uncopied (engines never modify a row after the
+    hook returns), until :data:`_HELD_POSITIONS` positions wait.  The held rows then run in
+    one pass: one compare over the stacked rows yields every step's
+    demands, one call of the array executor runs them (a step wider
+    than the cap runs alone), and only the sampled steps are visited
+    one by one.  :meth:`result` runs what is still held.  A non-edge
     raises when its group runs, before that group's sampled steps are
     cross-run.  A faulty wire runs each step on the ARQ path as it is
     taken.
@@ -382,83 +387,87 @@ class _StepReplay:
         self.per_step: list[int] = []
         self.messages = 0
         self.step_booked = 0
-        self.sample: frozenset[int] = frozenset()
+        self.sample = np.zeros(0, dtype=np.int64)
         if self.faults is None and steps:
             count = max(1, steps // _ORACLE_SAMPLE_EVERY)
-            picks = derive_rng(steps, walks).choice(
-                steps, count, replace=False
+            self.sample = np.sort(
+                derive_rng(steps, walks).choice(steps, count, replace=False)
             )
-            self.sample = frozenset(int(step) for step in picks)
         self.checked = False
         # The last moving step, kept until some step has been cross-run.
         self.unchecked: Optional[tuple] = None
-        # Moving steps not yet executed: (step, origins, targets).
-        self.held: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self.held_demands = 0
+        # The rows not yet executed: the positions before the first held
+        # step, then after each held step.
+        self.held: list[np.ndarray] = []
 
     def __call__(self, before: np.ndarray, after: np.ndarray) -> None:
         """Take one walk step: execute it, or hold it for the next pass."""
-        step = len(self.per_step)
-        self.per_step.append(0)
+        if self.faults is None:
+            # Holding this step would make len(self.held) steps.
+            if len(self.held) * after.shape[0] > _HELD_POSITIONS:
+                self._run_held()
+            if not self.held:
+                self.held.append(before)
+            self.held.append(after)
+            return
         moved = before != after
         if not moved.any():
+            self.per_step.append(0)
             return
-        origins, targets = before[moved], after[moved]
-        if self.faults is not None:
-            report = reliable_forward_demands(
-                self.graph,
-                origins,
-                targets,
-                faults=self.faults,
-                context=self.context,
-                recovery=(
-                    self.context.recovery if self.context is not None
-                    else "fail-fast"
-                ),
-            )
-            self.per_step[step] = report.rounds
-            self.messages += report.messages
-            if self.context is not None:
-                self.step_booked += (
-                    report.retry_rounds + report.recovery_rounds
-                )
-            return
-        if self.held_demands + origins.shape[0] > _HELD_DEMANDS:
-            self._run_held()
-        self.held.append((step, origins, targets))
-        self.held_demands += origins.shape[0]
+        report = reliable_forward_demands(
+            self.graph,
+            before[moved],
+            after[moved],
+            faults=self.faults,
+            context=self.context,
+            recovery=(
+                self.context.recovery if self.context is not None
+                else "fail-fast"
+            ),
+        )
+        self.per_step.append(report.rounds)
+        self.messages += report.messages
+        if self.context is not None:
+            self.step_booked += report.retry_rounds + report.recovery_rounds
 
     def _run_held(self) -> None:
         """Run the held steps in one array pass, then cross-run the
-        sampled ones (or keep the last as the fallback)."""
-        held, self.held, self.held_demands = self.held, [], 0
+        sampled ones (or keep the last moving one as the fallback)."""
+        held, self.held = self.held, []
         if not held:
             return
-        sizes = [origins.shape[0] for _, origins, _ in held]
-        bounds = np.zeros(len(held) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        if len(held) == 1:
-            _, origins, targets = held[0]
-        else:
-            origins = np.concatenate([entry[1] for entry in held])
-            targets = np.concatenate([entry[2] for entry in held])
+        rows = np.stack(held)
+        moved = rows[1:] != rows[:-1]
+        bounds = np.zeros(rows.shape[0], dtype=np.int64)
+        np.cumsum(np.count_nonzero(moved, axis=1), out=bounds[1:])
+        # Flat indices of the moves in rows[:-1]; the same walk one row
+        # on is its target.
+        at = np.flatnonzero(moved)
+        flat = rows.reshape(-1)
+        origins, targets = flat[at], flat[at + rows.shape[1]]
         # The pass's rounds land in per_step, which result() returns.
         rounds, sent = _forward_steps_array(  # reprolint: disable=R009
             self.graph, bounds, origins, targets
         )
-        for entry, step_rounds, step_sent in zip(
-            held, rounds.tolist(), sent.tolist()
-        ):
-            step = entry[0]
-            self.per_step[step] = step_rounds
-            self.messages += step_sent
-            if step in self.sample:
+        first = len(self.per_step)
+        self.per_step.extend(rounds.tolist())
+        self.messages += int(sent.sum())
+
+        def entry(index: int) -> tuple:
+            a, b = bounds[index], bounds[index + 1]
+            return (first + index, origins[a:b], targets[a:b],
+                    int(rounds[index]), int(sent[index]))
+
+        low, high = np.searchsorted(self.sample, [first, len(self.per_step)])
+        for step in self.sample[low:high].tolist():
+            if sent[step - first]:
                 # Re-runs the step just executed (see _cross_check).
                 self._cross_check(  # reprolint: disable=R009
-                    *entry, step_rounds, step_sent
+                    *entry(step - first)
                 )
-            elif self.sample and not self.checked:
-                self.unchecked = (*entry, step_rounds, step_sent)
+        moving = np.flatnonzero(sent)
+        if not self.checked and moving.size:
+            self.unchecked = entry(int(moving[-1]))
 
     def _cross_check(self, step, origins, targets, rounds, sent) -> None:
         """Re-run one executed step on the per-node simulator.
@@ -523,9 +532,9 @@ def replay_walk_run(
     step, as a recording step hook collects them — whose rows are fed
     through the same executor.
 
-    On a clean wire the moving steps are held in small groups (at most
-    :data:`_HELD_DEMANDS` demands, or one larger step alone) and each
-    group runs in one pass of the array executor behind
+    On a clean wire the steps' position rows are held in small groups
+    (at most :data:`_HELD_POSITIONS` positions, or one wider step alone)
+    and each group runs in one pass of the array executor behind
     :func:`repro.congest.forwarding.forward_demands`.  A seeded sample of
     steps (at least one per batch with any movement) is re-run through
     the per-node simulator, and the two must agree on ``(rounds,

@@ -217,10 +217,11 @@ class NativeBackend(Backend):
     by the same engine as the oracle (hence bit-identical structures)
     and executed by :func:`repro.congest.replay_walk_run`, which takes
     each step from the engine's step loop (no trajectory is recorded).
-    On a clean wire the moving steps run in small groups, one array
-    pass of the :func:`repro.congest.forward_demands` executor per
-    group, and a seeded sample of steps is re-run on the per-node
-    simulator.  :class:`BackendMismatch` is raised if the executed
+    On a clean wire the steps' position rows are held in small groups
+    (a few thousand positions), one array pass of the
+    :func:`repro.congest.forward_demands` executor per group, and a
+    seeded sample of steps is re-run on the per-node simulator, which
+    builds nodes only where the step's demands are.  :class:`BackendMismatch` is raised if the executed
     rounds differ from the engine's ``schedule_rounds()`` charge, or if
     a sampled step's simulator run disagrees with the executor.  MST /
     min-cut / clique raise :class:`UnsupportedOnBackend`.

@@ -145,14 +145,57 @@ class TestArrayMatchesScalarOracle:
         assert executor(Graph(2, [(0, 1)]), [], []) == (0, 0)
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    # Target 4 is out of range; its key 0 * 4 + 4 aliases the edge (1, 0).
-    @pytest.mark.parametrize("target", [3, 4])
-    def test_non_edge_names_the_pair(self, executor, target):
+    @pytest.mark.parametrize(
+        "origin, target",
+        [
+            (0, 3),
+            # Target 4 is out of range; its key 0 * 4 + 4 aliases the
+            # edge (1, 0).
+            (0, 4),
+            # Origin -1 would index node 3, a neighbour of node 2.
+            (-1, 2),
+            (4, 3),
+        ],
+    )
+    def test_non_edge_names_the_pair(self, executor, origin, target):
         graph = path_graph(4)
         with pytest.raises(
-            CongestViolation, match=f"node 0 sent to non-neighbor {target}"
+            CongestViolation,
+            match=f"node {origin} sent to non-neighbor {target}",
         ):
-            executor(graph, [1, 0], [2, target])
+            executor(graph, [1, origin], [2, target])
+
+    def test_the_oracle_builds_forwarders_only_where_demands_are(
+        self, monkeypatch
+    ):
+        """The per-node oracle's set-up follows its demands, not ``n``:
+        only nodes that send or receive get a forwarder, and the shared
+        idle node in every other slot is never called."""
+        from repro.congest import forwarding
+
+        graph = random_regular(1024, 6, derive_rng(12))
+        hub = 17
+        first, second = graph.neighbors(hub)[:2].tolist()
+        origins, targets = [hub, hub, first], [first, second, hub]
+        built = []
+        make = forwarding.TokenForwarder.__init__
+
+        def spy(self, context, queue):
+            built.append(context.node_id)
+            make(self, context, queue)
+
+        idle_calls = []
+        monkeypatch.setattr(forwarding.TokenForwarder, "__init__", spy)
+        monkeypatch.setattr(
+            forwarding._Idle,
+            "receive",
+            lambda self, *args: idle_calls.append(args) or {},
+        )
+        assert _forward_demands_scalar(
+            graph, origins, targets
+        ) == forward_demands(graph, origins, targets)
+        assert sorted(built) == sorted({hub, first, second})
+        assert idle_calls == []
 
 
 #: Graphs for the multi-step executor's property tests: an expander, a
@@ -358,6 +401,28 @@ class TestReplayCrossRun:
         )
         return graph, np.stack(rows)
 
+    @staticmethod
+    def _replay(graph, trajectory, live):
+        """Replay a recorded trajectory, or (``live``) run it as a
+        :class:`WalkBatch` whose engine hands the recorded rows to the
+        step hook."""
+        from repro.congest import WalkBatch, replay_walk_run
+        from repro.walks.engine import WalkRun
+
+        if not live:
+            return replay_walk_run(graph, trajectory)
+
+        def engine(graph, starts, steps, rng, on_step):
+            for before, after in zip(trajectory[:-1], trajectory[1:]):
+                on_step(before, after)
+            return WalkRun(starts, trajectory[-1], steps)
+
+        batch = WalkBatch(
+            engine, trajectory[0], trajectory.shape[0] - 1, derive_rng(0)
+        )
+        return replay_walk_run(graph, batch)
+
+    @pytest.mark.parametrize("live", [False, True])
     @pytest.mark.parametrize(
         "walks, steps, seed, expected",
         [
@@ -370,12 +435,13 @@ class TestReplayCrossRun:
         ],
     )
     def test_the_simulator_reruns_the_same_steps(
-        self, monkeypatch, walks, steps, seed, expected
+        self, monkeypatch, walks, steps, seed, expected, live
     ):
         """Holding steps for one array pass changes neither which steps
         the per-node simulator re-runs (the lists are those the
-        step-at-a-time replay checked) nor any step's rounds."""
-        from repro.congest import native, replay_walk_run
+        step-at-a-time replay checked) nor any step's rounds, in either
+        form of the replay."""
+        from repro.congest import native
 
         graph, trajectory = self._trajectory(walks, steps, seed)
         moves = []
@@ -397,51 +463,48 @@ class TestReplayCrossRun:
             return oracle(graph, origins, targets)
 
         monkeypatch.setattr(native, "_forward_demands_scalar", spy)
-        replay = replay_walk_run(graph, trajectory)
+        replay = self._replay(graph, trajectory, live)
         assert checked == expected
         assert replay.per_step == [
             forward_demands(graph, o, t)[0] for o, t in moves
         ]
         assert replay.messages == sum(o.shape[0] for o, _ in moves)
 
-    def test_groups_stay_under_the_demand_cap(self, monkeypatch):
-        """Held steps run in groups of at most ``_HELD_DEMANDS``
-        demands; a step over the cap runs alone."""
-        from repro.congest import native, replay_walk_run
+    @pytest.mark.parametrize("live", [False, True])
+    def test_groups_stay_under_the_positions_cap(self, monkeypatch, live):
+        """Held steps run in groups of at most ``_HELD_POSITIONS``
+        positions (held steps times walks); a row wider than the cap
+        runs alone."""
+        from repro.congest import native
 
-        graph, trajectory = self._trajectory(1_500, 12, 7)
-        # 4,500 more tokens that stay put, except for two inserted
-        # steps in which all 6,000 go to a neighbour and back.
-        still = np.tile(trajectory[:1], (trajectory.shape[0], 3))
-        trajectory = np.hstack([trajectory, still])
-        there = graph.indices[graph.indptr[trajectory[5]]]
-        trajectory = np.concatenate(
-            [trajectory[:6], there[None], trajectory[5:]]
-        )
         run = native._forward_steps_array
         groups = []
 
         def spy(graph, bounds, origins, targets):
-            groups.append((bounds.shape[0] - 1, origins.shape[0]))
+            groups.append(bounds.shape[0] - 1)
             return run(graph, bounds, origins, targets)
 
         monkeypatch.setattr(native, "_forward_steps_array", spy)
-        replay = replay_walk_run(graph, trajectory)
-        assert sum(steps for steps, _ in groups) == len(replay.per_step)
-        assert any(steps > 1 for steps, _ in groups)
-        assert [
-            demands for _, demands in groups if demands > native._HELD_DEMANDS
-        ] == [6_000, 6_000]
-        for steps, demands in groups:
-            assert steps == 1 or demands <= native._HELD_DEMANDS
+        cap = native._HELD_POSITIONS
+        graph, narrow = self._trajectory(1_500, 12, 7)
+        replay = self._replay(graph, narrow, live)
+        assert sum(groups) == len(replay.per_step) == 12
+        assert any(steps > 1 for steps in groups)
+        assert all(steps * 1_500 <= cap for steps in groups)
+        groups.clear()
+        graph, wide = self._trajectory(cap + 1, 3, 7)
+        replay = self._replay(graph, wide, live)
+        assert groups == [1, 1, 1]
+        assert replay.per_step == [
+            forward_demands(graph, before[before != after],
+                            after[before != after])[0]
+            for before, after in zip(wide[:-1], wide[1:])
+        ]
 
     @pytest.mark.parametrize("live", [False, True])
     def test_a_held_non_edge_raises_before_the_replay_returns(self, live):
         """A non-edge in a step that is held (the whole batch fits one
         group) still raises, naming that step's bad demand."""
-        from repro.congest import WalkBatch, replay_walk_run
-        from repro.walks.engine import WalkRun
-
         graph, trajectory = self._trajectory(300, 10, 7)
         trajectory = trajectory.copy()
         walk = 0
@@ -451,22 +514,11 @@ class TestReplayCrossRun:
             if v != origin and not graph.has_edge(origin, v)
         )
         trajectory[4, walk] = bad
-        message = f"node {origin} sent to non-neighbor {bad};"
-        if not live:
-            with pytest.raises(CongestViolation, match=message):
-                replay_walk_run(graph, trajectory)
-            return
-
-        def engine(graph, starts, steps, rng, on_step):
-            for before, after in zip(trajectory[:-1], trajectory[1:]):
-                on_step(before, after)
-            return WalkRun(starts, trajectory[-1], steps)
-
-        batch = WalkBatch(
-            engine, trajectory[0], trajectory.shape[0] - 1, derive_rng(0)
-        )
-        with pytest.raises(CongestViolation, match=message):
-            replay_walk_run(graph, batch)
+        with pytest.raises(
+            CongestViolation,
+            match=f"node {origin} sent to non-neighbor {bad};",
+        ):
+            self._replay(graph, trajectory, live)
 
     def test_sampling_leaves_built_structures_identical(self):
         """The cross-run draws from no named stream, so a native build
