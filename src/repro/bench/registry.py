@@ -43,21 +43,25 @@ __all__ = [
 #: Where committed baselines live, relative to the repo root.
 RESULTS_DIR = os.path.join("benchmarks", "results")
 
+# Each budget below cites the p50 of five tripwire runs on a shared
+# 2-core host (python 3.11, numpy 2.4) and the budget's multiple of it.
+
 #: The native embedded-build tripwire budget: 20% of the
-#: pre-vectorization 27 s.
+#: pre-vectorization 27 s.  p50 1.07 s; the budget is 5.1x that.
 TRIPWIRE_BUDGET_S = 5.4
 
-#: The native-open tripwire budget: about twice the array replay's
-#: measured open, well below the ~4 s of the per-node simulator replay.
+#: The native-open tripwire budget: well below the ~4 s of the per-node
+#: simulator replay it exists to catch.  p50 0.18 s; the budget is 11x
+#: that.
 NATIVE_OPEN_BUDGET_S = 2.0
 
-#: The warm-route tripwire budget: about twice the array router's
-#: measured p50 request (2.1–3.3 ms on a shared 2-core host).
+#: The warm-route tripwire budget.  p50 request 1.27 ms; the budget is
+#: 4.7x that.
 WARM_ROUTE_BUDGET_S = 0.006
 
-#: The native warm-route tripwire budget: the held-row replay's
-#: measured p50 request is 1.22–1.25 ms on a shared 2-core host; the
-#: budget stays below the 6.6–7.0 ms of one executor pass per walk step.
+#: The native warm-route tripwire budget: it stays below the 6.6–7.0 ms
+#: of one executor pass per walk step.  p50 request 1.25 ms; the budget
+#: is 4.8x that.
 NATIVE_WARM_ROUTE_BUDGET_S = 0.006
 
 #: Deterministic workload metrics the gate compares exactly (wall-clock

@@ -11,10 +11,9 @@ fast paths (``core/``, ``walks/``) are covered too.
 Two layers of analysis:
 
 * per-file rules (R001–R008, R013) judge one module's AST at a time;
-* whole-program rules (R009–R012, :mod:`.program`) build a project-wide
+* whole-program rules (R009–R011, :mod:`.program`) build a project-wide
   symbol table and call graph, then check interprocedural contracts —
-  ledger coverage, RNG provenance, message-size flow, and internal use
-  of deprecated shims.
+  ledger coverage, RNG provenance and message-size flow.
 
 Usage::
 

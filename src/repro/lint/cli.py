@@ -1,7 +1,7 @@
 """``reprolint`` command line: ``python -m repro.lint [paths...]``.
 
 Runs the per-file rules (R001–R008, R013) and, unless ``--no-program``
-is given, the whole-program rules (R009–R012) over the same tree.  Exit
+is given, the whole-program rules (R009–R011) over the same tree.  Exit
 status: 0 when clean, 1 when any finding was reported, 2 on a bad path.
 Defaults can be set in ``pyproject.toml``::
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-program", action="store_true",
-        help="skip the whole-program rules (R009–R012); per-file only",
+        help="skip the whole-program rules (R009–R011); per-file only",
     )
     parser.add_argument(
         "--list-rules", action="store_true",

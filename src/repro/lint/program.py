@@ -4,7 +4,7 @@ The per-file rules (R001–R008, R013) judge one module at a time; the
 contracts they enforce, though, are *global* properties — "every
 executed round is charged to the ledger" and "every generator traces
 back to a seed" hold or fail across call boundaries.  This module
-builds the project-wide view the interprocedural rules (R009–R012,
+builds the project-wide view the interprocedural rules (R009–R011,
 :mod:`.program_rules`) need:
 
 * a **module table** mapping files to dotted module names (derived from

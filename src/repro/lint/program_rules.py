@@ -1,4 +1,4 @@
-"""Interprocedural ``reprolint`` rules (R009–R012).
+"""Interprocedural ``reprolint`` rules (R009–R011).
 
 These rules run on the :class:`~repro.lint.program.Program` call graph
 rather than one file at a time, because the contracts they enforce only
@@ -10,9 +10,7 @@ exist across call boundaries:
   to :func:`repro.rng.derive_rng` / a ``RunContext`` stream, however
   many call layers it crosses;
 * **R011** — statically over-wide payloads cannot sneak into a send by
-  being built in a helper one call away;
-* **R012** — library code never calls the deprecated ``repro.*`` shims
-  it is itself the implementation of.
+  being built in a helper one call away.
 
 See ``docs/linting.md`` for the catalogue entries with the paper-level
 rationale.
@@ -573,87 +571,3 @@ class MessageSizeFlowRule(ProgramRule):
                     f"{MESSAGE_WORD_LIMIT}-word CONGEST message budget "
                     "if sent",
                 )
-
-
-@register_program
-class InternalShimRule(ProgramRule):
-    """R012: library code must not call the deprecated ``repro.*`` shims.
-
-    The package currently ships no shims, so the rule finds nothing; it
-    stays armed for the next one.  A shim (a top-level ``repro.*`` name
-    kept for downstream users mid-migration) warns on every call and
-    adds a layer of indirection.  Internal modules calling one would
-    warn at import time, re-enter the package root, and couple the
-    implementation to its own deprecation surface — import the
-    originals from ``repro.core`` instead.  The shim list is discovered
-    from the package root itself (anything whose body calls
-    ``_deprecated``), so adding a shim automatically extends the rule.
-    """
-
-    rule_id = "R012"
-    name = "internal-shim-use"
-    description = (
-        "internal module imports/calls a deprecated repro.* shim — "
-        "use the repro.core original"
-    )
-
-    def check(self, program: Program) -> Iterator[Finding]:
-        shims = self._discover_shims(program)
-        if not shims:
-            return
-        for path, module in program.modules.items():
-            name = program.module_names.get(path, "")
-            if not name.startswith("repro.") or _is_scaffold(path):
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ImportFrom):
-                    if node.level == 0 and node.module == "repro":
-                        for alias in node.names:
-                            if alias.name in shims:
-                                yield self.finding(
-                                    module, node,
-                                    "internal import of deprecated "
-                                    f"shim `repro.{alias.name}` — "
-                                    "import the original from "
-                                    "repro.core",
-                                )
-                elif isinstance(node, ast.Attribute):
-                    dotted = qualified_name(node)
-                    if (
-                        dotted is not None
-                        and dotted.startswith("repro.")
-                        and dotted.split(".", 1)[1] in shims
-                    ):
-                        yield self.finding(
-                            module, node,
-                            f"internal use of deprecated `{dotted}` — "
-                            "use the repro.core original",
-                        )
-
-    @staticmethod
-    def _discover_shims(program: Program) -> Set[str]:
-        """Names in the ``repro`` package root whose body calls
-        ``_deprecated`` — i.e. the deprecation shims themselves."""
-        shims: Set[str] = set()
-        root_path = program.by_module_name.get("repro")
-        if root_path is None:
-            return shims
-        root = program.modules[root_path]
-
-        def calls_deprecated(body_owner: ast.AST) -> bool:
-            for node in ast.walk(body_owner):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "_deprecated"
-                ):
-                    return True
-            return False
-
-        for stmt in root.tree.body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                       ast.ClassDef)
-            ) and calls_deprecated(stmt):
-                shims.add(stmt.name)
-        return shims

@@ -11,6 +11,7 @@ the true random process rather than the lemma's upper bound.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -38,10 +39,11 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20
 
 # Walk count above which the next block is drawn on a helper thread.
-# Measured on the walk_engine bench shape (random_regular(W / 16, 8),
-# 100 steps, 2 cores): 1024 walks ran 7-45% slower with the helper,
-# 2048 and 3072 read either way, and from 4096 walks up it ran 12-28%
-# faster.  Below that a block's fill is too short to pay for a thread.
+# Measured with one helper per call on the walk_engine bench shape
+# (random_regular(W / 16, 8), 100 steps, 2 cores): 1024-2048 walks ran
+# 3-24% slower with the helper, 3072 ran 2% slower, and from 4096 walks
+# up it ran 5-34% faster.  Below that a block's fill is too short to
+# pay for the thread and its handoffs.
 _OVERLAP_WALKS = 4096
 
 # The helper pays only when it runs beside the stepping thread: pinned
@@ -210,42 +212,58 @@ class WalkRun:
 
 
 class _Fill(threading.Thread):
-    """``rng.random(out=buffer[:rows])`` on a helper thread.
+    """One helper thread that draws a walk batch's blocks of uniforms.
 
-    The fill releases the GIL, so it runs beside the caller's steps.
-    The generator's state before the draw is kept, so a caller that
-    abandons the block can put the generator back where a sequential
-    engine would have left it.
+    :meth:`submit` hands it a buffer and :meth:`result` waits for that
+    buffer, filled by ``rng.random(out=buffer)``: one block at a time,
+    in the caller's order.  The fill releases the GIL, so it runs beside
+    the caller's steps.  The generator's state before each draw is kept
+    until the caller takes the block, so a caller that abandons the
+    block can put the generator back where a sequential engine would
+    have left it (:meth:`close`).
     """
 
-    def __init__(
-        self, rng: np.random.Generator, buffer: np.ndarray, rows: int
-    ):
+    def __init__(self, rng: np.random.Generator):
         super().__init__(name="walk-uniforms")
         self.rng = rng
-        self.buffer = buffer
-        self.out = buffer[:rows]
-        self.state = rng.bit_generator.state
-        self.error: Optional[BaseException] = None
+        self.requests: queue.SimpleQueue = queue.SimpleQueue()
+        self.replies: queue.SimpleQueue = queue.SimpleQueue()
+        # The generator's state before the block not yet taken.
+        self.state: Optional[dict] = None
         self.start()
 
     def run(self) -> None:
-        try:
-            self.rng.random(out=self.out)
-        except BaseException as error:  # re-raised by result()
-            self.error = error
+        while (out := self.requests.get()) is not None:
+            try:
+                self.rng.random(out=out)
+            except BaseException as error:  # re-raised by result()
+                self.replies.put(error)
+            else:
+                self.replies.put(out)
+
+    def submit(self, out: np.ndarray) -> None:
+        """Start drawing the next block into ``out``."""
+        self.state = self.rng.bit_generator.state
+        self.requests.put(out)
 
     def result(self) -> np.ndarray:
-        """Wait for the fill and return the filled buffer."""
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.out
+        """Wait for the submitted block and return its filled buffer."""
+        out = self.replies.get()
+        if isinstance(out, BaseException):
+            raise out
+        self.state = None
+        return out
 
-    def rewind(self) -> None:
-        """Wait for the fill, then undo its draw."""
+    def close(self) -> None:
+        """Stop the helper; undo a draw the caller did not take.
+
+        The helper takes requests in order, so once it is joined any
+        draw in flight has ended.
+        """
+        self.requests.put(None)
         self.join()
-        self.rng.bit_generator.state = self.state
+        if self.state is not None:
+            self.rng.bit_generator.state = self.state
 
 
 def run_lazy_walks(
@@ -308,13 +326,14 @@ def _run_walks(
     Per step and walk, draws the move coin and then the arc choice — the
     stream of two ``rng.random(W)`` calls per step, filled a block of
     steps at a time into one reused buffer.  With more than
-    ``_OVERLAP_WALKS`` walks and a spare core, a helper thread fills the
-    next block into a second buffer while this block steps: the same
-    draws in the same order, and if a step raises, the helper is joined
-    and its draw undone, so the generator ends where a sequential fill
-    leaves it.  No helper thread outlives the call.  When every node
-    has the same move probability the coin is compared against that
-    scalar rather than a per-walk gather of it.
+    ``_OVERLAP_WALKS`` walks and a spare core, one helper thread (started
+    once per call) fills the next block into a second buffer while this
+    block steps: the same draws in the same order, and if a step or a
+    fill raises, the helper is joined and the untaken draw undone, so
+    the generator ends where a sequential fill leaves it.  No helper
+    thread outlives the call.  When every node has the same move
+    probability the coin is compared against that scalar rather than a
+    per-walk gather of it.
 
     Congestion is per *directed* arc: the CONGEST model allows one message
     per edge per direction per round, so opposite-direction tokens cross
@@ -334,28 +353,25 @@ def _run_walks(
         and (move_probability == move_probability[0]).all()
         else None
     )
-    # With the overlap, each block steps in one buffer while a helper
-    # thread fills the next block into the other.
+    # With the overlap, each block steps in one buffer while the helper
+    # fills the next block into the other.
     spare = (
         np.empty_like(draws)
         if _SPARE_CORE and num_walks > _OVERLAP_WALKS and steps > block
         else None
     )
-    fill: Optional[_Fill] = None
+    fill = _Fill(rng) if spare is not None else None
     try:
         for first in range(0, steps, block):
-            if fill is None:
+            if first and fill is not None:
+                chunk = fill.result()
+                draws, spare = spare, draws
+            else:
                 chunk = draws[: min(block, steps - first)]
                 rng.random(out=chunk)
-            else:
-                chunk = fill.result()
-                draws, spare, fill = fill.buffer, draws, None
             after = first + block
-            fill = (
-                _Fill(rng, spare, min(block, steps - after))
-                if spare is not None and after < steps
-                else None
-            )
+            if fill is not None and after < steps:
+                fill.submit(spare[: min(block, steps - after)])
             for coin, choice_u in chunk:
                 move = coin < (
                     move_probability[positions]
@@ -373,9 +389,8 @@ def _run_walks(
                     run.edge_congestion.append(0)
                 if on_step is not None:
                     on_step(before, positions)
-    except BaseException:
+    finally:
         if fill is not None:
-            fill.rewind()
-        raise
+            fill.close()
     run.positions = positions
     return run

@@ -1,4 +1,4 @@
-"""Positive/negative fixtures for the interprocedural rules R009–R012.
+"""Positive/negative fixtures for the interprocedural rules R009–R011.
 
 These include the acceptance fixtures from the analyzer's design brief:
 an uncharged ``Network.run`` loop (R009) and a generator minted two call
@@ -292,69 +292,3 @@ class TestMessageSizeFlow:
             """,
         })
         assert lint_program([root / "proj"]) == []
-
-
-class TestInternalShimUse:
-    """R012: internal modules must not call the deprecated repro.*
-    shims."""
-
-    FIXTURE = {
-        "repro/__init__.py": """
-            def _deprecated(name, replacement):
-                return None
-
-            def build_thing(graph):
-                _deprecated("build_thing", "repro.core.build_thing")
-                return None
-
-            def fresh(graph):
-                return graph
-        """,
-    }
-
-    def test_internal_from_import_is_flagged(self, make_tree):
-        files = dict(self.FIXTURE)
-        files["repro/inner.py"] = """
-            from repro import build_thing
-
-            def use(graph):
-                return build_thing(graph)
-        """
-        root = make_tree(files)
-        findings = lint_program([root / "repro"])
-        assert _rules_of(findings) == ["R012"]
-        assert "build_thing" in findings[0].message
-
-    def test_internal_attribute_use_is_flagged(self, make_tree):
-        files = dict(self.FIXTURE)
-        files["repro/attr_use.py"] = """
-            import repro
-
-            def use(graph):
-                return repro.build_thing(graph)
-        """
-        root = make_tree(files)
-        findings = lint_program([root / "repro"])
-        assert _rules_of(findings) == ["R012"]
-
-    def test_non_shim_import_passes(self, make_tree):
-        files = dict(self.FIXTURE)
-        files["repro/inner.py"] = """
-            from repro import fresh
-
-            def use(graph):
-                return fresh(graph)
-        """
-        root = make_tree(files)
-        assert lint_program([root / "repro"]) == []
-
-    def test_scaffold_dirs_are_exempt(self, make_tree):
-        files = dict(self.FIXTURE)
-        files["repro/tests/fixture.py"] = """
-            from repro import build_thing
-
-            def use(graph):
-                return build_thing(graph)
-        """
-        root = make_tree(files)
-        assert lint_program([root / "repro"]) == []

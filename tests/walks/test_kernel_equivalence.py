@@ -11,6 +11,7 @@ bad edge.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 from unittest import mock
 
@@ -365,6 +366,26 @@ class _RaiseAt:
         self.calls += 1
 
 
+class _FailingFill:
+    """A generator whose ``fail_at``-th ``random(out=...)`` call raises.
+
+    Every other call fills from a real generator, whose bit generator
+    it shares, and each call records the thread it ran on.
+    """
+
+    def __init__(self, seed, fail_at):
+        self.inner = np.random.default_rng(seed)
+        self.bit_generator = self.inner.bit_generator
+        self.fail_at = fail_at
+        self.threads = []
+
+    def random(self, *, out):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise FloatingPointError(f"fill {self.fail_at} failed")
+        return self.inner.random(out=out)
+
+
 class TestWalkKernels:
     @kernel_settings
     @given(walk_cases())
@@ -408,6 +429,96 @@ class TestWalkKernels:
         expected = np.random.default_rng(6)
         expected.random((fail_at // 2 + 1) * 2 * 2 * 25)
         assert next_draws == [expected.random()] * 2
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 6])
+    def test_raising_fill_rewinds_the_generator(self, fail_at):
+        # Blocks of 2 steps as above, 6 blocks: fill 1 is drawn in line,
+        # fills 2-6 on the helper (forced on) while the block before
+        # them steps.
+        graph = hypercube(3)
+        starts = np.random.default_rng(2).integers(0, 8, size=25)
+        for overlap_walks in (0, engine._OVERLAP_WALKS):
+            rng = _FailingFill(6, fail_at)
+            stepped = []
+            threads = threading.enumerate()
+            with _patched_engine(1000, overlap_walks):
+                with pytest.raises(
+                    FloatingPointError, match=f"fill {fail_at} failed"
+                ):
+                    engine.run_lazy_walks(
+                        graph, starts, 12, rng,
+                        on_step=lambda before, after: stepped.append(after),
+                    )
+            assert threading.enumerate() == threads
+            # Every block before the failing one stepped, none after.
+            assert len(stepped) == (fail_at - 1) * 2
+            # The generator sits at the failing block's snapshot.
+            expected = np.random.default_rng(6)
+            expected.random((fail_at - 1) * 2 * 2 * 25)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            helper_fills = sum(
+                thread is not threading.current_thread()
+                for thread in rng.threads
+            )
+            assert helper_fills == (fail_at - 1 if overlap_walks == 0 else 0)
+
+    @pytest.mark.parametrize(
+        "overlap_walks, helpers", [(0, 1), (engine._OVERLAP_WALKS, 0)]
+    )
+    def test_one_helper_per_batch(self, overlap_walks, helpers):
+        # 32 walks in 100-byte blocks: one step per block, 9 blocks.
+        graph = hypercube(3)
+        starts = np.repeat(np.arange(8), 4)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            if thread.name == "walk-uniforms":
+                started.append(thread)
+            start(thread)
+
+        with _patched_engine(100, overlap_walks), mock.patch.object(
+            threading.Thread, "start", counted_start
+        ):
+            _assert_walks_match(
+                engine.run_lazy_walks, _oracle_lazy, graph, starts, 9, 3
+            )
+        assert len(started) == helpers
+
+    def test_concurrent_batches_under_fast_switching(self):
+        # Four overlapped batches on four threads (more than the cores),
+        # each with its own helper, switching every microsecond: each
+        # still meets the oracle and leaves no helper behind.
+        graph = hypercube(4)
+        starts = np.repeat(np.arange(16), 3)
+        threads = threading.enumerate()
+        errors = []
+
+        def batch(seed):
+            try:
+                _assert_walks_match(
+                    engine.run_lazy_walks, _oracle_lazy,
+                    graph, starts, 30, seed,
+                )
+            except BaseException as error:
+                errors.append(error)
+
+        workers = [
+            threading.Thread(target=batch, args=(seed,)) for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _patched_engine(100, 0):
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert threading.enumerate() == threads
 
     def test_one_core_keeps_the_sequential_fill(self):
         graph = hypercube(3)
