@@ -21,10 +21,11 @@ else
     echo "== ruff not installed; skipping style lint (pip install ruff)"
 fi
 
-echo "== reprolint (CONGEST + determinism contract, whole-program)"
-# The gate is zero findings; a deliberate exception is suppressed on its
-# own line with `# reprolint: disable=RULE` and the reason.
-python -m repro.lint src/repro tests
+echo "== reprolint (CONGEST + determinism contract, one pass)"
+# Lints the [tool.reprolint] paths of pyproject.toml.  The gate is zero
+# findings; a deliberate exception is suppressed on its own line with
+# `# reprolint: disable=RULE` and the reason.
+python -m repro.lint
 
 if command -v mypy >/dev/null 2>&1; then
     echo "== mypy --strict (repro.lint, repro.runtime)"

@@ -75,12 +75,11 @@ def _expander(n: int, rng: np.random.Generator):
 
 def routing_scaling(
     sizes=(64, 128, 256),
-    params: Params | None = None,
     seed: int = 1,
     include_baseline: bool = True,
 ) -> list[dict]:
     """E1: permutation-routing rounds vs. n on expanders (Theorem 1.2)."""
-    params = params or Params.default()
+    params = Params.default()
     rows = []
     for n in sizes:
         rng = derive_rng(seed + n)
@@ -108,11 +107,10 @@ def routing_scaling(
 
 def mst_scaling(
     sizes=(64, 128, 256),
-    params: Params | None = None,
     seed: int = 2,
 ) -> list[dict]:
     """E2 + E11: MST rounds vs. n, against GHS / GKP / the barrier curve."""
-    params = params or Params.default()
+    params = Params.default()
     rows = []
     for n in sizes:
         rng = derive_rng(seed + n)
@@ -140,14 +138,12 @@ def mst_scaling(
 
 def clique_emulation_sweep(
     n: int = 48,
-    probabilities=(0.2, 0.3, 0.45, 0.65),
-    params: Params | None = None,
     seed: int = 3,
 ) -> list[dict]:
     """E3: clique emulation on G(n, p) vs. the Balliu baseline."""
-    params = params or Params.default()
+    params = Params.default()
     rows = []
-    for p in probabilities:
+    for p in (0.2, 0.3, 0.45, 0.65):
         rng = derive_rng(seed)
         graph = erdos_renyi(n, p, rng)
         hierarchy = build_hierarchy(graph, params, rng)
@@ -173,12 +169,11 @@ def clique_emulation_sweep(
 
 def dense_regime_sweep(
     n: int = 64,
-    probabilities=(0.35, 0.5, 0.65, 0.8),
     seed: int = 11,
 ) -> list[dict]:
     """E3b: the dense-regime emulation (Theorem 1.3, second clause)."""
     rows = []
-    for p in probabilities:
+    for p in (0.35, 0.5, 0.65, 0.8):
         rng = derive_rng(seed)
         graph = erdos_renyi(n, p, rng)
         result = dense_clique_emulation(graph, rng)
@@ -281,15 +276,14 @@ def mixing_scaling(
 
 def parallel_walk_sweep(
     n: int = 128,
-    ks=(1, 2, 4, 8),
-    steps: int = 20,
     seed: int = 5,
 ) -> list[dict]:
     """E5: measured parallel-walk load and schedule vs. Lemmas 2.4 / 2.5."""
+    steps = 20
     rng = derive_rng(seed)
     graph = random_regular(n, 6, rng)
     rows = []
-    for k in ks:
+    for k in (1, 2, 4, 8):
         starts = degree_proportional_starts(graph, k)
         report = run_parallel_walks(graph, starts, steps, rng)
         correlated = run_correlated_walks(graph, starts, steps, rng)
@@ -314,11 +308,10 @@ def parallel_walk_sweep(
 def beta_ablation(
     n: int = 128,
     betas=(2, 4, 8, 16, 32),
-    params: Params | None = None,
     seed: int = 6,
 ) -> list[dict]:
     """E6: the beta trade-off (Lemma 3.2) — construction vs. routing cost."""
-    params = params or Params.default()
+    params = Params.default()
     base_rng = derive_rng(seed)
     graph = _expander(n, base_rng)
     rows = []
@@ -344,15 +337,13 @@ def beta_ablation(
 
 def recursion_decomposition(
     n: int = 128,
-    beta: int = 4,
-    params: Params | None = None,
     seed: int = 7,
 ) -> list[dict]:
     """E7: per-level cost decomposition of one routing instance (Lemma 3.4)."""
-    params = params or Params.default()
+    params = Params.default()
     rng = derive_rng(seed)
     graph = _expander(n, rng)
-    hierarchy = build_hierarchy(graph, params, rng, beta=beta)
+    hierarchy = build_hierarchy(graph, params, rng, beta=4)
     router = Router(hierarchy, params=params, rng=rng)
     perm = rng.permutation(n)
     result = router.route(np.arange(n), perm)
@@ -381,11 +372,10 @@ def recursion_decomposition(
 
 def virtual_tree_trace(
     n: int = 64,
-    params: Params | None = None,
     seed: int = 8,
 ) -> list[dict]:
     """E8: Lemma 4.1 invariants (depth, degree) over Boruvka iterations."""
-    params = params or Params.default()
+    params = Params.default()
     rng = derive_rng(seed)
     graph = with_random_weights(_expander(n, rng), rng)
     runner = MstRunner(graph, params=params, rng=rng)
@@ -409,15 +399,13 @@ def virtual_tree_trace(
 
 def partition_structure(
     n: int = 128,
-    beta: int = 4,
-    params: Params | None = None,
     seed: int = 9,
 ) -> list[dict]:
     """E9: Figure 1's structure — balance (P1) and portal coverage per level."""
-    params = params or Params.default()
+    params = Params.default()
     rng = derive_rng(seed)
     graph = _expander(n, rng)
-    hierarchy = build_hierarchy(graph, params, rng, beta=beta)
+    hierarchy = build_hierarchy(graph, params, rng, beta=4)
     from ..core import build_portals
 
     portals = build_portals(hierarchy, params, rng)
@@ -448,11 +436,10 @@ def partition_structure(
 
 def portal_uniformity(
     n: int = 64,
-    params: Params | None = None,
     seed: int = 10,
 ) -> list[dict]:
     """E10: portals are ~uniform over boundary nodes (walk vs. sampled)."""
-    base_params = params or Params.default()
+    base_params = Params.default()
     rng = derive_rng(seed)
     graph = _expander(n, rng)
     hierarchy = build_hierarchy(graph, base_params, rng, beta=4)
@@ -490,7 +477,6 @@ def portal_uniformity(
 
 def correlated_ablation(
     n: int = 96,
-    params: Params | None = None,
     seed: int = 12,
 ) -> list[dict]:
     """E12: independent vs. correlated walk scheduling, end to end.
@@ -499,7 +485,7 @@ def correlated_ablation(
     construction and preparation walks token-balanced removes the
     additive ``log n`` from every Lemma 2.5 schedule.
     """
-    base = params or Params.default()
+    base = Params.default()
     rng = derive_rng(seed)
     graph = _expander(n, rng)
     rows = []
@@ -527,8 +513,6 @@ def correlated_ablation(
 
 def stretch_profile(
     n: int = 128,
-    betas=(4, 8, 32),
-    params: Params | None = None,
     seed: int = 13,
 ) -> list[dict]:
     """E13: per-packet hop counts (routing stretch) vs. the depth bound.
@@ -537,11 +521,11 @@ def stretch_profile(
     plus one bottom delivery per visited leaf: ``2^{depth+1} - 1`` hops
     in the worst case (the ``2 T(m/beta)`` branching of Lemma 3.4).
     """
-    params = params or Params.default()
+    params = Params.default()
     rng = derive_rng(seed)
     graph = _expander(n, rng)
     rows = []
-    for beta in betas:
+    for beta in (4, 8, 32):
         local_rng = derive_rng(seed + beta)
         hierarchy = build_hierarchy(graph, params, local_rng, beta=beta)
         router = Router(hierarchy, params=params, rng=local_rng)
@@ -563,7 +547,6 @@ def stretch_profile(
 
 def crossover_analysis(
     sizes=(64, 128, 256),
-    params: Params | None = None,
     seed: int = 14,
 ) -> list[dict]:
     """E14: where would the paper's algorithm overtake D + sqrt(n)?
@@ -576,7 +559,7 @@ def crossover_analysis(
     constants for context.
     """
     rows_measured = routing_scaling(
-        sizes=sizes, params=params, seed=seed, include_baseline=False
+        sizes=sizes, seed=seed, include_baseline=False
     )
     rows = []
     for row in rows_measured:

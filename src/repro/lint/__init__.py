@@ -8,16 +8,14 @@ the first constraint for code that runs through it; this package checks
 both constraints *statically*, over the whole tree, so the ledger-based
 fast paths (``core/``, ``walks/``) are covered too.
 
-Two layers of analysis:
-
-* per-file rules (R001–R008, R013) judge one module's AST at a time;
-* whole-program rules (R009–R011, :mod:`.program`) build a project-wide
-  symbol table and call graph, then check interprocedural contracts —
-  ledger coverage, RNG provenance and message-size flow.
+One pass: every file is parsed once into a :class:`Program` (modules,
+one import table, symbols and a call graph), and every rule reads it —
+R001–R008 one module at a time, R009 (executed rounds reach a charge or
+are returned) and R010 (RNG provenance) through the call graph.
 
 Usage::
 
-    python -m repro.lint src/repro tests
+    python -m repro.lint                 # the [tool.reprolint] paths
     python -m repro.lint --format=json src/repro
 
 The gate is zero findings.  A deliberate exception is suppressed on its
@@ -26,23 +24,17 @@ or ``all``) and a comment giving the reason.  See ``docs/linting.md``
 for the rule catalogue.
 """
 
-from .engine import Finding, LintModule, Rule, lint_paths, lint_source
-from .program import Program, ProgramRule, build_program, lint_program
-from .program_rules import PROGRAM_RULES, get_program_rules
-from .rules import RULES, get_rules
+from .engine import Rule, lint_paths, lint_source
+from .program import Finding, LintModule, Program, build_program
+from .rules import RULES
 
 __all__ = [
     "Finding",
     "LintModule",
     "Program",
-    "ProgramRule",
-    "PROGRAM_RULES",
     "RULES",
     "Rule",
     "build_program",
-    "get_program_rules",
-    "get_rules",
     "lint_paths",
-    "lint_program",
     "lint_source",
 ]

@@ -1,15 +1,15 @@
 """``reprolint`` command line: ``python -m repro.lint [paths...]``.
 
-Runs the per-file rules (R001–R008, R013) and, unless ``--no-program``
-is given, the whole-program rules (R009–R011) over the same tree.  Exit
-status: 0 when clean, 1 when any finding was reported, 2 on a bad path.
-Defaults can be set in ``pyproject.toml``::
+Parses every file under the paths once and runs every rule over the
+result.  Exit status: 0 when clean, 1 when any finding was reported, 2
+on a bad path.  With no path arguments the paths come from
+``pyproject.toml``::
 
     [tool.reprolint]
     paths = ["src/repro", "tests"]
-    disable = []
 
-Command-line arguments override the configuration file.
+The one way to exempt a site is a ``# reprolint: disable=RULE`` comment
+on its line.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 from .engine import lint_paths
-from .program import lint_program
-from .program_rules import PROGRAM_RULES, get_program_rules
 from .reporters import render_json, render_text
-from .rules import RULES, get_rules
+from .rules import RULES
 
 __all__ = ["main"]
 
@@ -64,39 +62,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--disable", default="",
-        help="comma-separated rule ids to skip, e.g. R003,R010",
-    )
-    parser.add_argument(
-        "--no-program", action="store_true",
-        help="skip the whole-program rules (R009–R011); per-file only",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
     return parser
 
 
-def main(
-    argv: Optional[Sequence[str]] = None,
-    stdout: Optional[IO[str]] = None,
-) -> int:
-    stdout = stdout if stdout is not None else sys.stdout
+def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    rules = [rule for __, rule in sorted(RULES.items())]
 
     if args.list_rules:
-        catalogue = dict(RULES)
-        catalogue.update(PROGRAM_RULES)
-        for rule_id, rule in sorted(catalogue.items()):
-            print(f"{rule_id} {rule.name}: {rule.description}", file=stdout)
+        for rule in rules:
+            print(f"{rule.rule_id} {rule.name}: {rule.description}")
         return 0
 
-    config = _load_config(Path.cwd())
-    disable = [
-        token.strip() for token in args.disable.split(",") if token.strip()
-    ] or list(config.get("disable", []))
-    paths = list(args.paths) or list(config.get("paths", []))
+    paths = list(args.paths) or list(
+        _load_config(Path.cwd()).get("paths", [])
+    )
     if not paths:
         fallback = Path("src/repro")
         paths = [str(fallback)] if fallback.is_dir() else ["."]
@@ -107,18 +90,11 @@ def main(
               file=sys.stderr)
         return 2
 
-    rules = get_rules(disable)
-    findings = lint_paths(paths, rules)
-    program_rules = [] if args.no_program else get_program_rules(disable)
-    if program_rules:
-        findings += lint_program(paths, program_rules)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
+    findings = lint_paths(paths)
     if args.format == "json":
-        all_rules = list(rules) + list(program_rules)
-        print(render_json(findings, all_rules), file=stdout)
+        print(render_json(findings, rules))
     else:
-        print(render_text(findings), file=stdout)
+        print(render_text(findings))
     return 1 if findings else 0
 
 

@@ -1,21 +1,20 @@
-"""Whole-program model for ``reprolint``: symbols, imports, call graph.
+"""The parsed form every ``reprolint`` rule reads: one :class:`Program`.
 
-The per-file rules (R001–R008, R013) judge one module at a time; the
-contracts they enforce, though, are *global* properties — "every
-executed round is charged to the ledger" and "every generator traces
-back to a seed" hold or fail across call boundaries.  This module
-builds the project-wide view the interprocedural rules (R009–R011,
-:mod:`.program_rules`) need:
+Each file is read, decoded and parsed once per run.  The contracts the
+rules enforce are partly *global* — "every executed round is charged to
+the ledger" and "every generator traces back to a seed" hold or fail
+across call boundaries — so the program carries the project-wide view
+alongside the per-file ASTs:
 
 * a **module table** mapping files to dotted module names (derived from
   the package layout, so ``src/repro/congest/leader.py`` is
   ``repro.congest.leader``);
-* a **symbol table** of every function, method, and class, keyed by
-  qualified name (``repro.congest.leader.elect_leader``,
+* a **symbol table** of every top-level function, method, and class,
+  keyed by qualified name (``repro.congest.leader.elect_leader``,
   ``repro.core.router.Router.route``);
-* per-module **import resolution** including relative imports
-  (``from .leader import elect_leader``) and re-exports through
-  package ``__init__`` files;
+* one per-module **import table**, relative imports included
+  (``from .leader import elect_leader``), with re-exports followed
+  through package ``__init__`` files;
 * a **call graph**: each function's call sites resolved to symbol-table
   entries where statically possible — plain calls, aliased imports,
   ``self.method(...)`` through program-wide base-class resolution, and
@@ -31,27 +30,95 @@ coarse enough to stay fast and dependency-free.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .engine import (
-    Finding,
-    LintModule,
-    iter_python_files,
-    qualified_name,
-)
-
 __all__ = [
     "CallSite",
-    "FunctionInfo",
     "ClassInfo",
+    "Finding",
+    "FunctionInfo",
+    "LintModule",
     "Program",
-    "ProgramRule",
     "build_program",
-    "lint_program",
     "module_dotted_name",
+    "qualified_name",
 ]
+
+#: ``# reprolint: disable=R001,R003`` or ``# reprolint: disable=all``
+_SUPPRESS_RE = re.compile(
+    r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)"
+)
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location."""
+
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable form (consumed by ``--format=json``)."""
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "message": self.message,
+        }
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+def qualified_name(node: ast.AST) -> Optional[str]:
+    """Render a ``Name``/``Attribute`` chain as ``a.b.c`` (else ``None``)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+class LintModule:
+    """One parsed source file and its line-level suppressions."""
+
+    def __init__(self, source: str, path: str):
+        self.path = path
+        self.tree = ast.parse(source, filename=path)
+        self.suppressions: dict[int, set[str]] = {}
+        for number, text in enumerate(source.splitlines(), start=1):
+            match = _SUPPRESS_RE.search(text)
+            if match:
+                self.suppressions[number] = {
+                    token.strip().upper() if token.strip() != "all" else "all"
+                    for token in match.group(1).split(",")
+                    if token.strip()
+                }
+
+    @cached_property
+    def class_defs(self) -> Dict[str, ast.ClassDef]:
+        """Every class defined in the module, at any depth, by name."""
+        return {
+            node.name: node for node in ast.walk(self.tree)
+            if isinstance(node, ast.ClassDef)
+        }
+
+    def is_suppressed(self, finding: Finding) -> bool:
+        rules = self.suppressions.get(finding.line)
+        if not rules:
+            return False
+        return "all" in rules or finding.rule in rules
 
 
 def module_dotted_name(path: Path) -> str:
@@ -68,6 +135,16 @@ def module_dotted_name(path: Path) -> str:
         parts.insert(0, parent.name)
         parent = parent.parent
     return ".".join(parts) if parts else path.stem
+
+
+def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+    """Expand files/directories into the ``.py`` files beneath them."""
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            yield path
 
 
 @dataclass
@@ -97,7 +174,6 @@ class FunctionInfo:
 
     qualname: str
     module: LintModule
-    module_name: str
     node: "ast.FunctionDef | ast.AsyncFunctionDef"
     class_qualname: Optional[str] = None
 
@@ -115,22 +191,22 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """A class definition plus its resolved base names."""
+    """A class definition plus its methods."""
 
     qualname: str
     module: LintModule
-    module_name: str
     node: ast.ClassDef
-    bases: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
 
 
 class Program:
-    """The whole-program view: modules, symbols, and the call graph."""
+    """The parsed tree: modules, imports, symbols, and the call graph."""
 
     def __init__(self) -> None:
         #: file path -> parsed module
         self.modules: Dict[str, LintModule] = {}
+        #: E000 findings of the files that failed to parse
+        self.errors: List[Finding] = []
         #: file path -> dotted module name
         self.module_names: Dict[str, str] = {}
         #: dotted module name -> file path (first wins)
@@ -143,30 +219,48 @@ class Program:
         self.calls: Dict[str, List[CallSite]] = {}
         #: callee qualname -> [(caller qualname, site), ...]
         self.callers: Dict[str, List[Tuple[str, CallSite]]] = {}
-        #: per-module import table with *relative imports resolved*
-        #: (unlike LintModule.aliases, which skips them)
+        #: file path -> local name -> dotted import target
         self._imports: Dict[str, Dict[str, str]] = {}
 
     # -- construction --------------------------------------------------------
 
-    def add_module(self, module: LintModule) -> None:
-        name = module_dotted_name(Path(module.path))
-        self.modules[module.path] = module
-        self.module_names[module.path] = name
-        self.by_module_name.setdefault(name, module.path)
-        self._imports[module.path] = self._collect_imports(module, name)
+    def add_source(self, source: str, path: str) -> None:
+        """Parse ``source`` as the module at ``path``; a file that does
+        not parse becomes an E000 finding instead."""
+        try:
+            module = LintModule(source, path)
+        except SyntaxError as error:
+            self.errors.append(Finding(
+                rule="E000",
+                path=path,
+                line=error.lineno or 1,
+                col=error.offset or 0,
+                message=f"syntax error: {error.msg}",
+            ))
+            return
+        name = module_dotted_name(Path(path))
+        self.modules[path] = module
+        self.module_names[path] = name
+        self.by_module_name.setdefault(name, path)
+        self._imports[path] = self._collect_imports(module, name)
         self._collect_symbols(module, name)
 
     @staticmethod
     def _collect_imports(
         module: LintModule, module_name: str
     ) -> Dict[str, str]:
-        """Local name -> dotted target, relative imports included."""
+        """Local name -> dotted target, relative imports included.
+
+        ``import numpy as np`` maps ``np -> numpy``;
+        ``from random import randint as ri`` maps
+        ``ri -> random.randint``; ``from .leader import elect_leader``
+        in ``repro/congest/x.py`` maps
+        ``elect_leader -> repro.congest.leader.elect_leader``.
+        """
         table: Dict[str, str] = {}
         package = module_name.rsplit(".", 1)[0] if "." in module_name \
             else module_name
-        is_package = Path(module.path).name == "__init__.py"
-        if is_package:
+        if Path(module.path).name == "__init__.py":
             package = module_name
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
@@ -198,27 +292,18 @@ class Program:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{name}.{stmt.name}"
                 self.functions[qual] = FunctionInfo(
-                    qualname=qual, module=module, module_name=name,
-                    node=stmt,
+                    qualname=qual, module=module, node=stmt,
                 )
             elif isinstance(stmt, ast.ClassDef):
                 cls_qual = f"{name}.{stmt.name}"
-                info = ClassInfo(
-                    qualname=cls_qual, module=module, module_name=name,
-                    node=stmt,
-                )
-                for base in stmt.bases:
-                    rendered = qualified_name(base)
-                    if rendered:
-                        info.bases.append(rendered)
+                info = ClassInfo(qualname=cls_qual, module=module, node=stmt)
                 for item in stmt.body:
                     if isinstance(
                         item, (ast.FunctionDef, ast.AsyncFunctionDef)
                     ):
                         method_qual = f"{cls_qual}.{item.name}"
                         fn = FunctionInfo(
-                            qualname=method_qual, module=module,
-                            module_name=name, node=item,
+                            qualname=method_qual, module=module, node=item,
                             class_qualname=cls_qual,
                         )
                         self.functions[method_qual] = fn
@@ -226,6 +311,30 @@ class Program:
                 self.classes[cls_qual] = info
 
     # -- name resolution -----------------------------------------------------
+
+    def expand(self, module: LintModule, dotted: str) -> str:
+        """Expand the leading import alias of ``dotted`` —
+        ``np.random.default_rng`` becomes ``numpy.random.default_rng``
+        even though numpy is not part of the program.  A name the module
+        never imported keeps its literal spelling."""
+        table = self._imports.get(module.path, {})
+        head, _, rest = dotted.partition(".")
+        target = table.get(head)
+        if target is None:
+            return dotted
+        return f"{target}.{rest}" if rest else target
+
+    def imported(self, module: LintModule, node: ast.AST) -> Optional[str]:
+        """Like :meth:`expand` on ``node``'s rendered chain, but only for
+        chains rooted at an import: ``None`` otherwise, so a local
+        variable that happens to be called ``random`` or ``time`` cannot
+        masquerade as the module."""
+        dotted = qualified_name(node)
+        if dotted is None:
+            return None
+        if dotted.partition(".")[0] not in self._imports.get(module.path, {}):
+            return None
+        return self.expand(module, dotted)
 
     def resolve_local(
         self, module: LintModule, dotted: str
@@ -235,16 +344,11 @@ class Program:
         Expands the leading import alias (relative imports included),
         then follows re-exports through package ``__init__`` modules.
         """
-        table = self._imports.get(module.path, {})
-        head, _, rest = dotted.partition(".")
-        target = table.get(head)
-        module_name = self.module_names.get(module.path, "")
-        if target is None:
+        if dotted.partition(".")[0] not in self._imports.get(module.path, {}):
             # Not imported: a module-local symbol?
-            candidate = f"{module_name}.{dotted}"
-            return self.resolve_symbol(candidate)
-        full = f"{target}.{rest}" if rest else target
-        return self.resolve_symbol(full)
+            module_name = self.module_names.get(module.path, "")
+            return self.resolve_symbol(f"{module_name}.{dotted}")
+        return self.resolve_symbol(self.expand(module, dotted))
 
     def resolve_symbol(
         self, dotted: str, _depth: int = 0
@@ -268,10 +372,6 @@ class Program:
             if path is None:
                 continue
             remainder = parts[cut:]
-            # Direct symbol in that module?
-            candidate = f"{prefix}." + ".".join(remainder)
-            if candidate in self.functions or candidate in self.classes:
-                return candidate
             # Re-export: the module's import table knows the head.
             table = self._imports.get(path, {})
             head = remainder[0]
@@ -284,18 +384,6 @@ class Program:
             return None
         return None
 
-    def expand(self, module: LintModule, dotted: str) -> str:
-        """Expand the leading import alias of ``dotted`` (relative
-        imports included) without requiring an in-program symbol —
-        ``np.random.default_rng`` becomes ``numpy.random.default_rng``
-        even though numpy is not part of the program."""
-        table = self._imports.get(module.path, {})
-        head, _, rest = dotted.partition(".")
-        target = table.get(head)
-        if target is None:
-            return dotted
-        return f"{target}.{rest}" if rest else target
-
     def method_on(
         self, class_qualname: str, method: str, _seen: frozenset = frozenset()
     ) -> Optional[str]:
@@ -307,9 +395,10 @@ class Program:
             return None
         if method in info.methods:
             return info.methods[method].qualname
-        for base in info.bases:
-            base_qual = self.resolve_local(info.module, base)
-            if base_qual is None:
+        for base in info.node.bases:
+            dotted = qualified_name(base)
+            base_qual = dotted and self.resolve_local(info.module, dotted)
+            if not base_qual:
                 continue
             found = self.method_on(
                 base_qual, method, _seen | {class_qualname}
@@ -318,26 +407,31 @@ class Program:
                 return found
         return None
 
-    def class_is(
-        self, class_qualname: str, base_suffix: str,
+    def extends(
+        self, module: LintModule, cls: ast.ClassDef, base_suffix: str,
         _seen: frozenset = frozenset(),
     ) -> bool:
-        """True if the class (transitively) extends a base whose name
-        ends with ``base_suffix`` — program-wide, so a subclass in
-        another module still counts."""
-        if class_qualname in _seen:
-            return False
-        if class_qualname.endswith(base_suffix):
-            return True
-        info = self.classes.get(class_qualname)
-        if info is None:
-            return False
-        for base in info.bases:
-            if base.endswith(base_suffix):
+        """True if class ``cls`` of ``module`` extends, directly or
+        through other classes, a base whose imported name ends with
+        ``base_suffix``.  Bases are followed through the program's
+        classes in any module, and through classes nested anywhere in
+        ``module`` (a test's local subclass of a local base)."""
+        for base in cls.bases:
+            dotted = qualified_name(base)
+            if dotted is None:
+                continue
+            if self.expand(module, dotted).endswith(base_suffix):
                 return True
-            base_qual = self.resolve_local(info.module, base)
-            if base_qual and self.class_is(
-                base_qual, base_suffix, _seen | {class_qualname}
+            target = self.resolve_local(module, dotted)
+            info = self.classes.get(target) if target else None
+            if info is not None:
+                owner, node = info.module, info.node
+            elif dotted in module.class_defs:
+                owner, node = module, module.class_defs[dotted]
+            else:
+                continue
+            if id(node) not in _seen and self.extends(
+                owner, node, base_suffix, _seen | {id(cls)}
             ):
                 return True
         return False
@@ -369,18 +463,10 @@ class Program:
         name = qualified_name(call.func)
         if name is None or not call.args:
             return None
-        resolved = self.resolve_local(fn.module, name)
-        is_partial = (
-            name in ("partial", "functools.partial")
-            or (resolved or "").endswith("functools.partial")
-        )
-        # `functools` is stdlib, so resolve_local can't see its symbol
-        # table; match the spelling through the import table instead.
-        table = self._imports.get(fn.module.path, {})
-        head = name.partition(".")[0]
-        expanded = table.get(head, head)
-        full = name.replace(head, expanded, 1)
-        if not (is_partial or full == "functools.partial"):
+        if not (
+            name == "partial"
+            or self.expand(fn.module, name) == "functools.partial"
+        ):
             return None
         inner = qualified_name(call.args[0])
         if inner is None:
@@ -437,64 +523,17 @@ class Program:
         return seen
 
 
-class ProgramRule:
-    """Base class for whole-program rules.
-
-    Like :class:`~repro.lint.engine.Rule` but ``check`` receives the
-    :class:`Program`; findings still carry the module path/line of the
-    offending site so suppressions work identically.
-    """
-
-    rule_id: str = "R900"
-    name: str = "abstract-program"
-    description: str = ""
-
-    def check(self, program: Program) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, module: LintModule, node: ast.AST, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.rule_id,
-            path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-
 def build_program(paths: Iterable["str | Path"]) -> Program:
-    """Parse every ``.py`` under ``paths`` into one :class:`Program`."""
+    """Read and parse every ``.py`` under ``paths`` once, into one
+    :class:`Program` with its call graph built."""
     program = Program()
     for file_path in iter_python_files(paths):
         try:
-            # Decoded as lint_paths does, so a non-UTF-8 file fails to
-            # parse here and gets the per-file pass's E000.
-            source = file_path.read_bytes().decode("utf-8", errors="replace")
-            module = LintModule(source, str(file_path))
-        except (OSError, SyntaxError):
-            continue  # per-file linting already reports E000
-        program.add_module(module)
+            raw = file_path.read_bytes()
+        except OSError:
+            continue
+        # Undecodable bytes become U+FFFD, which fails the parse: E000.
+        program.add_source(raw.decode("utf-8", errors="replace"),
+                           str(file_path))
     program.build_call_graph()
     return program
-
-
-def lint_program(
-    paths: Iterable["str | Path"],
-    rules: Optional[Iterable[ProgramRule]] = None,
-) -> List[Finding]:
-    """Run the whole-program rules over the tree under ``paths``."""
-    from .program_rules import get_program_rules
-
-    program = build_program(paths)
-    findings: List[Finding] = []
-    active = list(rules) if rules is not None else get_program_rules()
-    for rule in active:
-        for finding in rule.check(program):
-            module = program.modules.get(finding.path)
-            if module is not None and module.is_suppressed(finding):
-                continue
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings

@@ -8,20 +8,12 @@ The JSON shape is part of the tool's contract: a top-level object with
 from __future__ import annotations
 
 import json
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
-from .engine import Finding
+from .engine import Rule
+from .program import Finding
 
 __all__ = ["render_text", "render_json"]
-
-
-class RuleLike(Protocol):
-    """What a reporter needs from a rule — per-file and program rules
-    both satisfy it."""
-
-    rule_id: str
-    name: str
-    description: str
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -35,7 +27,7 @@ def render_text(findings: Sequence[Finding]) -> str:
 
 
 def render_json(
-    findings: Sequence[Finding], rules: Iterable[RuleLike] = ()
+    findings: Sequence[Finding], rules: Iterable[Rule]
 ) -> str:
     payload = {
         "count": len(findings),

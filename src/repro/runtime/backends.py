@@ -88,7 +88,7 @@ class Backend:
         self,
         graph: Graph,
         context: RunContext,
-        beta: Optional[int] = None,
+        beta: Optional[int],
     ) -> None:
         self.graph = graph
         self.context = context
@@ -237,7 +237,7 @@ class NativeBackend(Backend):
         self,
         graph: Graph,
         context: RunContext,
-        beta: Optional[int] = None,
+        beta: Optional[int],
     ) -> None:
         pair = _parallel_pair(graph)
         if pair is not None:

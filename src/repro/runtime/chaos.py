@@ -19,12 +19,12 @@ a reproducible failure campaign against a live serve loop:
   :meth:`repro.runtime.Session.fault_window`.
 
 Determinism contract: a :class:`ChaosPlan` draws **exclusively** from
-the named ``"chaos"`` RNG stream (reprolint R013, the mirror of R007
-for fault plans), and draws a *fixed* number of values per request —
-five, regardless of which actions fire — so the decision at request
-``k`` is a pure function of ``(seed, k)``, never of earlier outcomes.
-Enabling chaos therefore cannot perturb any other stream, and the same
-seed replays the same campaign bit for bit.
+the named ``"chaos"`` RNG stream (reprolint R007, which also holds
+fault plans to a managed stream), and draws a *fixed* number of values
+per request — five, regardless of which actions fire — so the decision
+at request ``k`` is a pure function of ``(seed, k)``, never of earlier
+outcomes.  Enabling chaos therefore cannot perturb any other stream,
+and the same seed replays the same campaign bit for bit.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class ChaosPlan:
 
     ``rng`` must be minted from the ``"chaos"`` stream (``derive_rng``
     with ``stream_entropy("chaos")`` or a context's
-    ``stream("chaos")``/``fresh_stream("chaos")`` — reprolint R013
+    ``stream("chaos")``/``fresh_stream("chaos")`` — reprolint R007
     checks the call site), so a campaign cannot perturb construction,
     workload, or fault randomness.  Exactly five values are drawn per
     request whatever happens, so decision ``k`` depends only on

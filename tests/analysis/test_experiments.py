@@ -55,11 +55,11 @@ class TestExperimentRunners:
         )
 
     def test_parallel_walk_rows(self):
-        rows = parallel_walk_sweep(n=64, ks=(1, 2), steps=10)
-        assert [row["k"] for row in rows] == [1, 2]
+        rows = parallel_walk_sweep(n=64)
+        assert [row["k"] for row in rows] == [1, 2, 4, 8]
 
     def test_recursion_rows_cover_levels(self):
-        rows = recursion_decomposition(n=64, beta=4)
+        rows = recursion_decomposition(n=64)
         assert rows[0]["level"] == 0
         assert len(rows) >= 2
 
@@ -69,7 +69,7 @@ class TestExperimentRunners:
         assert all(row["max_depth"] >= 0 for row in rows)
 
     def test_partition_rows(self):
-        rows = partition_structure(n=64, beta=4)
+        rows = partition_structure(n=64)
         assert all(row["portal_coverage"] > 0.9 for row in rows)
 
     def test_portal_uniformity_rows(self):
@@ -92,12 +92,12 @@ class TestRunnerOptions:
         assert len(rows) == 3
         assert all(row["n_small"] >= 25 for row in rows)
 
-    def test_stretch_profile_single_beta(self):
+    def test_stretch_profile_rows(self):
         from repro.analysis import stretch_profile
 
-        rows = stretch_profile(n=64, betas=(8,))
-        assert len(rows) == 1
-        assert rows[0]["delivered"]
+        rows = stretch_profile(n=64)
+        assert [row["beta"] for row in rows] == [4, 8, 32]
+        assert all(row["delivered"] for row in rows)
 
     def test_crossover_rows_have_both_kinds(self):
         from repro.analysis import crossover_analysis

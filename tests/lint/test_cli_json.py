@@ -1,10 +1,11 @@
 """CLI behaviour: exit codes, text output, the JSON contract, and the
-whole-program pass.
+call-graph rules in the one pass.
 
 Tooling parses the ``--format=json`` payload, so its shape is pinned
 here.
 """
 
+import contextlib
 import io
 import json
 import subprocess
@@ -57,7 +58,8 @@ def clean_file(tmp_path):
 
 def run_cli(*argv):
     stdout = io.StringIO()
-    code = main(list(argv), stdout=stdout)
+    with contextlib.redirect_stdout(stdout):
+        code = main(list(argv))
     return code, stdout.getvalue()
 
 
@@ -76,14 +78,9 @@ class TestExitCodes:
         code, __ = run_cli(str(tmp_path / "nope"))
         assert code == 2
 
-    def test_disable_silences_rule(self, dirty_file):
-        code, __ = run_cli(str(dirty_file), "--disable", "R001")
-        assert code == 0
-
     def test_non_utf8_file_is_a_finding(self, tmp_path):
         """Undecodable bytes fail the parse like any syntax error: an
-        E000 finding and exit 1, in both the per-file and the
-        whole-program pass."""
+        E000 finding and exit 1."""
         path = tmp_path / "latin.py"
         path.write_bytes(b"x = 1\n\xff\xfe\n")
         code, out = run_cli(str(path))
@@ -141,13 +138,3 @@ class TestProgramPass:
         code, out = run_cli(str(root / "proj"))
         assert code == 1
         assert "R009" in out
-
-    def test_no_program_skips_them(self, make_tree):
-        root = make_tree({"proj/congest/mod.py": UNCHARGED_RUN})
-        code, out = run_cli(str(root / "proj"), "--no-program")
-        assert code == 0
-
-    def test_disable_covers_program_rules(self, make_tree):
-        root = make_tree({"proj/congest/mod.py": UNCHARGED_RUN})
-        code, __ = run_cli(str(root / "proj"), "--disable", "R009")
-        assert code == 0

@@ -7,6 +7,10 @@ base classes, constructor-to-``__init__`` edges, and
 ``functools.partial``.
 """
 
+import ast
+from pathlib import Path
+
+from repro.lint import lint_paths
 from repro.lint.program import build_program, module_dotted_name
 
 
@@ -220,7 +224,7 @@ class TestCallResolution:
 
 
 class TestClassQueries:
-    def test_class_is_transitive_across_modules(self, make_tree):
+    def test_extends_is_transitive_across_modules(self, make_tree):
         root = make_tree({
             "pkg/base.py": """
                 class NodeAlgorithm:
@@ -240,8 +244,10 @@ class TestClassQueries:
             """,
         })
         program = build_program([root / "pkg"])
-        assert program.class_is("pkg.leaf.Leaf", "NodeAlgorithm")
-        assert not program.class_is("pkg.base.NodeAlgorithm", "Router")
+        leaf = program.classes["pkg.leaf.Leaf"]
+        base = program.classes["pkg.base.NodeAlgorithm"]
+        assert program.extends(leaf.module, leaf.node, "NodeAlgorithm")
+        assert not program.extends(base.module, base.node, "Router")
 
     def test_syntax_error_file_is_skipped(self, make_tree):
         root = make_tree({
@@ -254,3 +260,38 @@ class TestClassQueries:
         program = build_program([root / "pkg"])
         assert "pkg.fine.fine" in program.functions
         assert "pkg.broken" not in program.by_module_name
+
+
+class TestOnePass:
+    def test_each_file_is_read_and_parsed_once(self, make_tree, monkeypatch):
+        """Every rule, per-file and call-graph alike, reads one parse."""
+        root = make_tree({
+            "pkg/congest/mod.py": """
+                def spin(network):
+                    network.run(None, max_rounds=1)
+            """,
+            "pkg/util.py": """
+                import random
+
+                def pick(items):
+                    return random.choice(items)
+            """,
+        })
+        reads, parses = [], []
+        read_bytes, parse = Path.read_bytes, ast.parse
+
+        def counting_read(path):
+            reads.append(str(path))
+            return read_bytes(path)
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses.append(filename)
+            return parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read)
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        findings = lint_paths([root / "pkg"])
+        files = sorted(str(path) for path in (root / "pkg").rglob("*.py"))
+        assert sorted(reads) == files
+        assert sorted(parses) == files
+        assert {finding.rule for finding in findings} == {"R001", "R009"}

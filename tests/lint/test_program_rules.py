@@ -1,11 +1,13 @@
-"""Positive/negative fixtures for the interprocedural rules R009–R011.
+"""Positive/negative fixtures for the rules that read the call graph.
 
-These include the acceptance fixtures from the analyzer's design brief:
-an uncharged ``Network.run`` loop (R009) and a generator minted two call
-levels above its eventual use (R010).
+These include an uncharged ``Network.run`` loop (R009), a generator
+minted two call levels above its eventual use (R010), and an over-wide
+payload built in a helper a node algorithm calls (R002).  The fixtures
+are package trees on disk, so module names and imports resolve as they
+do on the real tree.
 """
 
-from repro.lint.program import lint_program
+from repro.lint import lint_paths
 
 
 def _rules_of(findings):
@@ -23,7 +25,7 @@ class TestLedgerCoverage:
                         network.run(None, max_rounds=1)
             """,
         })
-        findings = lint_program([root / "proj"])
+        findings = lint_paths([root / "proj"])
         assert _rules_of(findings) == ["R009"]
         assert findings[0].line == 4  # spin's network.run call
 
@@ -35,7 +37,7 @@ class TestLedgerCoverage:
                     return stats.rounds
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
     def test_charging_a_ledger_passes(self, make_tree):
         root = make_tree({
@@ -45,7 +47,7 @@ class TestLedgerCoverage:
                     ledger.charge("phase", stats.rounds)
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
     def test_caller_discarding_exported_rounds_is_flagged(
         self, make_tree
@@ -66,7 +68,7 @@ class TestLedgerCoverage:
                     return helper(network)
             """,
         })
-        findings = lint_program([root / "proj"])
+        findings = lint_paths([root / "proj"])
         assert _rules_of(findings) == ["R009"]
         assert findings[0].line == 7  # discards' helper call
 
@@ -94,7 +96,7 @@ class TestLedgerCoverage:
                     return rounds
             """,
         })
-        findings = lint_program([root / "proj"])
+        findings = lint_paths([root / "proj"])
         assert _rules_of(findings) == ["R009"]
         assert findings[0].line == 5  # drops' executor call
 
@@ -109,7 +111,7 @@ class TestLedgerCoverage:
                     run_and_charge(network, ledger)
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
     def test_outside_congest_core_is_not_flagged(self, make_tree):
         root = make_tree({
@@ -118,7 +120,7 @@ class TestLedgerCoverage:
                     network.run(None, max_rounds=1)
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
     def test_suppression_comment_is_honoured(self, make_tree):
         root = make_tree({
@@ -127,7 +129,7 @@ class TestLedgerCoverage:
                     network.run(None)  # reprolint: disable=R009
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
 
 class TestRngProvenance:
@@ -153,7 +155,7 @@ class TestRngProvenance:
                     return mid(rng=rng)
             """,
         })
-        findings = lint_program([root / "proj"])
+        findings = lint_paths([root / "proj"])
         assert _rules_of(findings) == ["R010"]
         assert findings[0].line == 12  # top's default_rng call
         assert "numpy.random.default_rng" in findings[0].message
@@ -170,7 +172,7 @@ class TestRngProvenance:
                     return use(rng=np.random.default_rng(seed))
             """,
         })
-        findings = lint_program([root / "proj"])
+        findings = lint_paths([root / "proj"])
         assert _rules_of(findings) == ["R010"]
 
     def test_positional_rng_argument_is_flagged(self, make_tree):
@@ -186,7 +188,7 @@ class TestRngProvenance:
                     return use(graph, local)
             """,
         })
-        findings = lint_program([root / "proj"])
+        findings = lint_paths([root / "proj"])
         assert _rules_of(findings) == ["R010"]
 
     def test_derive_rng_passes(self, make_tree):
@@ -206,7 +208,7 @@ class TestRngProvenance:
                     return None
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
     def test_parameter_passthrough_passes(self, make_tree):
         root = make_tree({
@@ -218,7 +220,7 @@ class TestRngProvenance:
                     return use(rng=rng)
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
     def test_runtime_package_is_exempt(self, make_tree):
         root = make_tree({
@@ -233,36 +235,11 @@ class TestRngProvenance:
                     return use(rng=rng)
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []
 
 
-class TestMessageSizeFlow:
-    """R011: over-wide payloads caught across call boundaries."""
-
-    def test_wide_tuple_into_payload_param_is_flagged(self, make_tree):
-        root = make_tree({
-            "proj/congest/mod.py": """
-                def send(payload):
-                    return payload
-
-                def caller(u, v):
-                    return send(payload=(u, v, 1, 2, 3, 4))
-            """,
-        })
-        findings = lint_program([root / "proj"])
-        assert _rules_of(findings) == ["R011"]
-
-    def test_narrow_tuple_passes(self, make_tree):
-        root = make_tree({
-            "proj/congest/mod.py": """
-                def send(payload):
-                    return payload
-
-                def caller(u, v):
-                    return send(payload=(u, v, 1))
-            """,
-        })
-        assert lint_program([root / "proj"]) == []
+class TestHelperPayloadWidth:
+    """R002: an over-wide payload built in a helper the node calls."""
 
     def test_node_algorithm_helper_width_is_flagged(self, make_tree):
         root = make_tree({
@@ -275,8 +252,8 @@ class TestMessageSizeFlow:
                         return build_payload(node)
             """,
         })
-        findings = lint_program([root / "proj"])
-        assert _rules_of(findings) == ["R011"]
+        findings = lint_paths([root / "proj"])
+        assert _rules_of(findings) == ["R002"]
         assert "build_payload" in findings[0].message
 
     def test_helper_width_outside_node_algorithm_passes(
@@ -291,4 +268,4 @@ class TestMessageSizeFlow:
                     return build_payload(node)
             """,
         })
-        assert lint_program([root / "proj"]) == []
+        assert lint_paths([root / "proj"]) == []

@@ -1,14 +1,15 @@
 """The repo must pass its own linter — this is the CI contract.
 
-The gate is zero findings, per-file and whole-program rules alike, over
-the ``[tool.reprolint] paths`` that ``scripts/check.sh`` lints.  A
-deliberate exception (a fixture the simulator tests must reject, say)
-carries an inline ``# reprolint: disable=RULE`` with its reason.
+The gate is zero findings from every rule over the
+``[tool.reprolint] paths`` that ``python -m repro.lint`` lints with no
+arguments (``scripts/check.sh`` runs it so).  A deliberate exception (a
+fixture the simulator tests must reject, say) carries an inline
+``# reprolint: disable=RULE`` with its reason.
 """
 
 from pathlib import Path
 
-from repro.lint import lint_paths, lint_program
+from repro.lint import lint_paths
 from repro.lint.cli import _load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -18,36 +19,18 @@ def _render(findings):
     return "\n".join(finding.render() for finding in findings)
 
 
-def _gate_paths():
-    """The paths the CLI lints when run from the repo root."""
-    return [REPO_ROOT / path for path in _load_config(REPO_ROOT)["paths"]]
-
-
 class TestSelfCheck:
-    def test_library_tree_is_clean(self):
-        findings = lint_paths([REPO_ROOT / "src" / "repro"])
-        assert findings == [], (
-            "reprolint findings in src/repro — fix them (or, for a "
-            "deliberate exception, add `# reprolint: disable=RULE` with "
-            "a justification):\n" + _render(findings)
-        )
-
-    def test_test_tree_is_clean(self):
-        findings = lint_paths([REPO_ROOT / "tests"])
-        assert findings == [], (
-            "reprolint findings in tests/:\n" + _render(findings)
-        )
-
-    def test_lint_package_lints_itself(self):
-        findings = lint_paths([REPO_ROOT / "src" / "repro" / "lint"])
-        assert findings == []
-
     def test_gate_paths_have_no_findings(self):
-        """Per-file and whole-program rules (R001–R013) over the paths
-        the gate lints, as one tree, exactly as the CLI runs them."""
-        paths = _gate_paths()
-        assert REPO_ROOT / "src" / "repro" in paths
-        findings = lint_paths(paths) + lint_program(paths)
+        """Every rule over the gate's paths (the library, its tests and
+        the lint package itself), as one tree, exactly as the CLI runs
+        them."""
+        paths = [
+            REPO_ROOT / path for path in _load_config(REPO_ROOT)["paths"]
+        ]
+        assert {REPO_ROOT / "src" / "repro", REPO_ROOT / "tests"} <= set(
+            paths
+        )
+        findings = lint_paths(paths)
         assert findings == [], (
             "reprolint findings on the gate paths — fix them, or "
             "suppress one line with `# reprolint: disable=RULE` and its "

@@ -584,7 +584,7 @@ class TestR008RawCrashState:
         )
 
 
-class TestR013ChaosStream:
+class TestR007ChaosStream:
     @pytest.mark.parametrize(
         "source",
         [
@@ -629,7 +629,7 @@ class TestR013ChaosStream:
         ],
     )
     def test_fires(self, source):
-        assert "R013" in rule_ids(source)
+        assert "R007" in rule_ids(source)
 
     @pytest.mark.parametrize(
         "source",
@@ -666,7 +666,7 @@ class TestR013ChaosStream:
         ],
     )
     def test_quiet(self, source):
-        assert "R013" not in rule_ids(source)
+        assert "R007" not in rule_ids(source)
 
 
 class TestEngineMechanics:

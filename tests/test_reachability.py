@@ -26,8 +26,12 @@ class, is *set* when a call of that name outside the function's own
 body passes it: by keyword, by position, or through ``*``/``**``.  A
 class's ``__init__`` is called by the class name, and by ``cls(...)``
 inside the class.  A name used as a value (an op table, the
-``BACKENDS`` dict, a callback) counts as passing everything; type
-annotations and ``isinstance``/``issubclass`` targets are not values.
+``BACKENDS`` dict, a callback) passes nothing, with one exception whose
+arguments the scan reads: an entry of the experiment table
+(:data:`repro.analysis.report.SECTIONS`, a dict with an
+``"experiment"`` key) calls its experiment with the keys of its
+``"full"`` and ``"quick"`` dicts, plus ``seed``, which the ``paper``
+bench suite always passes.
 
 These are name scans, not a call graph:
 :meth:`repro.lint.program.Program.transitive_callees` leaves
@@ -59,7 +63,7 @@ _FIXTURE = "graph generator the tests use as a fixture"
 _USER_API = "user API that README.md or docs/tutorial.md calls"
 _RATIO = "lemma bound for the ROADMAP ratio-column item"
 _PROBE = "probe the tests read state through"
-_SEAM = "test seam: tests pass their own argv/stdout"
+_SEAM = "test seam: tests pass their own argv"
 
 #: Unreached public names that stay, by qualified name, with the reason.
 ALLOWED = {
@@ -71,6 +75,9 @@ ALLOWED = {
     "repro.runtime.events.sum_ledger_charges": _ORACLE,
     "repro.baselines.ghs_congest.congest_ghs_mst": (
         "message-passing oracle for ghs_mst's round model"
+    ),
+    "repro.lint.engine.lint_source": (
+        "one-module entry the rule fixtures lint their snippets through"
     ),
     "repro.congest.forwarding.forward_demands": (
         "one-step entry to the array executor that the hop cross-check "
@@ -132,7 +139,10 @@ ALLOWED_METHODS = {
 ALLOWED_PARAMS = {
     "repro.cli.main(argv)": _SEAM,
     "repro.lint.cli.main(argv)": _SEAM,
-    "repro.lint.cli.main(stdout)": _SEAM,
+    "repro.walks.correlated.run_correlated_walks(on_step)": (
+        "set through WalkBatch.engine: the native replay calls "
+        "engine(..., on_step=replay), a call by value the scan cannot read"
+    ),
     "repro.core.mst.minimum_spanning_tree(params)": _USER_API,
     "repro.core.mst.minimum_spanning_tree(rng)": _USER_API,
     "repro.core.mst.minimum_spanning_tree(hierarchy)": _USER_API,
@@ -141,11 +151,8 @@ ALLOWED_PARAMS = {
     ),
 }
 
-#: Base classes whose subclasses are reached through a rule registry.
-REGISTERED_BASES = (
-    "repro.lint.engine.Rule",
-    "repro.lint.program.ProgramRule",
-)
+#: The base class whose subclasses are reached through the rule registry.
+REGISTERED_BASE = "repro.lint.engine.Rule"
 
 
 def _is_test(path):
@@ -267,28 +274,29 @@ def unreached_methods(program):
     return found
 
 
-def _not_values(tree):
-    """Ids of the nodes in annotations and ``isinstance``/``issubclass``
-    class arguments: mentions there call nothing."""
-    skipped = set()
+def _section_calls(tree):
+    """``(experiment name, call)`` for each experiment-table entry in
+    ``tree``: a call passing the keys of its ``full`` and ``quick``
+    dicts, and ``seed``."""
     for node in ast.walk(tree):
-        parts = []
-        if isinstance(node, ast.arg) and node.annotation is not None:
-            parts.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.returns is not None:
-                parts.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            parts.append(node.annotation)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("isinstance", "issubclass")
-        ):
-            parts.extend(node.args[1:])
-        for part in parts:
-            skipped.update(id(child) for child in ast.walk(part))
-    return skipped
+        if not isinstance(node, ast.Dict):
+            continue
+        entry = {
+            key.value: value for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant)
+        }
+        if "experiment" not in entry:
+            continue
+        passed = {"seed"}
+        for tier in ("full", "quick"):
+            passed.update(
+                key.value for key in getattr(entry.get(tier), "keys", ())
+            )
+        call = ast.Call(
+            func=entry["experiment"], args=[],
+            keywords=[ast.keyword(arg=name) for name in sorted(passed)],
+        )
+        yield _mentioned(entry["experiment"]), call
 
 
 def _defaulted(args):
@@ -318,9 +326,9 @@ def unset_params(program):
     """``"qualname(param)"`` of every defaulted parameter of the
     library's public functions and methods that no program call sets."""
     calls = {}
-    values = set()
     for module in _program_modules(program):
-        skipped = _not_values(module.tree)
+        for name, call in _section_calls(module.tree):
+            calls.setdefault(name, []).append(call)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 for inner in ast.walk(node):
@@ -331,16 +339,9 @@ def unset_params(program):
                     ):
                         calls.setdefault(node.name, []).append(inner)
             elif isinstance(node, ast.Call):
-                skipped.add(id(node.func))
                 name = _mentioned(node.func)
                 if name is not None:
                     calls.setdefault(name, []).append(node)
-            elif (
-                isinstance(node, (ast.Name, ast.Attribute))
-                and isinstance(node.ctx, ast.Load)
-                and id(node) not in skipped
-            ):
-                values.add(_mentioned(node))
     found = set()
     for info in program.functions.values():
         owner = _class_name(info)
@@ -358,8 +359,6 @@ def unset_params(program):
             name, offset = info.name, 0 if static else 1
         else:
             name, offset = info.name, 0
-        if name in values:
-            continue
         own = {id(node) for node in ast.walk(info.node)}
         sites = [call for call in calls.get(name, ()) if id(call) not in own]
         for param, index in _defaulted(info.node.args):
@@ -371,7 +370,10 @@ def unset_params(program):
 
 
 def _registered(program, qualname):
-    return any(program.class_is(qualname, base) for base in REGISTERED_BASES)
+    info = program.classes.get(qualname)
+    return info is not None and program.extends(
+        info.module, info.node, REGISTERED_BASE
+    )
 
 
 class TestReachability:
